@@ -1,11 +1,16 @@
-"""Legendre-form elliptic integrals via Carlson symmetric forms.
+"""Legendre-form elliptic integrals via Carlson symmetric forms and the AGM.
 
 Incomplete integrals take an amplitude phi in [0, pi/2] and a modulus k in
-[0, 1].  Everything reduces to the Carlson functions R_F and R_D, evaluated
-by the duplication algorithm: the argument triple is contracted toward its
-mean until a fifth-order Taylor tail suffices.  This keeps full double
-precision uniformly in k, including the k -> 1 boundary, without the
-cancellation that plagues the (F - E)/k^2 route for D at small k.
+[0, 1].  They reduce to the Carlson functions R_F and R_D, evaluated by the
+duplication algorithm: the argument triple is contracted toward its mean
+until a fifth-order Taylor tail suffices.  R_D's duplication step uses the
+same lambda as R_F's, so one fused loop returns both; every (F, E) pair at
+one (phi, k) comes from that single loop.  The argument 1 - k^2 sin^2 phi
+is formed as cos^2 phi + k'^2 sin^2 phi, which keeps full double precision
+uniformly in k, including the (pi/2, 1) corner, without the cancellation
+that plagues the (F - E)/k^2 route for D at small k.  Complete K and E come
+from the arithmetic-geometric mean (DLMF 19.8), which converges
+quadratically; complete D stays on R_D, which is stable at small k.
 """
 
 import math
@@ -19,12 +24,33 @@ HALF_PI = math.pi / 2.0
 _RF_PREF = (3.0 * 1e-16) ** (-1.0 / 6.0)
 _RD_PREF = (0.25 * 1e-16) ** (-1.0 / 6.0)
 
+# A triple whose sum reaches _HUGE (or is not finite) is scaled by _SHRINK
+# first, so that neither the sum nor the spread Q overflows; the results are
+# scaled back by homogeneity, R_F(l x) = R_F(x)/sqrt(l), R_D(l x) = R_D(x)/l^1.5.
+_HUGE = 2.0 ** 1000
+_SHRINK = 2.0 ** -32
+_SHRINK_RF = 2.0 ** -16
+_SHRINK_RD = 2.0 ** -48
+
+# The AGM stops once c_n <= _AGM_TOL * a_n: the next step would move a_n by
+# about (c_n/a_n)^2/4 relative, below half an ulp.
+_AGM_TOL = 2.0 ** -27
+
+
+def _shrunk(x: float, y: float, z: float) -> tuple:
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError(f"Carlson arguments must be finite, got {(x, y, z)!r}")
+    return (x * _SHRINK, y * _SHRINK, z * _SHRINK)
+
 
 def carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson R_F(x, y, z); at most one argument may be zero."""
+    """Carlson R_F(x, y, z); finite, nonnegative, at most one argument zero."""
+    s = x + y + z
+    if not s < _HUGE:
+        return carlson_rf(*_shrunk(x, y, z)) * _SHRINK_RF
     if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (x + z) == 0.0:
         raise DomainError("carlson_rf needs nonnegative args, at most one zero")
-    a = (x + y + z) / 3.0
+    a = s / 3.0
     q = _RF_PREF * max(abs(a - x), abs(a - y), abs(a - z))
     x0, y0, a0 = x, y, a
     scale = 1.0
@@ -44,16 +70,28 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
-def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson R_D(x, y, z) = R_J(x, y, z, z); z must be positive."""
+def _rf_rd(x: float, y: float, z: float) -> tuple:
+    """(R_F(x, y, z), R_D(x, y, z)) from one duplication loop.
+
+    Both share lambda at every step; the loop tracks R_F's mean a and
+    recovers R_D's as a - 4^-m (aF0 - aD0), running until both stopping
+    rules hold.  Domain as carlson_rd: finite x, y >= 0 (not both zero), z > 0.
+    """
+    s = x + y + z
+    if not s < _HUGE:
+        rf, rd = _rf_rd(*_shrunk(x, y, z))
+        return (rf * _SHRINK_RF, rd * _SHRINK_RD)
     if min(x, y) < 0.0 or z <= 0.0 or (x + y) == 0.0:
         raise DomainError("carlson_rd needs x, y >= 0 (not both zero) and z > 0")
-    a = (x + y + 3.0 * z) / 5.0
-    q = _RD_PREF * max(abs(a - x), abs(a - y), abs(a - z))
-    x0, y0, a0 = x, y, a
+    af0 = s / 3.0
+    ad0 = (s + 2.0 * z) / 5.0
+    gap = af0 - ad0
+    q = max(_RF_PREF * max(abs(af0 - x), abs(af0 - y), abs(af0 - z)),
+            _RD_PREF * max(abs(ad0 - x), abs(ad0 - y), abs(ad0 - z)) + abs(gap))
+    x0, y0, a = x, y, af0
     scale = 1.0
     tail = 0.0
-    while scale * q >= abs(a):
+    while scale * q >= a:
         sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         tail += scale / (sz * (z + lam))
@@ -62,8 +100,15 @@ def carlson_rd(x: float, y: float, z: float) -> float:
         z = 0.25 * (z + lam)
         a = 0.25 * (a + lam)
         scale *= 0.25
-    dx = scale * (a0 - x0) / a
-    dy = scale * (a0 - y0) / a
+    dx = scale * (af0 - x0) / a
+    dy = scale * (af0 - y0) / a
+    dz = -dx - dy
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+    a -= scale * gap
+    dx = scale * (ad0 - x0) / a
+    dy = scale * (ad0 - y0) / a
     dz = -(dx + dy) / 3.0
     e2 = dx * dy - 6.0 * dz * dz
     e3 = (3.0 * dx * dy - 8.0 * dz * dz) * dz
@@ -71,7 +116,45 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     e5 = dx * dy * dz * dz * dz
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
               - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return scale * series / (a * math.sqrt(a)) + 3.0 * tail
+    return (rf, scale * series / (a * math.sqrt(a)) + 3.0 * tail)
+
+
+def carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson R_D(x, y, z) = R_J(x, y, z, z); finite x, y >= 0, z > 0."""
+    return _rf_rd(x, y, z)[1]
+
+
+def _agm(k: float) -> tuple:
+    """(K(k), E(k)) for 0 <= k < 1 by the arithmetic-geometric mean.
+
+    a_0 = 1, b_0 = k', c_0 = k; K = pi/(2 a_N) and
+    E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6).  c_(n+1) is
+    formed as c_n^2/(4 a_(n+1)), free of the cancellation in (a_n - b_n)/2.
+    """
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    weight = 0.5
+    csum = weight * c * c
+    while c > _AGM_TOL * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a
+        weight *= 2.0
+        csum += weight * c * c
+    kk = HALF_PI / a
+    return (kk, kk * (1.0 - csum))
+
+
+def _fe_sc(s: float, c2: float, kc2: float) -> tuple:
+    """(F, E) at the amplitude with sine s and cosine squared c2, for the
+    complementary modulus squared kc2 = k'^2, from one fused loop.
+
+    Callers that know cos phi directly pass it here without an asin round
+    trip; 1 - k^2 s^2 is formed as c2 + k'^2 s^2, with no cancellation.
+    Needs c2 > 0 or kc2 > 0, which excludes only the (pi/2, 1) corner.
+    """
+    s2 = s * s
+    rf, rd = _rf_rd(c2, c2 + kc2 * s2, 1.0)
+    f = s * rf
+    return (f, f - (1.0 - kc2) * s * s2 * rd / 3.0)
 
 
 def _check_amplitude(phi: float) -> None:
@@ -97,8 +180,7 @@ def incomplete_f(phi: float, k: float) -> float:
         return 0.0
     s = math.sin(phi)
     c2 = math.cos(phi) ** 2
-    y = max(1.0 - (k * s) ** 2, 0.0)
-    return s * carlson_rf(c2, y, 1.0)
+    return s * carlson_rf(c2, c2 + (1.0 - k) * (1.0 + k) * s * s, 1.0)
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -109,11 +191,7 @@ def incomplete_e(phi: float, k: float) -> float:
         return 0.0
     if k == 1.0 and phi == HALF_PI:
         return 1.0
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
-    y = max(1.0 - (k * s) ** 2, 0.0)
-    s3 = s * s * s
-    return s * carlson_rf(c2, y, 1.0) - (k * k) * s3 * carlson_rd(c2, y, 1.0) / 3.0
+    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[1]
 
 
 def incomplete_d(phi: float, k: float) -> float:
@@ -130,8 +208,7 @@ def incomplete_d(phi: float, k: float) -> float:
         return 0.0
     s = math.sin(phi)
     c2 = math.cos(phi) ** 2
-    y = max(1.0 - (k * s) ** 2, 0.0)
-    return s * s * s * carlson_rd(c2, y, 1.0) / 3.0
+    return s * s * s * carlson_rd(c2, c2 + (1.0 - k) * (1.0 + k) * s * s, 1.0) / 3.0
 
 
 def complete_k(k: float) -> float:
@@ -139,7 +216,7 @@ def complete_k(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         raise DivergenceError("K(1) diverges")
-    return carlson_rf(0.0, 1.0 - k * k, 1.0)
+    return _agm(k)[0]
 
 
 def complete_e(k: float) -> float:
@@ -147,8 +224,7 @@ def complete_e(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         return 1.0
-    y = 1.0 - k * k
-    return carlson_rf(0.0, y, 1.0) - (k * k) * carlson_rd(0.0, y, 1.0) / 3.0
+    return _agm(k)[1]
 
 
 def complete_d(k: float) -> float:
@@ -156,7 +232,7 @@ def complete_d(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         raise DivergenceError("D(1) diverges")
-    return carlson_rd(0.0, 1.0 - k * k, 1.0) / 3.0
+    return carlson_rd(0.0, (1.0 - k) * (1.0 + k), 1.0) / 3.0
 
 
 def complementary_amplitude(phi1: float, kprime: float, upper_branch: bool = False) -> float:

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import incomplete_e, incomplete_f
+from .elliptic import _fe_sc, incomplete_e, incomplete_f
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -109,20 +109,18 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     """Descending-axes closed form.
 
     S = 2 pi c^2 + 2 pi b / sqrt(a^2-c^2) * [(a^2-c^2) E(phi,k) + c^2 F(phi,k)]
-    with phi = arcsin e1 and k = e2/e1.
+    with phi = arcsin e1 and k = e2/e1.  F and E come from one fused Carlson
+    loop at sin phi = e1, cos^2 phi = (c/a)^2 and
+    k'^2 = c^2 (a^2-b^2) / (b^2 (a^2-c^2)), with no arcsin: then
+    1 - k^2 sin^2 phi = (c/b)^2 stays positive even for thin discs c << b.
     """
     _check_axes(a, b, c)
     if not (a >= b >= c) or not a > c:
         raise DomainError("triaxial_area needs a >= b >= c with a > c")
     d_ac = (a - c) * (a + c)
-    d_bc = (b - c) * (b + c)
-    e1 = math.sqrt(d_ac) / a
-    phi = math.asin(min(1.0, e1))
-    k = math.sqrt((a * a * d_bc) / (b * b * d_ac))
-    k = min(k, 1.0)
-    return (TWO_PI * c * c
-            + TWO_PI * b / math.sqrt(d_ac)
-            * (d_ac * incomplete_e(phi, k) + c * c * incomplete_f(phi, k)))
+    root = math.sqrt(d_ac)
+    f, e = _fe_sc(root / a, (c / a) ** 2, c * c * (a - b) * (a + b) / (b * b * d_ac))
+    return TWO_PI * c * c + TWO_PI * b / root * (d_ac * e + c * c * f)
 
 
 def triaxial_area_eccentric(a: float, b: float, c: float) -> float:
@@ -184,12 +182,13 @@ def surface_area_ascending(a: float, b: float, c: float) -> float:
     if not (a < b < c):
         raise DomainError("surface_area_ascending needs strictly ascending a < b < c")
     f1, f2 = barred_params(a, b, c)
-    phib = math.atan(f1)
-    # 1 - f2^2/f1^2 via exact axis differences, immune to b -> a cancellation
-    kb = min(1.0, math.sqrt((c * c * (b - a) * (b + a)) / (b * b * (c - a) * (c + a))))
+    d_ca = (c - a) * (c + a)
+    # sin phib = sqrt(c^2-a^2)/c, cos^2 phib = (a/c)^2 and
+    # kb'^2 = a^2 (c^2-b^2) / (b^2 (c^2-a^2)) via exact axis differences
+    fe, ee = _fe_sc(math.sqrt(d_ca) / c, (a / c) ** 2,
+                    a * a * (c - b) * (c + b) / (b * b * d_ca))
     pref = math.sqrt((1.0 + f1 * f1) / (1.0 + f2 * f2))
-    return TWO_PI * a * a * (1.0 + pref * (incomplete_f(phib, kb) / f1
-                                           + f1 * incomplete_e(phib, kb)))
+    return TWO_PI * a * a * (1.0 + pref * (fe / f1 + f1 * ee))
 
 
 def surface_area_legendre(a: float, b: float, c: float) -> float:
@@ -203,14 +202,12 @@ def surface_area_legendre(a: float, b: float, c: float) -> float:
     if not (a > b > c):
         raise DomainError("surface_area_legendre needs strictly descending a > b > c")
     d_ac = (a - c) * (a + c)
-    d_bc = (b - c) * (b + c)
     sin_nu = math.sqrt(d_ac) / a
-    nu = math.asin(min(1.0, sin_nu))
-    bprime = min(1.0, math.sqrt(d_bc) / (b * sin_nu))
+    # 1 - b'^2 = c^2 (a^2-b^2) / (b^2 (a^2-c^2))
+    fe, ee = _fe_sc(sin_nu, (c / a) ** 2, c * c * (a - b) * (a + b) / (b * b * d_ac))
     return (TWO_PI * c * c
             + TWO_PI * a * b / sin_nu
-            * ((c * c / (a * a)) * incomplete_f(nu, bprime)
-               + (d_ac / (a * a)) * incomplete_e(nu, bprime)))
+            * ((c * c / (a * a)) * fe + (d_ac / (a * a)) * ee))
 
 
 def surface_area(a: float, b: float, c: float, rel_tol: float = 1e-9) -> float:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import (HALF_PI, complete_d, complete_e, complete_k,
+from .elliptic import (HALF_PI, _fe_sc, complete_d, complete_e, complete_k,
                        incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import QuadratureResult, integrate, integrate_singular_pair
@@ -196,13 +196,15 @@ def alpha_kbar_from_barred(f1: float, f2: float) -> AlphaKBar:
 
 
 def i1_closed(p: AlphaK) -> float:
-    kp2 = 1.0 - p.k * p.k
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
     s2 = kp2 + (p.k * p.alpha) ** 2
-    lam = math.asin(p.alpha / math.sqrt(s2))
+    ca2 = (1.0 - p.alpha) * (1.0 + p.alpha)
+    # amplitude lam = arcsin(alpha/sqrt(s2)), with cos^2 lam = k'^2 (1-alpha^2)/s2
+    fe, ee = _fe_sc(p.alpha / math.sqrt(s2), kp2 * ca2 / s2, kp2)
     return (math.pi / 4.0) * (
-        p.alpha * math.sqrt(1.0 - p.alpha * p.alpha) / (s2 * s2)
-        + p.alpha * p.alpha * incomplete_e(lam, p.k) / (kp2 * s2 ** 1.5)
-        + (1.0 - p.alpha * p.alpha) * incomplete_f(lam, p.k) / s2 ** 1.5)
+        p.alpha * math.sqrt(ca2) / (s2 * s2)
+        + p.alpha * p.alpha * ee / (kp2 * s2 ** 1.5)
+        + ca2 * fe / s2 ** 1.5)
 
 
 def i1_closed_eccentric(e1: float, e2: float) -> float:
@@ -220,12 +222,13 @@ def i1_closed_eccentric(e1: float, e2: float) -> float:
 
 def i1_barred_closed(p: AlphaKBar) -> float:
     kb2 = p.kbar * p.kbar
-    diff = kb2 - p.alpha * p.alpha
-    phib = math.asin(p.alpha / p.kbar)
+    diff = (p.kbar - p.alpha) * (p.kbar + p.alpha)
+    # amplitude arcsin(alpha/kbar), with cos^2 = (kbar^2 - alpha^2)/kbar^2
+    fe, ee = _fe_sc(p.alpha / p.kbar, diff / kb2, (1.0 - p.kbar) * (1.0 + p.kbar))
     return (math.pi / 4.0) * (
         p.alpha * math.sqrt(1.0 - p.alpha * p.alpha) / (kb2 * diff)
-        + incomplete_f(phib, p.kbar) / (kb2 * math.sqrt(diff))
-        + p.alpha * p.alpha * incomplete_e(phib, p.kbar) / (kb2 * diff ** 1.5))
+        + fe / (kb2 * math.sqrt(diff))
+        + p.alpha * p.alpha * ee / (kb2 * diff ** 1.5))
 
 
 def pr3_d_closed(p: AlphaZ) -> float:

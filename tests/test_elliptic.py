@@ -142,6 +142,17 @@ def test_agm_cross_check():
         assert complete_e(k) == pytest.approx(ee, rel=1e-14)
 
 
+def test_agm_against_carlson():
+    # complete K and E run on the AGM; R_F and R_D are a different method
+    for j in range(1, 21):
+        k = j / 21.0
+        y = (1.0 - k) * (1.0 + k)
+        rf = carlson_rf(0.0, y, 1.0)
+        assert complete_k(k) == pytest.approx(rf, rel=1e-14)
+        assert complete_e(k) == pytest.approx(
+            rf - k * k * carlson_rd(0.0, y, 1.0) / 3.0, rel=1e-14)
+
+
 def test_legendre_relation():
     # E(k) K(k') + E(k') K(k) - K(k) K(k') = pi/2
     for j in range(1, 21):
