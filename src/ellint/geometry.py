@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import _fe_sc, incomplete_e, incomplete_f
+from .elliptic import _fe_sc
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -121,54 +121,6 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     root = math.sqrt(d_ac)
     f, e = _fe_sc(root / a, (c / a) ** 2, c * c * (a - b) * (a + b) / (b * b * d_ac))
     return TWO_PI * c * c + TWO_PI * b / root * (d_ac * e + c * c * f)
-
-
-def triaxial_area_eccentric(a: float, b: float, c: float) -> float:
-    """Descending-axes closed form written purely in (e1, e2), scaled by c."""
-    e1, e2 = eccentricities(a, b, c)
-    phi = math.asin(e1)
-    k = min(e2 / e1, 1.0)
-    fe = incomplete_f(phi, k)
-    ee = incomplete_e(phi, k)
-    one_m_e1sq = 1.0 - e1 * e1
-    bracket = (e1 * e1 * ee + one_m_e1sq * fe) / (e1 * one_m_e1sq)
-    return TWO_PI * c * c * (1.0 + math.sqrt(one_m_e1sq / (1.0 - e2 * e2)) * bracket)
-
-
-def ascending_area_direct(a: float, b: float, c: float) -> float:
-    """Ascending-axes closed form obtained by exchanging the roles of a and c.
-
-    S = 2 pi a^2 + 2 pi b / sqrt(c^2-a^2) * [(c^2-a^2) E + a^2 F] at
-    amplitude arcsin(sqrt(c^2-a^2)/c) and modulus
-    sqrt(c^2 (b^2-a^2) / (b^2 (c^2-a^2))).
-    """
-    _check_axes(a, b, c)
-    if not (a <= b <= c) or not a < c:
-        raise DomainError("ascending_area_direct needs a <= b <= c with a < c")
-    d_ca = (c - a) * (c + a)
-    d_ba = (b - a) * (b + a)
-    phib = math.asin(min(1.0, math.sqrt(d_ca) / c))
-    kb = min(1.0, math.sqrt((c * c * d_ba) / (b * b * d_ca)))
-    return (TWO_PI * a * a
-            + TWO_PI * b / math.sqrt(d_ca)
-            * (d_ca * incomplete_e(phib, kb) + a * a * incomplete_f(phib, kb)))
-
-
-def ascending_area_eccentric(a: float, b: float, c: float) -> float:
-    """Ascending-axes closed form in the barred eccentricities, scaled by a."""
-    _check_axes(a, b, c)
-    if not (a <= b <= c) or not a < c:
-        raise DomainError("ascending_area_eccentric needs a <= b <= c with a < c")
-    eb1sq = (c - a) * (c + a) / (c * c)
-    eb2sq = (c - b) * (c + b) / (c * c)
-    eb1 = math.sqrt(eb1sq)
-    phib = math.asin(min(1.0, eb1))
-    kb = min(1.0, math.sqrt((eb1sq - eb2sq) / (eb1sq * (1.0 - eb2sq))))
-    fe = incomplete_f(phib, kb)
-    ee = incomplete_e(phib, kb)
-    root1 = math.sqrt(1.0 - eb1sq)
-    bracket = root1 * fe / eb1 + eb1 * ee / root1
-    return TWO_PI * a * a * (1.0 + math.sqrt((1.0 - eb2sq) / (1.0 - eb1sq)) * bracket)
 
 
 def surface_area_ascending(a: float, b: float, c: float) -> float:

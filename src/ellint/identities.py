@@ -207,19 +207,6 @@ def i1_closed(p: AlphaK) -> float:
         + ca2 * fe / s2 ** 1.5)
 
 
-def i1_closed_eccentric(e1: float, e2: float) -> float:
-    """The same integral in the (e1, e2) parametrization (kernel constants
-    absorbed into the integrand); 8ab times this is the ellipsoid area."""
-    p = E1E2(e1, e2)
-    lam = math.asin(p.e1)
-    k = p.e2 / p.e1
-    fe = incomplete_f(lam, k)
-    ee = incomplete_e(lam, k)
-    return (math.pi / 4.0) * (
-        math.sqrt((1.0 - p.e1 * p.e1) * (1.0 - p.e2 * p.e2))
-        + (p.e1 * p.e1 * ee + (1.0 - p.e1 * p.e1) * fe) / p.e1)
-
-
 def i1_barred_closed(p: AlphaKBar) -> float:
     kb2 = p.kbar * p.kbar
     diff = (p.kbar - p.alpha) * (p.kbar + p.alpha)
@@ -453,49 +440,43 @@ def _pseudo_part(p: E1E2) -> Callable:
     return fn
 
 
-def _cosh_kernel_part(nu: float, k: float, first_kind: bool) -> Callable:
-    kp = _check_cosh_kernel(nu, k)
+def _kernel_part(kernel: Callable, leg: Callable) -> Callable:
+    """Part leg(u, m) sin u cos u / ((1 + coef sin^2 u) sqrt(1 - m2 sin^2 u)) with
+    (m, m2, coef) = kernel(params); m2 is separate as cosh/sinh form k'^2 differently."""
+
+    def part(p) -> Callable:
+        m, m2, coef = kernel(p)
+
+        def fn(u: float) -> float:
+            s = math.sin(u)
+            s2 = s * s
+            return (leg(u, m) * s * math.cos(u)
+                    / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)))
+
+        return fn
+
+    return part
+
+
+def _cosh_kernel(p: NuK) -> tuple:
+    kp = _check_cosh_kernel(p.nu, p.k)
     kp2 = kp * kp
-    c2 = math.cosh(nu) ** 2
-    leg = incomplete_f if first_kind else incomplete_e
-
-    def fn(u: float) -> float:
-        s = math.sin(u)
-        s2 = s * s
-        return (leg(u, kp) * s * math.cos(u)
-                / ((1.0 - kp2 * c2 * s2) * math.sqrt(1.0 - kp2 * s2)))
-
-    return fn
+    return kp, kp2, -(kp2 * math.cosh(p.nu) ** 2)
 
 
-def _sinh_kernel_part(mu: float, k: float, first_kind: bool) -> Callable:
-    kp2 = 1.0 - k * k
-    kp = math.sqrt(kp2)
-    sh2 = math.sinh(mu) ** 2
-    leg = incomplete_f if first_kind else incomplete_e
-
-    def fn(u: float) -> float:
-        s = math.sin(u)
-        s2 = s * s
-        return (leg(u, kp) * s * math.cos(u)
-                / ((1.0 + kp2 * sh2 * s2) * math.sqrt(1.0 - kp2 * s2)))
-
-    return fn
+def _sinh_kernel(p: MuK) -> tuple:
+    kp2 = 1.0 - p.k * p.k
+    return math.sqrt(kp2), kp2, kp2 * math.sinh(p.mu) ** 2
 
 
-def _trig_kernel_part(factor_sq: float, kbar: float, first_kind: bool) -> Callable:
-    # kernel 1 - kbar^2 * factor_sq * sin^2(u); factor_sq is cos^2 psi or sin^2 xi
-    kb2 = kbar * kbar
-    coef = kb2 * factor_sq
-    leg = incomplete_f if first_kind else incomplete_e
+def _psi_kernel(p: PsiKBar) -> tuple:
+    kb2 = p.kbar * p.kbar
+    return p.kbar, kb2, -(kb2 * math.cos(p.psi) ** 2)
 
-    def fn(u: float) -> float:
-        s = math.sin(u)
-        s2 = s * s
-        return (leg(u, kbar) * s * math.cos(u)
-                / ((1.0 - coef * s2) * math.sqrt(1.0 - kb2 * s2)))
 
-    return fn
+def _xi_kernel(p: XiKBar) -> tuple:
+    kb2 = p.kbar * p.kbar
+    return p.kbar, kb2, -(kb2 * math.sin(p.xi) ** 2)
 
 
 def _atan_f_part(p: FBar) -> Callable:
@@ -595,6 +576,10 @@ class _Entry:
     sampler: Callable
 
 
+def _quarter_period(p) -> tuple:
+    return (0.0, HALF_PI)
+
+
 REGISTRY = {
     IdentityId.I1: _Entry(
         AlphaK, ("alpha", "k"), i1_closed,
@@ -618,41 +603,29 @@ REGISTRY = {
         E1E2, ("e1", "e2"), pseudo_closed,
         lambda p: (p.e2, p.e1), False, _pseudo_part, _sample_e1e2),
     IdentityId.I3: _Entry(
-        NuK, ("nu", "k"), i3_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _cosh_kernel_part(p.nu, p.k, first_kind=False), _sample_nu_k),
+        NuK, ("nu", "k"), i3_closed, _quarter_period, False,
+        _kernel_part(_cosh_kernel, incomplete_e), _sample_nu_k),
     IdentityId.I4: _Entry(
-        MuK, ("mu", "k"), i4_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _sinh_kernel_part(p.mu, p.k, first_kind=False), _sample_mu_k),
+        MuK, ("mu", "k"), i4_closed, _quarter_period, False,
+        _kernel_part(_sinh_kernel, incomplete_e), _sample_mu_k),
     IdentityId.I5: _Entry(
-        MuK, ("mu", "k"), i5_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _sinh_kernel_part(p.mu, p.k, first_kind=True), _sample_mu_k),
+        MuK, ("mu", "k"), i5_closed, _quarter_period, False,
+        _kernel_part(_sinh_kernel, incomplete_f), _sample_mu_k),
     IdentityId.I6: _Entry(
-        NuK, ("nu", "k"), i6_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _cosh_kernel_part(p.nu, p.k, first_kind=True), _sample_nu_k),
+        NuK, ("nu", "k"), i6_closed, _quarter_period, False,
+        _kernel_part(_cosh_kernel, incomplete_f), _sample_nu_k),
     IdentityId.I2_BARRED: _Entry(
-        PsiKBar, ("psi", "kbar"), i2_barred_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _trig_kernel_part(math.cos(p.psi) ** 2, p.kbar, False),
-        _sample_psi_kbar),
+        PsiKBar, ("psi", "kbar"), i2_barred_closed, _quarter_period, False,
+        _kernel_part(_psi_kernel, incomplete_e), _sample_psi_kbar),
     IdentityId.I3_BARRED: _Entry(
-        PsiKBar, ("psi", "kbar"), i3_barred_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _trig_kernel_part(math.cos(p.psi) ** 2, p.kbar, True),
-        _sample_psi_kbar),
+        PsiKBar, ("psi", "kbar"), i3_barred_closed, _quarter_period, False,
+        _kernel_part(_psi_kernel, incomplete_f), _sample_psi_kbar),
     IdentityId.GR_E_SIN: _Entry(
-        XiKBar, ("xi", "kbar"), gr_e_sin_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _trig_kernel_part(math.sin(p.xi) ** 2, p.kbar, False),
-        _sample_xi_kbar),
+        XiKBar, ("xi", "kbar"), gr_e_sin_closed, _quarter_period, False,
+        _kernel_part(_xi_kernel, incomplete_e), _sample_xi_kbar),
     IdentityId.GR_F_SIN: _Entry(
-        XiKBar, ("xi", "kbar"), gr_f_sin_closed,
-        lambda p: (0.0, HALF_PI), False,
-        lambda p: _trig_kernel_part(math.sin(p.xi) ** 2, p.kbar, True),
-        _sample_xi_kbar),
+        XiKBar, ("xi", "kbar"), gr_f_sin_closed, _quarter_period, False,
+        _kernel_part(_xi_kernel, incomplete_f), _sample_xi_kbar),
     IdentityId.ATAN_F: _Entry(
         FBar, ("f1", "f2"), atan_f_closed,
         lambda p: (p.f2, p.f1), True, _atan_f_part, _sample_fbar),
@@ -662,18 +635,21 @@ REGISTRY = {
 }
 
 
-def closed_value(ident: IdentityId, params) -> float:
+def _entry(ident: IdentityId, params) -> _Entry:
+    """The registry entry of ident, after checking the parameter type."""
     entry = REGISTRY[ident]
     if not isinstance(params, entry.params_cls):
         raise DomainError(f"{ident.value} expects {entry.params_cls.__name__} parameters")
-    return entry.closed(params)
+    return entry
+
+
+def closed_value(ident: IdentityId, params) -> float:
+    return _entry(ident, params).closed(params)
 
 
 def integrand(ident: IdentityId, params) -> IntegrandSpec:
     """Raw left-hand-side integrand with bounds and singularity annotation."""
-    entry = REGISTRY[ident]
-    if not isinstance(params, entry.params_cls):
-        raise DomainError(f"{ident.value} expects {entry.params_cls.__name__} parameters")
+    entry = _entry(ident, params)
     lo, hi = entry.bounds(params)
     part = entry.part(params)
     if not entry.singular:
@@ -690,9 +666,7 @@ def integrand(ident: IdentityId, params) -> IntegrandSpec:
 def oracle_value(ident: IdentityId, params, tol: float = 1e-10,
                  max_evals: int | None = None) -> QuadratureResult:
     """Evaluate the left-hand side by adaptive quadrature."""
-    entry = REGISTRY[ident]
-    if not isinstance(params, entry.params_cls):
-        raise DomainError(f"{ident.value} expects {entry.params_cls.__name__} parameters")
+    entry = _entry(ident, params)
     lo, hi = entry.bounds(params)
     part = entry.part(params)
     if entry.singular:

@@ -26,7 +26,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import permutations
 
 from ._version import __version__
@@ -35,11 +34,10 @@ from .elliptic import (HALF_PI, imaginary_argument_reduce,
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (REGISTRY, AlphaKBar, EpsAB, FBar, IdentityId,
-                         PsiKBar, VerificationRecord, XiKBar,
-                         alpha_k_from_eccentricities, alpha_kbar_from_barred,
-                         atan_e_closed, atan_f_closed, check,
-                         gr_e_sin_closed, gr_f_sin_closed, grid_params,
+from .identities import (NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB, FBar, PsiKBar,
+                         XiKBar, alpha_k_from_eccentricities,
+                         alpha_kbar_from_barred, atan_e_closed, atan_f_closed,
+                         check, gr_e_sin_closed, gr_f_sin_closed, grid_params,
                          i1_barred_closed, i1_closed, i2_barred_closed,
                          i3_barred_closed, log_f_closed, log_q2_closed,
                          make_record)
@@ -413,47 +411,38 @@ def _lin(lo: float, hi: float, n: int) -> list:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+# (id prefix, amplitude key, sin or sinh, reduction, amplitude range, k range)
+_IMAG_REDUCTIONS = (
+    ("IMAG_MODULUS", "phi", math.sin, imaginary_modulus_reduce, (0.1, 1.5), (0.3, 2.5)),
+    ("IMAG_ARGUMENT", "phi_hyp", math.sinh, imaginary_argument_reduce,
+     (0.2, 2.5), (0.08, 0.92)),
+)
+
+
 def imaginary_reduction_records(grid: int, tol: float = IMAG_TOL,
                                 oracle_tol: float = 1e-12,
                                 max_evals: int | None = None) -> list:
     """The two imaginary-parameter reductions vs direct real quadrature."""
     out = []
-    for phi in _lin(0.1, 1.5, grid):
-        for k in _lin(0.3, 2.5, grid):
-            f_red, e_red = imaginary_modulus_reduce(phi, k)
-            k2 = k * k
+    for ident, key, trig, reduce, phi_range, k_range in _IMAG_REDUCTIONS:
+        for phi in _lin(*phi_range, grid):
+            for k in _lin(*k_range, grid):
+                f_red, e_red = reduce(phi, k)
+                k2 = k * k
 
-            def df(t: float) -> float:
-                return 1.0 / math.sqrt(1.0 + k2 * math.sin(t) ** 2)
+                def de(t: float) -> float:
+                    return math.sqrt(1.0 + k2 * trig(t) ** 2)
 
-            def de(t: float) -> float:
-                return math.sqrt(1.0 + k2 * math.sin(t) ** 2)
+                def df(t: float) -> float:
+                    return 1.0 / de(t)
 
-            pr = {"phi": phi, "k": k}
-            out.append(make_record("IMAG_MODULUS_F", pr, f_red,
-                                   integrate(df, 0.0, phi, oracle_tol,
-                                             max_evals).value, tol))
-            out.append(make_record("IMAG_MODULUS_E", pr, e_red,
-                                   integrate(de, 0.0, phi, oracle_tol,
-                                             max_evals).value, tol))
-    for phi_h in _lin(0.2, 2.5, grid):
-        for k in _lin(0.08, 0.92, grid):
-            f_red, e_red = imaginary_argument_reduce(phi_h, k)
-            k2 = k * k
-
-            def hf(t: float) -> float:
-                return 1.0 / math.sqrt(1.0 + k2 * math.sinh(t) ** 2)
-
-            def he(t: float) -> float:
-                return math.sqrt(1.0 + k2 * math.sinh(t) ** 2)
-
-            pr = {"phi_hyp": phi_h, "k": k}
-            out.append(make_record("IMAG_ARGUMENT_F", pr, f_red,
-                                   integrate(hf, 0.0, phi_h, oracle_tol,
-                                             max_evals).value, tol))
-            out.append(make_record("IMAG_ARGUMENT_E", pr, e_red,
-                                   integrate(he, 0.0, phi_h, oracle_tol,
-                                             max_evals).value, tol))
+                pr = {key: phi, "k": k}
+                out.append(make_record(ident + "_F", pr, f_red,
+                                       integrate(df, 0.0, phi, oracle_tol,
+                                                 max_evals).value, tol))
+                out.append(make_record(ident + "_E", pr, e_red,
+                                       integrate(de, 0.0, phi, oracle_tol,
+                                                 max_evals).value, tol))
     return out
 
 
@@ -470,9 +459,7 @@ def extension_records(grid: int, max_evals: int | None = None) -> list:
 class Report:
     version: str
     tolerances: dict
-    grid: int
-    timestamp: str  # run metadata only; never serialized, so outputs stay
-    # byte-identical across runs
+    grid: int | None  # None for a single CLI record
     records: tuple
 
     @property
@@ -486,7 +473,7 @@ class Report:
 def _tolerance_meta(tol: float) -> dict:
     return {
         "identity_rel": tol,
-        "near_zero_abs": 1e-12,
+        "near_zero_abs": NEAR_ZERO_ABS_TOL,
         "area_vs_quadrature_rel": AREA_QUAD_TOL,
         "permutation_rel": PERMUTATION_TOL,
         "scaling_rel": SCALING_TOL,
@@ -519,21 +506,17 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = 1e-8,
         records += series_records(grid)
     if suite in ("all", "extensions"):
         records += extension_records(grid, max_evals)
-    return Report(__version__, _tolerance_meta(tol), grid,
-                  datetime.now(timezone.utc).isoformat(), tuple(records))
-
-
-def _record_dict(r: VerificationRecord) -> dict:
-    return {"id": r.ident, "params": r.params, "closed": r.closed,
-            "oracle": r.oracle, "abs_err": r.abs_err, "rel_err": r.rel_err,
-            "pass": r.passed}
+    return Report(__version__, _tolerance_meta(tol), grid, tuple(records))
 
 
 def report_json(report: Report) -> str:
     payload = {
         "meta": {"version": report.version, "tolerances": report.tolerances,
                  "grid": report.grid},
-        "records": [_record_dict(r) for r in report.records],
+        "records": [{"id": r.ident, "params": r.params, "closed": r.closed,
+                     "oracle": r.oracle, "abs_err": r.abs_err,
+                     "rel_err": r.rel_err, "pass": r.passed}
+                    for r in report.records],
     }
     return json.dumps(payload, indent=2) + "\n"
 

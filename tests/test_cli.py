@@ -13,9 +13,12 @@ import sys
 
 import pytest
 
-from ellint import IdentityId, __version__, closed_value
+from ellint import IdentityId, __version__, closed_value, surface_area
 from ellint.cli import main
-from ellint.identities import MuK
+from ellint.identities import NEAR_ZERO_ABS_TOL, MuK, NuK, check, make_record
+from ellint.series import sigma1_sum
+from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, report_json,
+                           sigma1_reference)
 
 
 def run_cli(argv, capsys):
@@ -151,6 +154,32 @@ def test_integral_json(capsys):
     assert record["params"] == {"alpha": 0.5, "k": 0.6}
     assert record["pass"] is True
     assert record["closed"] == pytest.approx(1.5428567047361814051, rel=1e-13)
+
+
+def _single_record_json(tolerances, record):
+    return report_json(Report(__version__, tolerances, None, (record,)))
+
+
+def test_single_record_json_is_report_json(capsys):
+    area = surface_area(2.0, 1.5, 1.0)
+    cases = [
+        (["area", "--axes", "2,1.5,1", "--json"],
+         {"area_vs_quadrature_rel": AREA_QUAD_TOL},
+         make_record("AREA", {"a": 2.0, "b": 1.5, "c": 1.0, "method": "auto"},
+                     area, area, AREA_QUAD_TOL)),
+        (["integral", "--id", "I3", "--nu", "0.3", "--k", "0.8", "--json"],
+         {"identity_rel": 1e-8, "near_zero_abs": NEAR_ZERO_ABS_TOL},
+         check(IdentityId.I3, NuK(0.3, 0.8), 1e-8)),
+        (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3", "--json"],
+         {"series_sum_rel": SERIES_SUM_TOL, "near_zero_abs": NEAR_ZERO_ABS_TOL},
+         make_record("SIGMA1", {"e1": 0.6, "e2": 0.3}, sigma1_sum(0.6, 0.3).value,
+                     sigma1_reference(0.6, 0.3), SERIES_SUM_TOL)),
+    ]
+    for argv, tolerances, record in cases:
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0
+        assert out == _single_record_json(tolerances, record)
+        assert json.loads(out)["meta"]["grid"] is None
 
 
 def test_series_sigma1(capsys):

@@ -27,7 +27,6 @@ from ellint import (
     integrand,
     integrate,
     oracle_value,
-    surface_area,
 )
 from ellint.identities import (
     REGISTRY,
@@ -50,11 +49,9 @@ from ellint.identities import (
     eccentricities_from_alpha_k,
     i1_barred_closed,
     i1_closed,
-    i1_closed_eccentric,
     make_record,
     pi_third_special,
 )
-from ellint.geometry import eccentricities
 from ellint.verify import (
     area_via_arctan_kernel,
     area_via_barred_weighted_e,
@@ -208,13 +205,6 @@ def test_barred_parameter_map_exact_values():
     p = alpha_kbar_from_barred(SQ3, math.sqrt(7.0) / 3.0)
     assert p.alpha == pytest.approx(math.sqrt(5.0) / 3.0, rel=1e-14)
     assert p.kbar == pytest.approx(math.sqrt(20.0 / 27.0), rel=1e-14)
-
-
-def test_eccentric_weighted_e_reproduces_area():
-    a, b, c = 2.0, 1.5, 1.0
-    e = eccentricities(a, b, c)
-    assert 8.0 * a * b * i1_closed_eccentric(e.e1, e.e2) == pytest.approx(
-        surface_area(a, b, c), rel=1e-12)
 
 
 @pytest.mark.parametrize("route,axes", [
