@@ -88,12 +88,16 @@ def barred_params(a: float, b: float, c: float) -> BarredPair:
 
 
 def oblate_area(r: float, c: float) -> float:
-    """Oblate spheroid a = b = r > c, via the elementary log form."""
+    """Oblate spheroid a = b = r > c, via the elementary log form.
+
+    The log term is written with (r + root)(r - root) = c^2, so that it never
+    divides by r - root, which rounds to zero for flat spheroids.
+    """
     _check_axes(r, c)
     if not r > c:
         raise DomainError("oblate_area needs r > c")
     root = math.sqrt((r - c) * (r + c))
-    return TWO_PI * r * r + math.pi * r * c * c / root * math.log((r + root) / (r - root))
+    return TWO_PI * r * r + TWO_PI * r * c * c / root * math.log((r + root) / c)
 
 
 def prolate_area(c: float, r: float) -> float:

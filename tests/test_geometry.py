@@ -110,6 +110,13 @@ def test_oblate_elementary_form():
         oblate_area(1.0, 2.0)
 
 
+def test_flat_oblate_spheroids_do_not_divide_by_zero():
+    # r - sqrt(r^2 - c^2) rounded to zero here and raised ZeroDivisionError
+    assert oblate_area(1.0, 1e-9) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert surface_area(1.0, 1.0, 1e-300) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert oblate_area(1e150, 1.0) == pytest.approx(2.0 * math.pi * 1e300, rel=1e-15)
+
+
 def test_prolate_elementary_form():
     # c = 2, r = 1: 2 pi + (8 pi / sqrt 3) arcsin(sqrt 3 / 2)
     expected = 2.0 * math.pi + 8.0 * math.pi / SQ3 * math.asin(SQ3 / 2.0)

@@ -2,8 +2,8 @@
 
 Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
-one, a thin disc whose amplitude rounds to pi/2, and non-finite or
-overflowing Carlson arguments.  Skipped when mpmath is not installed.
+one, a thin disc whose amplitude rounds to pi/2, flat oblate spheroids, and
+non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
 """
 
 import math
@@ -20,6 +20,7 @@ from ellint import (
     incomplete_d,
     incomplete_e,
     incomplete_f,
+    oblate_area,
     surface_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
@@ -75,6 +76,14 @@ def test_thin_disc_area():
     inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
     ref = 4 * mp.pi * a * b * c * mp.elliprg(*inv2)
     assert _rel(surface_area(a, b, c), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("r,c", [(1.0, 1e-9), (1.0, 1e-5), (1e150, 1.0), (1.0, 1e-300)])
+def test_flat_oblate_area(r, c):
+    # r - sqrt(r^2 - c^2) rounded to zero and raised ZeroDivisionError
+    ref = 4 * mp.pi * r * r * c * mp.elliprg(mp.mpf(r) ** -2, mp.mpf(r) ** -2, mp.mpf(c) ** -2)
+    assert _rel(oblate_area(r, c), ref) <= 5e-16
+    assert surface_area(r, r, c) == oblate_area(r, c)
 
 
 @pytest.mark.parametrize("fn", [carlson_rf, carlson_rd, _rf_rd])
