@@ -52,9 +52,9 @@ def _print_report(tolerances: dict, record) -> None:
 
 def _print_comparison(record, rows: list) -> None:
     """Print rows, then the record's abs_err, rel_err and pass, one per line."""
-    rows += [("abs_err", _fmt(record.abs_err)), ("rel_err", _fmt(record.rel_err)),
-             ("pass", "true" if record.passed else "false")]
-    for key, value in rows:
+    for key, value in rows + [("abs_err", _fmt(record.abs_err)),
+                              ("rel_err", _fmt(record.rel_err)),
+                              ("pass", "true" if record.passed else "false")]:
         print("%-11s %s" % (key, value))
 
 

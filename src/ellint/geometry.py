@@ -88,11 +88,8 @@ def barred_params(a: float, b: float, c: float) -> BarredPair:
 
 
 def oblate_area(r: float, c: float) -> float:
-    """Oblate spheroid a = b = r > c, via the elementary log form.
-
-    The log term is written with (r + root)(r - root) = c^2, so that it never
-    divides by r - root, which rounds to zero for flat spheroids.
-    """
+    """Oblate spheroid a = b = r > c, via the elementary log form; the log term
+    uses (r + root)(r - root) = c^2, as r - root rounds to zero when c << r."""
     _check_axes(r, c)
     if not r > c:
         raise DomainError("oblate_area needs r > c")

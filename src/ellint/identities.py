@@ -442,7 +442,8 @@ def _pseudo_part(p: E1E2) -> Callable:
 
 def _kernel_part(kernel: Callable, leg: Callable) -> Callable:
     """Part leg(u, m) sin u cos u / ((1 + coef sin^2 u) sqrt(1 - m2 sin^2 u)) with
-    (m, m2, coef) = kernel(params); m2 is separate as cosh/sinh form k'^2 differently."""
+    (m, m2, coef) = kernel(params).  m2 is not m*m for the sinh kernel (1 - k^2),
+    and a kernel 1 - x sin^2 u passes coef = -x, which is exact."""
 
     def part(p) -> Callable:
         m, m2, coef = kernel(p)

@@ -8,11 +8,14 @@ are pinned here byte for byte where the contract demands determinism.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ellint
 from ellint import IdentityId, __version__, closed_value, surface_area
 from ellint.cli import main
 from ellint.identities import NEAR_ZERO_ABS_TOL, MuK, NuK, check, make_record
@@ -289,8 +292,12 @@ def test_env_budget_invalid_exit_two(monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports ellint from where this process did, so the test also
+    # runs from a checkout that relies on pytest's pythonpath setting
+    path = [str(Path(ellint.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "ellint.cli", "area", "--axes", "1,1,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12.5663706143592"
