@@ -17,16 +17,15 @@ from ._version import __version__
 from .errors import DomainError, NonConvergenceError
 from .geometry import (surface_area, surface_area_ascending,
                        surface_area_legendre)
-from .identities import (NEAR_ZERO_ABS_TOL, REGISTRY, IdentityId, check,
-                         closed_value, make_record, oracle_value)
+from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, IdentityId,
+                         check, closed_value, make_record, oracle_value)
 from .quadrature import surface_area_quadrature
 from .series import MAX_TERMS_DEFAULT, sigma1_sum, sigma2_sum
 from .verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES, Report,
                      report_json, run_suite, sigma1_reference,
                      sigma2_reference, write_report)
 
-_PARAM_FLAGS = ("alpha", "beta", "e1", "e2", "eps", "f1", "f2", "k", "kbar",
-                "mu", "nu", "psi", "xi", "z")
+_PARAM_FLAGS = tuple(sorted({f for entry in REGISTRY.values() for f in entry.flags}))
 
 
 def _fmt(x) -> str:
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag}", type=float)
     p.add_argument("--mode", default="both",
                    choices=("closed", "oracle", "both"))
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=IDENTITY_TOL,
                    help="relative comparison tolerance in both mode")
     p.add_argument("--json", action="store_true")
 
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p.add_argument("--grid", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=IDENTITY_TOL,
                    help="relative tolerance for the identity sweep")
     p.add_argument("--out", help="write the report to this path")
     p.add_argument("--format", default="json", choices=("json", "csv"))

@@ -163,17 +163,17 @@ def surface_area_legendre(a: float, b: float, c: float) -> float:
             * ((c * c / (a * a)) * fe + (d_ac / (a * a)) * ee))
 
 
-def surface_area(a: float, b: float, c: float, rel_tol: float = 1e-9) -> float:
+def surface_area(a: float, b: float, c: float) -> float:
     """Surface area for any positive axis triple, in any order.
 
-    Sorts the axes, classifies the shape with rel_tol, and dispatches:
+    Sorts the axes, classifies the shape, and dispatches:
     sphere -> 4 pi r^2 (r the mean axis), oblate/prolate -> elementary
     spheroid forms, triaxial -> the descending-axes elliptic form.  Sorting
     first makes the result exactly permutation invariant.
     """
     _check_axes(a, b, c)
     s0, s1, s2 = sorted((a, b, c), reverse=True)
-    shape = classify(s0, s1, s2, rel_tol)
+    shape = classify(s0, s1, s2)
     if shape is ShapeClass.SPHERE:
         r = (s0 + s1 + s2) / 3.0
         return 4.0 * math.pi * r * r

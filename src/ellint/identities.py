@@ -9,7 +9,7 @@ are bounded on (0, pi/2) and integrated directly.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -17,6 +17,11 @@ from .elliptic import (HALF_PI, _fe_sc, complete_d, complete_e, complete_k,
                        incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import QuadratureResult, integrate, integrate_singular_pair
+
+IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
+ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
+NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
+NEAR_ZERO_ABS_TOL = 1e-12
 
 
 class IdentityId(Enum):
@@ -493,12 +498,14 @@ def _atan_e_part(p: FBar) -> Callable:
 # unit box with an absolute margin of 0.05; half-lines map through u/(1-u)
 
 
-def _lin(n: int) -> list:
+def _lin(n: int, lo: float = 0.05, hi: float = 0.05 + 0.9) -> list:
+    """n evenly spaced points on [lo, hi], or its midpoint when n == 1.  The
+    default hi makes hi - lo exactly 0.9 in binary, which 0.95 - 0.05 is not."""
     if n < 1:
         raise DomainError("grid size must be >= 1")
     if n == 1:
-        return [0.5]
-    return [0.05 + 0.9 * i / (n - 1) for i in range(n)]
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _half_line(u: float) -> float:
@@ -569,12 +576,16 @@ class IntegrandSpec:
 @dataclass(frozen=True)
 class _Entry:
     params_cls: type
-    flags: tuple
     closed: Callable
     bounds: Callable
-    singular: bool
+    singularity: Singularity
     part: Callable
     sampler: Callable
+
+    @property
+    def flags(self) -> tuple:
+        """The parameter names, in the order of the parameter class fields."""
+        return tuple(f.name for f in fields(self.params_cls))
 
 
 def _quarter_period(p) -> tuple:
@@ -583,56 +594,56 @@ def _quarter_period(p) -> tuple:
 
 REGISTRY = {
     IdentityId.I1: _Entry(
-        AlphaK, ("alpha", "k"), i1_closed,
-        lambda p: (0.0, p.alpha), True, _i1_part, _sample_alpha_k),
+        AlphaK, i1_closed, lambda p: (0.0, p.alpha),
+        Singularity.INV_SQRT_BOTH, _i1_part, _sample_alpha_k),
     IdentityId.I1_BARRED: _Entry(
-        AlphaKBar, ("alpha", "kbar"), i1_barred_closed,
-        lambda p: (0.0, p.alpha), True, _i1_barred_part, _sample_alpha_kbar),
+        AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha),
+        Singularity.INV_SQRT_BOTH, _i1_barred_part, _sample_alpha_kbar),
     IdentityId.PR3_D: _Entry(
-        AlphaZ, ("alpha", "z"), pr3_d_closed,
-        lambda p: (0.0, p.alpha), True, _pr3_d_part, _sample_alpha_z),
+        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha),
+        Singularity.INV_SQRT_BOTH, _pr3_d_part, _sample_alpha_z),
     IdentityId.PR3_D_BARRED: _Entry(
-        AlphaKBar, ("alpha", "kbar"), pr3_d_barred_closed,
-        lambda p: (0.0, p.alpha), True, _pr3_d_barred_part, _sample_alpha_kbar),
+        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha),
+        Singularity.INV_SQRT_BOTH, _pr3_d_barred_part, _sample_alpha_kbar),
     IdentityId.LOG_F: _Entry(
-        EpsAB, ("eps", "alpha", "beta"), log_f_closed,
-        lambda p: (p.alpha, p.beta), True, _log_f_part, _sample_eps_ab),
+        EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
+        Singularity.INV_SQRT_BOTH, _log_f_part, _sample_eps_ab),
     IdentityId.LOG_Q2: _Entry(
-        EpsAB, ("eps", "alpha", "beta"), log_q2_closed,
-        lambda p: (p.alpha, p.beta), True, _log_q2_part, _sample_eps_ab),
+        EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),
+        Singularity.INV_SQRT_BOTH, _log_q2_part, _sample_eps_ab),
     IdentityId.PSEUDO: _Entry(
-        E1E2, ("e1", "e2"), pseudo_closed,
-        lambda p: (p.e2, p.e1), False, _pseudo_part, _sample_e1e2),
+        E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
+        Singularity.NONE, _pseudo_part, _sample_e1e2),
     IdentityId.I3: _Entry(
-        NuK, ("nu", "k"), i3_closed, _quarter_period, False,
+        NuK, i3_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_cosh_kernel, incomplete_e), _sample_nu_k),
     IdentityId.I4: _Entry(
-        MuK, ("mu", "k"), i4_closed, _quarter_period, False,
+        MuK, i4_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_sinh_kernel, incomplete_e), _sample_mu_k),
     IdentityId.I5: _Entry(
-        MuK, ("mu", "k"), i5_closed, _quarter_period, False,
+        MuK, i5_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_sinh_kernel, incomplete_f), _sample_mu_k),
     IdentityId.I6: _Entry(
-        NuK, ("nu", "k"), i6_closed, _quarter_period, False,
+        NuK, i6_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_cosh_kernel, incomplete_f), _sample_nu_k),
     IdentityId.I2_BARRED: _Entry(
-        PsiKBar, ("psi", "kbar"), i2_barred_closed, _quarter_period, False,
+        PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_psi_kernel, incomplete_e), _sample_psi_kbar),
     IdentityId.I3_BARRED: _Entry(
-        PsiKBar, ("psi", "kbar"), i3_barred_closed, _quarter_period, False,
+        PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_psi_kernel, incomplete_f), _sample_psi_kbar),
     IdentityId.GR_E_SIN: _Entry(
-        XiKBar, ("xi", "kbar"), gr_e_sin_closed, _quarter_period, False,
+        XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_xi_kernel, incomplete_e), _sample_xi_kbar),
     IdentityId.GR_F_SIN: _Entry(
-        XiKBar, ("xi", "kbar"), gr_f_sin_closed, _quarter_period, False,
+        XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
         _kernel_part(_xi_kernel, incomplete_f), _sample_xi_kbar),
     IdentityId.ATAN_F: _Entry(
-        FBar, ("f1", "f2"), atan_f_closed,
-        lambda p: (p.f2, p.f1), True, _atan_f_part, _sample_fbar),
+        FBar, atan_f_closed, lambda p: (p.f2, p.f1),
+        Singularity.INV_SQRT_BOTH, _atan_f_part, _sample_fbar),
     IdentityId.ATAN_E: _Entry(
-        FBar, ("f1", "f2"), atan_e_closed,
-        lambda p: (p.f2, p.f1), True, _atan_e_part, _sample_fbar),
+        FBar, atan_e_closed, lambda p: (p.f2, p.f1),
+        Singularity.INV_SQRT_BOTH, _atan_e_part, _sample_fbar),
 }
 
 
@@ -653,26 +664,25 @@ def integrand(ident: IdentityId, params) -> IntegrandSpec:
     entry = _entry(ident, params)
     lo, hi = entry.bounds(params)
     part = entry.part(params)
-    if not entry.singular:
-        return IntegrandSpec(part, lo, hi, Singularity.NONE)
+    if entry.singularity is Singularity.NONE:
+        return IntegrandSpec(part, lo, hi, entry.singularity)
     lo2 = lo * lo
     hi2 = hi * hi
 
     def fn(q: float) -> float:
         return part(q) / math.sqrt((hi2 - q * q) * (q * q - lo2))
 
-    return IntegrandSpec(fn, lo, hi, Singularity.INV_SQRT_BOTH)
+    return IntegrandSpec(fn, lo, hi, entry.singularity)
 
 
-def oracle_value(ident: IdentityId, params, tol: float = 1e-10,
-                 max_evals: int | None = None) -> QuadratureResult:
+def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
     """Evaluate the left-hand side by adaptive quadrature."""
     entry = _entry(ident, params)
     lo, hi = entry.bounds(params)
     part = entry.part(params)
-    if entry.singular:
-        return integrate_singular_pair(part, lo, hi, tol, max_evals)
-    return integrate(part, lo, hi, tol, max_evals)
+    if entry.singularity is Singularity.INV_SQRT_BOTH:
+        return integrate_singular_pair(part, lo, hi, tol)
+    return integrate(part, lo, hi, tol)
 
 
 def grid_params(ident: IdentityId, n: int) -> list:
@@ -682,9 +692,6 @@ def grid_params(ident: IdentityId, n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # verification records
-
-NEAR_ZERO_CUTOFF = 1e-6
-NEAR_ZERO_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -715,8 +722,7 @@ def make_record(ident: str, params: dict, closed: float, oracle: float,
     return VerificationRecord(ident, params, closed, oracle, abs_err, rel_err, passed)
 
 
-def check(ident: IdentityId, params, tol: float = 1e-8, oracle_tol: float = 1e-10,
-          max_evals: int | None = None) -> VerificationRecord:
+def check(ident: IdentityId, params, tol: float = IDENTITY_TOL) -> VerificationRecord:
     closed = closed_value(ident, params)
-    oracle = oracle_value(ident, params, oracle_tol, max_evals)
+    oracle = oracle_value(ident, params)
     return make_record(ident.value, asdict(params), closed, oracle.value, tol)

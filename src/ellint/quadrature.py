@@ -147,8 +147,8 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     return QuadratureResult(value, err, evals)
 
 
-def integrate_singular_pair(g, lo: float, hi: float, tol: float = 1e-10,
-                            max_evals: int | None = None) -> QuadratureResult:
+def integrate_singular_pair(g, lo: float, hi: float,
+                            tol: float = 1e-10) -> QuadratureResult:
     """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
 
     Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
@@ -165,23 +165,23 @@ def integrate_singular_pair(g, lo: float, hi: float, tol: float = 1e-10,
         q = math.sqrt(lo2 + span * math.sin(t) ** 2)
         return g(q) / q
 
-    return integrate(transformed, 0.0, HALF_PI, tol, max_evals)
+    return integrate(transformed, 0.0, HALF_PI, tol)
 
 
-def surface_area_quadrature(a: float, b: float, c: float, tol: float = 1e-7,
-                            max_evals: int | None = None) -> QuadratureResult:
+def surface_area_quadrature(a: float, b: float, c: float,
+                            tol: float = 1e-7) -> QuadratureResult:
     """Ellipsoid surface area by direct 2D quadrature over one octant.
 
     Integrates 8 * sin(theta) * sqrt(b^2 c^2 sin^2 theta cos^2 phi
     + a^2 c^2 sin^2 theta sin^2 phi + a^2 b^2 cos^2 theta) over
     (0, pi/2)^2.  The integrand is symmetric in the axes, so the result is
     invariant under any permutation of (a, b, c) by construction.  tol is
-    relative; the default budget is 1e7 integrand evaluations.
+    relative; the budget is 1e7 integrand evaluations, or ELLINT_MAX_EVALS.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError(f"semi-axis {name}={v!r} must be positive and finite")
-    budget = _env_budget(DEFAULT_MAX_EVALS_2D) if max_evals is None else max_evals
+    budget = _env_budget(DEFAULT_MAX_EVALS_2D)
     b2c2 = (b * c) ** 2
     a2c2 = (a * c) ** 2
     a2b2 = (a * b) ** 2

@@ -34,13 +34,13 @@ from .elliptic import (HALF_PI, imaginary_argument_reduce,
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB, FBar, PsiKBar,
-                         XiKBar, alpha_k_from_eccentricities,
-                         alpha_kbar_from_barred, atan_e_closed, atan_f_closed,
-                         check, gr_e_sin_closed, gr_f_sin_closed, grid_params,
-                         i1_barred_closed, i1_closed, i2_barred_closed,
-                         i3_barred_closed, log_f_closed, log_q2_closed,
-                         make_record)
+from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB,
+                         FBar, PsiKBar, XiKBar, _lin,
+                         alpha_k_from_eccentricities, alpha_kbar_from_barred,
+                         atan_e_closed, atan_f_closed, check, gr_e_sin_closed,
+                         gr_f_sin_closed, grid_params, i1_barred_closed,
+                         i1_closed, i2_barred_closed, i3_barred_closed,
+                         log_f_closed, log_q2_closed, make_record)
 from .quadrature import integrate, surface_area_quadrature
 from .series import (f_maclaurin_derivative, omega_coefficients, psi_terms,
                      sigma1_sum, sigma2_sum, theta_terms)
@@ -60,6 +60,7 @@ SERIES_COEFF_TOL = 1e-14
 MACLAURIN_TOL = 1e-4
 KERNEL_TOL = 1e-11
 IMAG_TOL = 1e-10
+IMAG_ORACLE_TOL = 1e-12     # relative tolerance handed to the 1D oracle
 
 _AXES_SEED = 1009
 _ROUTE_SEED = 2003
@@ -72,9 +73,9 @@ _MIN_GAP = 1e-2             # relative gap enforced for strict orderings
 # axis sampling
 
 
-def random_axes(n: int, seed: int = _AXES_SEED) -> list:
+def random_axes(n: int) -> list:
     """n reproducible triples, each coordinate uniform on [0.1, 10]."""
-    rng = random.Random(seed)
+    rng = random.Random(_AXES_SEED)
     return [(rng.uniform(_AXIS_LO, _AXIS_HI), rng.uniform(_AXIS_LO, _AXIS_HI),
              rng.uniform(_AXIS_LO, _AXIS_HI)) for _ in range(n)]
 
@@ -133,64 +134,58 @@ def area_via_arctan_kernel(a: float, b: float, c: float) -> float:
 # geometry suite
 
 
-def area_quadrature_records(n: int, pass_tol: float = AREA_QUAD_TOL,
-                            oracle_tol: float = AREA_ORACLE_TOL,
-                            max_evals: int | None = None,
-                            seed: int = _AXES_SEED) -> list:
+def area_quadrature_records(n: int) -> list:
     out = []
-    for a, b, c in random_axes(n, seed):
+    for a, b, c in random_axes(n):
         closed = surface_area(a, b, c)
-        oracle = surface_area_quadrature(a, b, c, oracle_tol, max_evals)
+        oracle = surface_area_quadrature(a, b, c, AREA_ORACLE_TOL)
         out.append(make_record("AREA_VS_QUADRATURE", {"a": a, "b": b, "c": c},
-                               closed, oracle.value, pass_tol))
+                               closed, oracle.value, AREA_QUAD_TOL))
     return out
 
 
-def permutation_records(n: int, tol: float = PERMUTATION_TOL,
-                        seed: int = _AXES_SEED) -> list:
+def permutation_records(n: int) -> list:
     out = []
-    for axes in random_axes(n, seed):
+    for axes in random_axes(n):
         ref = surface_area(*sorted(axes, reverse=True))
         for p in permutations(axes):
             out.append(make_record("AREA_PERMUTATION",
                                    {"a": p[0], "b": p[1], "c": p[2]},
-                                   surface_area(*p), ref, tol))
+                                   surface_area(*p), ref, PERMUTATION_TOL))
     return out
 
 
 _SCALE_CYCLE = (0.5, 2.0, 10.0, 0.1)
 
 
-def scaling_records(n: int, tol: float = SCALING_TOL,
-                    seed: int = _AXES_SEED) -> list:
+def scaling_records(n: int) -> list:
     out = []
-    for i, (a, b, c) in enumerate(random_axes(n, seed)):
+    for i, (a, b, c) in enumerate(random_axes(n)):
         lam = _SCALE_CYCLE[i % len(_SCALE_CYCLE)]
         scaled = surface_area(lam * a, lam * b, lam * c) / (lam * lam)
         out.append(make_record("AREA_SCALING",
                                {"a": a, "b": b, "c": c, "lam": lam},
-                               scaled, surface_area(a, b, c), tol))
+                               scaled, surface_area(a, b, c), SCALING_TOL))
     return out
 
 
 _LIMIT_RATIOS = (0.3, 0.6, 0.9)
 
 
-def spheroid_limit_records(gap: float = LIMIT_GAP,
-                           tol: float = LIMIT_TOL) -> list:
+def spheroid_limit_records() -> list:
     out = []
     for ratio in _LIMIT_RATIOS:
-        a = 1.0 + gap
+        a = 1.0 + LIMIT_GAP
         closed = triaxial_area(a, 1.0, ratio)
         oracle = oblate_area(0.5 * (a + 1.0), ratio)
         out.append(make_record("LIMIT_OBLATE", {"a": a, "b": 1.0, "c": ratio},
-                               closed, oracle, tol))
+                               closed, oracle, LIMIT_TOL))
     for ratio in _LIMIT_RATIOS:
-        b = ratio * (1.0 + gap)
+        b = ratio * (1.0 + LIMIT_GAP)
         closed = triaxial_area(1.0, b, ratio)
         oracle = prolate_area(1.0, 0.5 * (b + ratio))
         out.append(make_record("LIMIT_PROLATE", {"a": 1.0, "b": b, "c": ratio},
-                               closed, oracle, tol))
+                               closed, oracle, LIMIT_TOL))
     return out
 
 
@@ -202,21 +197,20 @@ _ROUTES = (
 )
 
 
-def route_records(n: int, tol: float = ROUTE_TOL,
-                  seed: int = _ROUTE_SEED) -> list:
+def route_records(n: int) -> list:
     """Each single-integral route vs the dispatch area, n triples per route."""
-    rng = random.Random(seed)
+    rng = random.Random(_ROUTE_SEED)
     out = []
     for ident, fn, descending in _ROUTES:
         for _ in range(n):
             a, b, c = _strict_sorted(rng, descending)
             out.append(make_record(ident, {"a": a, "b": b, "c": c},
-                                   fn(a, b, c), surface_area(a, b, c), tol))
+                                   fn(a, b, c), surface_area(a, b, c), ROUTE_TOL))
     return out
 
 
-def geometry_records(grid: int, max_evals: int | None = None) -> list:
-    out = area_quadrature_records(grid, max_evals=max_evals)
+def geometry_records(grid: int) -> list:
+    out = area_quadrature_records(grid)
     out += permutation_records(grid)
     out += scaling_records(grid)
     out += spheroid_limit_records()
@@ -228,15 +222,12 @@ def geometry_records(grid: int, max_evals: int | None = None) -> list:
 # integrals suite
 
 
-def identity_records(grid: int, tol: float = 1e-8,
-                     oracle_tol: float = 1e-10,
-                     max_evals: int | None = None,
-                     idents=None) -> list:
+def identity_records(grid: int, tol: float = IDENTITY_TOL, idents=None) -> list:
     """Closed form vs quadrature for every registry identity (or a subset)."""
     out = []
     for ident in (REGISTRY if idents is None else idents):
         for params in grid_params(ident, grid):
-            out.append(check(ident, params, tol, oracle_tol, max_evals))
+            out.append(check(ident, params, tol))
     return out
 
 
@@ -271,15 +262,15 @@ def sigma2_reference(e1: float, e2: float) -> float:
     return math.pi * head + math.pi * e1 * k * k * incomplete_d(math.asin(e1), k)
 
 
-def sigma_records(grid: int, tol: float = SERIES_SUM_TOL) -> list:
+def sigma_records(grid: int) -> list:
     out = []
     for e1, e2 in _sigma_grid(grid):
         out.append(make_record("SIGMA1_SUM", {"e1": e1, "e2": e2},
                                sigma1_sum(e1, e2).value,
-                               sigma1_reference(e1, e2), tol))
+                               sigma1_reference(e1, e2), SERIES_SUM_TOL))
         out.append(make_record("SIGMA2_SUM", {"e1": e1, "e2": e2},
                                sigma2_sum(e1, e2).value,
-                               sigma2_reference(e1, e2), tol))
+                               sigma2_reference(e1, e2), SERIES_SUM_TOL))
     return out
 
 
@@ -323,7 +314,7 @@ _COEFF_CHECKS = (
 )
 
 
-def coefficient_records(grid: int, tol: float = SERIES_COEFF_TOL) -> list:
+def coefficient_records(grid: int) -> list:
     """Recurrence / Cauchy-product coefficients vs their closed forms, plus
     the termwise identity Omega = Theta + Psi through m = 5."""
     pairs = _sigma_grid(max(2, min(grid, 4)))  # a handful of pairs suffices
@@ -333,7 +324,7 @@ def coefficient_records(grid: int, tol: float = SERIES_COEFF_TOL) -> list:
         for ident, kind, m, closed_fn in _COEFF_CHECKS:
             got = gens[kind](e1, e2, m).terms[m]
             out.append(make_record(ident, {"e1": e1, "e2": e2},
-                                   got, closed_fn(e1, e2), tol))
+                                   got, closed_fn(e1, e2), SERIES_COEFF_TOL))
         om = omega_coefficients(e1, e2, 5).terms
         th = theta_terms(e1, e2, 5).terms
         ps = psi_terms(e1, e2, 5).terms
@@ -362,7 +353,7 @@ def _fd_odd_derivative(g, order: int, h: float) -> float:
     return (4.0 * _fd_stencil(g, order, h) - _fd_stencil(g, order, 2.0 * h)) / 3.0
 
 
-def maclaurin_records(tol: float = MACLAURIN_TOL) -> list:
+def maclaurin_records() -> list:
     """f_maclaurin_derivative vs finite differences of x -> F(arcsin x, k)."""
     out = []
     for e1, e2 in ((0.6, 0.3), (0.8, 0.5), (0.45, 0.4)):
@@ -375,7 +366,8 @@ def maclaurin_records(tol: float = MACLAURIN_TOL) -> list:
             fd = _fd_odd_derivative(g, 2 * m + 1, _FD_STEPS[m])
             out.append(make_record("MACLAURIN_DERIVATIVE",
                                    {"m": m, "e1": e1, "e2": e2},
-                                   f_maclaurin_derivative(m, e1, e2), fd, tol))
+                                   f_maclaurin_derivative(m, e1, e2), fd,
+                                   MACLAURIN_TOL))
     return out
 
 
@@ -387,11 +379,10 @@ def series_records(grid: int) -> list:
 # extensions suite
 
 
-def kernel_relation_records(n: int, tol: float = KERNEL_TOL,
-                            seed: int = _KERNEL_SEED) -> list:
+def kernel_relation_records(n: int) -> list:
     """cos^2-kernel integrals vs their sin^2-kernel counterparts at the
     complementary angle, for both the E and F numerators."""
-    rng = random.Random(seed)
+    rng = random.Random(_KERNEL_SEED)
     out = []
     for _ in range(n):
         xi = rng.uniform(0.05, HALF_PI - 0.05)
@@ -399,16 +390,10 @@ def kernel_relation_records(n: int, tol: float = KERNEL_TOL,
         psi = PsiKBar(HALF_PI - xi, kbar)
         xik = XiKBar(xi, kbar)
         out.append(make_record("KERNEL_COS_TO_SIN_E", {"xi": xi, "kbar": kbar},
-                               i2_barred_closed(psi), gr_e_sin_closed(xik), tol))
+                               i2_barred_closed(psi), gr_e_sin_closed(xik), KERNEL_TOL))
         out.append(make_record("KERNEL_COS_TO_SIN_F", {"xi": xi, "kbar": kbar},
-                               i3_barred_closed(psi), gr_f_sin_closed(xik), tol))
+                               i3_barred_closed(psi), gr_f_sin_closed(xik), KERNEL_TOL))
     return out
-
-
-def _lin(lo: float, hi: float, n: int) -> list:
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 # (id prefix, amplitude key, sin or sinh, reduction, amplitude range, k range)
@@ -419,14 +404,12 @@ _IMAG_REDUCTIONS = (
 )
 
 
-def imaginary_reduction_records(grid: int, tol: float = IMAG_TOL,
-                                oracle_tol: float = 1e-12,
-                                max_evals: int | None = None) -> list:
+def imaginary_reduction_records(grid: int) -> list:
     """The two imaginary-parameter reductions vs direct real quadrature."""
     out = []
     for ident, key, trig, reduce, phi_range, k_range in _IMAG_REDUCTIONS:
-        for phi in _lin(*phi_range, grid):
-            for k in _lin(*k_range, grid):
+        for phi in _lin(grid, *phi_range):
+            for k in _lin(grid, *k_range):
                 f_red, e_red = reduce(phi, k)
                 k2 = k * k
 
@@ -437,18 +420,15 @@ def imaginary_reduction_records(grid: int, tol: float = IMAG_TOL,
                     return 1.0 / de(t)
 
                 pr = {key: phi, "k": k}
-                out.append(make_record(ident + "_F", pr, f_red,
-                                       integrate(df, 0.0, phi, oracle_tol,
-                                                 max_evals).value, tol))
-                out.append(make_record(ident + "_E", pr, e_red,
-                                       integrate(de, 0.0, phi, oracle_tol,
-                                                 max_evals).value, tol))
+                out.append(make_record(ident + "_F", pr, f_red, integrate(
+                    df, 0.0, phi, IMAG_ORACLE_TOL).value, IMAG_TOL))
+                out.append(make_record(ident + "_E", pr, e_red, integrate(
+                    de, 0.0, phi, IMAG_ORACLE_TOL).value, IMAG_TOL))
     return out
 
 
-def extension_records(grid: int, max_evals: int | None = None) -> list:
-    return (kernel_relation_records(grid * grid)
-            + imaginary_reduction_records(grid, max_evals=max_evals))
+def extension_records(grid: int) -> list:
+    return kernel_relation_records(grid * grid) + imaginary_reduction_records(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +467,7 @@ def _tolerance_meta(tol: float) -> dict:
     }
 
 
-def run_suite(suite: str = "all", grid: int = 5, tol: float = 1e-8,
-              max_evals: int | None = None) -> Report:
+def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> Report:
     """Execute one named suite (or all of them) and collect a Report."""
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from "
@@ -499,13 +478,13 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = 1e-8,
         raise DomainError("tol must be positive")
     records = []
     if suite in ("all", "geometry"):
-        records += geometry_records(grid, max_evals)
+        records += geometry_records(grid)
     if suite in ("all", "integrals"):
-        records += identity_records(grid, tol, max_evals=max_evals)
+        records += identity_records(grid, tol)
     if suite in ("all", "series"):
         records += series_records(grid)
     if suite in ("all", "extensions"):
-        records += extension_records(grid, max_evals)
+        records += extension_records(grid)
     return Report(__version__, _tolerance_meta(tol), grid, tuple(records))
 
 
