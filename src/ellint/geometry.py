@@ -98,12 +98,14 @@ def oblate_area(r: float, c: float) -> float:
 
 
 def prolate_area(c: float, r: float) -> float:
-    """Prolate spheroid c > a = b = r, via the elementary arcsin form."""
+    """Prolate spheroid c > a = b = r, via the elementary arcsin form; the
+    arcsin(root/c) is taken as atan2(root, r), as root^2 + r^2 = c^2, because
+    arcsin is ill-conditioned as root/c -> 1."""
     _check_axes(c, r)
     if not c > r:
         raise DomainError("prolate_area needs c > r")
     root = math.sqrt((c - r) * (c + r))
-    return TWO_PI * r * r + TWO_PI * r * c * c / root * math.asin(root / c)
+    return TWO_PI * r * r + TWO_PI * r * c * c / root * math.atan2(root, r)
 
 
 def triaxial_area(a: float, b: float, c: float) -> float:

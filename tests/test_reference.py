@@ -2,8 +2,8 @@
 
 Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
-one, a thin disc whose amplitude rounds to pi/2, flat oblate spheroids, and
-non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
+one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
+spheroids, and non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
 """
 
 import math
@@ -21,6 +21,7 @@ from ellint import (
     incomplete_e,
     incomplete_f,
     oblate_area,
+    prolate_area,
     surface_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
@@ -84,6 +85,26 @@ def test_flat_oblate_area(r, c):
     ref = 4 * mp.pi * r * r * c * mp.elliprg(mp.mpf(r) ** -2, mp.mpf(r) ** -2, mp.mpf(c) ** -2)
     assert _rel(oblate_area(r, c), ref) <= 5e-16
     assert surface_area(r, r, c) == oblate_area(r, c)
+
+
+def _long_prolates() -> list:
+    # log-uniform centres and aspect ratios c/r up to 1e12
+    rng = random.Random(889051)
+    out = [(889051.28, 0.01053)]
+    for _ in range(40):
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        out.append((c, c * 10.0 ** -rng.uniform(0.01, 12.0)))
+    return out
+
+
+@pytest.mark.parametrize("c,r", _long_prolates())
+def test_long_prolate_area(c, r):
+    # asin(root / c) was ill-conditioned as root / c -> 1: (889051.28,
+    # 0.01053, 0.01053) was off by 1.9e-9 and the sweep by up to 1.1e-8
+    inv2 = [mp.mpf(v) ** -2 for v in (r, r, c)]
+    ref = 4 * mp.pi * r * r * c * mp.elliprg(*inv2)
+    assert _rel(prolate_area(c, r), ref) <= 1e-15
+    assert surface_area(c, r, r) == prolate_area(c, r)
 
 
 @pytest.mark.parametrize("fn", [carlson_rf, carlson_rd, _rf_rd])
