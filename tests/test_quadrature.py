@@ -12,14 +12,17 @@ import pytest
 
 from ellint import (
     DomainError,
+    IdentityId,
     NonConvergenceError,
     NonFiniteIntegrandError,
+    check,
     complete_e,
     integrate,
     integrate_singular_pair,
+    run_suite,
     surface_area_quadrature,
 )
-from ellint.identities import EpsAB, log_f_closed
+from ellint.identities import AlphaZ, EpsAB, log_f_closed
 from ellint.quadrature import HALF_PI
 
 
@@ -172,6 +175,17 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.delenv("ELLINT_MAX_EVALS")
     res2 = integrate(fn, 0.0, 10.0, 1e-10)
     assert res2.value == res.value
+
+
+def test_env_budget_bounds_every_oracle_caller(monkeypatch):
+    # ELLINT_MAX_EVALS is the only budget control above integrate()
+    monkeypatch.setenv("ELLINT_MAX_EVALS", "100")
+    with pytest.raises(NonConvergenceError):
+        check(IdentityId.PR3_D, AlphaZ(0.5, 0.7))
+    with pytest.raises(NonConvergenceError):
+        run_suite("integrals", grid=2)
+    with pytest.raises(NonConvergenceError):
+        surface_area_quadrature(2.0, 1.5, 1.0)
 
 
 def test_budget_env_rejects_non_integer(monkeypatch):
