@@ -21,8 +21,8 @@ from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, IdentityId,
                          check, closed_value, make_record, oracle_value)
 from .quadrature import surface_area_quadrature
 from .series import MAX_TERMS_DEFAULT, sigma1_sum, sigma2_sum
-from .verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES, Report,
-                     report_json, run_suite, sigma1_reference,
+from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
+                     Report, report_json, run_suite, sigma1_reference,
                      sigma2_reference, write_report)
 
 _PARAM_FLAGS = tuple(sorted({f for entry in REGISTRY.values() for f in entry.flags}))
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semi-axes, comma separated")
     p.add_argument("--method", default="auto",
                    choices=("auto", "legendre", "ascending", "quadrature"))
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=AREA_ORACLE_TOL,
                    help="relative tolerance for --method quadrature")
     p.add_argument("--json", action="store_true")
 

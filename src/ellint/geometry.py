@@ -98,9 +98,9 @@ def oblate_area(r: float, c: float) -> float:
 
 
 def prolate_area(c: float, r: float) -> float:
-    """Prolate spheroid c > a = b = r, via the elementary arcsin form; the
-    arcsin(root/c) is taken as atan2(root, r), as root^2 + r^2 = c^2, because
-    arcsin is ill-conditioned as root/c -> 1."""
+    """Prolate spheroid c > a = b = r, via the elementary arcsin form.
+    arcsin(root/c) is evaluated as atan2(root, r), equal since root^2 + r^2 =
+    c^2, because arcsin is ill-conditioned as root/c -> 1."""
     _check_axes(c, r)
     if not c > r:
         raise DomainError("prolate_area needs c > r")

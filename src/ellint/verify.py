@@ -420,10 +420,12 @@ def imaginary_reduction_records(grid: int) -> list:
                     return 1.0 / de(t)
 
                 pr = {key: phi, "k": k}
-                out.append(make_record(ident + "_F", pr, f_red, integrate(
-                    df, 0.0, phi, IMAG_ORACLE_TOL).value, IMAG_TOL))
-                out.append(make_record(ident + "_E", pr, e_red, integrate(
-                    de, 0.0, phi, IMAG_ORACLE_TOL).value, IMAG_TOL))
+                out.append(make_record(ident + "_F", pr, f_red,
+                                       integrate(df, 0.0, phi, IMAG_ORACLE_TOL).value,
+                                       IMAG_TOL))
+                out.append(make_record(ident + "_E", pr, e_red,
+                                       integrate(de, 0.0, phi, IMAG_ORACLE_TOL).value,
+                                       IMAG_TOL))
     return out
 
 
