@@ -20,7 +20,7 @@ from .geometry import (surface_area, surface_area_ascending,
 from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, IdentityId,
                          check, closed_value, make_record, oracle_value)
 from .quadrature import surface_area_quadrature
-from .series import MAX_TERMS_DEFAULT, sigma1_sum, sigma2_sum
+from .series import MAX_TERMS_DEFAULT, SERIES_TERM_TOL, sigma1_sum, sigma2_sum
 from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
                      Report, report_json, run_suite, sigma1_reference,
                      sigma2_reference, write_report)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("SIGMA1", "SIGMA2"))
     p.add_argument("--e1", type=float, required=True)
     p.add_argument("--e2", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-15,
+    p.add_argument("--tol", type=float, default=SERIES_TERM_TOL,
                    help="relative term-size termination threshold")
     p.add_argument("--max-terms", type=int, default=MAX_TERMS_DEFAULT)
     p.add_argument("--json", action="store_true")

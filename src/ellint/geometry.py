@@ -16,6 +16,8 @@ from .elliptic import _fe_sc
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+_SCALE_LO = 2.0 ** -200
+_SCALE_HI = 2.0 ** 200
 
 
 class ShapeClass(Enum):
@@ -175,12 +177,26 @@ def surface_area(a: float, b: float, c: float) -> float:
     """
     _check_axes(a, b, c)
     s0, s1, s2 = sorted((a, b, c), reverse=True)
+    # Outside [2^-200, 2^200] the squares and products of the axes would
+    # overflow or underflow, so the axes are scaled by 2^-e into [0.5, 1) and
+    # the area back by 2^2e = 4 (2^(e-1))^2.  Powers of two scale exactly; the
+    # multiplications give inf, not OverflowError, for an area above the float
+    # range.
+    scale = 1.0
+    if not _SCALE_LO <= s0 <= _SCALE_HI:
+        e = math.frexp(s0)[1]
+        s0, s1, s2 = math.ldexp(s0, -e), math.ldexp(s1, -e), math.ldexp(s2, -e)
+        scale = math.ldexp(1.0, e - 1)
     shape = classify(s0, s1, s2)
     if shape is ShapeClass.SPHERE:
         r = (s0 + s1 + s2) / 3.0
-        return 4.0 * math.pi * r * r
-    if shape is ShapeClass.OBLATE:
-        return oblate_area(0.5 * (s0 + s1), s2)
-    if shape is ShapeClass.PROLATE:
-        return prolate_area(s0, 0.5 * (s1 + s2))
-    return triaxial_area(s0, s1, s2)
+        area = 4.0 * math.pi * r * r
+    elif shape is ShapeClass.OBLATE:
+        area = oblate_area(0.5 * (s0 + s1), s2)
+    elif shape is ShapeClass.PROLATE:
+        area = prolate_area(s0, 0.5 * (s1 + s2))
+    else:
+        area = triaxial_area(s0, s1, s2)
+    if scale == 1.0:
+        return area
+    return 4.0 * area * scale * scale

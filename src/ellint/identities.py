@@ -5,7 +5,11 @@ a deterministic domain sampler, so any entry can be checked against the
 adaptive quadrature oracle.  Integrands over a finite (lo, hi) interval with
 the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are stored through their smooth part
 g(q) and integrated with the exact trig substitution; the remaining entries
-are bounded on (0, pi/2) and integrated directly.
+are bounded on (0, pi/2) and integrated directly.  The pseudo-elliptic
+integrand sqrt((e1^2-q^2)(q^2-e2^2)) / (q (1-q^2)) is bounded but has
+square-root zeros at both ends, so it too goes through the substitution, as
+g(q) = (e1^2-q^2)(q^2-e2^2) / (q (1-q^2)): direct quadrature would bisect
+toward both ends and spend about ten times the evaluations.
 """
 
 import math
@@ -13,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Callable
 
-from .elliptic import (HALF_PI, _fe_sc, complete_d, complete_e, complete_k,
-                       incomplete_d, incomplete_e, incomplete_f)
+from .elliptic import (HALF_PI, _fe_sc, carlson_rf, complete_d, complete_e,
+                       complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import QuadratureResult, integrate, integrate_singular_pair
 
@@ -435,29 +439,39 @@ def _log_q2_part(p: EpsAB) -> Callable:
 
 
 def _pseudo_part(p: E1E2) -> Callable:
+    # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand
     e1sq = p.e1 * p.e1
     e2sq = p.e2 * p.e2
 
-    def fn(q: float) -> float:
+    def g(q: float) -> float:
         q2 = q * q
-        return math.sqrt(max((e1sq - q2) * (q2 - e2sq), 0.0)) / (q * (1.0 - q2))
+        return (e1sq - q2) * (q2 - e2sq) / (q * (1.0 - q2))
 
-    return fn
+    return g
 
 
-def _kernel_part(kernel: Callable, leg: Callable) -> Callable:
+def _kernel_part(kernel: Callable, second_kind: bool) -> Callable:
     """Part leg(u, m) sin u cos u / ((1 + coef sin^2 u) sqrt(1 - m2 sin^2 u)) with
-    (m, m2, coef) = kernel(params).  m2 is not m*m for the sinh kernel (1 - k^2),
-    and a kernel 1 - x sin^2 u passes coef = -x, which is exact."""
+    (m, m2, coef) = kernel(params) and leg = E if second_kind else F.  m2 is not
+    m*m for the sinh kernel (1 - k^2), and a kernel 1 - x sin^2 u passes
+    coef = -x, which is exact.  leg calls the kernel entry on sin u and cos^2 u
+    with the arguments formed as incomplete_e/incomplete_f form them; nodes
+    lie inside (0, pi/2) and m < 1, so their argument checks cannot fire."""
 
     def part(p) -> Callable:
         m, m2, coef = kernel(p)
+        kc2 = (1.0 - m) * (1.0 + m)
 
         def fn(u: float) -> float:
             s = math.sin(u)
+            c = math.cos(u)
+            c2 = c * c
+            if second_kind:
+                leg = _fe_sc(s, c2, kc2)[1]
+            else:
+                leg = s * carlson_rf(c2, c2 + kc2 * s * s, 1.0)
             s2 = s * s
-            return (leg(u, m) * s * math.cos(u)
-                    / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)))
+            return leg * s * c / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2))
 
         return fn
 
@@ -613,31 +627,31 @@ REGISTRY = {
         Singularity.INV_SQRT_BOTH, _log_q2_part, _sample_eps_ab),
     IdentityId.PSEUDO: _Entry(
         E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
-        Singularity.NONE, _pseudo_part, _sample_e1e2),
+        Singularity.INV_SQRT_BOTH, _pseudo_part, _sample_e1e2),
     IdentityId.I3: _Entry(
         NuK, i3_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, incomplete_e), _sample_nu_k),
+        _kernel_part(_cosh_kernel, second_kind=True), _sample_nu_k),
     IdentityId.I4: _Entry(
         MuK, i4_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, incomplete_e), _sample_mu_k),
+        _kernel_part(_sinh_kernel, second_kind=True), _sample_mu_k),
     IdentityId.I5: _Entry(
         MuK, i5_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, incomplete_f), _sample_mu_k),
+        _kernel_part(_sinh_kernel, second_kind=False), _sample_mu_k),
     IdentityId.I6: _Entry(
         NuK, i6_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, incomplete_f), _sample_nu_k),
+        _kernel_part(_cosh_kernel, second_kind=False), _sample_nu_k),
     IdentityId.I2_BARRED: _Entry(
         PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, incomplete_e), _sample_psi_kbar),
+        _kernel_part(_psi_kernel, second_kind=True), _sample_psi_kbar),
     IdentityId.I3_BARRED: _Entry(
         PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, incomplete_f), _sample_psi_kbar),
+        _kernel_part(_psi_kernel, second_kind=False), _sample_psi_kbar),
     IdentityId.GR_E_SIN: _Entry(
         XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, incomplete_e), _sample_xi_kbar),
+        _kernel_part(_xi_kernel, second_kind=True), _sample_xi_kbar),
     IdentityId.GR_F_SIN: _Entry(
         XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, incomplete_f), _sample_xi_kbar),
+        _kernel_part(_xi_kernel, second_kind=False), _sample_xi_kbar),
     IdentityId.ATAN_F: _Entry(
         FBar, atan_f_closed, lambda p: (p.f2, p.f1),
         Singularity.INV_SQRT_BOTH, _atan_f_part, _sample_fbar),

@@ -177,6 +177,9 @@ def surface_area_quadrature(a: float, b: float, c: float,
     (0, pi/2)^2.  The integrand is symmetric in the axes, so the result is
     invariant under any permutation of (a, b, c) by construction.  tol is
     relative; the budget is 1e7 integrand evaluations, or ELLINT_MAX_EVALS.
+    The result's evaluations counts calls of the inner (theta) integrand
+    only, summed over every inner integral; the outer integrand calls, one
+    per inner integral, are not counted.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not (v > 0.0) or not math.isfinite(v):

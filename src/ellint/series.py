@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NonConvergenceError
 
 MAX_TERMS_DEFAULT = 100_000
+SERIES_TERM_TOL = 1e-15     # relative size of the next term that stops a sum
 _ABS_TAIL = 1e-18
 
 
@@ -160,7 +161,7 @@ def _truncation(e1: float, last: float, omitted: float) -> float:
     return max(abs(last), abs(omitted) / (1.0 - e1 * e1))
 
 
-def sigma1_sum(e1: float, e2: float, tol: float = 1e-15,
+def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
                max_terms: int = MAX_TERMS_DEFAULT) -> SeriesSum:
     """sigma1 = pi * sum A_{2m+1}; equals (pi/e1) F(arcsin e1, e2/e1)."""
     total, used, last, omitted = _sum_recurrence(
@@ -168,7 +169,7 @@ def sigma1_sum(e1: float, e2: float, tol: float = 1e-15,
     return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
 
 
-def sigma2_sum(e1: float, e2: float, tol: float = 1e-15,
+def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
                max_terms: int = MAX_TERMS_DEFAULT) -> SeriesSum:
     """sigma2 = pi * (sum Omega_{2m+1} - 1), summed without the leading 1.
 

@@ -490,16 +490,43 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
     return Report(__version__, _tolerance_meta(tol), grid, tuple(records))
 
 
+# json.dumps(indent=2) runs the pure-Python encoder.  Records and their params
+# are flat objects, so the C encoder lays them out the same way when the item
+# separator carries the newline and the indent of their depth.  One call
+# encodes a list of such objects; an encoded string never holds a raw newline,
+# so "}" + separator + "{" occurs only between two objects and splits them.
+_RECORD_SEP = ",\n      "
+_PARAMS_SEP = ",\n        "
+_encode_record = json.JSONEncoder(separators=(_RECORD_SEP, ": ")).encode
+_encode_params = json.JSONEncoder(separators=(_PARAMS_SEP, ": ")).encode
+
+
+def _members(encode, sep: str, objs: list) -> list:
+    """The text between the braces of each flat object in objs (not empty)."""
+    return encode(objs)[2:-2].split("}" + sep + "{")
+
+
 def report_json(report: Report) -> str:
-    payload = {
-        "meta": {"version": report.version, "tolerances": report.tolerances,
-                 "grid": report.grid},
-        "records": [{"id": r.ident, "params": r.params, "closed": r.closed,
-                     "oracle": r.oracle, "abs_err": r.abs_err,
-                     "rel_err": r.rel_err, "pass": r.passed}
-                    for r in report.records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The report as json.dumps(payload, indent=2) + "\\n" writes it, with
+    payload {"meta": {version, tolerances, grid}, "records": [{id, params,
+    closed, oracle, abs_err, rel_err, pass}, ...]}, byte for byte."""
+    meta = {"meta": {"version": report.version, "tolerances": report.tolerances,
+                     "grid": report.grid}}
+    head = json.dumps(meta, indent=2)[:-2] + ',\n  "records": '
+    if not report.records:
+        return head + "[]\n}\n"
+    rows = _members(_encode_record, _RECORD_SEP, [
+        {"id": r.ident, "closed": r.closed, "oracle": r.oracle,
+         "abs_err": r.abs_err, "rel_err": r.rel_err, "pass": r.passed}
+        for r in report.records])
+    params = _members(_encode_params, _PARAMS_SEP, [r.params for r in report.records])
+    out = []
+    for row, p in zip(rows, params):
+        ident, rest = row.split(_RECORD_SEP, 1)
+        p = "{\n        " + p + "\n      }" if p else "{}"
+        out.append("    {\n      " + ident + _RECORD_SEP + '"params": ' + p
+                   + _RECORD_SEP + rest + "\n    }")
+    return head + "[\n" + ",\n".join(out) + "\n  ]\n}\n"
 
 
 def report_csv(report: Report) -> str:

@@ -8,6 +8,7 @@ are pinned here byte for byte where the contract demands determinism.
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from ellint.cli import main
 from ellint.identities import NEAR_ZERO_ABS_TOL, MuK, NuK, check, make_record
 from ellint.series import sigma1_sum
 from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, report_json,
-                           sigma1_reference)
+                           run_suite, sigma1_reference)
 
 
 def run_cli(argv, capsys):
@@ -241,6 +242,32 @@ def test_verify_json_is_deterministic(capsys):
     assert payload["meta"]["version"] == __version__
     assert "timestamp" not in payload["meta"]
     assert all(r["pass"] for r in payload["records"])
+
+
+def _indented(report):
+    payload = {
+        "meta": {"version": report.version, "tolerances": report.tolerances,
+                 "grid": report.grid},
+        "records": [{"id": r.ident, "params": r.params, "closed": r.closed,
+                     "oracle": r.oracle, "abs_err": r.abs_err,
+                     "rel_err": r.rel_err, "pass": r.passed}
+                    for r in report.records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_json_is_indented_json_dumps():
+    report = run_suite("all", 2)
+    assert report_json(report) == _indented(report)
+    records = (make_record("X", {"e1": 0.5, "m": 3}, 0.0, 1e-3, 1e-8),
+               make_record("Y", {}, 2.0, 2.0, 1e-8),
+               # strings that hold report_json's separators
+               make_record("Z,\n      }", {"method": "},\n        {"}, 1.0, 1.0, 1e-8))
+    assert records[0].rel_err == math.inf and not records[0].passed
+    hand_built = Report(__version__, {"identity_rel": 1e-8}, None, records)
+    assert report_json(hand_built) == _indented(hand_built)
+    empty = Report(__version__, {}, 3, ())
+    assert report_json(empty) == _indented(empty)
 
 
 def test_verify_out_json(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_small_parameter_corners(ident, params):
 def test_integrand_descriptors():
     spec = integrand(IdentityId.PSEUDO, E1E2(0.8, 0.4))
     assert (spec.lo, spec.hi) == (0.4, 0.8)
-    assert spec.singularity is Singularity.NONE
+    assert spec.singularity is Singularity.INV_SQRT_BOTH
     # bounded integrand: direct quadrature matches the closed form
     direct = integrate(spec.fn, spec.lo, spec.hi, 1e-12).value
     assert direct == pytest.approx(closed_value(IdentityId.PSEUDO, E1E2(0.8, 0.4)),
@@ -302,6 +302,15 @@ def test_oracle_result_shape():
     res = oracle_value(IdentityId.PSEUDO, E1E2(0.8, 0.4), 1e-10)
     assert res.error_estimate <= 1e-9 * abs(res.value)
     assert res.evaluations >= 15
+
+
+def test_pseudo_oracle_cost():
+    # through the singular-pair substitution; direct quadrature of the bounded
+    # integrand bisected toward its square-root zeros and took 1,215
+    p = E1E2(0.8, 0.4)
+    res = oracle_value(IdentityId.PSEUDO, p)
+    assert res.value == pytest.approx(closed_value(IdentityId.PSEUDO, p), rel=1e-13)
+    assert res.evaluations <= 150
 
 
 def test_record_near_zero_rule():

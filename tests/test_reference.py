@@ -8,6 +8,7 @@ spheroids, and non-finite or overflowing Carlson arguments.  Skipped when mpmath
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -124,3 +125,24 @@ def test_overflowing_sum_is_rescaled(x, y, z):
     rd = carlson_rd(x, y, z)
     assert rd == pytest.approx(float(mp.elliprd(x, y, z)), rel=2e-15, abs=0.0)
     assert _rel(_rf_rd(x, y, z)[0], mp.elliprf(x, y, z)) <= 2e-15
+
+
+@pytest.mark.parametrize("a,b,c", [(1e-150, 1e-150, 3e-151), (1e-150, 3e-151, 3e-151),
+                                   (1e154, 1e153, 1e153), (1e150, 1e149, 1e148),
+                                   (3e-150, 2e-150, 1e-150)])
+def test_extreme_scale_area(a, b, c):
+    # squares of the axes overflowed or underflowed: the first three returned
+    # 6.28e-300, 5.65e-301 and inf, the last two raised DomainError and
+    # ZeroDivisionError
+    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
+    ref = 4 * mp.pi * a * b * c * mp.elliprg(*inv2)
+    assert _rel(surface_area(a, b, c), ref) <= 1e-15
+
+
+def test_area_beyond_float_range_is_inf():
+    a, b, c = 1e154, 1e154, 1e153
+    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
+    assert 4 * mp.pi * a * b * c * mp.elliprg(*inv2) > sys.float_info.max
+    assert surface_area(a, b, c) == math.inf
+    # subnormal axes scale up exactly; their area underflows to zero
+    assert surface_area(5e-324, 5e-324, 5e-324) == 0.0
