@@ -157,6 +157,16 @@ def _fe_sc(s: float, c2: float, kc2: float) -> tuple:
     return (f, f - (1.0 - kc2) * s * s2 * rd / 3.0)
 
 
+def _f_sc(s: float, c2: float, kc2: float) -> float:
+    """F alone from the same arguments as _fe_sc, with one R_F call."""
+    return s * carlson_rf(c2, c2 + kc2 * s * s, 1.0)
+
+
+def _e_sc(s: float, c2: float, kc2: float) -> float:
+    """E alone from the same arguments as _fe_sc."""
+    return _fe_sc(s, c2, kc2)[1]
+
+
 def _check_amplitude(phi: float) -> None:
     if not (0.0 <= phi <= HALF_PI) or math.isnan(phi):
         raise DomainError(f"amplitude {phi!r} outside [0, pi/2]")
@@ -178,9 +188,7 @@ def incomplete_f(phi: float, k: float) -> float:
         raise DivergenceError("F(pi/2, 1) diverges")
     if phi == 0.0:
         return 0.0
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
-    return s * carlson_rf(c2, c2 + (1.0 - k) * (1.0 + k) * s * s, 1.0)
+    return _f_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -191,7 +199,7 @@ def incomplete_e(phi: float, k: float) -> float:
         return 0.0
     if k == 1.0 and phi == HALF_PI:
         return 1.0
-    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[1]
+    return _e_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
 
 
 def incomplete_d(phi: float, k: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Callable
 
-from .elliptic import (HALF_PI, _fe_sc, carlson_rf, complete_d, complete_e,
+from .elliptic import (HALF_PI, _e_sc, _f_sc, _fe_sc, complete_d, complete_e,
                        complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import QuadratureResult, integrate, integrate_singular_pair
@@ -450,13 +450,13 @@ def _pseudo_part(p: E1E2) -> Callable:
     return g
 
 
-def _kernel_part(kernel: Callable, second_kind: bool) -> Callable:
+def _kernel_part(kernel: Callable, leg: Callable) -> Callable:
     """Part leg(u, m) sin u cos u / ((1 + coef sin^2 u) sqrt(1 - m2 sin^2 u)) with
-    (m, m2, coef) = kernel(params) and leg = E if second_kind else F.  m2 is not
-    m*m for the sinh kernel (1 - k^2), and a kernel 1 - x sin^2 u passes
-    coef = -x, which is exact.  leg calls the kernel entry on sin u and cos^2 u
-    with the arguments formed as incomplete_e/incomplete_f form them; nodes
-    lie inside (0, pi/2) and m < 1, so their argument checks cannot fire."""
+    (m, m2, coef) = kernel(params) and leg = _e_sc or _f_sc, the entries behind
+    incomplete_e and incomplete_f, called on sin u, cos^2 u and 1 - m^2.  m2 is
+    not m*m for the sinh kernel (1 - k^2), and a kernel 1 - x sin^2 u passes
+    coef = -x, which is exact.  Nodes lie inside (0, pi/2) and m < 1, so the
+    argument checks of incomplete_e and incomplete_f cannot fire."""
 
     def part(p) -> Callable:
         m, m2, coef = kernel(p)
@@ -465,13 +465,9 @@ def _kernel_part(kernel: Callable, second_kind: bool) -> Callable:
         def fn(u: float) -> float:
             s = math.sin(u)
             c = math.cos(u)
-            c2 = c * c
-            if second_kind:
-                leg = _fe_sc(s, c2, kc2)[1]
-            else:
-                leg = s * carlson_rf(c2, c2 + kc2 * s * s, 1.0)
             s2 = s * s
-            return leg * s * c / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2))
+            return (leg(s, c * c, kc2) * s * c
+                    / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)))
 
         return fn
 
@@ -630,28 +626,28 @@ REGISTRY = {
         Singularity.INV_SQRT_BOTH, _pseudo_part, _sample_e1e2),
     IdentityId.I3: _Entry(
         NuK, i3_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, second_kind=True), _sample_nu_k),
+        _kernel_part(_cosh_kernel, _e_sc), _sample_nu_k),
     IdentityId.I4: _Entry(
         MuK, i4_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, second_kind=True), _sample_mu_k),
+        _kernel_part(_sinh_kernel, _e_sc), _sample_mu_k),
     IdentityId.I5: _Entry(
         MuK, i5_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, second_kind=False), _sample_mu_k),
+        _kernel_part(_sinh_kernel, _f_sc), _sample_mu_k),
     IdentityId.I6: _Entry(
         NuK, i6_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, second_kind=False), _sample_nu_k),
+        _kernel_part(_cosh_kernel, _f_sc), _sample_nu_k),
     IdentityId.I2_BARRED: _Entry(
         PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, second_kind=True), _sample_psi_kbar),
+        _kernel_part(_psi_kernel, _e_sc), _sample_psi_kbar),
     IdentityId.I3_BARRED: _Entry(
         PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, second_kind=False), _sample_psi_kbar),
+        _kernel_part(_psi_kernel, _f_sc), _sample_psi_kbar),
     IdentityId.GR_E_SIN: _Entry(
         XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, second_kind=True), _sample_xi_kbar),
+        _kernel_part(_xi_kernel, _e_sc), _sample_xi_kbar),
     IdentityId.GR_F_SIN: _Entry(
         XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, second_kind=False), _sample_xi_kbar),
+        _kernel_part(_xi_kernel, _f_sc), _sample_xi_kbar),
     IdentityId.ATAN_F: _Entry(
         FBar, atan_f_closed, lambda p: (p.f2, p.f1),
         Singularity.INV_SQRT_BOTH, _atan_f_part, _sample_fbar),
