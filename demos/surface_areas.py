@@ -1,7 +1,7 @@
 """Walk through the surface-area routines on a few representative shapes.
 
-Shows the closed triaxial form against brute-force 2D quadrature, the
-exact invariance under axis reordering, and how the triaxial expression
+Shows the R_G surface area against brute-force 2D quadrature, its exact
+invariance under axis reordering, and how the paper's triaxial expression
 degenerates smoothly into the oblate/prolate/sphere closed forms.
 
 Run:  python3 demos/surface_areas.py [--quad-tol 1e-9]
@@ -12,7 +12,6 @@ import itertools
 import math
 
 from ellint import (
-    classify,
     oblate_area,
     prolate_area,
     surface_area,
@@ -37,16 +36,15 @@ def main() -> int:
     args = ap.parse_args()
 
     print("closed form vs 2D quadrature")
-    print(f"{'axes':>18}  {'class':>8}  {'area':>22}  {'rel err vs quad':>16}")
+    print(f"{'axes':>18}  {'area':>22}  {'rel err vs quad':>16}")
     for axes in SHAPES:
         area = surface_area(*axes)
         ref = surface_area_quadrature(*axes, tol=args.quad_tol).value
         rel = abs(area - ref) / ref
-        print(f"{str(axes):>18}  {classify(*axes).name.lower():>8}"
-              f"  {area:22.15g}  {rel:16.2e}")
+        print(f"{str(axes):>18}  {area:22.15g}  {rel:16.2e}")
 
     print()
-    print("axis-order invariance (dispatch reduces every ordering to one case)")
+    print("axis-order invariance (surface_area sorts every ordering to one case)")
     axes = (2.0, 1.5, 1.0)
     values = {surface_area(*perm) for perm in itertools.permutations(axes)}
     print(f"  {len(list(itertools.permutations(axes)))} orderings of {axes} "

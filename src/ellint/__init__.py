@@ -14,10 +14,10 @@ from .elliptic import (carlson_rd, carlson_rf, complementary_amplitude,
 from .errors import (DivergenceError, DomainError, EllintError,
                      KernelSingularityError, NonConvergenceError,
                      NonFiniteIntegrandError)
-from .geometry import (BarredPair, EccentricityPair, ShapeClass,
-                       barred_params, classify, eccentricities, oblate_area,
-                       prolate_area, surface_area, surface_area_ascending,
-                       surface_area_legendre, triaxial_area)
+from .geometry import (BarredPair, EccentricityPair, barred_params,
+                       eccentricities, oblate_area, prolate_area, surface_area,
+                       surface_area_ascending, surface_area_legendre,
+                       triaxial_area)
 from .identities import (IdentityId, Singularity, VerificationRecord, check,
                          closed_value, grid_params, integrand, oracle_value)
 from .quadrature import (QuadratureResult, integrate, integrate_singular_pair,
@@ -37,8 +37,8 @@ __all__ = [
     "EllintError", "DomainError", "DivergenceError",
     "KernelSingularityError", "NonConvergenceError",
     "NonFiniteIntegrandError",
-    "ShapeClass", "EccentricityPair", "BarredPair",
-    "classify", "eccentricities", "barred_params",
+    "EccentricityPair", "BarredPair",
+    "eccentricities", "barred_params",
     "oblate_area", "prolate_area", "triaxial_area",
     "surface_area", "surface_area_ascending", "surface_area_legendre",
     "IdentityId", "Singularity", "VerificationRecord",

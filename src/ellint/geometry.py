@@ -1,30 +1,24 @@
 """Ellipsoid surface areas in every axis-ordering regime.
 
-A triaxial ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 has closed-form surface
-area in terms of incomplete elliptic integrals.  Two parametrizations are
-covered: descending axes a > b > c (eccentricities e1, e2) and ascending
-axes a < b < c (the barred parameters f1, f2).  Spheroid limits use the
-elementary log/arcsin forms.  Squared-axis differences are always computed
-as (x - y)(x + y), which stays exact for nearly equal axes.
+surface_area evaluates Carlson's symmetric form S = 4 pi abc R_G(a^-2, b^-2,
+c^-2) (DLMF 19.33.1; Carlson 1995) for every shape and axis order, from one
+fused R_F/R_D loop on the ratios of the axes to the largest.  The paper's
+closed forms stay as independent cross-checks: the descending-axes form in
+the eccentricities (e1, e2), Legendre's form, the ascending-axes form in
+the barred parameters (f1, f2), and the elementary log/arcsin spheroid
+forms.  Axis differences are formed from the axes (x - y), never from
+rounded ratios, which stays exact for nearly equal axes.
 """
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import _fe_sc
+from .elliptic import _fe_sc, _rf_rd
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
-_SCALE_LO = 2.0 ** -200
-_SCALE_HI = 2.0 ** 200
-
-
-class ShapeClass(Enum):
-    SPHERE = "sphere"
-    OBLATE = "oblate"
-    PROLATE = "prolate"
-    TRIAXIAL = "triaxial"
+_NEEDLE_YZ = 2.0 ** -500
+_TINY_M = 2.0 ** -600
 
 
 class EccentricityPair(NamedTuple):
@@ -41,26 +35,6 @@ def _check_axes(*axes: float) -> None:
     for v in axes:
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError(f"semi-axis {v!r} must be positive and finite")
-
-
-def classify(a: float, b: float, c: float, rel_tol: float = 1e-9) -> ShapeClass:
-    """Classify an axis triple by its pairwise relative gaps.
-
-    Axes may arrive in any order.  Two axes coincide when their relative
-    gap is at most rel_tol; coincidence of the two largest gives OBLATE, of
-    the two smallest PROLATE, of all three SPHERE.
-    """
-    _check_axes(a, b, c)
-    if not (0.0 < rel_tol <= 1e-3):
-        raise DomainError("rel_tol must lie in (0, 1e-3]")
-    s0, s1, s2 = sorted((a, b, c), reverse=True)
-    if (s0 - s2) / s0 <= rel_tol:
-        return ShapeClass.SPHERE
-    if (s0 - s1) / s0 <= rel_tol:
-        return ShapeClass.OBLATE
-    if (s1 - s2) / s1 <= rel_tol:
-        return ShapeClass.PROLATE
-    return ShapeClass.TRIAXIAL
 
 
 def eccentricities(a: float, b: float, c: float) -> EccentricityPair:
@@ -90,42 +64,53 @@ def barred_params(a: float, b: float, c: float) -> BarredPair:
 
 
 def oblate_area(r: float, c: float) -> float:
-    """Oblate spheroid a = b = r > c, via the elementary log form; the log term
-    uses (r + root)(r - root) = c^2, as r - root rounds to zero when c << r."""
+    """Oblate spheroid a = b = r > c, via the elementary log form in the
+    ratio t = c/r: S = 2 pi r^2 [1 + t^2/sqrt(1-t^2) log((1 + sqrt(1-t^2))/t)].
+    The log is taken as log1p(root) - log(t), two terms that add, so a tiny t
+    neither divides by zero nor overflows the quotient."""
     _check_axes(r, c)
     if not r > c:
         raise DomainError("oblate_area needs r > c")
-    root = math.sqrt((r - c) * (r + c))
-    return TWO_PI * r * r + TWO_PI * r * c * c / root * math.log((r + root) / c)
+    t = c / r
+    root = math.sqrt((r - c) / r * (1.0 + t))
+    return TWO_PI * r * (r * (1.0 + t * t / root * (math.log1p(root) - math.log(t))))
 
 
 def prolate_area(c: float, r: float) -> float:
-    """Prolate spheroid c > a = b = r, via the elementary arcsin form.
-    arcsin(root/c) is evaluated as atan2(root, r), equal since root^2 + r^2 =
-    c^2, because arcsin is ill-conditioned as root/c -> 1."""
+    """Prolate spheroid c > a = b = r, via the elementary arcsin form in the
+    ratio t = r/c: S = 2 pi c^2 [t^2 + t arcsin(root)/root], root = sqrt(1-t^2).
+    arcsin(root) is evaluated as atan2(root, t), because arcsin is
+    ill-conditioned as root -> 1."""
     _check_axes(c, r)
     if not c > r:
         raise DomainError("prolate_area needs c > r")
-    root = math.sqrt((c - r) * (c + r))
-    return TWO_PI * r * r + TWO_PI * r * c * c / root * math.atan2(root, r)
+    t = r / c
+    root = math.sqrt((c - r) / c * (1.0 + t))
+    return TWO_PI * c * (c * (t * t + t * math.atan2(root, t) / root))
 
 
 def triaxial_area(a: float, b: float, c: float) -> float:
     """Descending-axes closed form.
 
     S = 2 pi c^2 + 2 pi b / sqrt(a^2-c^2) * [(a^2-c^2) E(phi,k) + c^2 F(phi,k)]
-    with phi = arcsin e1 and k = e2/e1.  F and E come from one fused Carlson
-    loop at sin phi = e1, cos^2 phi = (c/a)^2 and
-    k'^2 = c^2 (a^2-b^2) / (b^2 (a^2-c^2)), with no arcsin: then
+    with phi = arcsin e1 and k = e2/e1, written in the ratios y = b/a and
+    z = c/a as S = 2 pi a^2 [z^2 + y (e1 E + z^2 F / e1)], so no square of an
+    axis is formed.  F and E come from one fused Carlson loop at sin phi = e1,
+    cos^2 phi = z^2 and k'^2 = (c/b)^2 (1 - y^2) / e1^2, with no arcsin: then
     1 - k^2 sin^2 phi = (c/b)^2 stays positive even for thin discs c << b.
+    Below c/b of about 1e-162 both cos^2 phi and k'^2 underflow to zero, the
+    (pi/2, 1) corner of F, and the loop raises DomainError; surface_area has
+    no such limit.
     """
     _check_axes(a, b, c)
     if not (a >= b >= c) or not a > c:
         raise DomainError("triaxial_area needs a >= b >= c with a > c")
-    d_ac = (a - c) * (a + c)
-    root = math.sqrt(d_ac)
-    f, e = _fe_sc(root / a, (c / a) ** 2, c * c * (a - b) * (a + b) / (b * b * d_ac))
-    return TWO_PI * c * c + TWO_PI * b / root * (d_ac * e + c * c * f)
+    y, z = b / a, c / a
+    e1_sq = (a - c) / a * (1.0 + z)
+    e1 = math.sqrt(e1_sq)
+    z_sq = z * z
+    f, e = _fe_sc(e1, z_sq, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
+    return TWO_PI * a * (a * (z_sq + y * (e1 * e + z_sq * f / e1)))
 
 
 def surface_area_ascending(a: float, b: float, c: float) -> float:
@@ -167,35 +152,35 @@ def surface_area_legendre(a: float, b: float, c: float) -> float:
             * ((c * c / (a * a)) * fe + (d_ac / (a * a)) * ee))
 
 
+def _g(x: float, m: float, z: float) -> float:
+    """2 R_G(x, m, z) for 0 <= x <= m <= z, from one fused Carlson loop.
+
+    DLMF 19.21.10 pivoted on the middle argument m,
+    2 R_G = m R_F + (m - x)(z - m) R_D(x, z, m) / 3 + sqrt(x z / m),
+    so that all three terms add.  Below _TINY_M, 2 R_G = sqrt(z) to within
+    a relative m log(z/m) / z, the value of 2 R_G(0, 0, z).
+    """
+    if m < _TINY_M:
+        return math.sqrt(z)
+    rf, rd = _rf_rd(x, z, m)
+    return m * rf + (m - x) * (z - m) * rd / 3.0 + math.sqrt(x / m * z)
+
+
 def surface_area(a: float, b: float, c: float) -> float:
     """Surface area for any positive axis triple, in any order.
 
-    Sorts the axes, classifies the shape, and dispatches:
-    sphere -> 4 pi r^2 (r the mean axis), oblate/prolate -> elementary
-    spheroid forms, triaxial -> the descending-axes elliptic form.  Sorting
+    S = 4 pi abc R_G(a^-2, b^-2, c^-2) (DLMF 19.33.1) for every shape.  With
+    the axes sorted s0 >= s1 >= s2 and the ratios y = s1/s0, z = s2/s0,
+    homogeneity gives S = 4 pi s0^2 R_G(y^2 z^2, z^2, y^2): every argument
+    lies in (0, 1], so only the final product can overflow (to inf) or
+    underflow.  Below y z = 2^-500 the smallest argument is dropped, for
+    needles and discs whose y^2 z^2 would underflow:
+    S = 4 pi s0 s1 R_G(0, (s2/s1)^2, 1), off by a relative O(y z).  Sorting
     first makes the result exactly permutation invariant.
     """
     _check_axes(a, b, c)
     s0, s1, s2 = sorted((a, b, c), reverse=True)
-    # Outside [2^-200, 2^200] the squares and products of the axes would
-    # overflow or underflow, so the axes are scaled by 2^-e into [0.5, 1) and
-    # the area back by 2^2e = 4 (2^(e-1))^2.  Powers of two scale exactly; the
-    # multiplications give inf, not OverflowError, for an area above the float
-    # range.  Inside the range scaling would change no bit but slows
-    # closed_forms by 6%, so there scale stays 1/2 and 4 scale^2 = 1.
-    scale = 0.5
-    if not _SCALE_LO <= s0 <= _SCALE_HI:
-        e = math.frexp(s0)[1]
-        s0, s1, s2 = math.ldexp(s0, -e), math.ldexp(s1, -e), math.ldexp(s2, -e)
-        scale = math.ldexp(1.0, e - 1)
-    shape = classify(s0, s1, s2)
-    if shape is ShapeClass.SPHERE:
-        r = (s0 + s1 + s2) / 3.0
-        area = 4.0 * math.pi * r * r
-    elif shape is ShapeClass.OBLATE:
-        area = oblate_area(0.5 * (s0 + s1), s2)
-    elif shape is ShapeClass.PROLATE:
-        area = prolate_area(s0, 0.5 * (s1 + s2))
-    else:
-        area = triaxial_area(s0, s1, s2)
-    return 4.0 * area * scale * scale
+    y, z = s1 / s0, s2 / s0
+    if y * z < _NEEDLE_YZ:
+        return TWO_PI * s0 * (s1 * _g(0.0, (s2 / s1) ** 2, 1.0))
+    return TWO_PI * s0 * (s0 * _g((y * z) ** 2, z * z, y * y))

@@ -3,7 +3,7 @@
 Four suites, each producing uniform records (id, params, closed, oracle,
 abs_err, rel_err, pass):
 
-  geometry    dispatch surface area vs 2D quadrature, permutation and
+  geometry    R_G surface area vs 2D quadrature, permutation and
               scaling invariance, spheroid-limit continuity, and four
               independent single-integral routes to the same area
   integrals   the full identity registry, closed form vs adaptive
@@ -198,7 +198,7 @@ _ROUTES = (
 
 
 def route_records(n: int) -> list:
-    """Each single-integral route vs the dispatch area, n triples per route."""
+    """Each single-integral route vs the R_G area, n triples per route."""
     rng = random.Random(_ROUTE_SEED)
     out = []
     for ident, fn, descending in _ROUTES:

@@ -1,4 +1,4 @@
-"""Tests for ellipsoid classification, parametrizations, and area forms.
+"""Tests for ellipsoid parametrizations and area forms.
 
 Frozen area values come from 30-digit evaluation of the defining surface
 integral; the closed forms are additionally cross-checked against the
@@ -16,9 +16,7 @@ from ellint import (
     BarredPair,
     DomainError,
     EccentricityPair,
-    ShapeClass,
     barred_params,
-    classify,
     eccentricities,
     oblate_area,
     prolate_area,
@@ -77,26 +75,6 @@ def test_spheroid_edge_of_parametrizations():
     assert f.f2 == 0.0 and f.f1 == pytest.approx(SQ3, rel=1e-15)
 
 
-def test_classify():
-    assert classify(1.0, 1.0, 1.0) is ShapeClass.SPHERE
-    assert classify(2.0, 1.5, 1.0) is ShapeClass.TRIAXIAL
-    assert classify(2.0, 2.0, 1.0) is ShapeClass.OBLATE
-    assert classify(1.0, 2.0, 2.0) is ShapeClass.OBLATE
-    assert classify(1.0, 1.0, 2.0) is ShapeClass.PROLATE
-    assert classify(2.0, 1.0, 1.0) is ShapeClass.PROLATE
-    # tolerance window: a 1e-12 gap is a sphere at the default rel_tol
-    assert classify(1.0, 1.0 + 1e-12, 1.0) is ShapeClass.SPHERE
-    assert classify(1.0, 1.0 + 1e-12, 1.0, rel_tol=1e-13) is not ShapeClass.SPHERE
-
-
-def test_classify_rel_tol_domain():
-    for tol in (0.0, -1e-9, 1e-2, math.nan):
-        with pytest.raises(DomainError):
-            classify(1.0, 1.0, 1.0, rel_tol=tol)
-    with pytest.raises(DomainError):
-        classify(0.0, 1.0, 1.0)
-
-
 @pytest.mark.parametrize("axes,expected", FROZEN_AREAS)
 def test_frozen_areas(axes, expected):
     assert surface_area(*axes) == pytest.approx(expected, rel=5e-14)
@@ -125,14 +103,8 @@ def test_prolate_elementary_form():
         prolate_area(1.0, 2.0)
 
 
-def test_dispatch_routes_to_spheroid_forms():
-    assert surface_area(2.0, 2.0, 1.0) == oblate_area(2.0, 1.0)
-    assert surface_area(1.0, 1.0, 2.0) == prolate_area(2.0, 1.0)
-    assert surface_area(1.0, 1.0, 1.0) == pytest.approx(4.0 * math.pi, rel=1e-15)
-
-
 def test_permutation_exactness():
-    # dispatch sorts, so all six orderings give bitwise identical areas
+    # surface_area sorts, so all six orderings give bitwise identical areas
     rng = random.Random(31415)
     for _ in range(100):
         axes = [rng.uniform(0.1, 10.0) for _ in range(3)]
@@ -185,10 +157,12 @@ def _strict_grid():
 
 
 def test_legendre_form_agreement():
-    # first-kind-only representation vs the direct two-kind form
+    # first-kind-only representation vs the direct two-kind form, and the
+    # two-kind form vs the R_G area
     for a, b, c in _strict_grid():
-        assert surface_area_legendre(a, b, c) == pytest.approx(
-            triaxial_area(a, b, c), rel=1e-12)
+        tri = triaxial_area(a, b, c)
+        assert surface_area_legendre(a, b, c) == pytest.approx(tri, rel=1e-12)
+        assert tri == pytest.approx(surface_area(a, b, c), rel=1e-12)
 
 
 def test_legendre_form_requires_strict_ordering():

@@ -3,7 +3,8 @@
 Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
-spheroids, and non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
+spheroids, axis triples over the whole float range, and non-finite or
+overflowing Carlson arguments.  Skipped when mpmath is not installed.
 """
 
 import math
@@ -24,6 +25,7 @@ from ellint import (
     oblate_area,
     prolate_area,
     surface_area,
+    triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
 
@@ -33,6 +35,12 @@ mp.mp.dps = 40
 
 def _rel(got: float, ref) -> float:
     return float(abs(got - ref) / abs(ref))
+
+
+def _area_ref(a: float, b: float, c: float):
+    # 4 pi abc R_G(a^-2, b^-2, c^-2), DLMF 19.33.1
+    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
+    return 4 * mp.pi * mp.mpf(a) * b * c * mp.elliprg(*inv2)
 
 
 def _carlson_grid() -> list:
@@ -74,18 +82,15 @@ def test_near_corner_first_and_third_kind():
 
 def test_thin_disc_area():
     # asin(e1) rounded to pi/2 with k = 1 and raised DivergenceError
-    a, b, c = 5.0, 4.0, 1e-9
-    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
-    ref = 4 * mp.pi * a * b * c * mp.elliprg(*inv2)
-    assert _rel(surface_area(a, b, c), ref) <= 1e-13
+    assert _rel(surface_area(5.0, 4.0, 1e-9), _area_ref(5.0, 4.0, 1e-9)) <= 1e-13
 
 
 @pytest.mark.parametrize("r,c", [(1.0, 1e-9), (1.0, 1e-5), (1e150, 1.0), (1.0, 1e-300)])
 def test_flat_oblate_area(r, c):
     # r - sqrt(r^2 - c^2) rounded to zero and raised ZeroDivisionError
-    ref = 4 * mp.pi * r * r * c * mp.elliprg(mp.mpf(r) ** -2, mp.mpf(r) ** -2, mp.mpf(c) ** -2)
+    ref = _area_ref(r, r, c)
     assert _rel(oblate_area(r, c), ref) <= 5e-16
-    assert surface_area(r, r, c) == oblate_area(r, c)
+    assert _rel(surface_area(r, r, c), ref) <= 5e-16
 
 
 def _long_prolates() -> list:
@@ -102,10 +107,9 @@ def _long_prolates() -> list:
 def test_long_prolate_area(c, r):
     # asin(root / c) was ill-conditioned as root / c -> 1: (889051.28,
     # 0.01053, 0.01053) was off by 1.9e-9 and the sweep by up to 1.1e-8
-    inv2 = [mp.mpf(v) ** -2 for v in (r, r, c)]
-    ref = 4 * mp.pi * r * r * c * mp.elliprg(*inv2)
+    ref = _area_ref(c, r, r)
     assert _rel(prolate_area(c, r), ref) <= 1e-15
-    assert surface_area(c, r, r) == prolate_area(c, r)
+    assert _rel(surface_area(c, r, r), ref) <= 1e-15
 
 
 @pytest.mark.parametrize("fn", [carlson_rf, carlson_rd, _rf_rd])
@@ -129,20 +133,56 @@ def test_overflowing_sum_is_rescaled(x, y, z):
 
 @pytest.mark.parametrize("a,b,c", [(1e-150, 1e-150, 3e-151), (1e-150, 3e-151, 3e-151),
                                    (1e154, 1e153, 1e153), (1e150, 1e149, 1e148),
-                                   (3e-150, 2e-150, 1e-150)])
+                                   (3e-150, 2e-150, 1e-150),
+                                   (1.0, 0.5, 1e-170), (1.0, 1e-160, 1e-161),
+                                   (1.0, 1.0, 1e-300), (1e200, 1e-200, 1e-200)])
 def test_extreme_scale_area(a, b, c):
     # squares of the axes overflowed or underflowed: the first three returned
-    # 6.28e-300, 5.65e-301 and inf, the last two raised DomainError and
-    # ZeroDivisionError
-    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
-    ref = 4 * mp.pi * a * b * c * mp.elliprg(*inv2)
-    assert _rel(surface_area(a, b, c), ref) <= 1e-15
+    # 6.28e-300, 5.65e-301 and inf, the next two raised DomainError and
+    # ZeroDivisionError; in the last four squared axis ratios underflow, and
+    # (1, 0.5, 1e-170) raised DomainError and (1, 1e-160, 1e-161) was off by
+    # 1.6e-4
+    assert _rel(surface_area(a, b, c), _area_ref(a, b, c)) <= 1e-15
 
 
 def test_area_beyond_float_range_is_inf():
     a, b, c = 1e154, 1e154, 1e153
-    inv2 = [mp.mpf(v) ** -2 for v in (a, b, c)]
-    assert 4 * mp.pi * a * b * c * mp.elliprg(*inv2) > sys.float_info.max
+    assert _area_ref(a, b, c) > sys.float_info.max
     assert surface_area(a, b, c) == math.inf
-    # subnormal axes scale up exactly; their area underflows to zero
+    # the area of subnormal axes underflows to zero
     assert surface_area(5e-324, 5e-324, 5e-324) == 0.0
+
+
+def _area_close(got: float, ref) -> bool:
+    # a normal area within 1e-15, an area above the float range inf, and a
+    # subnormal one within two units of the smallest subnormal, 2^-1074
+    if ref > sys.float_info.max:
+        return got == math.inf
+    if ref < sys.float_info.min:
+        return abs(got - ref) <= 2.0 ** -1073
+    return _rel(got, ref) <= 1e-15
+
+
+def test_area_over_the_float_range():
+    rng = random.Random(19331)
+    for _ in range(300):
+        axes = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3)]
+        assert _area_close(surface_area(*axes), _area_ref(*axes)), axes
+
+
+@pytest.mark.parametrize("fn,args,axes", [
+    (oblate_area, (1e-170, 3e-171), (1e-170, 1e-170, 3e-171)),
+    (prolate_area, (1e-170, 3e-171), (1e-170, 3e-171, 3e-171)),
+    (triaxial_area, (1e150, 1e149, 1e148), (1e150, 1e149, 1e148)),
+    (triaxial_area, (3e-150, 2e-150, 1e-150), (3e-150, 2e-150, 1e-150))])
+def test_spheroid_and_triaxial_forms_at_extreme_scales(fn, args, axes):
+    # squares of the axes overflowed or underflowed: the spheroids and the
+    # last triple raised ZeroDivisionError, the third DomainError; the
+    # spheroid areas lie below the subnormal range
+    assert _area_close(fn(*args), _area_ref(*axes))
+
+
+def test_triaxial_form_domain_ends_at_the_corner():
+    # at c/b = 1e-170 cos^2 phi and k'^2 both underflow: F's (pi/2, 1) corner
+    with pytest.raises(DomainError):
+        triaxial_area(1.0, 0.5, 1e-170)
