@@ -17,13 +17,12 @@ from ._version import __version__
 from .errors import DomainError, NonConvergenceError
 from .geometry import (surface_area, surface_area_ascending,
                        surface_area_legendre)
-from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, IdentityId,
-                         check, closed_value, make_record, oracle_value)
+from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB,
+                         IdentityId, check, closed_value, make_record, oracle_value)
 from .quadrature import surface_area_quadrature
-from .series import MAX_TERMS_DEFAULT, SERIES_TERM_TOL, sigma1_sum, sigma2_sum
+from .series import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
 from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
-                     Report, report_json, run_suite, sigma1_reference,
-                     sigma2_reference, write_report)
+                     Report, _sigma_sums, report_json, run_suite, write_report)
 
 _PARAM_FLAGS = tuple(sorted({f for entry in REGISTRY.values() for f in entry.flags}))
 
@@ -170,12 +169,9 @@ def _run_integral(args) -> int:
 
 
 def _run_series(args) -> int:
-    if args.ident == "SIGMA1":
-        res = sigma1_sum(args.e1, args.e2, args.tol, args.max_terms)
-        ref = sigma1_reference(args.e1, args.e2)
-    else:
-        res = sigma2_sum(args.e1, args.e2, args.tol, args.max_terms)
-        ref = sigma2_reference(args.e1, args.e2)
+    series_sum, closed = _sigma_sums()[args.ident]
+    res = series_sum(args.e1, args.e2, args.tol, args.max_terms)
+    ref = closed(EpsAB(1.0, args.e2, args.e1))
     rec = make_record(args.ident, {"e1": args.e1, "e2": args.e2},
                       res.value, ref, SERIES_SUM_TOL)
     if args.json:

@@ -244,34 +244,30 @@ def complete_d(k: float) -> float:
 
 
 def complementary_amplitude(phi1: float, kprime: float, upper_branch: bool = False) -> float:
-    """Conjugate amplitude phi2 for modulus kprime.
+    """Conjugate amplitude phi2 of phi1; kprime is the modulus of F and E.
 
-    Principal branch (default): cos phi2 = sin phi1 * sqrt((1 - kprime^2
-    sin^2 phi1)(1 - kprime^2)) / (1 - kprime^2 sin^2 phi1), phi2 in
-    [0, pi/2].  On this branch F(phi1) + F(phi2) = K and E(phi1) + E(phi2)
-    = E + kprime^2 sin phi1 sin phi2 (all at modulus kprime).  The
-    upper branch reflects to pi - phi2.
+    Principal branch (default): tan phi1 tan phi2 = 1/sqrt(1 - kprime^2),
+    phi2 in [0, pi/2], as an atan2, which stays accurate as phi2 -> 0.  Then
+    F(phi1) + F(phi2) = K and E(phi1) + E(phi2) = E + kprime^2 sin phi1
+    sin phi2.  The upper branch reflects to pi - phi2.
     """
     _check_amplitude(phi1)
     if not (0.0 < kprime < 1.0):
         raise DomainError("complementary_amplitude needs 0 < kprime < 1")
-    s1 = math.sin(phi1)
-    denom = 1.0 - (kprime * s1) ** 2
-    arg = s1 * math.sqrt(denom * (1.0 - kprime * kprime)) / denom
-    phi2 = math.acos(min(1.0, max(-1.0, arg)))
+    kc = math.sqrt((1.0 - kprime) * (1.0 + kprime))
+    phi2 = math.atan2(math.cos(phi1), kc * math.sin(phi1))
     if upper_branch:
         return math.pi - phi2
     return phi2
 
 
 def conjugate_delta(theta: float, k: float) -> float:
-    """delta with cot(delta) = k' tan(theta), so F(theta,k) + F(delta,k) = K(k)."""
+    """Principal complementary_amplitude on 0 < theta < pi/2: cot(delta) = k' tan(theta)."""
     if not (0.0 < theta < HALF_PI):
         raise DomainError("conjugate_delta needs 0 < theta < pi/2")
     if not (0.0 < k < 1.0):
         raise DomainError("conjugate_delta needs 0 < k < 1")
-    kp = math.sqrt(1.0 - k * k)
-    return math.atan2(math.cos(theta), kp * math.sin(theta))
+    return complementary_amplitude(theta, k)
 
 
 def imaginary_modulus_reduce(phi: float, k: float) -> tuple:

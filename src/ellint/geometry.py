@@ -4,10 +4,12 @@ surface_area evaluates Carlson's symmetric form S = 4 pi abc R_G(a^-2, b^-2,
 c^-2) (DLMF 19.33.1; Carlson 1995) for every shape and axis order, from one
 fused R_F/R_D loop on the ratios of the axes to the largest.  The paper's
 closed forms stay as independent cross-checks: the descending-axes form in
-the eccentricities (e1, e2), Legendre's form, the ascending-axes form in
-the barred parameters (f1, f2), and the elementary log/arcsin spheroid
-forms.  Axis differences are formed from the axes (x - y), never from
-rounded ratios, which stays exact for nearly equal axes.
+the eccentricities (e1, e2) and the elementary log/arcsin spheroid forms.
+Legendre's form and the ascending-axes form in the barred parameters
+(f1, f2) are the descending form itself, the latter with a and c
+interchanged, so both evaluate triaxial_area.  Axis differences are formed
+from the axes (x - y), never from rounded ratios, which stays exact for
+nearly equal axes.
 """
 
 import math
@@ -118,19 +120,14 @@ def surface_area_ascending(a: float, b: float, c: float) -> float:
 
     S = 2 pi a^2 { 1 + sqrt((1+f1^2)/(1+f2^2)) [ F(phib,kb)/f1
         + f1 E(phib,kb) ] } with phib = arctan f1, kb = sqrt(1 - f2^2/f1^2).
-    Requires strictly ascending axes a < b < c.
+    Requires strictly ascending axes a < b < c.  This is the descending form
+    with a and c interchanged: sin phib = e1 and kb = e2/e1 of (c, b, a), and
+    sqrt((1+f1^2)/(1+f2^2)) = b/a, so it is evaluated as triaxial_area(c, b, a).
     """
     _check_axes(a, b, c)
     if not (a < b < c):
         raise DomainError("surface_area_ascending needs strictly ascending a < b < c")
-    f1, f2 = barred_params(a, b, c)
-    d_ca = (c - a) * (c + a)
-    # sin phib = sqrt(c^2-a^2)/c, cos^2 phib = (a/c)^2 and
-    # kb'^2 = a^2 (c^2-b^2) / (b^2 (c^2-a^2)) via exact axis differences
-    fe, ee = _fe_sc(math.sqrt(d_ca) / c, (a / c) ** 2,
-                    a * a * (c - b) * (c + b) / (b * b * d_ca))
-    pref = math.sqrt((1.0 + f1 * f1) / (1.0 + f2 * f2))
-    return TWO_PI * a * a * (1.0 + pref * (fe / f1 + f1 * ee))
+    return triaxial_area(c, b, a)
 
 
 def surface_area_legendre(a: float, b: float, c: float) -> float:
@@ -139,17 +136,13 @@ def surface_area_legendre(a: float, b: float, c: float) -> float:
     S = 2 pi c^2 + (2 pi a b / sin nu) [ (c^2/a^2) F(nu, b') +
         ((a^2-c^2)/a^2) E(nu, b') ] with cos nu = c/a and
     b'^2 = (b^2-c^2)/(b^2 sin^2 nu).  Requires strictly descending axes.
+    Term by term this is triaxial_area's expression, as sin nu = e1 and
+    b' = e2/e1, so it is evaluated as triaxial_area(a, b, c).
     """
     _check_axes(a, b, c)
     if not (a > b > c):
         raise DomainError("surface_area_legendre needs strictly descending a > b > c")
-    d_ac = (a - c) * (a + c)
-    sin_nu = math.sqrt(d_ac) / a
-    # 1 - b'^2 = c^2 (a^2-b^2) / (b^2 (a^2-c^2))
-    fe, ee = _fe_sc(sin_nu, (c / a) ** 2, c * c * (a - b) * (a + b) / (b * b * d_ac))
-    return (TWO_PI * c * c
-            + TWO_PI * a * b / sin_nu
-            * ((c * c / (a * a)) * fe + (d_ac / (a * a)) * ee))
+    return triaxial_area(a, b, c)
 
 
 def _g(x: float, m: float, z: float) -> float:

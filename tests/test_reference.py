@@ -3,8 +3,8 @@
 Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
-spheroids, axis triples over the whole float range, and non-finite or
-overflowing Carlson arguments.  Skipped when mpmath is not installed.
+spheroids, axis triples over the whole float range, conjugate amplitudes near
+zero, and non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
 """
 
 import math
@@ -17,6 +17,7 @@ from ellint import (
     DomainError,
     carlson_rd,
     carlson_rf,
+    complementary_amplitude,
     complete_e,
     complete_k,
     incomplete_d,
@@ -25,6 +26,8 @@ from ellint import (
     oblate_area,
     prolate_area,
     surface_area,
+    surface_area_ascending,
+    surface_area_legendre,
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
@@ -186,3 +189,33 @@ def test_triaxial_form_domain_ends_at_the_corner():
     # at c/b = 1e-170 cos^2 phi and k'^2 both underflow: F's (pi/2, 1) corner
     with pytest.raises(DomainError):
         triaxial_area(1.0, 0.5, 1e-170)
+
+
+@pytest.mark.parametrize("a,b,c", [(1e150, 1e149, 1e148), (1e100, 1e99, 1e98),
+                                   (3e-150, 2e-150, 1e-150), (3e-110, 2e-110, 1e-110)])
+def test_paper_forms_at_extreme_scales(a, b, c):
+    # both forms squared the axes: the first two triples raised DomainError
+    # (nan), the last two ZeroDivisionError
+    ref = _area_ref(a, b, c)
+    assert _rel(surface_area_legendre(a, b, c), ref) <= 1e-15
+    assert _rel(surface_area_ascending(c, b, a), ref) <= 1e-15
+
+
+def test_paper_forms_are_the_triaxial_form():
+    rng = random.Random(1811)
+    for _ in range(200):
+        a, b, c = sorted((10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)), reverse=True)
+        assert surface_area_legendre(a, b, c) == triaxial_area(a, b, c)
+        assert surface_area_ascending(c, b, a) == triaxial_area(a, b, c)
+
+
+def test_complementary_amplitude_against_mpmath():
+    # tan phi1 tan phi2 = 1/sqrt(1 - k^2); through acos the principal branch
+    # lost accuracy as phi2 -> 0, i.e. phi1 -> pi/2
+    rng = random.Random(4243)
+    for i in range(400):
+        phi1 = HALF_PI - 10.0 ** rng.uniform(-9.0, 0.0) if i % 2 else rng.uniform(0.0, HALF_PI)
+        k = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0) if i % 3 == 0 else rng.uniform(1e-3, 0.999)
+        p, kk = mp.mpf(phi1), mp.mpf(k)
+        ref = mp.atan2(mp.cos(p), mp.sqrt(1 - kk * kk) * mp.sin(p))
+        assert _rel(complementary_amplitude(phi1, k), ref) <= 1e-14, (phi1, k)

@@ -23,15 +23,21 @@ from ellint import (
     sigma2_sum,
     theta_terms,
 )
-from ellint.verify import (
-    _fd_odd_derivative,
-    maclaurin_records,
-    sigma1_reference,
-    sigma2_reference,
-)
+from ellint.identities import EpsAB, log_f_closed, log_q2_closed
+from ellint.verify import _fd_odd_derivative, maclaurin_records
 
 PAIRS = [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.2), (0.3, 0.1),
          (0.7, 0.65), (0.85, 0.1), (0.2, 0.15), (0.5, 0.25), (0.95, 0.6)]
+
+
+def sigma1_reference(e1, e2):
+    """sigma1's closed value: the LOG_F integral with unit log argument."""
+    return log_f_closed(EpsAB(1.0, e2, e1))
+
+
+def sigma2_reference(e1, e2):
+    """sigma2's closed value: the LOG_Q2 integral with unit log argument."""
+    return log_q2_closed(EpsAB(1.0, e2, e1))
 
 
 def _sq(x):
