@@ -24,7 +24,7 @@ from .series import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
 from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
                      Report, _sigma_sums, report_json, run_suite, write_report)
 
-_PARAM_FLAGS = tuple(sorted({f for entry in REGISTRY.values() for f in entry.flags}))
+_PARAM_FLAGS = tuple(sorted({f for e in REGISTRY.values() for f in e.params_cls._fields}))
 
 
 def _fmt(x) -> str:
@@ -127,9 +127,9 @@ def _run_area(args) -> int:
 
 
 def _build_params(ident: IdentityId, args):
-    entry = REGISTRY[ident]
+    params_cls = REGISTRY[ident].params_cls
     given = {f for f in _PARAM_FLAGS if getattr(args, f) is not None}
-    needed = set(entry.flags)
+    needed = set(params_cls._fields)
     if given != needed:
         missing = sorted(needed - given)
         extra = sorted(given - needed)
@@ -139,9 +139,9 @@ def _build_params(ident: IdentityId, args):
         if extra:
             bits.append("unexpected " + " ".join(f"--{f}" for f in extra))
         raise DomainError(f"{ident.value} takes exactly "
-                          + " ".join(f"--{f}" for f in entry.flags)
+                          + " ".join(f"--{f}" for f in params_cls._fields)
                           + " (" + "; ".join(bits) + ")")
-    return entry.params_cls(**{f: getattr(args, f) for f in entry.flags})
+    return params_cls(**{f: getattr(args, f) for f in params_cls._fields})
 
 
 def _run_integral(args) -> int:
@@ -156,8 +156,7 @@ def _run_integral(args) -> int:
         rec = check(ident, params, args.tol)
     if args.json:
         if rec is None:
-            pdict = {f: getattr(args, f) for f in REGISTRY[ident].flags}
-            rec = make_record(ident.value, pdict, value, value, args.tol)
+            rec = make_record(ident.value, params._asdict(), value, value, args.tol)
         _print_report({"identity_rel": args.tol,
                        "near_zero_abs": NEAR_ZERO_ABS_TOL}, rec)
     elif rec is None:

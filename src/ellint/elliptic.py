@@ -243,26 +243,22 @@ def complete_d(k: float) -> float:
     return carlson_rd(0.0, (1.0 - k) * (1.0 + k), 1.0) / 3.0
 
 
-def complementary_amplitude(phi1: float, kprime: float, upper_branch: bool = False) -> float:
+def complementary_amplitude(phi1: float, kprime: float) -> float:
     """Conjugate amplitude phi2 of phi1; kprime is the modulus of F and E.
 
-    Principal branch (default): tan phi1 tan phi2 = 1/sqrt(1 - kprime^2),
-    phi2 in [0, pi/2], as an atan2, which stays accurate as phi2 -> 0.  Then
-    F(phi1) + F(phi2) = K and E(phi1) + E(phi2) = E + kprime^2 sin phi1
-    sin phi2.  The upper branch reflects to pi - phi2.
+    tan phi1 tan phi2 = 1/sqrt(1 - kprime^2), phi2 in [0, pi/2], as an
+    atan2, which stays accurate as phi2 -> 0.  Then F(phi1) + F(phi2) = K and
+    E(phi1) + E(phi2) = E + kprime^2 sin phi1 sin phi2.
     """
     _check_amplitude(phi1)
     if not (0.0 < kprime < 1.0):
         raise DomainError("complementary_amplitude needs 0 < kprime < 1")
     kc = math.sqrt((1.0 - kprime) * (1.0 + kprime))
-    phi2 = math.atan2(math.cos(phi1), kc * math.sin(phi1))
-    if upper_branch:
-        return math.pi - phi2
-    return phi2
+    return math.atan2(math.cos(phi1), kc * math.sin(phi1))
 
 
 def conjugate_delta(theta: float, k: float) -> float:
-    """Principal complementary_amplitude on 0 < theta < pi/2: cot(delta) = k' tan(theta)."""
+    """complementary_amplitude on the open 0 < theta < pi/2: cot(delta) = k' tan(theta)."""
     if not (0.0 < theta < HALF_PI):
         raise DomainError("conjugate_delta needs 0 < theta < pi/2")
     if not (0.0 < k < 1.0):

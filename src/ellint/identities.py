@@ -13,9 +13,9 @@ toward both ends and spend about ten times the evaluations.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .elliptic import (HALF_PI, _e_sc, _f_sc, _fe_sc, complete_d, complete_e,
                        complete_k, incomplete_d, incomplete_e, incomplete_f)
@@ -64,115 +64,40 @@ def arctanh_guarded(x: float) -> float:
 # parameter records
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
+def _params(name: str, fields: str, domain: str, holds: Callable) -> type:
+    """Named tuple class name(fields) that checks its domain: building one,
+    by position, keyword, _make or _replace, raises DomainError unless
+    holds(*values); domain is the same condition in words."""
+    base = namedtuple(name, fields)
+
+    def __new__(cls, *args, **kwargs):
+        self = base.__new__(cls, *args, **kwargs)
+        if not holds(*self):
+            raise DomainError(f"need {domain}, got {self!r}")
+        return self
+
+    return type(name, (base,), {"__slots__": (), "__module__": __name__, "__new__": __new__,
+                                "_make": classmethod(lambda cls, values: cls(*values))})
 
 
-@dataclass(frozen=True)
-class AlphaK:
-    alpha: float
-    k: float
-
-    def __post_init__(self):
-        _require(0.0 < self.alpha < 1.0, f"need 0 < alpha < 1, got {self.alpha!r}")
-        _require(0.0 < self.k < 1.0, f"need 0 < k < 1, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class AlphaZ:
-    alpha: float
-    z: float
-
-    def __post_init__(self):
-        _require(self.alpha > 0.0 and math.isfinite(self.alpha),
-                 f"need alpha > 0, got {self.alpha!r}")
-        _require(self.z > 0.0 and math.isfinite(self.z), f"need z > 0, got {self.z!r}")
-
-
-@dataclass(frozen=True)
-class AlphaKBar:
-    alpha: float
-    kbar: float
-
-    def __post_init__(self):
-        _require(0.0 < self.kbar < 1.0, f"need 0 < kbar < 1, got {self.kbar!r}")
-        _require(0.0 < self.alpha < self.kbar,
-                 f"need 0 < alpha < kbar, got alpha={self.alpha!r}, kbar={self.kbar!r}")
-
-
-@dataclass(frozen=True)
-class EpsAB:
-    eps: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.eps), f"need finite eps, got {self.eps!r}")
-        _require(0.0 < self.alpha < self.beta < self.eps,
-                 f"need 0 < alpha < beta < eps, got {self!r}")
-
-
-@dataclass(frozen=True)
-class NuK:
-    nu: float
-    k: float
-
-    def __post_init__(self):
-        _require(self.nu > 0.0 and math.isfinite(self.nu), f"need nu > 0, got {self.nu!r}")
-        _require(0.0 < self.k < 1.0, f"need 0 < k < 1, got {self.k!r}")
-        _require(math.tanh(self.nu) < self.k,
-                 f"need tanh(nu) < k, got nu={self.nu!r}, k={self.k!r}")
-
-
-@dataclass(frozen=True)
-class MuK:
-    mu: float
-    k: float
-
-    def __post_init__(self):
-        _require(self.mu > 0.0 and math.isfinite(self.mu), f"need mu > 0, got {self.mu!r}")
-        _require(0.0 < self.k < 1.0, f"need 0 < k < 1, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class PsiKBar:
-    psi: float
-    kbar: float
-
-    def __post_init__(self):
-        _require(0.0 < self.psi < HALF_PI, f"need 0 < psi < pi/2, got {self.psi!r}")
-        _require(0.0 < self.kbar < 1.0, f"need 0 < kbar < 1, got {self.kbar!r}")
-
-
-@dataclass(frozen=True)
-class XiKBar:
-    xi: float
-    kbar: float
-
-    def __post_init__(self):
-        _require(0.0 < self.xi < HALF_PI, f"need 0 < xi < pi/2, got {self.xi!r}")
-        _require(0.0 < self.kbar < 1.0, f"need 0 < kbar < 1, got {self.kbar!r}")
-
-
-@dataclass(frozen=True)
-class E1E2:
-    e1: float
-    e2: float
-
-    def __post_init__(self):
-        _require(0.0 < self.e2 < self.e1 < 1.0,
-                 f"need 0 < e2 < e1 < 1, got e1={self.e1!r}, e2={self.e2!r}")
-
-
-@dataclass(frozen=True)
-class FBar:
-    f1: float
-    f2: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.f1) and 0.0 < self.f2 < self.f1,
-                 f"need 0 < f2 < f1 < inf, got f1={self.f1!r}, f2={self.f2!r}")
+AlphaK = _params("AlphaK", "alpha k", "0 < alpha < 1 and 0 < k < 1",
+                 lambda alpha, k: 0.0 < alpha < 1.0 and 0.0 < k < 1.0)
+AlphaZ = _params("AlphaZ", "alpha z", "0 < alpha < inf and 0 < z < inf",
+                 lambda alpha, z: 0.0 < alpha < math.inf and 0.0 < z < math.inf)
+AlphaKBar = _params("AlphaKBar", "alpha kbar", "0 < alpha < kbar < 1",
+                    lambda alpha, kbar: 0.0 < alpha < kbar < 1.0)
+EpsAB = _params("EpsAB", "eps alpha beta", "0 < alpha < beta < eps < inf",
+                lambda eps, alpha, beta: 0.0 < alpha < beta < eps < math.inf)
+NuK = _params("NuK", "nu k", "0 < tanh(nu) < k < 1",
+              lambda nu, k: 0.0 < math.tanh(nu) < k < 1.0)
+MuK = _params("MuK", "mu k", "0 < mu < inf and 0 < k < 1",
+              lambda mu, k: 0.0 < mu < math.inf and 0.0 < k < 1.0)
+PsiKBar = _params("PsiKBar", "psi kbar", "0 < psi < pi/2 and 0 < kbar < 1",
+                  lambda psi, kbar: 0.0 < psi < HALF_PI and 0.0 < kbar < 1.0)
+XiKBar = _params("XiKBar", "xi kbar", "0 < xi < pi/2 and 0 < kbar < 1",
+                 lambda xi, kbar: 0.0 < xi < HALF_PI and 0.0 < kbar < 1.0)
+E1E2 = _params("E1E2", "e1 e2", "0 < e2 < e1 < 1", lambda e1, e2: 0.0 < e2 < e1 < 1.0)
+FBar = _params("FBar", "f1 f2", "0 < f2 < f1 < inf", lambda f1, f2: 0.0 < f2 < f1 < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +500,20 @@ def _sample_fbar(n):
 # registry
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     fn: Callable
     lo: float
     hi: float
     singularity: Singularity
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     params_cls: type
     closed: Callable
     bounds: Callable
     singularity: Singularity
     part: Callable
     sampler: Callable
-
-    @property
-    def flags(self) -> tuple:
-        """The parameter names, in the order of the parameter class fields."""
-        return tuple(f.name for f in fields(self.params_cls))
 
 
 def _quarter_period(p) -> tuple:
@@ -704,8 +622,7 @@ def grid_params(ident: IdentityId, n: int) -> list:
 # verification records
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     ident: str
     params: dict
     closed: float
@@ -735,4 +652,4 @@ def make_record(ident: str, params: dict, closed: float, oracle: float,
 def check(ident: IdentityId, params, tol: float = IDENTITY_TOL) -> VerificationRecord:
     closed = closed_value(ident, params)
     oracle = oracle_value(ident, params)
-    return make_record(ident.value, asdict(params), closed, oracle.value, tol)
+    return make_record(ident.value, params._asdict(), closed, oracle.value, tol)

@@ -15,7 +15,7 @@ q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
 import heapq
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError
 
@@ -50,8 +50,7 @@ _WG = (
 _GAUSS_IDX = (1, 3, 5, 7, 9, 11, 13)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

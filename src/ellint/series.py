@@ -13,7 +13,7 @@ and a two-sided termination test on the next term.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergenceError
 
@@ -22,16 +22,14 @@ SERIES_TERM_TOL = 1e-15     # relative size of the next term that stops a sum
 _ABS_TAIL = 1e-18
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(NamedTuple):
     kind: str  # "A" | "OMEGA" | "THETA" | "PSI"
     e1: float
     e2: float
     terms: tuple  # terms[m] is the coefficient of index 2m+1
 
 
-@dataclass(frozen=True)
-class SeriesSum:
+class SeriesSum(NamedTuple):
     value: float
     terms_used: int
     truncation_estimate: float
@@ -60,32 +58,33 @@ def _omega_next(s: float, p: float, n: int, w3: float, w1: float) -> float:
             / (2.0 * (n + 2) * (2 * n + 3)))
 
 
-def a_coefficients(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
-    """A_1 .. A_{2 m_max + 1}; A_1 = 1, A_3 = (e1^2 + e2^2)/6."""
+# kind -> (divisor d of the second coefficient, recurrence): X_1 = 1 and
+# X_3 = (e1^2 + e2^2)/d, the first two terms of the family
+_FAMILIES = {"A": (6.0, _a_next), "OMEGA": (2.0, _omega_next)}
+
+
+def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     _check_pair(e1, e2)
     _check_m_max(m_max)
+    divisor, next_fn = _FAMILIES[kind]
     s = e1 * e1 + e2 * e2
     p = (e1 * e2) ** 2
     terms = [1.0]
     if m_max >= 1:
-        terms.append(s / 6.0)
+        terms.append(s / divisor)
     for n in range(0, m_max - 1):
-        terms.append(_a_next(s, p, n, terms[n + 1], terms[n]))
-    return SeriesCoefficients("A", e1, e2, tuple(terms))
+        terms.append(next_fn(s, p, n, terms[n + 1], terms[n]))
+    return SeriesCoefficients(kind, e1, e2, tuple(terms))
+
+
+def a_coefficients(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
+    """A_1 .. A_{2 m_max + 1}; A_1 = 1, A_3 = (e1^2 + e2^2)/6."""
+    return _recurrence_terms("A", e1, e2, m_max)
 
 
 def omega_coefficients(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     """Omega_1 .. Omega_{2 m_max + 1}; Omega_1 = 1, Omega_3 = (e1^2 + e2^2)/2."""
-    _check_pair(e1, e2)
-    _check_m_max(m_max)
-    s = e1 * e1 + e2 * e2
-    p = (e1 * e2) ** 2
-    terms = [1.0]
-    if m_max >= 1:
-        terms.append(s / 2.0)
-    for n in range(0, m_max - 1):
-        terms.append(_omega_next(s, p, n, terms[n + 1], terms[n]))
-    return SeriesCoefficients("OMEGA", e1, e2, tuple(terms))
+    return _recurrence_terms("OMEGA", e1, e2, m_max)
 
 
 def theta_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
@@ -116,9 +115,9 @@ def psi_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     return SeriesCoefficients("PSI", e1, e2, tuple(terms))
 
 
-def _sum_recurrence(e1: float, e2: float, tol: float, max_terms: int, next_fn,
-                    second: float, include_first: bool):
-    """Kahan-compensated sum of a three-term recurrence family.
+def _sum_recurrence(kind: str, e1: float, e2: float, tol: float, max_terms: int,
+                    include_first: bool):
+    """Kahan-compensated sum of the recurrence family kind (see _FAMILIES).
 
     include_first controls whether the leading coefficient (always exactly
     1) enters the total; the q^2-weighted sum wants the tail only, and
@@ -133,11 +132,12 @@ def _sum_recurrence(e1: float, e2: float, tol: float, max_terms: int, next_fn,
         raise DomainError("tol must be positive")
     if max_terms < 2:
         raise DomainError("max_terms must be at least 2")
+    divisor, next_fn = _FAMILIES[kind]
     s = e1 * e1 + e2 * e2
     p = (e1 * e2) ** 2
     total = 1.0 if include_first else 0.0
     comp = 0.0
-    prev, cur = 1.0, second
+    prev, cur = 1.0, s / divisor
     n = 0  # cur = X_{2n+3}
     used = 1
     while True:
@@ -164,8 +164,7 @@ def _truncation(e1: float, last: float, omitted: float) -> float:
 def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
                max_terms: int = MAX_TERMS_DEFAULT) -> SeriesSum:
     """sigma1 = pi * sum A_{2m+1}; equals (pi/e1) F(arcsin e1, e2/e1)."""
-    total, used, last, omitted = _sum_recurrence(
-        e1, e2, tol, max_terms, _a_next, (e1 * e1 + e2 * e2) / 6.0, True)
+    total, used, last, omitted = _sum_recurrence("A", e1, e2, tol, max_terms, True)
     return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
 
 
@@ -175,10 +174,8 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
 
     Equals pi [1 - sqrt((1-e1^2)(1-e2^2))] + pi e1 [F - E](arcsin e1, e2/e1).
     """
-    total, used, last, omitted = _sum_recurrence(
-        e1, e2, tol, max_terms, _omega_next, (e1 * e1 + e2 * e2) / 2.0, False)
-    return SeriesSum(math.pi * total, used,
-                     math.pi * _truncation(e1, last, omitted))
+    total, used, last, omitted = _sum_recurrence("OMEGA", e1, e2, tol, max_terms, False)
+    return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
 
 
 def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:

@@ -25,8 +25,8 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from ._version import __version__
 from .elliptic import (HALF_PI, imaginary_argument_reduce,
@@ -424,8 +424,7 @@ def extension_records(grid: int) -> list:
 # report assembly and serialization
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     tolerances: dict
     grid: int | None  # None for a single CLI record

@@ -319,13 +319,26 @@ def test_env_budget_invalid_exit_two(monkeypatch, capsys):
     assert "ELLINT_MAX_EVALS" in err
 
 
-def test_console_entry_point_runs():
-    # the child imports ellint from where this process did, so the test also
+def _child_env() -> dict:
+    # the child imports ellint from where this process did, so a test also
     # runs from a checkout that relies on pytest's pythonpath setting
     path = [str(Path(ellint.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ellint.cli", "area", "--axes", "1,1,1"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12.5663706143592"
+
+
+def test_cli_import_skips_dataclasses():
+    # every record is a named tuple: dataclasses, and the inspect module it
+    # pulls in, would slow every cold start
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ellint.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -186,9 +186,6 @@ def test_complementary_amplitude_endpoints():
     for kp in (0.2, 0.5, 0.8):
         assert complementary_amplitude(0.0, kp) == HALF_PI
         assert complementary_amplitude(HALF_PI, kp) == pytest.approx(0.0, abs=1e-7)
-    phi2 = complementary_amplitude(0.6, 0.4)
-    assert complementary_amplitude(0.6, 0.4, upper_branch=True) == pytest.approx(
-        math.pi - phi2, rel=1e-15)
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(DomainError):
             complementary_amplitude(0.5, bad)

@@ -157,12 +157,12 @@ def _strict_grid():
 
 
 def test_legendre_form_agreement():
-    # first-kind-only representation vs the direct two-kind form, and the
-    # two-kind form vs the R_G area
+    # first-kind-only representation and the direct two-kind form, each vs
+    # the R_G area
     for a, b, c in _strict_grid():
-        tri = triaxial_area(a, b, c)
-        assert surface_area_legendre(a, b, c) == pytest.approx(tri, rel=1e-12)
-        assert tri == pytest.approx(surface_area(a, b, c), rel=1e-12)
+        area = surface_area(a, b, c)
+        assert surface_area_legendre(a, b, c) == pytest.approx(area, rel=1e-12)
+        assert triaxial_area(a, b, c) == pytest.approx(area, rel=1e-12)
 
 
 def test_legendre_form_requires_strict_ordering():

@@ -9,6 +9,7 @@ and the four single-integral routes to the ellipsoid area.
 """
 
 import math
+import pickle
 
 import pytest
 
@@ -141,9 +142,24 @@ def test_parameter_domain_rejection(ctor, args):
         ctor(*args)
 
 
+def test_parameter_records_are_validated_named_tuples():
+    for entry in REGISTRY.values():
+        p = entry.sampler(2)[0]
+        cls = entry.params_cls
+        assert isinstance(p, tuple) and p._fields == cls._fields
+        copy = pickle.loads(pickle.dumps(p))
+        assert type(copy) is cls and copy == p == cls(**p._asdict())
+        with pytest.raises(AttributeError):
+            setattr(p, cls._fields[0], 0.5)
+        for field in cls._fields:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    p._replace(**{field: bad})
+
+
 def test_cosh_kernel_guard():
     # tanh(nu) < k keeps the kernel positive; the guard is the defensive
-    # complement for raw inputs that bypass the dataclass validation
+    # complement for raw inputs that bypass the parameter-class validation
     with pytest.raises(KernelSingularityError):
         _check_cosh_kernel(0.9, 0.5)
     assert issubclass(KernelSingularityError, DomainError)
