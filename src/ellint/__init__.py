@@ -19,7 +19,7 @@ from .geometry import (BarredPair, EccentricityPair, barred_params,
                        surface_area_ascending, surface_area_legendre,
                        triaxial_area)
 from .identities import (IdentityId, Singularity, VerificationRecord, check,
-                         closed_value, grid_params, integrand, oracle_value)
+                         closed_value, grid_params, oracle_value)
 from .quadrature import (QuadratureResult, integrate, integrate_singular_pair,
                          surface_area_quadrature)
 from .series import (SeriesCoefficients, SeriesSum, a_coefficients,
@@ -42,7 +42,7 @@ __all__ = [
     "oblate_area", "prolate_area", "triaxial_area",
     "surface_area", "surface_area_ascending", "surface_area_legendre",
     "IdentityId", "Singularity", "VerificationRecord",
-    "closed_value", "oracle_value", "integrand", "grid_params", "check",
+    "closed_value", "oracle_value", "grid_params", "check",
     "QuadratureResult", "integrate", "integrate_singular_pair",
     "surface_area_quadrature",
     "SeriesCoefficients", "SeriesSum",

@@ -1,7 +1,7 @@
 """Catalog of definite integrals with elliptic closed forms.
 
 Each catalog entry pairs a left-hand-side integrand with its closed form and
-a deterministic domain sampler, so any entry can be checked against the
+a parameter class with a grid map, so any entry can be checked against the
 adaptive quadrature oracle.  Integrands over a finite (lo, hi) interval with
 the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are stored through their smooth part
 g(q) and integrated with the exact trig substitution; the remaining entries
@@ -61,13 +61,33 @@ def arctanh_guarded(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# parameter records
+# parameter records, each with its grid map: a point (u, v) of the unit box,
+# sampled with an absolute margin of 0.05, maps onto the domain; half-lines
+# map through u/(1-u)
 
 
-def _params(name: str, fields: str, domain: str, holds: Callable) -> type:
+def _lin(n: int, lo: float = 0.05, hi: float = 0.05 + 0.9) -> list:
+    """n evenly spaced points on [lo, hi], or its midpoint when n == 1.  The
+    default hi makes hi - lo exactly 0.9 in binary, which 0.95 - 0.05 is not."""
+    if n < 1:
+        raise DomainError("grid size must be >= 1")
+    if n == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _half_line(u: float) -> float:
+    return u / (1.0 - u)
+
+
+_EPS_CYCLE = (0.7, 1.0, 1.9, 3.7)
+
+
+def _params(name: str, fields: str, domain: str, holds: Callable, point: Callable) -> type:
     """Named tuple class name(fields) that checks its domain: building one,
     by position, keyword, _make or _replace, raises DomainError unless
-    holds(*values); domain is the same condition in words."""
+    holds(*values); domain is the same condition in words.  point(u, v, i)
+    gives the field values at the grid node (u, v) with flat index i."""
     base = namedtuple(name, fields)
 
     def __new__(cls, *args, **kwargs):
@@ -77,27 +97,44 @@ def _params(name: str, fields: str, domain: str, holds: Callable) -> type:
         return self
 
     return type(name, (base,), {"__slots__": (), "__module__": __name__, "__new__": __new__,
-                                "_make": classmethod(lambda cls, values: cls(*values))})
+                                "_make": classmethod(lambda cls, values: cls(*values)),
+                                "_point": staticmethod(point)})
+
+
+def _eps_ab_point(u: float, v: float, i: int) -> tuple:
+    # eps cycles through _EPS_CYCLE along the flat node index
+    eps = _EPS_CYCLE[i % len(_EPS_CYCLE)]
+    beta = eps * v
+    return eps, beta * u, beta
 
 
 AlphaK = _params("AlphaK", "alpha k", "0 < alpha < 1 and 0 < k < 1",
-                 lambda alpha, k: 0.0 < alpha < 1.0 and 0.0 < k < 1.0)
+                 lambda alpha, k: 0.0 < alpha < 1.0 and 0.0 < k < 1.0,
+                 lambda u, v, i: (u, v))
 AlphaZ = _params("AlphaZ", "alpha z", "0 < alpha < inf and 0 < z < inf",
-                 lambda alpha, z: 0.0 < alpha < math.inf and 0.0 < z < math.inf)
+                 lambda alpha, z: 0.0 < alpha < math.inf and 0.0 < z < math.inf,
+                 lambda u, v, i: (_half_line(u), _half_line(v)))
 AlphaKBar = _params("AlphaKBar", "alpha kbar", "0 < alpha < kbar < 1",
-                    lambda alpha, kbar: 0.0 < alpha < kbar < 1.0)
+                    lambda alpha, kbar: 0.0 < alpha < kbar < 1.0,
+                    lambda u, v, i: (u * v, u))
 EpsAB = _params("EpsAB", "eps alpha beta", "0 < alpha < beta < eps < inf",
-                lambda eps, alpha, beta: 0.0 < alpha < beta < eps < math.inf)
+                lambda eps, alpha, beta: 0.0 < alpha < beta < eps < math.inf, _eps_ab_point)
 NuK = _params("NuK", "nu k", "0 < tanh(nu) < k < 1",
-              lambda nu, k: 0.0 < math.tanh(nu) < k < 1.0)
+              lambda nu, k: 0.0 < math.tanh(nu) < k < 1.0,
+              lambda u, v, i: (math.atanh(u * v), u))
 MuK = _params("MuK", "mu k", "0 < mu < inf and 0 < k < 1",
-              lambda mu, k: 0.0 < mu < math.inf and 0.0 < k < 1.0)
+              lambda mu, k: 0.0 < mu < math.inf and 0.0 < k < 1.0,
+              lambda u, v, i: (_half_line(u), v))
 PsiKBar = _params("PsiKBar", "psi kbar", "0 < psi < pi/2 and 0 < kbar < 1",
-                  lambda psi, kbar: 0.0 < psi < HALF_PI and 0.0 < kbar < 1.0)
+                  lambda psi, kbar: 0.0 < psi < HALF_PI and 0.0 < kbar < 1.0,
+                  lambda u, v, i: (HALF_PI * u, v))
 XiKBar = _params("XiKBar", "xi kbar", "0 < xi < pi/2 and 0 < kbar < 1",
-                 lambda xi, kbar: 0.0 < xi < HALF_PI and 0.0 < kbar < 1.0)
-E1E2 = _params("E1E2", "e1 e2", "0 < e2 < e1 < 1", lambda e1, e2: 0.0 < e2 < e1 < 1.0)
-FBar = _params("FBar", "f1 f2", "0 < f2 < f1 < inf", lambda f1, f2: 0.0 < f2 < f1 < math.inf)
+                 lambda xi, kbar: 0.0 < xi < HALF_PI and 0.0 < kbar < 1.0,
+                 lambda u, v, i: (HALF_PI * u, v))
+E1E2 = _params("E1E2", "e1 e2", "0 < e2 < e1 < 1", lambda e1, e2: 0.0 < e2 < e1 < 1.0,
+               lambda u, v, i: (u, u * v))
+FBar = _params("FBar", "f1 f2", "0 < f2 < f1 < inf", lambda f1, f2: 0.0 < f2 < f1 < math.inf,
+               lambda u, v, i: (_half_line(u), _half_line(u) * v))
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +146,6 @@ def alpha_k_from_eccentricities(e1: float, e2: float) -> AlphaK:
     p = E1E2(e1, e2)
     alpha = math.sqrt((p.e1 * p.e1 - p.e2 * p.e2) / (1.0 - p.e2 * p.e2))
     return AlphaK(alpha, p.e2 / p.e1)
-
-
-def eccentricities_from_alpha_k(p: AlphaK) -> tuple:
-    """Inverse map: e1 = alpha/sqrt(k'^2 + k^2 alpha^2), e2 = k e1."""
-    s = math.sqrt(1.0 - p.k * p.k + (p.k * p.alpha) ** 2)
-    return (p.alpha / s, p.k * p.alpha / s)
 
 
 def alpha_kbar_from_barred(f1: float, f2: float) -> AlphaKBar:
@@ -429,82 +460,7 @@ def _atan_e_part(p: FBar) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# samplers: deterministic grids over the parameter domain, mapped to the
-# unit box with an absolute margin of 0.05; half-lines map through u/(1-u)
-
-
-def _lin(n: int, lo: float = 0.05, hi: float = 0.05 + 0.9) -> list:
-    """n evenly spaced points on [lo, hi], or its midpoint when n == 1.  The
-    default hi makes hi - lo exactly 0.9 in binary, which 0.95 - 0.05 is not."""
-    if n < 1:
-        raise DomainError("grid size must be >= 1")
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
-def _half_line(u: float) -> float:
-    return u / (1.0 - u)
-
-
-_EPS_CYCLE = (0.7, 1.0, 1.9, 3.7)
-
-
-def _sample_alpha_k(n):
-    return [AlphaK(a, k) for a in _lin(n) for k in _lin(n)]
-
-
-def _sample_alpha_kbar(n):
-    return [AlphaKBar(kb * v, kb) for kb in _lin(n) for v in _lin(n)]
-
-
-def _sample_alpha_z(n):
-    return [AlphaZ(_half_line(u), _half_line(v)) for u in _lin(n) for v in _lin(n)]
-
-
-def _sample_eps_ab(n):
-    out = []
-    for i, u in enumerate(_lin(n)):
-        for j, v in enumerate(_lin(n)):
-            eps = _EPS_CYCLE[(i * n + j) % len(_EPS_CYCLE)]
-            beta = eps * v
-            out.append(EpsAB(eps, beta * u, beta))
-    return out
-
-
-def _sample_e1e2(n):
-    return [E1E2(e1, e1 * v) for e1 in _lin(n) for v in _lin(n)]
-
-
-def _sample_nu_k(n):
-    return [NuK(math.atanh(k * w), k) for k in _lin(n) for w in _lin(n)]
-
-
-def _sample_mu_k(n):
-    return [MuK(_half_line(m), k) for m in _lin(n) for k in _lin(n)]
-
-
-def _sample_psi_kbar(n):
-    return [PsiKBar(HALF_PI * p, kb) for p in _lin(n) for kb in _lin(n)]
-
-
-def _sample_xi_kbar(n):
-    return [XiKBar(HALF_PI * x, kb) for x in _lin(n) for kb in _lin(n)]
-
-
-def _sample_fbar(n):
-    return [FBar(_half_line(u), _half_line(u) * v) for u in _lin(n) for v in _lin(n)]
-
-
-# ---------------------------------------------------------------------------
 # registry
-
-
-class IntegrandSpec(NamedTuple):
-    fn: Callable
-    lo: float
-    hi: float
-    singularity: Singularity
 
 
 class _Entry(NamedTuple):
@@ -513,7 +469,6 @@ class _Entry(NamedTuple):
     bounds: Callable
     singularity: Singularity
     part: Callable
-    sampler: Callable
 
 
 def _quarter_period(p) -> tuple:
@@ -521,57 +476,40 @@ def _quarter_period(p) -> tuple:
 
 
 REGISTRY = {
-    IdentityId.I1: _Entry(
-        AlphaK, i1_closed, lambda p: (0.0, p.alpha),
-        Singularity.INV_SQRT_BOTH, _i1_part, _sample_alpha_k),
-    IdentityId.I1_BARRED: _Entry(
-        AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha),
-        Singularity.INV_SQRT_BOTH, _i1_barred_part, _sample_alpha_kbar),
-    IdentityId.PR3_D: _Entry(
-        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha),
-        Singularity.INV_SQRT_BOTH, _pr3_d_part, _sample_alpha_z),
-    IdentityId.PR3_D_BARRED: _Entry(
-        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha),
-        Singularity.INV_SQRT_BOTH, _pr3_d_barred_part, _sample_alpha_kbar),
-    IdentityId.LOG_F: _Entry(
-        EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
-        Singularity.INV_SQRT_BOTH, _log_f_part, _sample_eps_ab),
-    IdentityId.LOG_Q2: _Entry(
-        EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),
-        Singularity.INV_SQRT_BOTH, _log_q2_part, _sample_eps_ab),
-    IdentityId.PSEUDO: _Entry(
-        E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
-        Singularity.INV_SQRT_BOTH, _pseudo_part, _sample_e1e2),
-    IdentityId.I3: _Entry(
-        NuK, i3_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, _e_sc), _sample_nu_k),
-    IdentityId.I4: _Entry(
-        MuK, i4_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, _e_sc), _sample_mu_k),
-    IdentityId.I5: _Entry(
-        MuK, i5_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_sinh_kernel, _f_sc), _sample_mu_k),
-    IdentityId.I6: _Entry(
-        NuK, i6_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_cosh_kernel, _f_sc), _sample_nu_k),
-    IdentityId.I2_BARRED: _Entry(
-        PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, _e_sc), _sample_psi_kbar),
-    IdentityId.I3_BARRED: _Entry(
-        PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_psi_kernel, _f_sc), _sample_psi_kbar),
-    IdentityId.GR_E_SIN: _Entry(
-        XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, _e_sc), _sample_xi_kbar),
-    IdentityId.GR_F_SIN: _Entry(
-        XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
-        _kernel_part(_xi_kernel, _f_sc), _sample_xi_kbar),
-    IdentityId.ATAN_F: _Entry(
-        FBar, atan_f_closed, lambda p: (p.f2, p.f1),
-        Singularity.INV_SQRT_BOTH, _atan_f_part, _sample_fbar),
-    IdentityId.ATAN_E: _Entry(
-        FBar, atan_e_closed, lambda p: (p.f2, p.f1),
-        Singularity.INV_SQRT_BOTH, _atan_e_part, _sample_fbar),
+    IdentityId.I1: _Entry(AlphaK, i1_closed, lambda p: (0.0, p.alpha),
+                          Singularity.INV_SQRT_BOTH, _i1_part),
+    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha),
+                                 Singularity.INV_SQRT_BOTH, _i1_barred_part),
+    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha),
+                             Singularity.INV_SQRT_BOTH, _pr3_d_part),
+    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha),
+                                    Singularity.INV_SQRT_BOTH, _pr3_d_barred_part),
+    IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
+                             Singularity.INV_SQRT_BOTH, _log_f_part),
+    IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),
+                              Singularity.INV_SQRT_BOTH, _log_q2_part),
+    IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
+                              Singularity.INV_SQRT_BOTH, _pseudo_part),
+    IdentityId.I3: _Entry(NuK, i3_closed, _quarter_period, Singularity.NONE,
+                          _kernel_part(_cosh_kernel, _e_sc)),
+    IdentityId.I4: _Entry(MuK, i4_closed, _quarter_period, Singularity.NONE,
+                          _kernel_part(_sinh_kernel, _e_sc)),
+    IdentityId.I5: _Entry(MuK, i5_closed, _quarter_period, Singularity.NONE,
+                          _kernel_part(_sinh_kernel, _f_sc)),
+    IdentityId.I6: _Entry(NuK, i6_closed, _quarter_period, Singularity.NONE,
+                          _kernel_part(_cosh_kernel, _f_sc)),
+    IdentityId.I2_BARRED: _Entry(PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
+                                 _kernel_part(_psi_kernel, _e_sc)),
+    IdentityId.I3_BARRED: _Entry(PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
+                                 _kernel_part(_psi_kernel, _f_sc)),
+    IdentityId.GR_E_SIN: _Entry(XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
+                                _kernel_part(_xi_kernel, _e_sc)),
+    IdentityId.GR_F_SIN: _Entry(XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
+                                _kernel_part(_xi_kernel, _f_sc)),
+    IdentityId.ATAN_F: _Entry(FBar, atan_f_closed, lambda p: (p.f2, p.f1),
+                              Singularity.INV_SQRT_BOTH, _atan_f_part),
+    IdentityId.ATAN_E: _Entry(FBar, atan_e_closed, lambda p: (p.f2, p.f1),
+                              Singularity.INV_SQRT_BOTH, _atan_e_part),
 }
 
 
@@ -587,22 +525,6 @@ def closed_value(ident: IdentityId, params) -> float:
     return _entry(ident, params).closed(params)
 
 
-def integrand(ident: IdentityId, params) -> IntegrandSpec:
-    """Raw left-hand-side integrand with bounds and singularity annotation."""
-    entry = _entry(ident, params)
-    lo, hi = entry.bounds(params)
-    part = entry.part(params)
-    if entry.singularity is Singularity.NONE:
-        return IntegrandSpec(part, lo, hi, entry.singularity)
-    lo2 = lo * lo
-    hi2 = hi * hi
-
-    def fn(q: float) -> float:
-        return part(q) / math.sqrt((hi2 - q * q) * (q * q - lo2))
-
-    return IntegrandSpec(fn, lo, hi, entry.singularity)
-
-
 def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
     """Evaluate the left-hand side by adaptive quadrature."""
     entry = _entry(ident, params)
@@ -614,8 +536,12 @@ def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> Quadratu
 
 
 def grid_params(ident: IdentityId, n: int) -> list:
-    """Deterministic n x n parameter grid covering the identity's domain."""
-    return REGISTRY[ident].sampler(n)
+    """Deterministic n x n parameter grid covering the identity's domain: the
+    parameter class's grid map at n x n nodes of [0.05, 0.95]^2, row by row."""
+    cls = REGISTRY[ident].params_cls
+    nodes = _lin(n)
+    return [cls(*cls._point(u, v, i))
+            for i, (u, v) in enumerate((u, v) for u in nodes for v in nodes)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Omega additionally splits termwise into Theta + Psi, where Theta collects
 the Cauchy product of the two binomial square-root series and Psi is the
 remainder; Psi_1 = Psi_3 = 0.  Sums use compensated (Kahan) accumulation
 and a two-sided termination test on the next term.
+
+The terms shrink like e1^(2m), so a sum takes about 25/(1 - e1^2) terms: at
+the default max_terms of 100,000 the sums converge up to e1 of about 0.9998
+(59,576 terms at e2 = 0.5) and raise NonConvergenceError above it.
 """
 
 import math
@@ -163,7 +167,11 @@ def _truncation(e1: float, last: float, omitted: float) -> float:
 
 def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
                max_terms: int = MAX_TERMS_DEFAULT) -> SeriesSum:
-    """sigma1 = pi * sum A_{2m+1}; equals (pi/e1) F(arcsin e1, e2/e1)."""
+    """sigma1 = pi * sum A_{2m+1}; equals (pi/e1) F(arcsin e1, e2/e1).
+
+    Converges within the default max_terms up to e1 of about 0.9998 and
+    raises NonConvergenceError above it.
+    """
     total, used, last, omitted = _sum_recurrence("A", e1, e2, tol, max_terms, True)
     return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
 
@@ -173,6 +181,8 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
     """sigma2 = pi * (sum Omega_{2m+1} - 1), summed without the leading 1.
 
     Equals pi [1 - sqrt((1-e1^2)(1-e2^2))] + pi e1 [F - E](arcsin e1, e2/e1).
+    Converges within the default max_terms up to e1 of about 0.9998 and
+    raises NonConvergenceError above it.
     """
     total, used, last, omitted = _sum_recurrence("OMEGA", e1, e2, tol, max_terms, False)
     return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))

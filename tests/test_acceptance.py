@@ -9,8 +9,6 @@ be loosened here.
 import math
 import time
 
-import pytest
-
 from ellint import (
     IdentityId,
     complete_e,

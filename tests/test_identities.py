@@ -2,12 +2,13 @@
 
 Every closed form is pinned against a frozen 30-digit reference and
 against live adaptive quadrature of its defining left-hand side.  The
-registry plumbing (parameter domains, integrand descriptors, grids,
-verification records) is exercised alongside the cross-identity algebra:
+registry plumbing (parameter domains, pinned grids, verification
+records) is exercised alongside the cross-identity algebra:
 alternate D-function forms, parameter round trips, kernel-swap relations,
 and the four single-integral routes to the ellipsoid area.
 """
 
+import hashlib
 import math
 import pickle
 
@@ -17,15 +18,11 @@ from ellint import (
     DomainError,
     IdentityId,
     KernelSingularityError,
-    Singularity,
     check,
     closed_value,
-    complete_e,
-    complete_k,
     grid_params,
     incomplete_d,
     incomplete_f,
-    integrand,
     integrate,
     oracle_value,
 )
@@ -47,7 +44,6 @@ from ellint.identities import (
     alpha_k_from_eccentricities,
     alpha_kbar_from_barred,
     arctanh_guarded,
-    eccentricities_from_alpha_k,
     i1_barred_closed,
     i1_closed,
     make_record,
@@ -103,7 +99,6 @@ def test_registry_covers_every_identity():
     for ident, entry in REGISTRY.items():
         assert callable(entry.closed)
         assert callable(entry.part)
-        assert callable(entry.sampler)
         assert IdentityId(ident.value) is ident
 
 
@@ -116,6 +111,38 @@ def test_grid_params_in_domain(ident, n=4):
         assert isinstance(p, entry.params_cls)
         lo, hi = entry.bounds(p)
         assert lo < hi
+
+
+# sha256 of the grids at n = 1, 4 and 5, one "Class(values)" repr per line;
+# float repr round-trips, so equal digests mean equal points.  The verify
+# report's records sit at these points, so any change to them is a change
+# of the report
+GRID_DIGESTS = {
+    "I1": "2cd48aa66f96fd895f383cdc3ba32438a095cfb4ba0f87573a2e903d9ee758b6",
+    "I1_BARRED": "e6f458b65cb5cd8298848c7b085957b37f203d2d741a730319b40f316c3a84a9",
+    "PR3_D": "422dbeded0abec78156d5072b68aad32c08a7637e16e1a23ed43006890d29b6b",
+    "PR3_D_BARRED": "e6f458b65cb5cd8298848c7b085957b37f203d2d741a730319b40f316c3a84a9",
+    "LOG_F": "e9841592879bda6a251de2c2582a161210b31c6f0deba0d4432568c00c775b05",
+    "LOG_Q2": "e9841592879bda6a251de2c2582a161210b31c6f0deba0d4432568c00c775b05",
+    "PSEUDO": "8c6cfd23fa393b726dc807b1418c8451991859c3cafeea0748fab008574548c5",
+    "I3": "bf7915c751695ba2620d439d7e3b276c1a967d2f5a36fffa1da00723fafb1749",
+    "I4": "639b555c7ffbfd7570f0fb6f04339ca2ec297f48ec487110df11882002f59cef",
+    "I5": "639b555c7ffbfd7570f0fb6f04339ca2ec297f48ec487110df11882002f59cef",
+    "I6": "bf7915c751695ba2620d439d7e3b276c1a967d2f5a36fffa1da00723fafb1749",
+    "I2_BARRED": "3f64e8558555cefa3e20c9d92c928879fe17a8ca33f78ebd143d3fa325f4f142",
+    "I3_BARRED": "3f64e8558555cefa3e20c9d92c928879fe17a8ca33f78ebd143d3fa325f4f142",
+    "GR_E_SIN": "c00b70f7f5c0ad6c3e27faea05e0c799de496f7c0456f56aa8394a420c4f7459",
+    "GR_F_SIN": "c00b70f7f5c0ad6c3e27faea05e0c799de496f7c0456f56aa8394a420c4f7459",
+    "ATAN_F": "a8525577a31823ec7ad333da29457821a066828e9c0cc17a80fadcee5da9a630",
+    "ATAN_E": "a8525577a31823ec7ad333da29457821a066828e9c0cc17a80fadcee5da9a630",
+}
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=[i.value for i in IdentityId])
+def test_grids_are_pinned(ident):
+    text = "\n".join(f"{type(p).__name__}{tuple(p)!r}"
+                     for n in (1, 4, 5) for p in grid_params(ident, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGESTS[ident.value]
 
 
 def test_closed_value_rejects_wrong_parameter_kind():
@@ -143,8 +170,8 @@ def test_parameter_domain_rejection(ctor, args):
 
 
 def test_parameter_records_are_validated_named_tuples():
-    for entry in REGISTRY.values():
-        p = entry.sampler(2)[0]
+    for ident, entry in REGISTRY.items():
+        p = grid_params(ident, 2)[0]
         cls = entry.params_cls
         assert isinstance(p, tuple) and p._fields == cls._fields
         copy = pickle.loads(pickle.dumps(p))
@@ -206,13 +233,19 @@ def test_barred_weighted_e_alternate_d_form():
         assert _i1_barred_d_form(p) == pytest.approx(i1_barred_closed(p), rel=1e-13)
 
 
+def _eccentricities_from_alpha_k(p: AlphaK) -> tuple:
+    # inverse map: e1 = alpha/sqrt(k'^2 + k^2 alpha^2), e2 = k e1
+    s = math.sqrt(1.0 - p.k * p.k + (p.k * p.alpha) ** 2)
+    return (p.alpha / s, p.k * p.alpha / s)
+
+
 def test_alpha_k_round_trip():
     for i in range(6):
         e1 = 0.1 + 0.14 * i
         for j in range(6):
             e2 = e1 * (j + 0.5) / 6.5
             p = alpha_k_from_eccentricities(e1, e2)
-            back = eccentricities_from_alpha_k(p)
+            back = _eccentricities_from_alpha_k(p)
             assert back[0] == pytest.approx(e1, rel=1e-14)
             assert back[1] == pytest.approx(e2, rel=1e-14)
 
@@ -293,25 +326,6 @@ def test_small_parameter_corners(ident, params):
     closed = closed_value(ident, params)
     oracle = oracle_value(ident, params, 1e-12).value
     assert abs(closed - oracle) / max(abs(closed), 1e-6) <= 1e-6
-
-
-def test_integrand_descriptors():
-    spec = integrand(IdentityId.PSEUDO, E1E2(0.8, 0.4))
-    assert (spec.lo, spec.hi) == (0.4, 0.8)
-    assert spec.singularity is Singularity.INV_SQRT_BOTH
-    # bounded integrand: direct quadrature matches the closed form
-    direct = integrate(spec.fn, spec.lo, spec.hi, 1e-12).value
-    assert direct == pytest.approx(closed_value(IdentityId.PSEUDO, E1E2(0.8, 0.4)),
-                                   rel=1e-9)
-
-    spec = integrand(IdentityId.LOG_F, EpsAB(1.0, 0.3, 0.9))
-    assert (spec.lo, spec.hi) == (0.3, 0.9)
-    assert spec.singularity is Singularity.INV_SQRT_BOTH
-    assert spec.fn(0.6) > 0.0
-
-    spec = integrand(IdentityId.I3, NuK(0.3, 0.8))
-    assert spec.lo == 0.0 and spec.hi == pytest.approx(math.pi / 2.0)
-    assert spec.singularity is Singularity.NONE
 
 
 def test_oracle_result_shape():

@@ -1,0 +1,47 @@
+"""Import hygiene, checked with the standard library's ast module.
+
+Every module of the package (its __init__ aside) and every test module uses
+each name it imports, and the package's __init__ imports exactly the names
+it exports in __all__, each of which resolves.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ellint
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ellint"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> set:
+    """Names bound by the import statements anywhere in tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names if a.name != "*")
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert _imported_names(tree) - used == set()
+
+
+def test_init_imports_exactly_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert _imported_names(tree) == set(ellint.__all__)
+    assert len(ellint.__all__) == len(set(ellint.__all__))
+
+
+def test_all_names_resolve():
+    for name in ellint.__all__:
+        assert hasattr(ellint, name), name

@@ -181,6 +181,15 @@ def test_sum_non_convergence():
         sigma2_sum(0.95, 0.5, max_terms=10)
 
 
+@pytest.mark.parametrize("series_sum", [sigma1_sum, sigma2_sum])
+def test_default_max_terms_limit(series_sum):
+    # the documented limit of the default budget: e1 = 0.9998 stops after
+    # 59,576 terms, e1 = 0.9999 would need more than 100,000
+    assert series_sum(0.9998, 0.5).terms_used == 59_576
+    with pytest.raises(NonConvergenceError):
+        series_sum(0.9999, 0.5)
+
+
 def test_sum_domain_rejection():
     for e1, e2 in [(0.3, 0.6), (1.0, 0.5), (0.5, 0.0)]:
         with pytest.raises(DomainError):
