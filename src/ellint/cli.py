@@ -27,9 +27,7 @@ from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
 _PARAM_FLAGS = tuple(sorted({f for e in REGISTRY.values() for f in e.params_cls._fields}))
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "n/a"
+def _fmt(x: float) -> str:
     return "%.15g" % x
 
 

@@ -186,8 +186,6 @@ def incomplete_f(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         raise DivergenceError("F(pi/2, 1) diverges")
-    if phi == 0.0:
-        return 0.0
     return _f_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
 
 
@@ -195,8 +193,6 @@ def incomplete_e(phi: float, k: float) -> float:
     """E(phi, k) = integral of sqrt(1 - k^2 sin^2 t) over (0, phi)."""
     _check_amplitude(phi)
     _check_modulus(k)
-    if phi == 0.0:
-        return 0.0
     if k == 1.0 and phi == HALF_PI:
         return 1.0
     return _e_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
@@ -212,8 +208,6 @@ def incomplete_d(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         raise DivergenceError("D(pi/2, 1) diverges")
-    if phi == 0.0:
-        return 0.0
     s = math.sin(phi)
     c2 = math.cos(phi) ** 2
     return s * s * s * carlson_rd(c2, c2 + (1.0 - k) * (1.0 + k) * s * s, 1.0) / 3.0
@@ -305,8 +299,6 @@ def imaginary_argument_reduce(phi_hyp: float, k: float) -> tuple:
         raise DomainError("imaginary_argument_reduce needs phi_hyp >= 0")
     if not (0.0 < k < 1.0):
         raise DomainError("imaginary_argument_reduce needs 0 < k < 1")
-    if phi_hyp == 0.0:
-        return (0.0, 0.0)
     kp = math.sqrt(1.0 - k * k)
     delta = math.atan(math.sinh(phi_hyp))
     sd = math.sin(delta)

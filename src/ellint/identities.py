@@ -345,43 +345,19 @@ def pi_third_special(u: float, e1: float, e2: float) -> float:
 # integrand parts (oracle side)
 
 
-def _i1_part(p: AlphaK) -> Callable:
-    kp2 = 1.0 - p.k * p.k
-    k2 = p.k * p.k
+def _weighted_e_part(shape: Callable) -> Callable:
+    """Part u^2 E(u/s) / (c0 + c1 u^2)^n with (s, c0, c1, n) = shape(params).
+    u / 1.0, +-1.0 * u and x ** 1 are exact, so those rows add no rounding."""
 
-    def g(u: float) -> float:
-        return u * u * complete_e(u) / (kp2 + k2 * u * u) ** 2
+    def part(p) -> Callable:
+        s, c0, c1, n = shape(p)
 
-    return g
+        def g(u: float) -> float:
+            return u * u * complete_e(u / s) / (c0 + c1 * u * u) ** n
 
+        return g
 
-def _i1_barred_part(p: AlphaKBar) -> Callable:
-    kb2 = p.kbar * p.kbar
-
-    def g(u: float) -> float:
-        return u * u * complete_e(u) / (kb2 - u * u) ** 2
-
-    return g
-
-
-def _pr3_d_part(p: AlphaZ) -> Callable:
-    z2 = p.z * p.z
-    alpha = p.alpha
-
-    def g(u: float) -> float:
-        return u * u * complete_e(u / alpha) / (z2 + u * u)
-
-    return g
-
-
-def _pr3_d_barred_part(p: AlphaKBar) -> Callable:
-    kb2 = p.kbar * p.kbar
-    alpha = p.alpha
-
-    def g(u: float) -> float:
-        return u * u * complete_e(u / alpha) / (kb2 - u * u)
-
-    return g
+    return part
 
 
 def _log_f_part(p: EpsAB) -> Callable:
@@ -476,14 +452,18 @@ def _quarter_period(p) -> tuple:
 
 
 REGISTRY = {
-    IdentityId.I1: _Entry(AlphaK, i1_closed, lambda p: (0.0, p.alpha),
-                          Singularity.INV_SQRT_BOTH, _i1_part),
-    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha),
-                                 Singularity.INV_SQRT_BOTH, _i1_barred_part),
-    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha),
-                             Singularity.INV_SQRT_BOTH, _pr3_d_part),
-    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha),
-                                    Singularity.INV_SQRT_BOTH, _pr3_d_barred_part),
+    IdentityId.I1: _Entry(
+        AlphaK, i1_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        _weighted_e_part(lambda p: (1.0, 1.0 - p.k * p.k, p.k * p.k, 2))),
+    IdentityId.I1_BARRED: _Entry(
+        AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        _weighted_e_part(lambda p: (1.0, p.kbar * p.kbar, -1.0, 2))),
+    IdentityId.PR3_D: _Entry(
+        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        _weighted_e_part(lambda p: (p.alpha, p.z * p.z, 1.0, 1))),
+    IdentityId.PR3_D_BARRED: _Entry(
+        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        _weighted_e_part(lambda p: (p.alpha, p.kbar * p.kbar, -1.0, 1))),
     IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
                              Singularity.INV_SQRT_BOTH, _log_f_part),
     IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),

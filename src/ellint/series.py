@@ -62,15 +62,16 @@ def _omega_next(s: float, p: float, n: int, w3: float, w1: float) -> float:
             / (2.0 * (n + 2) * (2 * n + 3)))
 
 
-# kind -> (divisor d of the second coefficient, recurrence): X_1 = 1 and
-# X_3 = (e1^2 + e2^2)/d, the first two terms of the family
-_FAMILIES = {"A": (6.0, _a_next), "OMEGA": (2.0, _omega_next)}
+# kind -> (divisor d, recurrence, start): X_1 = 1 and X_3 = (e1^2 + e2^2)/d
+# begin the family, and its sigma sum starts at start.  sigma2 sums the Omega
+# tail (start 0), which keeps it relatively accurate at tiny eccentricities.
+_FAMILIES = {"A": (6.0, _a_next, 1.0), "OMEGA": (2.0, _omega_next, 0.0)}
 
 
 def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     _check_pair(e1, e2)
     _check_m_max(m_max)
-    divisor, next_fn = _FAMILIES[kind]
+    divisor, next_fn, _ = _FAMILIES[kind]
     s = e1 * e1 + e2 * e2
     p = (e1 * e2) ** 2
     terms = [1.0]
@@ -119,34 +120,31 @@ def psi_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     return SeriesCoefficients("PSI", e1, e2, tuple(terms))
 
 
-def _sum_recurrence(kind: str, e1: float, e2: float, tol: float, max_terms: int,
-                    include_first: bool):
-    """Kahan-compensated sum of the recurrence family kind (see _FAMILIES).
+def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> SeriesSum:
+    """pi times the Kahan-compensated sum of the recurrence family kind, from
+    the family's start value (see _FAMILIES).
 
-    include_first controls whether the leading coefficient (always exactly
-    1) enters the total; the q^2-weighted sum wants the tail only, and
-    summing the tail directly keeps it relatively accurate at tiny
-    eccentricities.  Stops before adding a term that is below tol relative
-    to the partial sum AND below 1e-18 in absolute value; raises
-    NonConvergenceError at max_terms.  Returns (sum, terms_used,
-    last_added, first_omitted).
+    Stops before adding a term that is below tol relative to the partial sum
+    AND below 1e-18 in absolute value; raises NonConvergenceError at
+    max_terms.  The truncation estimate is a geometric tail bound, since
+    successive terms approach a ratio of e1^2.
     """
     _check_pair(e1, e2)
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     if max_terms < 2:
         raise DomainError("max_terms must be at least 2")
-    divisor, next_fn = _FAMILIES[kind]
+    divisor, next_fn, total = _FAMILIES[kind]
     s = e1 * e1 + e2 * e2
     p = (e1 * e2) ** 2
-    total = 1.0 if include_first else 0.0
     comp = 0.0
     prev, cur = 1.0, s / divisor
     n = 0  # cur = X_{2n+3}
     used = 1
     while True:
         if abs(cur) < tol * abs(total) and abs(cur) < _ABS_TAIL:
-            return total, used, prev, cur
+            tail = max(abs(prev), abs(cur) / (1.0 - e1 * e1))
+            return SeriesSum(math.pi * total, used, math.pi * tail)
         if used >= max_terms:
             raise NonConvergenceError(
                 f"series did not converge within {max_terms} terms "
@@ -160,11 +158,6 @@ def _sum_recurrence(kind: str, e1: float, e2: float, tol: float, max_terms: int,
         n += 1
 
 
-def _truncation(e1: float, last: float, omitted: float) -> float:
-    # geometric tail bound: successive terms approach a ratio of e1^2
-    return max(abs(last), abs(omitted) / (1.0 - e1 * e1))
-
-
 def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
                max_terms: int = MAX_TERMS_DEFAULT) -> SeriesSum:
     """sigma1 = pi * sum A_{2m+1}; equals (pi/e1) F(arcsin e1, e2/e1).
@@ -172,8 +165,7 @@ def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
     Converges within the default max_terms up to e1 of about 0.9998 and
     raises NonConvergenceError above it.
     """
-    total, used, last, omitted = _sum_recurrence("A", e1, e2, tol, max_terms, True)
-    return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
+    return _sigma_sum("A", e1, e2, tol, max_terms)
 
 
 def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
@@ -184,8 +176,7 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
     Converges within the default max_terms up to e1 of about 0.9998 and
     raises NonConvergenceError above it.
     """
-    total, used, last, omitted = _sum_recurrence("OMEGA", e1, e2, tol, max_terms, False)
-    return SeriesSum(math.pi * total, used, math.pi * _truncation(e1, last, omitted))
+    return _sigma_sum("OMEGA", e1, e2, tol, max_terms)
 
 
 def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:

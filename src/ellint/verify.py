@@ -305,16 +305,16 @@ def coefficient_records(grid: int) -> list:
     """Recurrence / Cauchy-product coefficients vs their closed forms, plus
     the termwise identity Omega = Theta + Psi through m = 5."""
     pairs = _sigma_grid(max(2, min(grid, 4)))  # a handful of pairs suffices
-    gens = {"omega": omega_coefficients, "theta": theta_terms, "psi": psi_terms}
     out = []
     for e1, e2 in pairs:
-        for ident, kind, m, closed_fn in _COEFF_CHECKS:
-            got = gens[kind](e1, e2, m).terms[m]
-            out.append(make_record(ident, {"e1": e1, "e2": e2},
-                                   got, closed_fn(e1, e2), SERIES_COEFF_TOL))
+        # terms[m] does not depend on m_max, so one call per family serves all m
         om = omega_coefficients(e1, e2, 5).terms
         th = theta_terms(e1, e2, 5).terms
         ps = psi_terms(e1, e2, 5).terms
+        terms = {"omega": om, "theta": th, "psi": ps}
+        for ident, kind, m, closed_fn in _COEFF_CHECKS:
+            out.append(make_record(ident, {"e1": e1, "e2": e2},
+                                   terms[kind][m], closed_fn(e1, e2), SERIES_COEFF_TOL))
         for m in range(1, 6):
             out.append(make_record("OMEGA_SPLIT", {"e1": e1, "e2": e2, "m": m},
                                    om[m], th[m] + ps[m], 1e-15))

@@ -161,6 +161,22 @@ def test_integral_json(capsys):
     assert record["closed"] == pytest.approx(1.5428567047361814051, rel=1e-13)
 
 
+@pytest.mark.parametrize("mode", ["closed", "oracle"])
+def test_integral_single_mode_json(mode, capsys):
+    # one side only: the record compares the value with itself
+    argv = ["integral", "--id", "I3", "--nu", "0.3", "--k", "0.8", "--mode", mode]
+    rc, plain, _ = run_cli(argv, capsys)
+    assert rc == 0
+    rc, out, _ = run_cli(argv + ["--json"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    (record,) = report["records"]
+    assert record["closed"] == record["oracle"]
+    assert "%.15g" % record["closed"] == plain.strip()
+    assert record["abs_err"] == 0.0 and record["pass"] is True
+    assert set(report["meta"]["tolerances"]) == {"identity_rel", "near_zero_abs"}
+
+
 def _single_record_json(tolerances, record):
     return report_json(Report(__version__, tolerances, None, (record,)))
 
@@ -224,6 +240,18 @@ def test_verify_summary(capsys):
     assert rc == 0
     assert out.startswith("suite geometry:")
     assert "0 failed" in out
+
+
+def test_verify_prints_each_failure(capsys):
+    rc, out, _ = run_cli(["verify", "--suite", "integrals", "--grid", "2",
+                          "--tol", "1e-17"], capsys)
+    assert rc == 1
+    summary, *lines = out.splitlines()
+    failures = run_suite("integrals", 2, 1e-17).failures()
+    assert summary.endswith(f" {len(failures)} failed") and len(failures) > 0
+    assert lines == [" ".join(["FAIL", r.ident, json.dumps(r.params, sort_keys=True),
+                               "closed=%.15g" % r.closed, "oracle=%.15g" % r.oracle,
+                               "rel_err=%.15g" % r.rel_err]) for r in failures]
 
 
 def test_verify_grid_validation(capsys):

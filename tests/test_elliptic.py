@@ -96,6 +96,14 @@ def test_unit_modulus_corner():
         math.atanh(math.sin(1.2)), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+def test_zero_amplitude_is_exactly_zero(k):
+    # the general path gives +0.0 exactly, so no phi = 0 shortcut is needed
+    for fn in (incomplete_f, incomplete_e, incomplete_d):
+        value = fn(0.0, k)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 @pytest.mark.parametrize("fn", [incomplete_f, incomplete_e, incomplete_d])
 def test_domain_rejection(fn):
     for phi, k in [(-0.1, 0.5), (HALF_PI + 0.1, 0.5), (0.5, -0.1),

@@ -1,8 +1,9 @@
 """Import hygiene, checked with the standard library's ast module.
 
 Every module of the package (its __init__ aside) and every test module uses
-each name it imports, and the package's __init__ imports exactly the names
-it exports in __all__, each of which resolves.
+each name it imports, the package's __init__ imports exactly the names it
+exports in __all__, each of which resolves, and every private top-level name
+of the package is used somewhere in it besides its definition.
 """
 
 import ast
@@ -45,3 +46,31 @@ def test_init_imports_exactly_all():
 def test_all_names_resolve():
     for name in ellint.__all__:
         assert hasattr(ellint, name), name
+
+
+def _private_top_level(tree: ast.Module) -> set:
+    """Top-level names of tree with a single leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_dead_private_helpers():
+    # a private name counts as used when some module of the package loads it
+    # or imports it by name; a definition alone does not count
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        defined |= _private_top_level(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    assert defined
+    assert defined - used == set()

@@ -3,7 +3,9 @@
 Covers plain integration, the inverse-square-root substitution helper,
 the nested two-dimensional surface-area oracle, error-estimate honesty,
 determinism, and the evaluation-budget machinery including the
-ELLINT_MAX_EVALS environment override.
+ELLINT_MAX_EVALS environment override.  One table also pins the input guards
+of the public entry points, quadrature and others, that no other test
+triggers.
 """
 
 import math
@@ -15,14 +17,19 @@ from ellint import (
     IdentityId,
     NonConvergenceError,
     NonFiniteIntegrandError,
+    Report,
     check,
     complete_e,
+    grid_params,
     integrate,
     integrate_singular_pair,
     run_suite,
+    surface_area_ascending,
     surface_area_quadrature,
+    triaxial_area,
+    write_report,
 )
-from ellint.identities import AlphaZ, EpsAB, log_f_closed
+from ellint.identities import AlphaZ, EpsAB, log_f_closed, pi_third_special
 from ellint.quadrature import HALF_PI
 
 
@@ -195,6 +202,44 @@ def test_budget_env_rejects_non_integer(monkeypatch):
     monkeypatch.setenv("ELLINT_MAX_EVALS", "1.5")
     with pytest.raises(DomainError):
         integrate(lambda x: x, 0.0, 1.0)
+
+
+_GUARDS = {
+    "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
+    "ascending_not_ascending": lambda path: surface_area_ascending(3.0, 2.0, 1.0),
+    "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
+    "pi_third_u_zero": lambda path: pi_third_special(0.0, 0.8, 0.4),
+    "pi_third_u_above_half_pi": lambda path: pi_third_special(HALF_PI + 0.1, 0.8, 0.4),
+    "integrate_reversed": lambda path: integrate(math.sin, 1.0, 0.0),
+    "integrate_empty": lambda path: integrate(math.sin, 1.0, 1.0),
+    "integrate_infinite": lambda path: integrate(math.sin, 0.0, math.inf),
+    "integrate_tol_zero": lambda path: integrate(math.sin, 0.0, 1.0, 0.0),
+    "quadrature_negative_axis": lambda path: surface_area_quadrature(1.0, -1.0, 1.0),
+    "suite_unknown": lambda path: run_suite("nonsense", 2),
+    "suite_grid_zero": lambda path: run_suite("series", 0),
+    "suite_tol_zero": lambda path: run_suite("series", 2, 0.0),
+    "report_format_xml": lambda path: write_report(Report("0", {}, None, ()), path, "xml"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_input_guards_raise_domain_error(case, tmp_path):
+    path = tmp_path / "report"
+    with pytest.raises(DomainError):
+        _GUARDS[case](str(path))
+    assert not path.exists()
+
+
+def test_budget_env_rejects_zero(monkeypatch):
+    monkeypatch.setenv("ELLINT_MAX_EVALS", "0")
+    with pytest.raises(DomainError, match="positive"):
+        integrate(lambda x: x, 0.0, 1.0)
+
+
+def test_interval_below_float_resolution():
+    hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    with pytest.raises(NonConvergenceError, match="below float resolution"):
+        integrate(lambda x: x, 1.0, hi, 1e-300)
 
 
 def test_non_finite_integrand():

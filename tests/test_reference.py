@@ -88,6 +88,15 @@ def test_thin_disc_area():
     assert _rel(surface_area(5.0, 4.0, 1e-9), _area_ref(5.0, 4.0, 1e-9)) <= 1e-13
 
 
+def test_triaxial_form_accuracy_on_a_thin_disc():
+    # the paper's form takes F and E near the (pi/2, 1) corner as c/a -> 0,
+    # 7.2e-15 here; surface_area is the accurate path at 2.2e-16
+    axes = (679.690952892524, 401.29526756616235, 0.001581839135349826)
+    ref = _area_ref(*axes)
+    assert _rel(triaxial_area(*axes), ref) <= 1e-14
+    assert _rel(surface_area(*axes), ref) <= 1e-15
+
+
 @pytest.mark.parametrize("r,c", [(1.0, 1e-9), (1.0, 1e-5), (1e150, 1.0), (1.0, 1e-300)])
 def test_flat_oblate_area(r, c):
     # r - sqrt(r^2 - c^2) rounded to zero and raised ZeroDivisionError
