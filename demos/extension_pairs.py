@@ -5,8 +5,9 @@ The library keeps F and E on the principal domain (amplitude in
 reductions: complementary amplitudes that complete a half-period,
 conjugate angles for the complementary modulus, and the two "imaginary"
 extensions (purely imaginary modulus, purely imaginary argument) that
-come back as real pairs. Each reduction is checked here against a direct
-numerical integral of the defining integrand.
+come back as real pairs, each from one Carlson evaluation. Each reduction
+is checked here against a direct numerical integral of the defining
+integrand.
 
 Run:  python3 demos/extension_pairs.py
 """
@@ -56,7 +57,7 @@ def show_imaginary_modulus(phi: float, k: float) -> None:
         lambda t: (1.0 + (k * math.sin(t)) ** 2) ** -0.5, 0.0, phi, 1e-13).value
     e_ref = integrate(
         lambda t: (1.0 + (k * math.sin(t)) ** 2) ** 0.5, 0.0, phi, 1e-13).value
-    print(f"  phi = {phi:.4f}, k = {k:.4f}:")
+    print(f"  phi = {phi:.4f}, k = {k:g}:")
     print(f"    F(phi, ik) = {f_val:.15g}   vs integral {f_ref:.15g}")
     print(f"    E(phi, ik) = {e_val:.15g}   vs integral {e_ref:.15g}")
 
@@ -89,12 +90,13 @@ def main() -> int:
     show_conjugate(1.2, 0.3)
 
     print()
-    print("purely imaginary modulus, reduced to real kernels")
+    print("purely imaginary modulus: F and E at parameter -k^2")
     show_imaginary_modulus(1.0, 0.75)
     show_imaginary_modulus(0.6, 2.0)
+    show_imaginary_modulus(1.2, 1e8)
 
     print()
-    print("purely imaginary argument, reduced via the gudermannian")
+    print("purely imaginary argument: F and E at modulus k' and amplitude gd(phi_h)")
     show_imaginary_argument(0.8, 0.5)
     show_imaginary_argument(1.5, 0.9)
     return 0

@@ -11,6 +11,10 @@ uniformly in k, including the (pi/2, 1) corner, without the cancellation
 that plagues the (F - E)/k^2 route for D at small k.  Complete K and E come
 from the arithmetic-geometric mean (DLMF 19.8), which converges
 quadratically; complete D stays on R_D, which is stable at small k.
+The two imaginary-parameter extensions of (F, E) are each one fused call
+too, since Carlson's forms hold at negative parameter (DLMF 19.25(i)):
+within 1e-15 of mpmath for k up to 1.34e154 (imaginary modulus) and
+phi_hyp up to 710.47, where sinh overflows (imaginary argument).
 """
 
 import math
@@ -35,6 +39,9 @@ _SHRINK_RD = 2.0 ** -48
 # The AGM stops once c_n <= _AGM_TOL * a_n: the next step would move a_n by
 # about (c_n/a_n)^2/4 relative, below half an ulp.
 _AGM_TOL = 2.0 ** -27
+
+# asinh of the largest double: the largest phi_hyp with sinh and cosh finite.
+_ASINH_MAX = 710.4758600739439
 
 
 def _shrunk(x: float, y: float, z: float) -> tuple:
@@ -261,47 +268,30 @@ def conjugate_delta(theta: float, k: float) -> float:
 
 
 def imaginary_modulus_reduce(phi: float, k: float) -> tuple:
-    """Real-parameter reduction of the pair (F, E) at imaginary modulus i*k.
-
-    Returns (f, e) with
-      f = integral of 1/sqrt(1 + k^2 sin^2 t) over (0, phi)
-      e = integral of   sqrt(1 + k^2 sin^2 t) over (0, phi)
-    expressed through F and E at modulus k1 = k/sqrt(1 + k^2).
+    """(f, e), the integrals of 1/sqrt(1 + k^2 sin^2 t) and sqrt(1 + k^2 sin^2 t)
+    over (0, phi): F and E at parameter m = -k^2, one fused call with
+    k'^2 = 1 + k^2.  Needs k >= 0 with k^2 finite (k <= about 1.34e154).
     """
     _check_amplitude(phi)
-    if k < 0.0 or math.isnan(k):
-        raise DomainError("imaginary_modulus_reduce needs k >= 0")
-    if k == 0.0 or phi == 0.0:
+    if not (k >= 0.0 and math.isfinite(k * k)):
+        raise DomainError(f"imaginary_modulus_reduce needs 0 <= k <= 1.34e154, got {k!r}")
+    if k == 0.0:
         return (phi, phi)
-    root = math.sqrt(1.0 + k * k)
-    k1 = k / root
-    k1p = 1.0 / root
-    s = math.sin(phi)
-    beta = math.asin(min(1.0, root * s / math.sqrt(1.0 + (k * s) ** 2)))
-    sb = math.sin(beta)
-    cb = math.cos(beta)
-    dn = math.sqrt(1.0 - (k1 * sb) ** 2)
-    f = k1p * incomplete_f(beta, k1)
-    e = (incomplete_e(beta, k1) - k1 * k1 * sb * cb / dn) / k1p
-    return (f, e)
+    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, 1.0 + k * k)
 
 
 def imaginary_argument_reduce(phi_hyp: float, k: float) -> tuple:
-    """Real-parameter reduction of (F, E) along the imaginary argument axis.
-
-    Returns (f, e) with
-      f = integral of 1/sqrt(1 + k^2 sinh^2 t) over (0, phi_hyp)
-      e = integral of   sqrt(1 + k^2 sinh^2 t) over (0, phi_hyp)
-    expressed through F and E at the complementary modulus k' and the
-    gudermannian amplitude delta = arctan(sinh phi_hyp).
+    """(f, e), the integrals of 1/sqrt(1 + k^2 sinh^2 t) and sqrt(1 + k^2 sinh^2 t)
+    over (0, phi_hyp), 0 < k < 1: F and E at modulus k' and the gudermannian
+    amplitude delta, given by sin = tanh phi_hyp and cos^2 = sech^2 phi_hyp,
+    with tan delta = sinh phi_hyp.  Needs phi_hyp <= 710.4758600739439.
     """
-    if phi_hyp < 0.0 or math.isnan(phi_hyp):
-        raise DomainError("imaginary_argument_reduce needs phi_hyp >= 0")
+    if not (0.0 <= phi_hyp <= _ASINH_MAX):
+        raise DomainError(f"imaginary_argument_reduce needs 0 <= phi_hyp <= {_ASINH_MAX!r}, "
+                          f"got {phi_hyp!r}")
     if not (0.0 < k < 1.0):
         raise DomainError("imaginary_argument_reduce needs 0 < k < 1")
-    kp = math.sqrt(1.0 - k * k)
-    delta = math.atan(math.sinh(phi_hyp))
-    sd = math.sin(delta)
-    f = incomplete_f(delta, kp)
-    e = f - incomplete_e(delta, kp) + math.tan(delta) * math.sqrt(1.0 - (kp * sd) ** 2)
-    return (f, e)
+    th = math.tanh(phi_hyp)
+    sech2 = (1.0 / math.cosh(phi_hyp)) ** 2
+    f, e = _fe_sc(th, sech2, k * k)
+    return (f, f - e + math.sinh(phi_hyp) * math.sqrt(sech2 + (k * th) ** 2))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,32 @@ def test_verify_json_is_deterministic(capsys):
     assert payload["meta"]["version"] == __version__
     assert "timestamp" not in payload["meta"]
     assert all(r["pass"] for r in payload["records"])
+
+
+# Records per id of run_suite("all", 5); perfbench/run.py assumes the total,
+# so a change to the record set fails here before it fails the benchmark.
+_GRID5_RECORDS = {
+    "AREA_VS_QUADRATURE": 5, "AREA_PERMUTATION": 30, "AREA_SCALING": 5,
+    "LIMIT_OBLATE": 3, "LIMIT_PROLATE": 3, "ROUTE_WEIGHTED_E": 5,
+    "ROUTE_LOG_KERNEL": 5, "ROUTE_BARRED_WEIGHTED_E": 5, "ROUTE_ARCTAN_KERNEL": 5,
+    **dict.fromkeys(["I1", "I1_BARRED", "PR3_D", "PR3_D_BARRED", "LOG_F", "LOG_Q2",
+                     "PSEUDO", "I3", "I4", "I5", "I6", "I2_BARRED", "I3_BARRED",
+                     "GR_E_SIN", "GR_F_SIN", "ATAN_F", "ATAN_E", "SIGMA1_SUM",
+                     "SIGMA2_SUM"], 25),
+    **dict.fromkeys(["COEFF_OMEGA_5", "COEFF_OMEGA_7", "COEFF_THETA_3", "COEFF_THETA_5",
+                     "COEFF_THETA_7", "COEFF_PSI_5", "COEFF_PSI_7"], 16),
+    "OMEGA_SPLIT": 80, "MACLAURIN_DERIVATIVE": 9,
+    **dict.fromkeys(["KERNEL_COS_TO_SIN_E", "KERNEL_COS_TO_SIN_F", "IMAG_MODULUS_F",
+                     "IMAG_MODULUS_E", "IMAG_ARGUMENT_F", "IMAG_ARGUMENT_E"], 25),
+}
+
+
+def test_grid5_record_count_per_id():
+    records = run_suite("all", 5).records
+    counts = Counter(r.ident for r in records)
+    assert list(counts.items()) == list(_GRID5_RECORDS.items())
+    assert len(records) == sum(_GRID5_RECORDS.values()) == 892
+    assert all(r.passed for r in records)
 
 
 def _indented(report):

@@ -267,6 +267,15 @@ def test_imaginary_modulus_degenerate():
         imaginary_modulus_reduce(2.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [1e155, 1.4e154, math.inf, math.nan])
+def test_imaginary_modulus_bound(k):
+    # k^2 must be finite: these raised a bare OverflowError or named a nan modulus
+    with pytest.raises(DomainError, match="1.34e154"):
+        imaginary_modulus_reduce(0.5, k)
+    f, e = imaginary_modulus_reduce(HALF_PI, 1.34e154)
+    assert 0.0 < f < 1e-150 and e == pytest.approx(1.34e154, rel=1e-15)
+
+
 def test_imaginary_argument_frozen():
     f, e = imaginary_argument_reduce(1.0, 0.5)
     assert f == pytest.approx(0.95545744584712436932, rel=5e-14)
@@ -296,6 +305,15 @@ def test_imaginary_argument_degenerate():
     for phi_h, k in [(-0.5, 0.5), (1.0, 0.0), (1.0, 1.0), (1.0, -0.2)]:
         with pytest.raises(DomainError):
             imaginary_argument_reduce(phi_h, k)
+
+
+@pytest.mark.parametrize("phi_h", [710.476, 800.0, math.inf, math.nan])
+def test_imaginary_argument_bound(phi_h):
+    # sinh(phi_h) must be finite: 800 raised a bare OverflowError, inf gave a wrong e
+    with pytest.raises(DomainError, match="710.4758600739439"):
+        imaginary_argument_reduce(phi_h, 0.5)
+    e = imaginary_argument_reduce(710.4758600739439, 0.5)[1]
+    assert e == pytest.approx(0.5 * math.sinh(710.4758600739439), rel=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

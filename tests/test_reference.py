@@ -4,7 +4,8 @@ Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
 spheroids, axis triples over the whole float range, conjugate amplitudes near
-zero, and non-finite or overflowing Carlson arguments.  Skipped when mpmath is not installed.
+zero, non-finite or overflowing Carlson arguments, and both imaginary-parameter
+extensions of (F, E) out to the overflow of k^2 and of sinh.  Skipped when mpmath is not installed.
 """
 
 import math
@@ -20,6 +21,8 @@ from ellint import (
     complementary_amplitude,
     complete_e,
     complete_k,
+    imaginary_argument_reduce,
+    imaginary_modulus_reduce,
     incomplete_d,
     incomplete_e,
     incomplete_f,
@@ -228,3 +231,63 @@ def test_complementary_amplitude_against_mpmath():
         p, kk = mp.mpf(phi1), mp.mpf(k)
         ref = mp.atan2(mp.cos(p), mp.sqrt(1 - kk * kk) * mp.sin(p))
         assert _rel(complementary_amplitude(phi1, k), ref) <= 1e-14, (phi1, k)
+
+
+def _imag_modulus_check(phi: float, k: float) -> None:
+    f, e = imaginary_modulus_reduce(phi, k)
+    m = -mp.mpf(k) ** 2
+    assert _rel(f, mp.ellipf(phi, m)) <= 2e-15, (phi, k)
+    assert _rel(e, mp.ellipe(phi, m)) <= 2e-15, (phi, k)
+
+
+def _imag_argument_ref(phi_h: float, k: float) -> tuple:
+    # F and E at modulus k' and the gudermannian amplitude atan(sinh phi_h)
+    kp2 = 1 - mp.mpf(k) ** 2
+    sh = mp.sinh(phi_h)
+    delta = mp.atan(sh)
+    f = mp.ellipf(delta, kp2)
+    return (f, f - mp.ellipe(delta, kp2) + sh * mp.sqrt(1 - kp2 * mp.sin(delta) ** 2))
+
+
+def _imag_argument_check(phi_h: float, k: float) -> None:
+    f, e = imaginary_argument_reduce(phi_h, k)
+    f_ref, e_ref = _imag_argument_ref(phi_h, k)
+    assert _rel(f, f_ref) <= 2e-15, (phi_h, k)
+    assert _rel(e, e_ref) <= 2e-15, (phi_h, k)
+
+
+def test_imaginary_modulus_against_mpmath():
+    rng = random.Random(5110)
+    for _ in range(200):
+        _imag_modulus_check(HALF_PI * (1.0 - rng.random()), 10.0 ** rng.uniform(-8.0, 150.0))
+
+
+@pytest.mark.parametrize("k", [1e4, 1e8, 1e12, 1e100])
+def test_imaginary_modulus_at_large_k(k):
+    # the Jacobi imaginary-modulus map lost 3.8e-8 at 1e4 and raised DivergenceError above
+    for phi in (0.3, 1.0, HALF_PI):
+        _imag_modulus_check(phi, k)
+
+
+def test_imaginary_argument_reference_is_the_integral():
+    for phi_h, k in [(0.7, 0.3), (3.0, 0.5), (6.0, 0.999)]:
+        m = mp.mpf(k) ** 2
+        f_ref, e_ref = _imag_argument_ref(phi_h, k)
+        assert _rel(f_ref, mp.quad(lambda t: 1 / mp.sqrt(1 + m * mp.sinh(t) ** 2),
+                                   [0, phi_h])) <= 1e-30
+        assert _rel(e_ref, mp.quad(lambda t: mp.sqrt(1 + m * mp.sinh(t) ** 2),
+                                   [0, phi_h])) <= 1e-30
+
+
+def test_imaginary_argument_against_mpmath():
+    rng = random.Random(5111)
+    for i in range(200):
+        gap = 10.0 ** rng.uniform(-8.0, -0.3)
+        _imag_argument_check(10.0 ** rng.uniform(-8.0, math.log10(700.0)),
+                             gap if i % 2 else 1.0 - gap)
+
+
+@pytest.mark.parametrize("phi_h", [20.0, 30.0, 37.0, 300.0])
+def test_imaginary_argument_at_large_phi_hyp(phi_h):
+    # the atan/tan round trip of the amplitude lost e: 5.2e-9 at 20, 1.8 at 37, all of it above 40
+    _imag_argument_check(phi_h, 0.5)
