@@ -2,12 +2,11 @@
 
 The library keeps F and E on the principal domain (amplitude in
 [0, pi/2], modulus in [0, 1]) and reaches everything else through exact
-reductions: complementary amplitudes that complete a half-period,
-conjugate angles for the complementary modulus, and the two "imaginary"
-extensions (purely imaginary modulus, purely imaginary argument) that
-come back as real pairs, each from one Carlson evaluation. Each reduction
-is checked here against a direct numerical integral of the defining
-integrand.
+reductions: complementary (conjugate) amplitudes that complete a
+half-period, and the two "imaginary" extensions (purely imaginary
+modulus, purely imaginary argument) that come back as real pairs, each
+from one Carlson evaluation. Each reduction is checked here against K and
+E or against a direct numerical integral of the defining integrand.
 
 Run:  python3 demos/extension_pairs.py
 """
@@ -19,7 +18,6 @@ from ellint import (
     complementary_amplitude,
     complete_e,
     complete_k,
-    conjugate_delta,
     imaginary_argument_reduce,
     imaginary_modulus_reduce,
     incomplete_e,
@@ -30,24 +28,14 @@ from ellint import (
 
 def show_complementary(phi1: float, k: float) -> None:
     phi2 = complementary_amplitude(phi1, k)
+    kp = math.sqrt(1.0 - k * k)
     f_sum = incomplete_f(phi1, k) + incomplete_f(phi2, k)
     e_sum = incomplete_e(phi1, k) + incomplete_e(phi2, k)
     e_ref = complete_e(k) + k * k * math.sin(phi1) * math.sin(phi2)
-    print(f"  phi1 = {phi1:.6f}  ->  phi2 = {phi2:.6f}  (modulus {k})")
-    print(f"    F(phi1) + F(phi2) - K            = {f_sum - complete_k(k):+.2e}")
+    print(f"  phi1 = {phi1:.6f}  ->  phi2 = {phi2:.6f}  (modulus {k}, "
+          f"k' tan(phi1) tan(phi2) = {kp * math.tan(phi1) * math.tan(phi2):.12f})")
+    print(f"    F(phi1) + F(phi2) - K               = {f_sum - complete_k(k):+.2e}")
     print(f"    E(phi1) + E(phi2) - (E + k^2 s1 s2) = {e_sum - e_ref:+.2e}")
-
-
-def show_conjugate(theta: float, k: float) -> None:
-    delta = conjugate_delta(theta, k)
-    kp = math.sqrt(1.0 - k * k)
-    f_sum = incomplete_f(theta, k) + incomplete_f(delta, k)
-    e_sum = incomplete_e(theta, k) + incomplete_e(delta, k)
-    e_ref = complete_e(k) + k * k * math.sin(theta) * math.sin(delta)
-    print(f"  theta = {theta:.6f}  ->  delta = {delta:.6f}  "
-          f"(tan(delta) k' tan(theta) = {math.tan(delta) * kp * math.tan(theta):.12f})")
-    print(f"    F sums to K:           residual {f_sum - complete_k(k):+.2e}")
-    print(f"    E sums to closed form: residual {e_sum - e_ref:+.2e}")
 
 
 def show_imaginary_modulus(phi: float, k: float) -> None:
@@ -80,14 +68,10 @@ def show_imaginary_argument(phi_h: float, k: float) -> None:
 
 
 def main() -> int:
-    print("complementary amplitude (half-period completion)")
-    show_complementary(0.4, 0.6)
-    show_complementary(1.1, 0.8)
-
-    print()
-    print("conjugate angle pair (defined through the complementary modulus)")
-    show_conjugate(0.5, 0.7)
-    show_conjugate(1.2, 0.3)
+    print("complementary (conjugate) amplitude: cot(phi2) = k' tan(phi1), "
+          "completing a half-period")
+    for phi1, k in [(0.4, 0.6), (1.1, 0.8), (0.5, 0.7), (1.2, 0.3)]:
+        show_complementary(phi1, k)
 
     print()
     print("purely imaginary modulus: F and E at parameter -k^2")

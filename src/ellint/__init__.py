@@ -8,7 +8,7 @@ whole library against it.
 
 from ._version import __version__
 from .elliptic import (carlson_rd, carlson_rf, complementary_amplitude,
-                       complete_d, complete_e, complete_k, conjugate_delta,
+                       complete_d, complete_e, complete_k,
                        imaginary_argument_reduce, imaginary_modulus_reduce,
                        incomplete_d, incomplete_e, incomplete_f)
 from .errors import (DivergenceError, DomainError, EllintError,
@@ -16,7 +16,6 @@ from .errors import (DivergenceError, DomainError, EllintError,
                      NonFiniteIntegrandError)
 from .geometry import (BarredPair, EccentricityPair, barred_params,
                        eccentricities, oblate_area, prolate_area, surface_area,
-                       surface_area_ascending, surface_area_legendre,
                        triaxial_area)
 from .identities import (IdentityId, Singularity, VerificationRecord, check,
                          closed_value, grid_params, oracle_value)
@@ -32,15 +31,14 @@ __all__ = [
     "carlson_rf", "carlson_rd",
     "incomplete_f", "incomplete_e", "incomplete_d",
     "complete_k", "complete_e", "complete_d",
-    "complementary_amplitude", "conjugate_delta",
+    "complementary_amplitude",
     "imaginary_modulus_reduce", "imaginary_argument_reduce",
     "EllintError", "DomainError", "DivergenceError",
     "KernelSingularityError", "NonConvergenceError",
     "NonFiniteIntegrandError",
     "EccentricityPair", "BarredPair",
     "eccentricities", "barred_params",
-    "oblate_area", "prolate_area", "triaxial_area",
-    "surface_area", "surface_area_ascending", "surface_area_legendre",
+    "oblate_area", "prolate_area", "triaxial_area", "surface_area",
     "IdentityId", "Singularity", "VerificationRecord",
     "closed_value", "oracle_value", "grid_params", "check",
     "QuadratureResult", "integrate", "integrate_singular_pair",

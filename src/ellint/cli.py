@@ -15,8 +15,7 @@ import sys
 
 from ._version import __version__
 from .errors import DomainError, NonConvergenceError
-from .geometry import (surface_area, surface_area_ascending,
-                       surface_area_legendre)
+from .geometry import _check_axes, surface_area, triaxial_area
 from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB,
                          IdentityId, check, closed_value, make_record, oracle_value)
 from .quadrature import surface_area_quadrature
@@ -107,16 +106,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_area(args) -> int:
     a, b, c = args.axes
-    if args.method == "quadrature":
+    ident = "AREA"
+    if args.method == "auto":
+        value = closed = surface_area(a, b, c)
+    elif args.method == "quadrature":
         value = surface_area_quadrature(a, b, c, args.tol).value
         ident, closed = "AREA_VS_QUADRATURE", surface_area(a, b, c)
     else:
-        # built per call, so that rebinding these module names (as the
-        # perfbench layer trace does) is honoured
-        methods = {"auto": surface_area, "legendre": surface_area_legendre,
-                   "ascending": surface_area_ascending}
-        value = methods[args.method](a, b, c)
-        ident, closed = "AREA", value
+        # Legendre's form is triaxial_area on strictly descending axes, and
+        # the paper's ascending form is it with a and c interchanged
+        _check_axes(a, b, c)
+        axes = (a, b, c) if args.method == "legendre" else (c, b, a)
+        if not axes[0] > axes[1] > axes[2]:
+            order = "descending a > b > c" if args.method == "legendre" else "ascending a < b < c"
+            raise DomainError(f"area --method {args.method} needs strictly {order}")
+        value = closed = triaxial_area(*axes)
     if args.json:
         params = {"a": a, "b": b, "c": c, "method": args.method}
         _print_report({"area_vs_quadrature_rel": AREA_QUAD_TOL},

@@ -10,7 +10,8 @@ is formed as cos^2 phi + k'^2 sin^2 phi, which keeps full double precision
 uniformly in k, including the (pi/2, 1) corner, without the cancellation
 that plagues the (F - E)/k^2 route for D at small k.  Complete K and E come
 from the arithmetic-geometric mean (DLMF 19.8), which converges
-quadratically; complete D stays on R_D, which is stable at small k.
+quadratically, started at k' as given, so that a caller holding k' exactly
+keeps it; complete D stays on R_D, which is stable at small k.
 The two imaginary-parameter extensions of (F, E) are each one fused call
 too, since Carlson's forms hold at negative parameter (DLMF 19.25(i)):
 within 1e-15 of mpmath for k up to 1.34e154 (imaginary modulus) and
@@ -131,14 +132,14 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     return _rf_rd(x, y, z)[1]
 
 
-def _agm(k: float) -> tuple:
-    """(K(k), E(k)) for 0 <= k < 1 by the arithmetic-geometric mean.
+def _agm(k: float, kc: float) -> tuple:
+    """(K(k), E(k)) for 0 <= k < 1 and kc = k' by the arithmetic-geometric mean.
 
-    a_0 = 1, b_0 = k', c_0 = k; K = pi/(2 a_N) and
+    a_0 = 1, b_0 = kc, c_0 = k; K = pi/(2 a_N) and
     E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6).  c_(n+1) is
     formed as c_n^2/(4 a_(n+1)), free of the cancellation in (a_n - b_n)/2.
     """
-    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    a, b, c = 1.0, kc, k
     weight = 0.5
     csum = weight * c * c
     while c > _AGM_TOL * a:
@@ -225,7 +226,7 @@ def complete_k(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         raise DivergenceError("K(1) diverges")
-    return _agm(k)[0]
+    return _agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[0]
 
 
 def complete_e(k: float) -> float:
@@ -233,7 +234,7 @@ def complete_e(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         return 1.0
-    return _agm(k)[1]
+    return _agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[1]
 
 
 def complete_d(k: float) -> float:
@@ -256,15 +257,6 @@ def complementary_amplitude(phi1: float, kprime: float) -> float:
         raise DomainError("complementary_amplitude needs 0 < kprime < 1")
     kc = math.sqrt((1.0 - kprime) * (1.0 + kprime))
     return math.atan2(math.cos(phi1), kc * math.sin(phi1))
-
-
-def conjugate_delta(theta: float, k: float) -> float:
-    """complementary_amplitude on the open 0 < theta < pi/2: cot(delta) = k' tan(theta)."""
-    if not (0.0 < theta < HALF_PI):
-        raise DomainError("conjugate_delta needs 0 < theta < pi/2")
-    if not (0.0 < k < 1.0):
-        raise DomainError("conjugate_delta needs 0 < k < 1")
-    return complementary_amplitude(theta, k)
 
 
 def imaginary_modulus_reduce(phi: float, k: float) -> tuple:

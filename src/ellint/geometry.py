@@ -3,13 +3,12 @@
 surface_area evaluates Carlson's symmetric form S = 4 pi abc R_G(a^-2, b^-2,
 c^-2) (DLMF 19.33.1; Carlson 1995) for every shape and axis order, from one
 fused R_F/R_D loop on the ratios of the axes to the largest.  The paper's
-closed forms stay as independent cross-checks: the descending-axes form in
-the eccentricities (e1, e2) and the elementary log/arcsin spheroid forms.
-Legendre's form and the ascending-axes form in the barred parameters
-(f1, f2) are the descending form itself, the latter with a and c
-interchanged, so both evaluate triaxial_area.  Axis differences are formed
-from the axes (x - y), never from rounded ratios, which stays exact for
-nearly equal axes.
+closed forms stay as independent cross-checks: the elementary log/arcsin
+spheroid forms, and triaxial_area, the descending-axes form in the
+eccentricities (e1, e2), which is Legendre's form and, with a and c
+interchanged, the paper's c > b > a form in the barred parameters (f1, f2):
+that area is triaxial_area(c, b, a).  Axis differences are formed from the
+axes (x - y), never from rounded ratios, exact for nearly equal axes.
 """
 
 import math
@@ -92,20 +91,25 @@ def prolate_area(c: float, r: float) -> float:
 
 
 def triaxial_area(a: float, b: float, c: float) -> float:
-    """Descending-axes closed form.
+    """Descending-axes closed form, a >= b >= c with a > c.
 
     S = 2 pi c^2 + 2 pi b / sqrt(a^2-c^2) * [(a^2-c^2) E(phi,k) + c^2 F(phi,k)]
-    with phi = arcsin e1 and k = e2/e1, written in the ratios y = b/a and
+    with phi = arcsin e1 and k = e2/e1.  Term by term this is Legendre's 1811
+    form S = 2 pi c^2 + (2 pi a b / sin nu) [(c^2/a^2) F(nu, b')
+    + ((a^2-c^2)/a^2) E(nu, b')] with cos nu = c/a, b'^2 = (b^2-c^2)/(b^2 sin^2 nu).
+    With a and c interchanged it is the paper's c > b > a form in the barred
+    parameters, S = 2 pi a^2 {1 + sqrt((1+f1^2)/(1+f2^2)) [F(phib,kb)/f1
+    + f1 E(phib,kb)]} with phib = arctan f1, kb = sqrt(1 - f2^2/f1^2): that
+    area is triaxial_area(c, b, a).  Written in the ratios y = b/a and
     z = c/a as S = 2 pi a^2 [z^2 + y (e1 E + z^2 F / e1)], so no square of an
     axis is formed.  F and E come from one fused Carlson loop at sin phi = e1,
     cos^2 phi = z^2 and k'^2 = (c/b)^2 (1 - y^2) / e1^2, with no arcsin: then
     1 - k^2 sin^2 phi = (c/b)^2 stays positive even for thin discs c << b.
     Below c/b of about 1e-162 both cos^2 phi and k'^2 underflow to zero, the
-    (pi/2, 1) corner of F, and the loop raises DomainError; surface_area has
-    no such limit.  This is the paper's form kept as written: on thin discs F
-    and E sit near that corner, and at (679.69, 401.30, 0.00158) the result is
-    7.2e-15 from mpmath's 4 pi abc R_G, where surface_area, the accurate path,
-    is 2.2e-16 from it.
+    (pi/2, 1) corner of F, and the loop raises DomainError.  On thin discs F
+    and E sit near that corner: at (679.69, 401.30, 0.00158) the result is
+    7.2e-15 from mpmath's 4 pi abc R_G, where surface_area, the accurate
+    path with no such limit, is 2.2e-16 from it.
     """
     _check_axes(a, b, c)
     if not (a >= b >= c) or not a > c:
@@ -116,38 +120,6 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     z_sq = z * z
     f, e = _fe_sc(e1, z_sq, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
     return TWO_PI * a * (a * (z_sq + y * (e1 * e + z_sq * f / e1)))
-
-
-def surface_area_ascending(a: float, b: float, c: float) -> float:
-    """Ascending-axes closed form in the barred parameters (f1, f2).
-
-    S = 2 pi a^2 { 1 + sqrt((1+f1^2)/(1+f2^2)) [ F(phib,kb)/f1
-        + f1 E(phib,kb) ] } with phib = arctan f1, kb = sqrt(1 - f2^2/f1^2).
-    Requires strictly ascending axes a < b < c.  This is the descending form
-    with a and c interchanged: sin phib = e1 and kb = e2/e1 of (c, b, a), and
-    sqrt((1+f1^2)/(1+f2^2)) = b/a, so it is evaluated as triaxial_area(c, b, a),
-    with its thin-disc error of 7.2e-15; surface_area is the accurate path.
-    """
-    _check_axes(a, b, c)
-    if not (a < b < c):
-        raise DomainError("surface_area_ascending needs strictly ascending a < b < c")
-    return triaxial_area(c, b, a)
-
-
-def surface_area_legendre(a: float, b: float, c: float) -> float:
-    """Legendre's 1811 descending-axes form.
-
-    S = 2 pi c^2 + (2 pi a b / sin nu) [ (c^2/a^2) F(nu, b') +
-        ((a^2-c^2)/a^2) E(nu, b') ] with cos nu = c/a and
-    b'^2 = (b^2-c^2)/(b^2 sin^2 nu).  Requires strictly descending axes.
-    Term by term this is triaxial_area's expression, as sin nu = e1 and
-    b' = e2/e1, so it is evaluated as triaxial_area(a, b, c), with its thin-disc
-    error of 7.2e-15; surface_area is the accurate path.
-    """
-    _check_axes(a, b, c)
-    if not (a > b > c):
-        raise DomainError("surface_area_legendre needs strictly descending a > b > c")
-    return triaxial_area(a, b, c)
 
 
 def _g(x: float, m: float, z: float) -> float:

@@ -17,8 +17,8 @@ from collections import namedtuple
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .elliptic import (HALF_PI, _e_sc, _f_sc, _fe_sc, complete_d, complete_e,
-                       complete_k, incomplete_d, incomplete_e, incomplete_f)
+from .elliptic import (HALF_PI, _agm, _e_sc, _f_sc, _fe_sc, carlson_rd, complete_d,
+                       complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import QuadratureResult, integrate, integrate_singular_pair
 
@@ -185,7 +185,9 @@ def i1_barred_closed(p: AlphaKBar) -> float:
 
 def pr3_d_closed(p: AlphaZ) -> float:
     hyp = p.z * p.z + p.alpha * p.alpha
-    return math.pi * p.alpha / (2.0 * hyp) * complete_d(p.alpha / math.sqrt(hyp))
+    # D(k) = R_D(0, k'^2, 1)/3 at k'^2 = z^2/hyp, not rounded through k, as 1/(1 + r^2)
+    r = p.alpha / p.z
+    return math.pi * p.alpha / (2.0 * hyp) * carlson_rd(0.0, 1.0 / (1.0 + r * r), 1.0) / 3.0
 
 
 def pr3_d_barred_closed(p: AlphaKBar) -> float:
@@ -240,25 +242,28 @@ def i3_closed(p: NuK) -> float:
 
 
 def i4_closed(p: MuK) -> float:
-    kp2 = 1.0 - p.k * p.k
+    # I4 and I5: the amplitude arcsin(tanh mu) as sin = tanh mu, cos^2 = sech^2 mu,
+    # and E(k'), K(k') from the AGM started at b_0 = k exactly
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
     sh = math.sinh(p.mu)
     ch = math.cosh(p.mu)
-    th = sh / ch
-    phi = math.asin(th)
+    th = math.tanh(p.mu)
+    sech2 = (1.0 / ch) ** 2
     root = math.sqrt(1.0 + kp2 * sh * sh)
-    fme = p.k * p.k * incomplete_d(phi, p.k)
-    return -(complete_e(math.sqrt(kp2)) * arctanh_guarded(p.k * th)
+    # F - E = k^2 D, with D in its R_D form
+    fme = p.k * p.k * th * th * th * carlson_rd(sech2, sech2 + kp2 * th * th, 1.0) / 3.0
+    # (ch/sh)(1 - root) written as -ch kp2 sh/(1 + root), free of cancellation
+    return -(_agm(math.sqrt(kp2), p.k)[1] * arctanh_guarded(p.k * th)
              - HALF_PI * (fme + th * root)
-             - HALF_PI * (ch / sh) * (1.0 - root)) / (kp2 * sh * ch)
+             + HALF_PI * ch * kp2 * sh / (1.0 + root)) / (kp2 * sh * ch)
 
 
 def i5_closed(p: MuK) -> float:
-    kp2 = 1.0 - p.k * p.k
-    sh = math.sinh(p.mu)
-    ch = math.cosh(p.mu)
-    th = sh / ch
-    return -(complete_k(math.sqrt(kp2)) * arctanh_guarded(p.k * th)
-             - HALF_PI * incomplete_f(math.asin(th), p.k)) / (kp2 * sh * ch)
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
+    th = math.tanh(p.mu)
+    sech2 = (1.0 / math.cosh(p.mu)) ** 2
+    return -(_agm(math.sqrt(kp2), p.k)[0] * arctanh_guarded(p.k * th)
+             - HALF_PI * _f_sc(th, sech2, kp2)) / (kp2 * math.sinh(p.mu) * math.cosh(p.mu))
 
 
 def i6_closed(p: NuK) -> float:
@@ -312,18 +317,21 @@ def gr_f_sin_closed(p: XiKBar) -> float:
              - HALF_PI * incomplete_f(p.xi, p.kbar)) / (kb2 * sx * cx)
 
 
+def _atan_sc(p: FBar) -> tuple:
+    # sin and cos^2 of phib = arctan f1, and kbar'^2 = (f2/f1)^2, exact where kbar rounds to 1
+    return p.f1 / math.hypot(1.0, p.f1), 1.0 / (1.0 + p.f1 * p.f1), (p.f2 / p.f1) ** 2
+
+
 def atan_f_closed(p: FBar) -> float:
-    phib = math.atan(p.f1)
-    kbar = math.sqrt(1.0 - (p.f2 / p.f1) ** 2)
-    return HALF_PI * incomplete_f(phib, kbar) / p.f1
+    return HALF_PI * _f_sc(*_atan_sc(p)) / p.f1
 
 
 def atan_e_closed(p: FBar) -> float:
-    phib = math.atan(p.f1)
-    kbar = math.sqrt(1.0 - (p.f2 / p.f1) ** 2)
-    sinb = math.sin(phib)
-    return HALF_PI * (incomplete_e(phib, kbar) * p.f1
-                      - (1.0 - math.sqrt(1.0 - (kbar * sinb) ** 2)))
+    # 1 - sqrt(1 - x) as x/(1 + sqrt(1 - x)), with x = kbar^2 sin^2 phib =
+    # (f1 - f2)(f1 + f2)/(1 + f1^2) and 1 - x = (1 + f2^2)/(1 + f1^2)
+    h1 = math.hypot(1.0, p.f1)
+    x = (p.f1 - p.f2) / h1 * ((p.f1 + p.f2) / h1)
+    return HALF_PI * (_e_sc(*_atan_sc(p)) * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
 
 
 def pi_third_special(u: float, e1: float, e2: float) -> float:

@@ -99,6 +99,14 @@ def test_area_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_area_paper_methods_need_strict_order(capsys):
+    for axes, method, order in [("2,2,1", "legendre", "descending a > b > c"),
+                                ("3,2,1", "ascending", "ascending a < b < c")]:
+        rc, out, err = run_cli(["area", "--axes", axes, "--method", method], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: area --method {method} needs strictly {order}\n"
+
+
 def test_integral_closed_mode(capsys):
     rc, out, _ = run_cli(["integral", "--id", "I5", "--mu", "1.0",
                           "--k", "0.3", "--mode", "closed"], capsys)

@@ -21,7 +21,6 @@ from ellint import (
     complete_d,
     complete_e,
     complete_k,
-    conjugate_delta,
     imaginary_argument_reduce,
     imaginary_modulus_reduce,
     incomplete_d,
@@ -199,6 +198,15 @@ def test_complementary_amplitude_endpoints():
             complementary_amplitude(0.5, bad)
 
 
+def test_conjugate_delta_small_modulus_and_domain():
+    # the conjugate amplitude delta of theta is complementary_amplitude(theta, k);
+    # as k -> 0 it tends to pi/2 - theta, and k = 0 or 1 is outside its domain
+    assert complementary_amplitude(0.4, 1e-8) == pytest.approx(HALF_PI - 0.4, abs=1e-12)
+    for theta, k in [(0.5, 0.0), (0.5, 1.0)]:
+        with pytest.raises(DomainError):
+            complementary_amplitude(theta, k)
+
+
 def test_complementary_amplitude_addition():
     # F(phi1) + F(phi2) = K and E(phi1) + E(phi2) = E + k^2 s1 s2,
     # all at the modulus that defines the conjugate pair
@@ -212,25 +220,6 @@ def test_complementary_amplitude_addition():
         esum = incomplete_e(phi1, kp) + incomplete_e(phi2, kp)
         cross = kp * kp * math.sin(phi1) * math.sin(phi2)
         assert esum == pytest.approx(complete_e(kp) + cross, rel=1e-11)
-
-
-def test_conjugate_delta_relations():
-    for theta, k in [(0.5, 0.6), (0.3, 0.9), (1.2, 0.25), (0.9, 0.75)]:
-        kp = math.sqrt(1.0 - k * k)
-        delta = conjugate_delta(theta, k)
-        assert math.tan(delta) * kp * math.tan(theta) == pytest.approx(1.0, rel=1e-12)
-        fsum = incomplete_f(theta, k) + incomplete_f(delta, k)
-        assert fsum == pytest.approx(complete_k(k), rel=1e-12)
-        esum = incomplete_e(theta, k) + incomplete_e(delta, k)
-        cross = k * k * math.sin(theta) * math.sin(delta)
-        assert esum == pytest.approx(complete_e(k) + cross, rel=1e-12)
-
-
-def test_conjugate_delta_small_modulus_and_domain():
-    assert conjugate_delta(0.4, 1e-8) == pytest.approx(HALF_PI - 0.4, abs=1e-12)
-    for theta, k in [(0.0, 0.5), (HALF_PI, 0.5), (0.5, 0.0), (0.5, 1.0)]:
-        with pytest.raises(DomainError):
-            conjugate_delta(theta, k)
 
 
 def test_imaginary_modulus_frozen():

@@ -21,8 +21,6 @@ from ellint import (
     oblate_area,
     prolate_area,
     surface_area,
-    surface_area_ascending,
-    surface_area_legendre,
     surface_area_quadrature,
     triaxial_area,
 )
@@ -142,7 +140,8 @@ def test_prolate_limit_continuity(ratio):
 
 
 def test_ascending_near_prolate_limit():
-    nearly = surface_area_ascending(1.0, 1.0 + 1e-6, 2.0)
+    # the ascending form of (a, b, c) = (1, 1 + 1e-6, 2) is triaxial_area(c, b, a)
+    nearly = triaxial_area(2.0, 1.0 + 1e-6, 1.0)
     assert nearly == pytest.approx(prolate_area(2.0, 1.0), rel=1e-5)
 
 
@@ -157,27 +156,15 @@ def _strict_grid():
 
 
 def test_legendre_form_agreement():
-    # first-kind-only representation and the direct two-kind form, each vs
-    # the R_G area
+    # Legendre's form, term by term triaxial_area, vs the R_G area
     for a, b, c in _strict_grid():
-        area = surface_area(a, b, c)
-        assert surface_area_legendre(a, b, c) == pytest.approx(area, rel=1e-12)
-        assert triaxial_area(a, b, c) == pytest.approx(area, rel=1e-12)
-
-
-def test_legendre_form_requires_strict_ordering():
-    with pytest.raises(DomainError):
-        surface_area_legendre(2.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        surface_area_legendre(2.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        surface_area_legendre(1.0, 1.5, 2.0)
+        assert triaxial_area(a, b, c) == pytest.approx(surface_area(a, b, c), rel=1e-12)
 
 
 def test_ascending_form_agreements():
+    # the paper's ascending form is triaxial_area with a and c interchanged
     for a, b, c in [(1.0, 1.5, 2.0), (0.4, 1.1, 5.0), (1.0, 2.0, 3.0)]:
-        assert surface_area_ascending(a, b, c) == pytest.approx(
-            surface_area(a, b, c), rel=1e-12)
+        assert triaxial_area(c, b, a) == pytest.approx(surface_area(a, b, c), rel=1e-12)
 
 
 def test_against_two_dimensional_quadrature():

@@ -2,11 +2,13 @@
 
 Every module of the package (its __init__ aside) and every test module uses
 each name it imports, the package's __init__ imports exactly the names it
-exports in __all__, each of which resolves, and every private top-level name
-of the package is used somewhere in it besides its definition.
+exports in __all__, each of which resolves and is named in README.md, and
+every private top-level name of the package is used somewhere in it besides
+its definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,16 @@ def test_init_imports_exactly_all():
 def test_all_names_resolve():
     for name in ellint.__all__:
         assert hasattr(ellint, name), name
+
+
+def test_readme_names_every_public_name():
+    # named as inline code, `name` or `name(...)`
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"`([A-Za-z_]\w*)[`(]", readme))
+    assert set(ellint.__all__) - {"__version__"} - named == set()
+    # folded into triaxial_area and complementary_amplitude
+    for gone in ("surface_area_legendre", "surface_area_ascending", "conjugate_delta"):
+        assert not re.search(rf"\b{gone}\b", readme), gone
 
 
 def _private_top_level(tree: ast.Module) -> set:

@@ -24,7 +24,6 @@ from ellint import (
     integrate,
     integrate_singular_pair,
     run_suite,
-    surface_area_ascending,
     surface_area_quadrature,
     triaxial_area,
     write_report,
@@ -206,7 +205,6 @@ def test_budget_env_rejects_non_integer(monkeypatch):
 
 _GUARDS = {
     "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
-    "ascending_not_ascending": lambda path: surface_area_ascending(3.0, 2.0, 1.0),
     "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
     "pi_third_u_zero": lambda path: pi_third_special(0.0, 0.8, 0.4),
     "pi_third_u_above_half_pi": lambda path: pi_third_special(HALF_PI + 0.1, 0.8, 0.4),

@@ -4,8 +4,10 @@ Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
 spheroids, axis triples over the whole float range, conjugate amplitudes near
-zero, non-finite or overflowing Carlson arguments, and both imaginary-parameter
-extensions of (F, E) out to the overflow of k^2 and of sinh.  Skipped when mpmath is not installed.
+zero, non-finite or overflowing Carlson arguments, both imaginary-parameter
+extensions of (F, E) out to the overflow of k^2 and of sinh, and the PR3_D, I4,
+I5, ATAN_F and ATAN_E closed forms at edges of their parameter classes.
+Skipped when mpmath is not installed.
 """
 
 import math
@@ -16,8 +18,10 @@ import pytest
 
 from ellint import (
     DomainError,
+    IdentityId,
     carlson_rd,
     carlson_rf,
+    closed_value,
     complementary_amplitude,
     complete_e,
     complete_k,
@@ -29,11 +33,10 @@ from ellint import (
     oblate_area,
     prolate_area,
     surface_area,
-    surface_area_ascending,
-    surface_area_legendre,
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
+from ellint.identities import AlphaZ, FBar, MuK
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -206,19 +209,10 @@ def test_triaxial_form_domain_ends_at_the_corner():
 @pytest.mark.parametrize("a,b,c", [(1e150, 1e149, 1e148), (1e100, 1e99, 1e98),
                                    (3e-150, 2e-150, 1e-150), (3e-110, 2e-110, 1e-110)])
 def test_paper_forms_at_extreme_scales(a, b, c):
-    # both forms squared the axes: the first two triples raised DomainError
-    # (nan), the last two ZeroDivisionError
-    ref = _area_ref(a, b, c)
-    assert _rel(surface_area_legendre(a, b, c), ref) <= 1e-15
-    assert _rel(surface_area_ascending(c, b, a), ref) <= 1e-15
-
-
-def test_paper_forms_are_the_triaxial_form():
-    rng = random.Random(1811)
-    for _ in range(200):
-        a, b, c = sorted((10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)), reverse=True)
-        assert surface_area_legendre(a, b, c) == triaxial_area(a, b, c)
-        assert surface_area_ascending(c, b, a) == triaxial_area(a, b, c)
+    # Legendre's form and the ascending form squared the axes: the first two
+    # triples raised DomainError (nan), the last two ZeroDivisionError.  Both
+    # are triaxial_area, the ascending one on (c, b, a) of ascending axes.
+    assert _rel(triaxial_area(a, b, c), _area_ref(a, b, c)) <= 1e-15
 
 
 def test_complementary_amplitude_against_mpmath():
@@ -291,3 +285,94 @@ def test_imaginary_argument_against_mpmath():
 def test_imaginary_argument_at_large_phi_hyp(phi_h):
     # the atan/tan round trip of the amplitude lost e: 5.2e-9 at 20, 1.8 at 37, all of it above 40
     _imag_argument_check(phi_h, 0.5)
+
+
+# Closed formulas of the identities, evaluated in mpmath; m is the parameter k^2.
+
+
+def _pr3_d_ref(alpha, z):
+    hyp = z * z + alpha * alpha
+    m = alpha * alpha / hyp
+    return mp.pi * alpha / (2 * hyp) * (mp.ellipk(m) - mp.ellipe(m)) / m
+
+
+def _i4_ref(mu, k):
+    sh, ch, kp2 = mp.sinh(mu), mp.cosh(mu), 1 - k * k
+    th = sh / ch
+    phi, root = mp.asin(th), mp.sqrt(1 + kp2 * sh * sh)
+    fme = mp.ellipf(phi, k * k) - mp.ellipe(phi, k * k)
+    return -(mp.ellipe(kp2) * mp.atanh(k * th) - mp.pi / 2 * (fme + th * root)
+             - mp.pi / 2 * (ch / sh) * (1 - root)) / (kp2 * sh * ch)
+
+
+def _i5_ref(mu, k):
+    th, kp2 = mp.tanh(mu), 1 - k * k
+    return -(mp.ellipk(kp2) * mp.atanh(k * th) - mp.pi / 2 * mp.ellipf(mp.asin(th), k * k)
+             ) / (kp2 * mp.sinh(mu) * mp.cosh(mu))
+
+
+def _atan_f_ref(f1, f2):
+    return mp.pi / 2 * mp.ellipf(mp.atan(f1), 1 - (f2 / f1) ** 2) / f1
+
+
+def _atan_e_ref(f1, f2):
+    kb2, phib = 1 - (f2 / f1) ** 2, mp.atan(f1)
+    return mp.pi / 2 * (mp.ellipe(phib, kb2) * f1 - (1 - mp.sqrt(1 - kb2 * mp.sin(phib) ** 2)))
+
+
+_IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
+                  IdentityId.ATAN_F: _atan_f_ref, IdentityId.ATAN_E: _atan_e_ref}
+
+
+def _identity_ref(ident, params):
+    with mp.workdps(50):
+        return _IDENTITY_REFS[ident](*(mp.mpf(v) for v in params))
+
+
+def _kernel_integral(leg, mu, k):
+    # the defining integral of I4 (leg = E) and I5 (leg = F), both at modulus k'
+    kp2 = 1 - k * k
+    coef = kp2 * mp.sinh(mu) ** 2
+    return mp.quad(lambda u: leg(u, kp2) * mp.sin(u) * mp.cos(u)
+                   / ((1 + coef * mp.sin(u) ** 2) * mp.sqrt(1 - kp2 * mp.sin(u) ** 2)),
+                   [0, mp.pi / 2])
+
+
+def _pair_integral(g, lo, hi):
+    # integral of g(q) / sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi)
+    return mp.quad(lambda q: g(q) / mp.sqrt((hi * hi - q * q) * (q * q - lo * lo)), [lo, hi])
+
+
+def test_identity_references_are_the_integrals():
+    alpha, z, mu, k, f1, f2 = (mp.mpf(v) for v in (0.7, 0.3, 0.8, 0.4, 2.0, 0.7))
+    cases = [
+        (IdentityId.PR3_D, (alpha, z), _pair_integral(
+            lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
+        (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, mu, k)),
+        (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, mu, k)),
+        (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
+        (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
+    ]
+    for ident, params, integral in cases:
+        assert _rel(integral, _IDENTITY_REFS[ident](*params)) <= 1e-20, ident
+
+
+@pytest.mark.parametrize("ident,params,tol", [
+    # D(k) took k = alpha/sqrt(z^2 + alpha^2): DivergenceError, then 3.1e-6 off
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-9), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-6), 1e-15),
+    # K(k') took k' = sqrt(1 - k^2): DivergenceError, then 2.3e-13 off
+    (IdentityId.I5, MuK(1.0, 1e-9), 1e-15),
+    (IdentityId.I5, MuK(1.0, 1e-5), 1e-15),
+    # asin(sinh mu / cosh mu) raised ValueError, as the quotient rounded above 1
+    (IdentityId.I5, MuK(19.0, 0.5), 1e-15),
+    (IdentityId.I4, MuK(19.0, 0.5), 3e-8),
+    # (cosh mu / sinh mu)(1 - root) cancelled: 5.8e-8 off
+    (IdentityId.I4, MuK(1e-4, 0.5), 1e-12),
+    # kbar = sqrt(1 - (f2/f1)^2) near the (pi/2, 1) corner: 2.1e-10 off
+    (IdentityId.ATAN_F, FBar(1e4, 1.0), 1e-15),
+    # 1 - sqrt(1 - x) cancelled: 1.2e-9 off
+    (IdentityId.ATAN_E, FBar(1e-4, 5e-5), 1e-15),
+])
+def test_identity_closed_form_at_class_edges(ident, params, tol):
+    assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
