@@ -54,10 +54,10 @@ class Singularity(Enum):
 
 
 def arctanh_guarded(x: float) -> float:
-    """0.5 * ln((1+x)/(1-x)), rejecting |x| >= 1 - 1e-15."""
+    """atanh(x), rejecting |x| >= 1 - 1e-15."""
     if not abs(x) < 1.0 - 1e-15:
         raise DomainError(f"arctanh argument {x!r} too close to +-1")
-    return 0.5 * math.log((1.0 + x) / (1.0 - x))
+    return math.atanh(x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,11 @@ def i1_barred_closed(p: AlphaKBar) -> float:
 
 
 def pr3_d_closed(p: AlphaZ) -> float:
-    hyp = p.z * p.z + p.alpha * p.alpha
-    # D(k) = R_D(0, k'^2, 1)/3 at k'^2 = z^2/hyp, not rounded through k, as 1/(1 + r^2)
+    # homogeneous of degree -1, so written in r = alpha/z: D(k) = R_D(0, k'^2, 1)/3
+    # at k'^2 = z^2/(z^2 + alpha^2) = 1/(1 + r^2), not rounded through k
     r = p.alpha / p.z
-    return math.pi * p.alpha / (2.0 * hyp) * carlson_rd(0.0, 1.0 / (1.0 + r * r), 1.0) / 3.0
+    kp2 = 1.0 / (1.0 + r * r)
+    return HALF_PI * (r * kp2) / p.z * carlson_rd(0.0, kp2, 1.0) / 3.0
 
 
 def pr3_d_barred_closed(p: AlphaKBar) -> float:
@@ -202,17 +203,18 @@ def log_f_closed(p: EpsAB) -> float:
 
 
 def log_q2_closed(p: EpsAB) -> float:
-    e2 = p.eps * p.eps
-    phi = math.asin(p.beta / p.eps)
+    # homogeneous of degree 1, so evaluated at eps = 1 and scaled back by eps:
+    # no square of eps, alpha or beta over- or underflows
+    a = p.alpha / p.eps
+    b = p.beta / p.eps
     k = p.alpha / p.beta
-    a2 = p.alpha * p.alpha
-    b2 = p.beta * p.beta
-    # eps^2 - sqrt((eps^2-alpha^2)(eps^2-beta^2)) via its exact-difference
-    # form, stable when alpha, beta << eps
-    root = math.sqrt((e2 - a2) * (e2 - b2))
-    elementary = math.pi / p.eps * (e2 * (a2 + b2) - a2 * b2) / (e2 + root)
+    a2 = a * a
+    b2 = b * b
+    # 1 - sqrt((1-a^2)(1-b^2)) via its exact-difference form, stable when a, b << 1
+    root = math.sqrt((1.0 - a2) * (1.0 - b2))
+    elementary = math.pi * ((a2 + b2) - a2 * b2) / (1.0 + root)
     # F - E written as k^2 D to avoid cancellation at small k
-    return elementary + math.pi * p.beta * k * k * incomplete_d(phi, k)
+    return p.eps * (elementary + math.pi * b * k * k * incomplete_d(math.asin(b), k))
 
 
 def pseudo_closed(p: E1E2) -> float:
@@ -236,7 +238,7 @@ def i3_closed(p: NuK) -> float:
     th = math.tanh(p.nu)
     phi = math.asin(th / p.k)
     fme = p.k * p.k * incomplete_d(phi, p.k)
-    return ((complete_e(kp) * arctanh_guarded(th / p.k)
+    return ((_agm(kp, p.k)[1] * arctanh_guarded(th / p.k)
              - HALF_PI * th - HALF_PI * fme)
             / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
 
@@ -269,7 +271,7 @@ def i5_closed(p: MuK) -> float:
 def i6_closed(p: NuK) -> float:
     kp = _check_cosh_kernel(p.nu, p.k)
     th = math.tanh(p.nu)
-    return ((complete_k(kp) * arctanh_guarded(th / p.k)
+    return ((_agm(kp, p.k)[0] * arctanh_guarded(th / p.k)
              - HALF_PI * incomplete_f(math.asin(th / p.k), p.k))
             / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
 

@@ -180,20 +180,17 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
 
 
 def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:
-    """Odd Maclaurin derivative of x -> F(arcsin x, e2/e1) at x = 0.
+    """Odd Maclaurin derivative of x -> F(arcsin x, e2/e1) at x = 0, for m <= 85.
 
-    Equals (2m+1)! A_{2m+1} / e1^(2m), computed as an interleaved scaled
-    product so the factorial never materializes on its own.
+    Equals (2m+1)! A_{2m+1} / e1^(2m).  A_{2m+1} is homogeneous of degree 2m,
+    so this is (2m+1)! 2^(2m) A_{2m+1}(1/2, k/2) with k = e2/e1, and the power
+    of two scales exactly; k/2 is formed as e2/(2 e1), which stays above zero
+    for every e2 > 0.  The value is below (2m)!, which overflows from m = 86
+    on; those orders raise DomainError.
     """
     _check_m_max(m)
-    coeffs = a_coefficients(e1, e2, m)
-    res = coeffs.terms[m]
-    divisions = 2 * m
-    for i in range(1, 2 * m + 2):
-        res *= i
-        if divisions > 0:
-            res /= e1
-            divisions -= 1
-    if not math.isfinite(res):
-        raise OverflowError(f"derivative order {2 * m + 1} overflows at e1={e1!r}")
-    return res
+    _check_pair(e1, e2)
+    if m > 85:
+        raise DomainError(f"derivative order {2 * m + 1} overflows; m can be at most 85")
+    a = a_coefficients(0.5, e2 / (2.0 * e1), m).terms[m]
+    return math.ldexp(a, 2 * m) * (2 * m + 1) * math.factorial(2 * m)

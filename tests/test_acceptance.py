@@ -193,6 +193,6 @@ def test_criterion_10_maclaurin_derivatives(capsys):
     bad = _failures(records)
     ok = not bad and len(records) == 9
     _emit(capsys, 10, ok,
-          f"Maclaurin derivatives m <= 2 within 1e-4 of Richardson finite "
-          f"differences ({len(records) - len(bad)}/{len(records)})")
+          f"Maclaurin derivatives m <= 2 within 1e-13 of the binomial Cauchy "
+          f"product ({len(records) - len(bad)}/{len(records)})")
     assert ok, bad

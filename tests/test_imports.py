@@ -2,9 +2,9 @@
 
 Every module of the package (its __init__ aside) and every test module uses
 each name it imports, the package's __init__ imports exactly the names it
-exports in __all__, each of which resolves and is named in README.md, and
+exports in __all__, each of which resolves and is named in README.md,
 every private top-level name of the package is used somewhere in it besides
-its definition.
+its definition, and every raise in the package raises an ellint.errors class.
 """
 
 import ast
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ellint
+from ellint import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ellint"
@@ -86,3 +87,19 @@ def test_no_dead_private_helpers():
                 used.update(a.name for a in node.names)
     assert defined
     assert defined - used == set()
+
+
+def test_every_raise_is_typed():
+    # a raise names an EllintError class or re-raises; argparse's own error type
+    # is how cli._axes reports a malformed --axes value to the parser
+    typed = {name for name, v in vars(errors).items()
+             if isinstance(v, type) and issubclass(v, errors.EllintError)}
+    raised = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, ast.unparse(exc)))
+    assert len(raised) > 40
+    untyped = [r for r in raised if r[1] not in typed]
+    assert untyped == [("cli.py", "argparse.ArgumentTypeError")] * 2

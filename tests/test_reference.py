@@ -5,8 +5,10 @@ documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
 spheroids, axis triples over the whole float range, conjugate amplitudes near
 zero, non-finite or overflowing Carlson arguments, both imaginary-parameter
-extensions of (F, E) out to the overflow of k^2 and of sinh, and the PR3_D, I4,
-I5, ATAN_F and ATAN_E closed forms at edges of their parameter classes.
+extensions of (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin
+derivatives of F(arcsin x, k) where their series coefficients underflow, and the
+PR3_D, LOG_Q2, I3, I4, I5, I6, ATAN_F and ATAN_E closed forms at edges of their
+parameter classes.
 Skipped when mpmath is not installed.
 """
 
@@ -25,6 +27,7 @@ from ellint import (
     complementary_amplitude,
     complete_e,
     complete_k,
+    f_maclaurin_derivative,
     imaginary_argument_reduce,
     imaginary_modulus_reduce,
     incomplete_d,
@@ -36,7 +39,7 @@ from ellint import (
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import AlphaZ, FBar, MuK
+from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -287,6 +290,29 @@ def test_imaginary_argument_at_large_phi_hyp(phi_h):
     _imag_argument_check(phi_h, 0.5)
 
 
+@pytest.mark.parametrize("e1,e2", [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.05),
+                                   (0.99, 0.98)])
+def test_maclaurin_derivative_against_mpmath(e1, e2):
+    # the odd derivatives of F(arcsin x, k) are the even ones of its derivative
+    k = mp.mpf(e2) / e1
+    coeffs = mp.taylor(lambda x: 1 / mp.sqrt((1 - x * x) * (1 - k * k * x * x)), 0, 22)
+    for m in range(12):
+        assert _rel(f_maclaurin_derivative(m, e1, e2),
+                    coeffs[2 * m] * mp.factorial(2 * m)) <= 1e-14, m
+
+
+@pytest.mark.parametrize("m,e1,e2", [(2, 1e-200, 5e-201), (10, 1e-20, 5e-21),
+                                     (80, 0.01, 0.005)])
+def test_maclaurin_derivative_where_the_coefficient_underflows(m, e1, e2):
+    # A_{2m+1} ~ e1^(2m) underflowed: the first two returned 0.0, the last was 9.3% off.
+    # The reference is (2m)! times the Cauchy product of the two series
+    # (1 - t)^(-1/2) = sum binomial(2i, i) (t/4)^i at t = x^2 and t = k^2 x^2.
+    k2 = (mp.mpf(e2) / e1) ** 2
+    ref = mp.factorial(2 * m) / mp.mpf(4) ** m * mp.fsum(
+        mp.binomial(2 * i, i) * mp.binomial(2 * (m - i), m - i) * k2 ** i for i in range(m + 1))
+    assert _rel(f_maclaurin_derivative(m, e1, e2), ref) <= 1e-14
+
+
 # Closed formulas of the identities, evaluated in mpmath; m is the parameter k^2.
 
 
@@ -294,6 +320,26 @@ def _pr3_d_ref(alpha, z):
     hyp = z * z + alpha * alpha
     m = alpha * alpha / hyp
     return mp.pi * alpha / (2 * hyp) * (mp.ellipk(m) - mp.ellipe(m)) / m
+
+
+def _log_q2_ref(eps, alpha, beta):
+    phi, m = mp.asin(beta / eps), (alpha / beta) ** 2
+    root = mp.sqrt((eps * eps - alpha * alpha) * (eps * eps - beta * beta))
+    return mp.pi * (eps - root / eps) + mp.pi * beta * (mp.ellipf(phi, m) - mp.ellipe(phi, m))
+
+
+def _i3_ref(nu, k):
+    th, kp2 = mp.tanh(nu), 1 - k * k
+    phi = mp.asin(th / k)
+    fme = mp.ellipf(phi, k * k) - mp.ellipe(phi, k * k)
+    return ((mp.ellipe(kp2) * mp.atanh(th / k) - mp.pi / 2 * (th + fme))
+            / (kp2 * mp.sinh(nu) * mp.cosh(nu)))
+
+
+def _i6_ref(nu, k):
+    th, kp2 = mp.tanh(nu), 1 - k * k
+    return ((mp.ellipk(kp2) * mp.atanh(th / k) - mp.pi / 2 * mp.ellipf(mp.asin(th / k), k * k))
+            / (kp2 * mp.sinh(nu) * mp.cosh(nu)))
 
 
 def _i4_ref(mu, k):
@@ -320,8 +366,10 @@ def _atan_e_ref(f1, f2):
     return mp.pi / 2 * (mp.ellipe(phib, kb2) * f1 - (1 - mp.sqrt(1 - kb2 * mp.sin(phib) ** 2)))
 
 
-_IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
-                  IdentityId.ATAN_F: _atan_f_ref, IdentityId.ATAN_E: _atan_e_ref}
+_IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
+                  IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
+                  IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
+                  IdentityId.ATAN_E: _atan_e_ref}
 
 
 def _identity_ref(ident, params):
@@ -329,10 +377,11 @@ def _identity_ref(ident, params):
         return _IDENTITY_REFS[ident](*(mp.mpf(v) for v in params))
 
 
-def _kernel_integral(leg, mu, k):
-    # the defining integral of I4 (leg = E) and I5 (leg = F), both at modulus k'
+def _kernel_integral(leg, coef, k):
+    # the defining integral of I4 and I5 (coef = k'^2 sinh^2 mu) and of I3 and I6
+    # (coef = -k'^2 cosh^2 nu), with leg = E for I3 and I4 and leg = F for I5 and
+    # I6, all at modulus k'
     kp2 = 1 - k * k
-    coef = kp2 * mp.sinh(mu) ** 2
     return mp.quad(lambda u: leg(u, kp2) * mp.sin(u) * mp.cos(u)
                    / ((1 + coef * mp.sin(u) ** 2) * mp.sqrt(1 - kp2 * mp.sin(u) ** 2)),
                    [0, mp.pi / 2])
@@ -345,16 +394,30 @@ def _pair_integral(g, lo, hi):
 
 def test_identity_references_are_the_integrals():
     alpha, z, mu, k, f1, f2 = (mp.mpf(v) for v in (0.7, 0.3, 0.8, 0.4, 2.0, 0.7))
+    eps, nu, kn = (mp.mpf(v) for v in (3.0, 0.3, 0.6))
+    sinh_coef, cosh_coef = (1 - k * k) * mp.sinh(mu) ** 2, -(1 - kn * kn) * mp.cosh(nu) ** 2
     cases = [
         (IdentityId.PR3_D, (alpha, z), _pair_integral(
             lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
-        (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, mu, k)),
-        (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, mu, k)),
+        (IdentityId.LOG_Q2, (eps, alpha, z + alpha), _pair_integral(
+            lambda q: q * q * mp.log((eps + q) / (eps - q)), alpha, z + alpha)),
+        (IdentityId.I3, (nu, kn), _kernel_integral(mp.ellipe, cosh_coef, kn)),
+        (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, sinh_coef, k)),
+        (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, sinh_coef, k)),
+        (IdentityId.I6, (nu, kn), _kernel_integral(mp.ellipf, cosh_coef, kn)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
         (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
     ]
     for ident, params, integral in cases:
         assert _rel(integral, _IDENTITY_REFS[ident](*params)) <= 1e-20, ident
+
+
+@pytest.mark.parametrize("k", [1e-4, 1e-6, 1e-8])
+def test_i3_at_small_k(k):
+    # unlike K(k') in I6, E(k') is insensitive to k here, so I3 stays within
+    # about 5e-15 whichever of k and k' the AGM is started from
+    params = NuK(math.atanh(0.5 * k), k)
+    assert _rel(closed_value(IdentityId.I3, params), _identity_ref(IdentityId.I3, params)) <= 1e-14
 
 
 @pytest.mark.parametrize("ident,params,tol", [
@@ -367,12 +430,31 @@ def test_identity_references_are_the_integrals():
     # asin(sinh mu / cosh mu) raised ValueError, as the quotient rounded above 1
     (IdentityId.I5, MuK(19.0, 0.5), 1e-15),
     (IdentityId.I4, MuK(19.0, 0.5), 3e-8),
-    # (cosh mu / sinh mu)(1 - root) cancelled: 5.8e-8 off
-    (IdentityId.I4, MuK(1e-4, 0.5), 1e-12),
+    # (cosh mu / sinh mu)(1 - root) cancelled: 5.8e-8 off; then arctanh as
+    # 0.5 log((1 + x)/(1 - x)) lost 1e-16/x: 7.4e-13 off
+    (IdentityId.I4, MuK(1e-4, 0.5), 1e-15),
     # kbar = sqrt(1 - (f2/f1)^2) near the (pi/2, 1) corner: 2.1e-10 off
     (IdentityId.ATAN_F, FBar(1e4, 1.0), 1e-15),
     # 1 - sqrt(1 - x) cancelled: 1.2e-9 off
     (IdentityId.ATAN_E, FBar(1e-4, 5e-5), 1e-15),
+    # the same arctanh: 1.0e-12 off
+    (IdentityId.I5, MuK(1e-4, 0.5), 1e-15),
+    # K(k') took k = sqrt(1 - k'^2): 7.5e-10, 3.2e-6 and 2.2e-2 off
+    (IdentityId.I6, NuK(math.atanh(0.5e-4), 1e-4), 1e-15),
+    (IdentityId.I6, NuK(math.atanh(0.5e-6), 1e-6), 1e-15),
+    (IdentityId.I6, NuK(math.atanh(0.5e-8), 1e-8), 1e-15),
+    # z^2 + alpha^2 overflowed (0.0 returned) or underflowed (ZeroDivisionError)
+    (IdentityId.PR3_D, AlphaZ(1e200, 1e200), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1e-200, 1e-200), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1e155, 1e150), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(3e-160, 1e-160), 1e-15),
+    # squares of eps, alpha and beta overflowed (nan) or underflowed (94% off)
+    (IdentityId.LOG_Q2, EpsAB(3e80, 1e80, 2e80), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3e110, 1e110, 2e110), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3e160, 1e160, 2e160), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3e-80, 1e-80, 2e-80), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3e-110, 1e-110, 2e-110), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3e-160, 1e-160, 2e-160), 1e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol

@@ -2,8 +2,8 @@
 
 The coefficient recurrences are pinned against hand-expanded closed forms
 for the low orders, the two sigma sums against their exact elliptic
-references, and the Maclaurin derivative extractor against Richardson
-finite differences of the underlying first-kind integral.
+references, and the Maclaurin derivative extractor against the Taylor
+series of the derivative of the underlying first-kind integral.
 """
 
 import math
@@ -24,7 +24,7 @@ from ellint import (
     theta_terms,
 )
 from ellint.identities import EpsAB, log_f_closed, log_q2_closed
-from ellint.verify import _fd_odd_derivative, maclaurin_records
+from ellint.verify import _maclaurin_reference, maclaurin_records
 
 PAIRS = [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.2), (0.3, 0.1),
          (0.7, 0.65), (0.85, 0.1), (0.2, 0.15), (0.5, 0.25), (0.95, 0.6)]
@@ -207,24 +207,24 @@ def test_maclaurin_low_orders_closed():
             1.0 + (e2 / e1) ** 2, rel=1e-14)
 
 
-def test_maclaurin_against_finite_differences():
+def test_maclaurin_against_binomial_product():
     records = maclaurin_records()
     assert len(records) == 9
     assert all(r.passed for r in records)
-    # a direct instance of the same cross-check
-    k = 0.5
-    from ellint import incomplete_f
-
-    def g(x):
-        return incomplete_f(math.asin(x), k)
-
-    fd = _fd_odd_derivative(g, 5, 4e-3)
-    exact = f_maclaurin_derivative(2, 0.8, 0.4)
-    assert abs(fd - exact) / abs(exact) <= 1e-4
+    # d^5/dx^5 F(arcsin x, 1/2) at 0 = 4! (c_0 c_2 + c_1^2 k^2 + c_2 c_0 k^4)
+    # = 24 (3/8 + 1/16 + 3/128) = 177/16, exact in binary
+    assert _maclaurin_reference(2, 0.5) == 177 / 16
+    assert f_maclaurin_derivative(2, 0.8, 0.4) == pytest.approx(177 / 16, rel=1e-15)
+    # k/2 of the smallest subnormal k stays nonzero: 4! c_2 = 9 at k = 0
+    assert f_maclaurin_derivative(2, 0.9, 5e-324) == 9.0
 
 
 def test_maclaurin_overflow_guard():
-    with pytest.raises(OverflowError):
+    # (2m)! overflows from m = 86 on
+    assert math.isfinite(f_maclaurin_derivative(85, 0.9, 0.9 - 1e-9))
+    with pytest.raises(DomainError):
+        f_maclaurin_derivative(86, 0.9, 0.45)
+    with pytest.raises(DomainError):
         f_maclaurin_derivative(120, 0.9, 0.45)
 
 
