@@ -9,7 +9,13 @@ are bounded on (0, pi/2) and integrated directly.  The pseudo-elliptic
 integrand sqrt((e1^2-q^2)(q^2-e2^2)) / (q (1-q^2)) is bounded but has
 square-root zeros at both ends, so it too goes through the substitution, as
 g(q) = (e1^2-q^2)(q^2-e2^2) / (q (1-q^2)): direct quadrature would bisect
-toward both ends and spend about ten times the evaluations.
+toward both ends and spend about ten times the evaluations.  PR3_D and
+PR3_D_BARRED have the same kernel, but their g(u) = u^2 E(u/alpha) / (...)
+also has a (alpha^2-u^2) log(alpha^2-u^2) term at u = hi = alpha, from the
+k'^2 log k' term of E(k) at k = 1.  Their singularity, INV_SQRT_BOTH_LOG_HI,
+composes the substitution with the graded map t = (pi/2) sin tau over
+tau in (0, pi/2), which cuts their oracle evaluations at grid 5 from 5,895
+and 5,025 to 2,655 and 1,425 (see quadrature._integrate_singular_pair_graded).
 """
 
 import math
@@ -20,7 +26,8 @@ from typing import Callable, NamedTuple
 from .elliptic import (HALF_PI, _agm, _e_sc, _f_sc, _fe_sc, carlson_rd, complete_d,
                        complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
-from .quadrature import QuadratureResult, integrate, integrate_singular_pair
+from .quadrature import (QuadratureResult, _integrate_singular_pair_graded, integrate,
+                         integrate_singular_pair)
 
 IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
@@ -51,6 +58,7 @@ class IdentityId(Enum):
 class Singularity(Enum):
     NONE = "none"
     INV_SQRT_BOTH = "inverse_sqrt_both_endpoints"
+    INV_SQRT_BOTH_LOG_HI = "inverse_sqrt_both_endpoints_log_upper"
 
 
 def arctanh_guarded(x: float) -> float:
@@ -469,10 +477,10 @@ REGISTRY = {
         AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
         _weighted_e_part(lambda p: (1.0, p.kbar * p.kbar, -1.0, 2))),
     IdentityId.PR3_D: _Entry(
-        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH_LOG_HI,
         _weighted_e_part(lambda p: (p.alpha, p.z * p.z, 1.0, 1))),
     IdentityId.PR3_D_BARRED: _Entry(
-        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
+        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH_LOG_HI,
         _weighted_e_part(lambda p: (p.alpha, p.kbar * p.kbar, -1.0, 1))),
     IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
                              Singularity.INV_SQRT_BOTH, _log_f_part),
@@ -522,6 +530,8 @@ def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> Quadratu
     part = entry.part(params)
     if entry.singularity is Singularity.INV_SQRT_BOTH:
         return integrate_singular_pair(part, lo, hi, tol)
+    if entry.singularity is Singularity.INV_SQRT_BOTH_LOG_HI:
+        return _integrate_singular_pair_graded(part, lo, hi, tol)
     return integrate(part, lo, hi, tol)
 
 

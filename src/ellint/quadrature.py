@@ -10,6 +10,19 @@ the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
 integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
+
+_integrate_singular_pair_graded is the same integral for a g with a
+(hi^2-q^2) log(hi^2-q^2) term at q = hi, as u^2 E(u/alpha) has at u = alpha.
+After the substitution that term is cos^2 t log(cos t) at t = pi/2, and GK15
+resolves it only by bisecting toward that end.  The graded map
+t = (pi/2) sin tau, dt = (pi/2) cos tau dtau, over tau in (0, pi/2) turns it
+into s^5 log(s) with s = pi/2 - tau, which a few panels resolve.  Near t = 0
+the integrand may have a narrow feature of its own, such as u = z in PR3_D
+when z << alpha.  There a panel covers pi/2 times the t-range it covers
+without the map; t = (pi/2)(1 - (1 - tau)^2) over (0, 1) would cover twice
+that range and is 4.7e-10 off the closed form at PR3_D's alpha = 1,
+z = 1e-9, where the sine map is within 1.1e-15.  The interval stays
+(0, pi/2), so integrate's absolute floor is the same as without the map.
 """
 
 import heapq
@@ -146,15 +159,9 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     return QuadratureResult(value, err, evals)
 
 
-def integrate_singular_pair(g, lo: float, hi: float,
-                            tol: float = 1e-10) -> QuadratureResult:
-    """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
-
-    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
-    sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
-    (0, pi/2), which is what actually gets sampled; the endpoints are
-    never evaluated.
-    """
+def _singular_pair_integrand(g, lo: float, hi: float):
+    """g(q(t))/q(t) with q^2 = lo^2 + (hi^2 - lo^2) sin^2 t, after checking
+    0 <= lo < hi."""
     if not (0.0 <= lo < hi) or not math.isfinite(hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
     lo2 = lo * lo
@@ -164,7 +171,32 @@ def integrate_singular_pair(g, lo: float, hi: float,
         q = math.sqrt(lo2 + span * math.sin(t) ** 2)
         return g(q) / q
 
-    return integrate(transformed, 0.0, HALF_PI, tol)
+    return transformed
+
+
+def integrate_singular_pair(g, lo: float, hi: float,
+                            tol: float = 1e-10) -> QuadratureResult:
+    """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
+
+    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
+    sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
+    (0, pi/2), which is what actually gets sampled; the endpoints are
+    never evaluated.
+    """
+    return integrate(_singular_pair_integrand(g, lo, hi), 0.0, HALF_PI, tol)
+
+
+def _integrate_singular_pair_graded(g, lo: float, hi: float,
+                                    tol: float) -> QuadratureResult:
+    """integrate_singular_pair for a g with a log term at q = hi: the
+    substituted integrand f(t) is sampled as f((pi/2) sin tau) (pi/2) cos tau
+    over tau in (0, pi/2), which grades the panels toward t = pi/2."""
+    f = _singular_pair_integrand(g, lo, hi)
+
+    def graded(tau: float) -> float:
+        return f(HALF_PI * math.sin(tau)) * (HALF_PI * math.cos(tau))
+
+    return integrate(graded, 0.0, HALF_PI, tol)
 
 
 def surface_area_quadrature(a: float, b: float, c: float,

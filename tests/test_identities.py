@@ -18,6 +18,7 @@ from ellint import (
     DomainError,
     IdentityId,
     KernelSingularityError,
+    Singularity,
     check,
     closed_value,
     grid_params,
@@ -341,6 +342,43 @@ def test_pseudo_oracle_cost():
     res = oracle_value(IdentityId.PSEUDO, p)
     assert res.value == pytest.approx(closed_value(IdentityId.PSEUDO, p), rel=1e-13)
     assert res.evaluations <= 150
+
+
+# oracle evaluations over grid_params(ident, 5), the identity share of one
+# run_suite("all", 5)
+GRID5_ORACLE_EVALS = {
+    "I1": 1005, "I1_BARRED": 1275, "PR3_D": 2655, "PR3_D_BARRED": 1425,
+    "LOG_F": 735, "LOG_Q2": 855, "PSEUDO": 2505, "I3": 2595, "I4": 2115,
+    "I5": 2055, "I6": 2715, "I2_BARRED": 1155, "I3_BARRED": 1215,
+    "GR_E_SIN": 1155, "GR_F_SIN": 1215, "ATAN_F": 855, "ATAN_E": 825,
+}
+
+
+def test_oracle_evaluation_counts_at_grid_5():
+    counts = {ident.value: sum(oracle_value(ident, p).evaluations
+                               for p in grid_params(ident, 5))
+              for ident in IdentityId}
+    assert counts == GRID5_ORACLE_EVALS
+    assert sum(counts.values()) == 26_355
+
+
+@pytest.mark.parametrize("ident,params,ungraded", [
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-9), 1065),
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-6), 765),
+    (IdentityId.PR3_D, AlphaZ(1e6, 1.0), 765),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(1e-6, 0.5), 195),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.999, 0.999999), 195),
+], ids=["z_1e-9", "z_1e-6", "alpha_1e6", "alpha_1e-6", "kbar_near_1"])
+def test_graded_oracle_at_lower_end_edges(ident, params, ungraded):
+    # the graded map must keep the lower end resolved, where u = z is a narrow
+    # feature when z << alpha; the map (pi/2)(1 - (1 - tau)^2) was 4.7e-10 off
+    # at AlphaZ(1.0, 1e-9) and 3.9e-13 at the next two points.  ungraded is
+    # the evaluation count of integrate_singular_pair at the same point
+    assert REGISTRY[ident].singularity is Singularity.INV_SQRT_BOTH_LOG_HI
+    closed = closed_value(ident, params)
+    res = oracle_value(ident, params)
+    assert abs(res.value - closed) <= 1e-13 * abs(closed)
+    assert res.evaluations <= ungraded
 
 
 def test_record_near_zero_rule():
