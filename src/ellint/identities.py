@@ -16,6 +16,14 @@ k'^2 log k' term of E(k) at k = 1.  Their singularity, INV_SQRT_BOTH_LOG_HI,
 composes the substitution with the graded map t = (pi/2) sin tau over
 tau in (0, pi/2), which cuts their oracle evaluations at grid 5 from 5,895
 and 5,025 to 2,655 and 1,425 (see quadrature._integrate_singular_pair_graded).
+
+Six first-kind/second-kind pairs share bounds and kernel: I5/I4 (sinh),
+I6/I3 (cosh), I3_BARRED/I2_BARRED (cos psi), GR_F_SIN/GR_E_SIN (sin xi),
+LOG_F/LOG_Q2 and ATAN_F/ATAN_E.  Each pair has one part returning both
+members, (F w, E w) from one _fe_sc call or (v, u^2 v) from one log or atan
+call, integrated as one tuple integrand; each row reads its component.  At
+grid 5 the twelve rows take 8,970 evaluations in 150 integrate calls when
+verify integrates each pair once, against 17,490 in 300 row by row.
 """
 
 import math
@@ -269,11 +277,16 @@ def i4_closed(p: MuK) -> float:
 
 
 def i5_closed(p: MuK) -> float:
+    # sech^2 mu = (2e/(1 + e^2))^2 and 1/(sinh mu cosh mu) = 4e e/(1 - e^4) in
+    # e = exp(-mu), so nothing overflows; the last factor e takes a value that
+    # is still a subnormal there gracefully, and one below them to 0.0
     kp2 = (1.0 - p.k) * (1.0 + p.k)
     th = math.tanh(p.mu)
-    sech2 = (1.0 / math.cosh(p.mu)) ** 2
-    return -(_agm(math.sqrt(kp2), p.k)[0] * arctanh_guarded(p.k * th)
-             - HALF_PI * _f_sc(th, sech2, kp2)) / (kp2 * math.sinh(p.mu) * math.cosh(p.mu))
+    e = math.exp(-p.mu)
+    sech2 = (2.0 * e / (1.0 + e * e)) ** 2
+    return (-(_agm(math.sqrt(kp2), p.k)[0] * arctanh_guarded(p.k * th)
+              - HALF_PI * _f_sc(th, sech2, kp2))
+            * (4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))) * e)
 
 
 def i6_closed(p: NuK) -> float:
@@ -378,14 +391,15 @@ def _weighted_e_part(shape: Callable) -> Callable:
     return part
 
 
-def _log_f_part(p: EpsAB) -> Callable:
+def _log_part(p: EpsAB) -> Callable:
+    """Parts of LOG_F and LOG_Q2 as one pair: (v, u^2 v), v = log((eps+u)/(eps-u))."""
     eps = p.eps
-    return lambda u: math.log((eps + u) / (eps - u))
 
+    def g(u: float) -> tuple:
+        v = math.log((eps + u) / (eps - u))
+        return v, u * u * v
 
-def _log_q2_part(p: EpsAB) -> Callable:
-    eps = p.eps
-    return lambda u: u * u * math.log((eps + u) / (eps - u))
+    return g
 
 
 def _pseudo_part(p: E1E2) -> Callable:
@@ -400,61 +414,74 @@ def _pseudo_part(p: E1E2) -> Callable:
     return g
 
 
-def _kernel_part(kernel: Callable, leg: Callable) -> Callable:
-    """Part leg(u, m) sin u cos u / ((1 + coef sin^2 u) sqrt(1 - m2 sin^2 u)) with
-    (m, m2, coef) = kernel(params) and leg = _e_sc or _f_sc, the entries behind
-    incomplete_e and incomplete_f, called on sin u, cos^2 u and 1 - m^2.  m2 is
-    not m*m for the sinh kernel (1 - k^2), and a kernel 1 - x sin^2 u passes
-    coef = -x, which is exact.  Nodes lie inside (0, pi/2) and m < 1, so the
-    argument checks of incomplete_e and incomplete_f cannot fire."""
+def _kernel_part(kernel: Callable) -> Callable:
+    """Decorator: the part of a first/second-kind pair from its kernel,
+    (F w, E w) with F and E at (u, m), w = sin u cos u / ((1 + coef sin^2 u)
+    sqrt(1 - m2 sin^2 u)) and (m, m2, coef) = kernel(params).  F and E come
+    from one _fe_sc call, the fused loop behind incomplete_e, on sin u,
+    cos^2 u and 1 - m^2.  m2 is not m*m for the sinh kernel (1 - k^2), and a
+    kernel 1 - x sin^2 u passes coef = -x, which is exact.  Nodes lie inside
+    (0, pi/2) and m < 1, so the argument checks of incomplete_e cannot fire."""
 
     def part(p) -> Callable:
         m, m2, coef = kernel(p)
         kc2 = (1.0 - m) * (1.0 + m)
 
-        def fn(u: float) -> float:
+        def fn(u: float) -> tuple:
             s = math.sin(u)
             c = math.cos(u)
             s2 = s * s
-            return (leg(s, c * c, kc2) * s * c
-                    / ((1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)))
+            f, e = _fe_sc(s, c * c, kc2)
+            den = (1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)
+            return f * s * c / den, e * s * c / den
 
         return fn
 
     return part
 
 
-def _cosh_kernel(p: NuK) -> tuple:
+@_kernel_part
+def _cosh_part(p: NuK) -> tuple:
     kp = _check_cosh_kernel(p.nu, p.k)
     kp2 = kp * kp
     return kp, kp2, -(kp2 * math.cosh(p.nu) ** 2)
 
 
-def _sinh_kernel(p: MuK) -> tuple:
+@_kernel_part
+def _sinh_part(p: MuK) -> tuple:
     kp2 = 1.0 - p.k * p.k
     return math.sqrt(kp2), kp2, kp2 * math.sinh(p.mu) ** 2
 
 
-def _psi_kernel(p: PsiKBar) -> tuple:
+@_kernel_part
+def _psi_part(p: PsiKBar) -> tuple:
     kb2 = p.kbar * p.kbar
     return p.kbar, kb2, -(kb2 * math.cos(p.psi) ** 2)
 
 
-def _xi_kernel(p: XiKBar) -> tuple:
+@_kernel_part
+def _xi_part(p: XiKBar) -> tuple:
     kb2 = p.kbar * p.kbar
     return p.kbar, kb2, -(kb2 * math.sin(p.xi) ** 2)
 
 
-def _atan_f_part(p: FBar) -> Callable:
-    return lambda q: math.atan(q)
+def _atan_part(p: FBar) -> Callable:
+    """Parts of ATAN_F and ATAN_E as one pair: (v, q^2 v), v = atan q."""
 
+    def g(q: float) -> tuple:
+        v = math.atan(q)
+        return v, q * q * v
 
-def _atan_e_part(p: FBar) -> Callable:
-    return lambda q: q * q * math.atan(q)
+    return g
 
 
 # ---------------------------------------------------------------------------
 # registry
+
+
+# the component a paired row reads of its part: the first-kind (F) member
+# or the second-kind (E) member
+_F, _E = 0, 1
 
 
 class _Entry(NamedTuple):
@@ -463,6 +490,7 @@ class _Entry(NamedTuple):
     bounds: Callable
     singularity: Singularity
     part: Callable
+    component: int | None = None  # _F or _E for a row of a paired part
 
 
 def _quarter_period(p) -> tuple:
@@ -483,31 +511,27 @@ REGISTRY = {
         AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH_LOG_HI,
         _weighted_e_part(lambda p: (p.alpha, p.kbar * p.kbar, -1.0, 1))),
     IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
-                             Singularity.INV_SQRT_BOTH, _log_f_part),
+                             Singularity.INV_SQRT_BOTH, _log_part, _F),
     IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),
-                              Singularity.INV_SQRT_BOTH, _log_q2_part),
+                              Singularity.INV_SQRT_BOTH, _log_part, _E),
     IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
                               Singularity.INV_SQRT_BOTH, _pseudo_part),
-    IdentityId.I3: _Entry(NuK, i3_closed, _quarter_period, Singularity.NONE,
-                          _kernel_part(_cosh_kernel, _e_sc)),
-    IdentityId.I4: _Entry(MuK, i4_closed, _quarter_period, Singularity.NONE,
-                          _kernel_part(_sinh_kernel, _e_sc)),
-    IdentityId.I5: _Entry(MuK, i5_closed, _quarter_period, Singularity.NONE,
-                          _kernel_part(_sinh_kernel, _f_sc)),
-    IdentityId.I6: _Entry(NuK, i6_closed, _quarter_period, Singularity.NONE,
-                          _kernel_part(_cosh_kernel, _f_sc)),
+    IdentityId.I3: _Entry(NuK, i3_closed, _quarter_period, Singularity.NONE, _cosh_part, _E),
+    IdentityId.I4: _Entry(MuK, i4_closed, _quarter_period, Singularity.NONE, _sinh_part, _E),
+    IdentityId.I5: _Entry(MuK, i5_closed, _quarter_period, Singularity.NONE, _sinh_part, _F),
+    IdentityId.I6: _Entry(NuK, i6_closed, _quarter_period, Singularity.NONE, _cosh_part, _F),
     IdentityId.I2_BARRED: _Entry(PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
-                                 _kernel_part(_psi_kernel, _e_sc)),
+                                 _psi_part, _E),
     IdentityId.I3_BARRED: _Entry(PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
-                                 _kernel_part(_psi_kernel, _f_sc)),
+                                 _psi_part, _F),
     IdentityId.GR_E_SIN: _Entry(XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
-                                _kernel_part(_xi_kernel, _e_sc)),
+                                _xi_part, _E),
     IdentityId.GR_F_SIN: _Entry(XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
-                                _kernel_part(_xi_kernel, _f_sc)),
+                                _xi_part, _F),
     IdentityId.ATAN_F: _Entry(FBar, atan_f_closed, lambda p: (p.f2, p.f1),
-                              Singularity.INV_SQRT_BOTH, _atan_f_part),
+                              Singularity.INV_SQRT_BOTH, _atan_part, _F),
     IdentityId.ATAN_E: _Entry(FBar, atan_e_closed, lambda p: (p.f2, p.f1),
-                              Singularity.INV_SQRT_BOTH, _atan_e_part),
+                              Singularity.INV_SQRT_BOTH, _atan_part, _E),
 }
 
 
@@ -523,9 +547,9 @@ def closed_value(ident: IdentityId, params) -> float:
     return _entry(ident, params).closed(params)
 
 
-def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
-    """Evaluate the left-hand side by adaptive quadrature."""
-    entry = _entry(ident, params)
+def _integral(entry: _Entry, params, tol: float = ORACLE_TOL) -> QuadratureResult:
+    """The oracle integral of entry's part at params: for a paired part, both
+    components in one integrate call, with tuple value and error."""
     lo, hi = entry.bounds(params)
     part = entry.part(params)
     if entry.singularity is Singularity.INV_SQRT_BOTH:
@@ -533,6 +557,22 @@ def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> Quadratu
     if entry.singularity is Singularity.INV_SQRT_BOTH_LOG_HI:
         return _integrate_singular_pair_graded(part, lo, hi, tol)
     return integrate(part, lo, hi, tol)
+
+
+def _read(entry: _Entry, res: QuadratureResult) -> QuadratureResult:
+    """entry's own result from _integral's: its component of a paired part,
+    with the evaluations the pair shared."""
+    c = entry.component
+    if c is None:
+        return res
+    return QuadratureResult(res.value[c], res.error_estimate[c], res.evaluations)
+
+
+def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
+    """Evaluate the left-hand side by adaptive quadrature.  For a row of a
+    paired part, both members are integrated and this row's is returned."""
+    entry = _entry(ident, params)
+    return _read(entry, _integral(entry, params, tol))
 
 
 def grid_params(ident: IdentityId, n: int) -> list:

@@ -23,6 +23,12 @@ without the map; t = (pi/2)(1 - (1 - tau)^2) over (0, 1) would cover twice
 that range and is 4.7e-10 off the closed form at PR3_D's alpha = 1,
 z = 1e-9, where the sine map is within 1.1e-15.  The interval stays
 (0, pi/2), so integrate's absolute floor is the same as without the map.
+
+integrate also takes a vector integrand, one that returns a tuple of floats,
+as the vector extensions of adaptive quadrature do (Genz and Malik 1980;
+DCUHRE, Berntsen, Espelid and Genz 1991): its components share the nodes, the
+subdivision and the budget, and each is estimated and judged on its own.  A
+float integrand keeps its own loop and arithmetic, bit for bit.
 """
 
 import heapq
@@ -82,11 +88,9 @@ def _env_budget(default: int) -> int:
     return val
 
 
-def _panel(f, a: float, b: float):
-    """One GK15 pass over [a, b]: (kronrod value, error estimate)."""
-    center = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = [f(center + h * x) for x in _XK]
+def _rule(fv, h: float, a: float, b: float) -> tuple:
+    """GK15 over [a, b], with h = (b - a)/2, from the 15 node samples fv of
+    one component: (kronrod value, error estimate)."""
     resk = 0.0
     resabs = 0.0
     for w, v in zip(_WK, fv):
@@ -113,6 +117,37 @@ def _panel(f, a: float, b: float):
     return value, err
 
 
+def _panel(f, a: float, b: float) -> tuple:
+    """One GK15 pass over [a, b]: (value, error estimate), or a tuple of
+    each, one entry per component, when f returns a tuple."""
+    center = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(center + h * x) for x in _XK]
+    if not isinstance(fv[0], tuple):
+        return _rule(fv, h, a, b)
+    rules = [_rule(col, h, a, b) for col in zip(*fv)]
+    return tuple(v for v, _ in rules), tuple(e for _, e in rules)
+
+
+def _bisect(heap: list, evals: int, budget: int, lo: float, hi: float,
+            total_err: float) -> tuple:
+    """Pop the heap's first panel, the one to bisect: (a, midpoint, b, its
+    entry), after checking that the budget admits two more panels and that
+    the panel can still be split."""
+    if evals + 30 > budget:
+        raise NonConvergenceError(
+            f"quadrature budget of {budget} evaluations exhausted on "
+            f"[{lo!r}, {hi!r}] with error estimate {total_err:.3e}")
+    entry = heapq.heappop(heap)
+    a, b = entry[2], entry[3]
+    mid = 0.5 * (a + b)
+    if mid <= a or mid >= b:
+        raise NonConvergenceError(
+            f"interval [{a!r}, {b!r}] below float resolution with "
+            f"tolerance unmet (error estimate {total_err:.3e})")
+    return a, mid, b, entry
+
+
 def integrate(f, lo: float, hi: float, tol: float = 1e-10,
               max_evals: int | None = None) -> QuadratureResult:
     """Adaptive integral of f over (lo, hi).
@@ -121,6 +156,11 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     1e-15 * (hi - lo)).  Deterministic: identical inputs always produce
     bit-identical results.  Raises NonConvergenceError once the budget
     (max_evals, default 1e6 or ELLINT_MAX_EVALS) would be exceeded.
+
+    f may also return a tuple of floats.  Its components then share one
+    subdivision and one budget, each must meet its own max(tol * |value|,
+    1e-15 * (hi - lo)), value and error_estimate are tuples, and evaluations
+    counts each call of f once.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
@@ -130,22 +170,15 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     abs_target = _ABS_FLOOR * (hi - lo)
 
     value, err = _panel(f, lo, hi)
+    if isinstance(value, tuple):
+        return _integrate_components(f, lo, hi, tol, budget, abs_target, value, err)
     evals = 15
     total_val = value
     total_err = err
     heap = [(-err, 0, lo, hi, value)]
     seq = 1
     while total_err > max(tol * abs(total_val), abs_target):
-        if evals + 30 > budget:
-            raise NonConvergenceError(
-                f"quadrature budget of {budget} evaluations exhausted on "
-                f"[{lo!r}, {hi!r}] with error estimate {total_err:.3e}")
-        neg_err, _, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            raise NonConvergenceError(
-                f"interval [{a!r}, {b!r}] below float resolution with "
-                f"tolerance unmet (error estimate {total_err:.3e})")
+        a, mid, b, (neg_err, _, _, _, v) = _bisect(heap, evals, budget, lo, hi, total_err)
         v1, e1 = _panel(f, a, mid)
         v2, e2 = _panel(f, mid, b)
         evals += 30
@@ -159,9 +192,43 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     return QuadratureResult(value, err, evals)
 
 
+def _integrate_components(f, lo: float, hi: float, tol: float, budget: int,
+                          abs_target: float, values: tuple,
+                          errs: tuple) -> QuadratureResult:
+    """integrate's loop for a tuple integrand, from the first panel's values
+    and errors.  A panel is keyed on its largest component error as a
+    multiple of that component's target, so a component 1e12 times smaller
+    than another is refined as far as it needs."""
+    evals = 15
+    total_val = list(values)
+    total_err = list(errs)
+    comps = range(len(values))
+    heap = [(0.0, 0, lo, hi, values, errs)]
+    seq = 1
+    while True:
+        # floored at the smallest normal float, in case abs_target underflows
+        targets = [max(tol * abs(v), abs_target, 2.2250738585072014e-308) for v in total_val]
+        if all(e <= t for e, t in zip(total_err, targets)):
+            break
+        a, mid, b, (_, _, _, _, v, e) = _bisect(heap, evals, budget, lo, hi,
+                                                max(total_err))
+        v1, e1 = _panel(f, a, mid)
+        v2, e2 = _panel(f, mid, b)
+        evals += 30
+        for c in comps:
+            total_val[c] += (v1[c] + v2[c]) - v[c]
+            total_err[c] += (e1[c] + e2[c]) - e[c]
+        heapq.heappush(heap, (-max(x / t for x, t in zip(e1, targets)), seq, a, mid, v1, e1))
+        heapq.heappush(heap, (-max(x / t for x, t in zip(e2, targets)), seq + 1, mid, b, v2, e2))
+        seq += 2
+    return QuadratureResult(tuple(map(math.fsum, zip(*(entry[4] for entry in heap)))),
+                            tuple(map(math.fsum, zip(*(entry[5] for entry in heap)))),
+                            evals)
+
+
 def _singular_pair_integrand(g, lo: float, hi: float):
     """g(q(t))/q(t) with q^2 = lo^2 + (hi^2 - lo^2) sin^2 t, after checking
-    0 <= lo < hi."""
+    0 <= lo < hi; each component divided by q(t) when g returns a tuple."""
     if not (0.0 <= lo < hi) or not math.isfinite(hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
     lo2 = lo * lo
@@ -169,7 +236,10 @@ def _singular_pair_integrand(g, lo: float, hi: float):
 
     def transformed(t: float) -> float:
         q = math.sqrt(lo2 + span * math.sin(t) ** 2)
-        return g(q) / q
+        y = g(q)
+        if isinstance(y, tuple):
+            return tuple([c / q for c in y])
+        return y / q
 
     return transformed
 
@@ -181,7 +251,8 @@ def integrate_singular_pair(g, lo: float, hi: float,
     Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
     sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
     (0, pi/2), which is what actually gets sampled; the endpoints are
-    never evaluated.
+    never evaluated.  g may return a tuple of floats, integrated as
+    integrate integrates a tuple integrand.
     """
     return integrate(_singular_pair_integrand(g, lo, hi), 0.0, HALF_PI, tol)
 

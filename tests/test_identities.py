@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from ellint import identities, quadrature
 from ellint import (
     DomainError,
     IdentityId,
@@ -55,6 +56,7 @@ from ellint.verify import (
     area_via_barred_weighted_e,
     area_via_log_kernel,
     area_via_weighted_e_integral,
+    identity_records,
     kernel_relation_records,
 )
 
@@ -344,14 +346,17 @@ def test_pseudo_oracle_cost():
     assert res.evaluations <= 150
 
 
-# oracle evaluations over grid_params(ident, 5), the identity share of one
-# run_suite("all", 5)
+# oracle evaluations over grid_params(ident, 5); the two rows of a paired
+# part (I3/I6, I4/I5, I2_BARRED/I3_BARRED, GR_E_SIN/GR_F_SIN, LOG_F/LOG_Q2,
+# ATAN_F/ATAN_E) share one integral per point and report its count
 GRID5_ORACLE_EVALS = {
     "I1": 1005, "I1_BARRED": 1275, "PR3_D": 2655, "PR3_D_BARRED": 1425,
-    "LOG_F": 735, "LOG_Q2": 855, "PSEUDO": 2505, "I3": 2595, "I4": 2115,
-    "I5": 2055, "I6": 2715, "I2_BARRED": 1155, "I3_BARRED": 1215,
-    "GR_E_SIN": 1155, "GR_F_SIN": 1215, "ATAN_F": 855, "ATAN_E": 825,
+    "LOG_F": 855, "LOG_Q2": 855, "PSEUDO": 2505, "I3": 2715, "I4": 2115,
+    "I5": 2115, "I6": 2715, "I2_BARRED": 1215, "I3_BARRED": 1215,
+    "GR_E_SIN": 1215, "GR_F_SIN": 1215, "ATAN_F": 855, "ATAN_E": 855,
 }
+_PAIRS = (("I3", "I6"), ("I4", "I5"), ("I2_BARRED", "I3_BARRED"),
+          ("GR_E_SIN", "GR_F_SIN"), ("LOG_F", "LOG_Q2"), ("ATAN_F", "ATAN_E"))
 
 
 def test_oracle_evaluation_counts_at_grid_5():
@@ -359,7 +364,44 @@ def test_oracle_evaluation_counts_at_grid_5():
                                for p in grid_params(ident, 5))
               for ident in IdentityId}
     assert counts == GRID5_ORACLE_EVALS
-    assert sum(counts.values()) == 26_355
+    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 17_835
+
+
+def test_paired_rows_share_their_part():
+    for a, b in _PAIRS:
+        ea, eb = REGISTRY[IdentityId(a)], REGISTRY[IdentityId(b)]
+        assert ea.part is eb.part and {ea.component, eb.component} == {0, 1}
+    paired = {i for pair in _PAIRS for i in pair}
+    assert all(entry.component is None
+               for ident, entry in REGISTRY.items() if ident.value not in paired)
+
+
+def test_identity_records_integrate_each_pair_once(monkeypatch):
+    # one integrate call per unpaired row and per paired part at each grid
+    # point: 275 calls and 17,835 evaluations, against 425 and 26,355 with
+    # every row integrated on its own
+    plain = quadrature.integrate
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        calls.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    monkeypatch.setattr(identities, "integrate", counted)
+    records = identity_records(5)
+    assert len(records) == 425 and all(r.passed for r in records)
+    assert (len(calls), sum(calls)) == (275, 17_835)
+
+
+def test_sweep_records_read_the_oracle_value():
+    # oracle_value and the sweep take one code path: each record's oracle is
+    # oracle_value at its point, bit for bit
+    for rec in identity_records(3):
+        ident = IdentityId(rec.ident)
+        params = REGISTRY[ident].params_cls(**rec.params)
+        assert rec.oracle == oracle_value(ident, params).value
 
 
 @pytest.mark.parametrize("ident,params,ungraded", [

@@ -250,6 +250,68 @@ def test_non_finite_integrand():
     assert issubclass(NonFiniteIntegrandError, NonConvergenceError)
 
 
+def test_float_integrand_results_are_unchanged():
+    # a float integrand keeps the scalar loop's arithmetic: these two results
+    # are pinned bit for bit
+    res = integrate(lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2), 0.0, HALF_PI, 1e-11)
+    assert res == (1.171697052781614, 1.3008450458835852e-14, 75)
+    res = integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-10)
+    assert res == (0.037676985468630166, 9.512457278050712e-13, 3825)
+
+
+def test_tuple_components_meet_their_own_tolerance():
+    # components 1e12 apart in magnitude, the oscillating one the small or
+    # the large one: each meets tol relative to its own value, at the cost of
+    # the oscillating component alone
+    def big(x):
+        return 1e12 * math.exp(-x)
+
+    def wave(x):
+        return math.sin(50.0 * x)
+
+    exact_big = -1e12 * math.expm1(-10.0)
+    exact_wave = (1.0 - math.cos(500.0)) / 50.0
+    alone = integrate(wave, 0.0, 10.0, 1e-10).evaluations
+    for f, exact in [(lambda x: (big(x), wave(x)), (exact_big, exact_wave)),
+                     (lambda x: (1e12 * wave(x), 1e-12 * big(x)),
+                      (1e12 * exact_wave, 1e-12 * exact_big))]:
+        res = integrate(f, 0.0, 10.0, 1e-10)
+        assert len(res.value) == len(res.error_estimate) == 2
+        for value, err, ref in zip(res.value, res.error_estimate, exact):
+            assert err <= 1e-10 * abs(value)
+            assert abs(value - ref) <= 1e-10 * abs(ref)
+        assert res.evaluations == alone
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tuple_non_finite_component_raises(bad):
+    for f in (lambda x: (x, bad), lambda x: (bad, x)):
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate(f, 0.0, 1.0)
+
+
+def test_tuple_budget_counts_shared_evaluations_once():
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return math.sin(50.0 * x), math.cos(50.0 * x)
+
+    res = integrate(f, 0.0, 10.0, 1e-10)
+    assert res.evaluations == len(nodes)
+    # a budget of exactly that many evaluations suffices; one fewer does not
+    assert integrate(f, 0.0, 10.0, 1e-10, max_evals=res.evaluations) == res
+    with pytest.raises(NonConvergenceError):
+        integrate(f, 0.0, 10.0, 1e-10, max_evals=res.evaluations - 1)
+
+
+def test_tuple_singular_pair():
+    # g(q) = (q, q^3): pi/2 and pi/4 (lo^2 + hi^2)
+    res = integrate_singular_pair(lambda q: (q, q ** 3), 0.3, 0.9, 1e-12)
+    assert res.value[0] == pytest.approx(HALF_PI, rel=1e-12)
+    assert res.value[1] == pytest.approx(math.pi / 4.0 * (0.09 + 0.81), rel=1e-12)
+
+
 def test_surface_area_sphere():
     res = surface_area_quadrature(1.0, 1.0, 1.0, 1e-9)
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-9)

@@ -8,7 +8,9 @@ zero, non-finite or overflowing Carlson arguments, both imaginary-parameter
 extensions of (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin
 derivatives of F(arcsin x, k) where their series coefficients underflow, and the
 PR3_D, LOG_Q2, I3, I4, I5, I6, ATAN_F and ATAN_E closed forms at edges of their
-parameter classes.
+parameter classes, I5 out to mu = 1e300, and the oracle of the eight kernel
+identities, whose F and E legs share one quadrature, against their defining
+integrals.
 Skipped when mpmath is not installed.
 """
 
@@ -28,18 +30,20 @@ from ellint import (
     complete_e,
     complete_k,
     f_maclaurin_derivative,
+    grid_params,
     imaginary_argument_reduce,
     imaginary_modulus_reduce,
     incomplete_d,
     incomplete_e,
     incomplete_f,
     oblate_area,
+    oracle_value,
     prolate_area,
     surface_area,
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK
+from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -377,14 +381,23 @@ def _identity_ref(ident, params):
         return _IDENTITY_REFS[ident](*(mp.mpf(v) for v in params))
 
 
-def _kernel_integral(leg, coef, k):
-    # the defining integral of I4 and I5 (coef = k'^2 sinh^2 mu) and of I3 and I6
-    # (coef = -k'^2 cosh^2 nu), with leg = E for I3 and I4 and leg = F for I5 and
-    # I6, all at modulus k'
-    kp2 = 1 - k * k
-    return mp.quad(lambda u: leg(u, kp2) * mp.sin(u) * mp.cos(u)
-                   / ((1 + coef * mp.sin(u) ** 2) * mp.sqrt(1 - kp2 * mp.sin(u) ** 2)),
+def _kernel_integral(leg, coef, m):
+    # the defining integral of the eight kernel identities, with leg = E or F at
+    # parameter m and the kernel coefficient coef of _KERNELS
+    return mp.quad(lambda u: leg(u, m) * mp.sin(u) * mp.cos(u)
+                   / ((1 + coef * mp.sin(u) ** 2) * mp.sqrt(1 - m * mp.sin(u) ** 2)),
                    [0, mp.pi / 2])
+
+
+# (m, coef) of each kernel class: m = k'^2 for I3/I6 and I4/I5 (modulus k'),
+# kbar^2 for I2_BARRED/I3_BARRED (cos psi) and GR_E_SIN/GR_F_SIN (sin xi)
+_KERNELS = {
+    NuK: lambda nu, k: (1 - k * k, -(1 - k * k) * mp.cosh(nu) ** 2),
+    MuK: lambda mu, k: (1 - k * k, (1 - k * k) * mp.sinh(mu) ** 2),
+    PsiKBar: lambda psi, kbar: (kbar * kbar, -(kbar * kbar) * mp.cos(psi) ** 2),
+    XiKBar: lambda xi, kbar: (kbar * kbar, -(kbar * kbar) * mp.sin(xi) ** 2),
+}
+_E_LEGS = (IdentityId.I3, IdentityId.I4, IdentityId.I2_BARRED, IdentityId.GR_E_SIN)
 
 
 def _pair_integral(g, lo, hi):
@@ -395,21 +408,46 @@ def _pair_integral(g, lo, hi):
 def test_identity_references_are_the_integrals():
     alpha, z, mu, k, f1, f2 = (mp.mpf(v) for v in (0.7, 0.3, 0.8, 0.4, 2.0, 0.7))
     eps, nu, kn = (mp.mpf(v) for v in (3.0, 0.3, 0.6))
-    sinh_coef, cosh_coef = (1 - k * k) * mp.sinh(mu) ** 2, -(1 - kn * kn) * mp.cosh(nu) ** 2
+    (sinh_m, sinh_coef), (cosh_m, cosh_coef) = _KERNELS[MuK](mu, k), _KERNELS[NuK](nu, kn)
     cases = [
         (IdentityId.PR3_D, (alpha, z), _pair_integral(
             lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
         (IdentityId.LOG_Q2, (eps, alpha, z + alpha), _pair_integral(
             lambda q: q * q * mp.log((eps + q) / (eps - q)), alpha, z + alpha)),
-        (IdentityId.I3, (nu, kn), _kernel_integral(mp.ellipe, cosh_coef, kn)),
-        (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, sinh_coef, k)),
-        (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, sinh_coef, k)),
-        (IdentityId.I6, (nu, kn), _kernel_integral(mp.ellipf, cosh_coef, kn)),
+        (IdentityId.I3, (nu, kn), _kernel_integral(mp.ellipe, cosh_coef, cosh_m)),
+        (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, sinh_coef, sinh_m)),
+        (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, sinh_coef, sinh_m)),
+        (IdentityId.I6, (nu, kn), _kernel_integral(mp.ellipf, cosh_coef, cosh_m)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
         (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
     ]
     for ident, params, integral in cases:
         assert _rel(integral, _IDENTITY_REFS[ident](*params)) <= 1e-20, ident
+
+
+# the costliest grid-5 node of the cosh and sinh kernels and the kbar = 0.95
+# nodes of the cos psi and sin xi kernels, where the oracle bisects most
+_PAIRED_LEG_NODES = (
+    ((IdentityId.I3, IdentityId.I6), [NuK(0.04753577239771839, 0.05)]),
+    ((IdentityId.I4, IdentityId.I5), [MuK(2.6363636363636376, 0.05)]),
+    ((IdentityId.I2_BARRED, IdentityId.I3_BARRED),
+     [p for p in grid_params(IdentityId.I2_BARRED, 5) if p.kbar > 0.9]),
+    ((IdentityId.GR_E_SIN, IdentityId.GR_F_SIN),
+     [p for p in grid_params(IdentityId.GR_E_SIN, 5) if p.kbar > 0.9]),
+)
+
+
+@pytest.mark.parametrize("ident,params", [
+    (ident, params) for pair, nodes in _PAIRED_LEG_NODES for params in nodes for ident in pair],
+    ids=lambda v: v.value if isinstance(v, IdentityId) else repr(tuple(v)))
+def test_paired_kernel_legs_against_the_integral(ident, params):
+    # both legs of a kernel pair come from one shared quadrature; each must
+    # match the defining integral on its own
+    assert params in grid_params(ident, 5)
+    with mp.workdps(25):
+        m, coef = _KERNELS[type(params)](*(mp.mpf(v) for v in params))
+        ref = _kernel_integral(mp.ellipe if ident in _E_LEGS else mp.ellipf, coef, m)
+    assert _rel(oracle_value(ident, params).value, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1e-4, 1e-6, 1e-8])
@@ -455,6 +493,18 @@ def test_i3_at_small_k(k):
     (IdentityId.LOG_Q2, EpsAB(3e-80, 1e-80, 2e-80), 1e-15),
     (IdentityId.LOG_Q2, EpsAB(3e-110, 1e-110, 2e-110), 1e-15),
     (IdentityId.LOG_Q2, EpsAB(3e-160, 1e-160, 2e-160), 1e-15),
+    # 1/(sinh mu cosh mu) underflowed to 0.0 for the subnormal 4.73e-309
+    (IdentityId.I5, MuK(356.0, 0.5), 2e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
+
+
+@pytest.mark.parametrize("mu", [710.5, 800.0, 1e300])
+def test_i5_below_the_subnormals_is_zero(mu):
+    # cosh mu raised OverflowError from mu = 710.48; the true values, such as
+    # 5.75e-617 at mu = 710.5, lie below half the smallest subnormal
+    params = MuK(mu, 0.5)
+    ref = _identity_ref(IdentityId.I5, params)
+    assert ref > 0 and float(ref) == 0.0
+    assert closed_value(IdentityId.I5, params) == 0.0
