@@ -1,29 +1,17 @@
 """Catalog of definite integrals with elliptic closed forms.
 
-Each catalog entry pairs a left-hand-side integrand with its closed form and
-a parameter class with a grid map, so any entry can be checked against the
-adaptive quadrature oracle.  Integrands over a finite (lo, hi) interval with
-the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are stored through their smooth part
-g(q) and integrated with the exact trig substitution; the remaining entries
-are bounded on (0, pi/2) and integrated directly.  The pseudo-elliptic
-integrand sqrt((e1^2-q^2)(q^2-e2^2)) / (q (1-q^2)) is bounded but has
-square-root zeros at both ends, so it too goes through the substitution, as
-g(q) = (e1^2-q^2)(q^2-e2^2) / (q (1-q^2)): direct quadrature would bisect
-toward both ends and spend about ten times the evaluations.  PR3_D and
-PR3_D_BARRED have the same kernel, but their g(u) = u^2 E(u/alpha) / (...)
-also has a (alpha^2-u^2) log(alpha^2-u^2) term at u = hi = alpha, from the
-k'^2 log k' term of E(k) at k = 1.  Their singularity, INV_SQRT_BOTH_LOG_HI,
-composes the substitution with the graded map t = (pi/2) sin tau over
-tau in (0, pi/2), which cuts their oracle evaluations at grid 5 from 5,895
-and 5,025 to 2,655 and 1,425 (see quadrature._integrate_singular_pair_graded).
-
-Six first-kind/second-kind pairs share bounds and kernel: I5/I4 (sinh),
-I6/I3 (cosh), I3_BARRED/I2_BARRED (cos psi), GR_F_SIN/GR_E_SIN (sin xi),
-LOG_F/LOG_Q2 and ATAN_F/ATAN_E.  Each pair has one part returning both
-members, (F w, E w) from one _fe_sc call or (v, u^2 v) from one log or atan
-call, integrated as one tuple integrand; each row reads its component.  At
-grid 5 the twelve rows take 8,970 evaluations in 150 integrate calls when
-verify integrates each pair once, against 17,490 in 300 row by row.
+Each entry pairs a left-hand-side integrand with its closed form and a
+parameter class with a grid map, so any entry can be checked against the
+adaptive quadrature oracle.  Integrands over (lo, hi) with the kernel
+1/sqrt((hi^2-q^2)(q^2-lo^2)) are stored through their smooth part g(q) and
+integrated with the exact trig substitution (graded toward hi for the log
+term of PR3_D and PR3_D_BARRED); the others are bounded on (0, pi/2) and
+integrated directly.  First/second-kind pairs that share bounds and kernel
+(I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and
+ATAN_F/ATAN_E) are integrated as one tuple integrand; each row reads its
+component.  The four kernel pairs take F and E at each node from descending
+Landen steps on an AGM built once per integral (_landen_fe), which shares no
+code with elliptic, where the closed forms get theirs.
 """
 
 import math
@@ -357,21 +345,6 @@ def atan_e_closed(p: FBar) -> float:
     return HALF_PI * (_e_sc(*_atan_sc(p)) * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
 
 
-def pi_third_special(u: float, e1: float, e2: float) -> float:
-    """Closed form of the third-kind integral of (1 - k'^2 sin^2 t)^(-3/2)
-    over (0, u), where k'^2 = 1 - e2^2/e1^2 and 0 < e2 < e1 < 1."""
-    p = E1E2(e1, e2)
-    if not (0.0 < u <= HALF_PI):
-        raise DomainError(f"need 0 < u <= pi/2, got {u!r}")
-    kp2 = 1.0 - (p.e2 / p.e1) ** 2
-    kp = math.sqrt(kp2)
-    s2 = math.sin(u) ** 2
-    w = ((1.0 - p.e2 * p.e2) - kp2 * s2) / (1.0 - kp2 * s2)
-    inner = max(((1.0 - p.e2 * p.e2) - w) * (w - (1.0 - p.e1 * p.e1)), 0.0)
-    return (p.e1 * p.e1 / (p.e2 * p.e2)) * (
-        incomplete_e(u, kp) - math.sqrt(inner) / (p.e1 * math.sqrt(1.0 - w)))
-
-
 # ---------------------------------------------------------------------------
 # integrand parts (oracle side)
 
@@ -403,7 +376,8 @@ def _log_part(p: EpsAB) -> Callable:
 
 
 def _pseudo_part(p: E1E2) -> Callable:
-    # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand
+    # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand; direct
+    # quadrature would bisect toward both square-root zeros, for about ten times the evaluations
     e1sq = p.e1 * p.e1
     e2sq = p.e2 * p.e2
 
@@ -414,26 +388,73 @@ def _pseudo_part(p: E1E2) -> Callable:
     return g
 
 
+def _agm_steps(b: float, c: float) -> tuple:
+    """The AGM from (1, b), c = sqrt(1 - b^2) (DLMF 19.8.1): a_N, the sum of
+    2^(n-1) c_n^2 and the steps (a_n^2, b_n^2, a_n, b_n, c_(n+1)).  Needs
+    b > 0; from b = 0 the loop would never stop."""
+    a = 1.0
+    weight = 0.5
+    csum = weight * c * c
+    steps = []
+    while c > 2.0 ** -27 * a:  # else the next step moves a_n by under half an ulp
+        a_n, b_n = a, b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a
+        steps.append((a_n * a_n, b_n * b_n, a_n, b_n, c))
+        weight *= 2.0
+        csum += weight * c * c
+    return a, csum, steps
+
+
+def _landen_fe(m: float, mc: float) -> Callable:
+    """fe(sin phi, cos phi) -> (F, E) at the modulus m with exact complement
+    mc, by descending Landen steps (DLMF 19.8(ii); A&S 17.5-17.6) on an AGM
+    built once.  Each step tan(phi_(n+1) - phi_n) = (b_n/a_n) tan phi_n acts on
+    (sin, cos) as ((a_n + b_n) s c, a_n c^2 - b_n s^2)/sqrt(a_n^2 c^2 + b_n^2 s^2),
+    whole turns counted apart, so no angle near pi/2 is rounded (an atan2
+    step is 5.7e-12 off there at mc = 1e-15).  F = phi_N/(2^N a_N) and
+    E = F E/K + sum c_n sin phi_n, E/K = 2 a_N a'_N/pi + sum 2^(n-1) c'_n^2 by
+    Legendre's relation on the complementary AGM, a sum of positive terms."""
+    if not (m > 0.0 and mc > 0.0):
+        raise DomainError(f"Landen oracle needs m, m' > 0, got {m!r}, {mc!r}")
+    a, _, steps = _agm_steps(mc, m)
+    a_c, csum_c, _ = _agm_steps(m, mc)
+    scale = 2.0 ** len(steps) * a
+    e_over_k = 2.0 * a * a_c / math.pi + csum_c
+
+    def fe(s: float, c: float) -> tuple:
+        turns, esum = 0, 0.0
+        for a2, b2, a_n, b_n, c_next in steps:
+            turns += turns
+            if c < 0.0:  # turns of phi_(n+1) = round(phi_n/pi), here odd
+                turns += math.copysign(1.0, s)
+            cc, ss = c * c, s * s
+            r = math.sqrt(a2 * cc + b2 * ss)
+            s, c = (a_n + b_n) * s * c / r, (a_n * cc - b_n * ss) / r
+            esum += c_next * s
+        f = (2.0 * math.pi * turns + math.atan2(s, c)) / scale
+        return f, f * e_over_k + esum
+
+    return fe
+
+
 def _kernel_part(kernel: Callable) -> Callable:
-    """Decorator: the part of a first/second-kind pair from its kernel,
-    (F w, E w) with F and E at (u, m), w = sin u cos u / ((1 + coef sin^2 u)
-    sqrt(1 - m2 sin^2 u)) and (m, m2, coef) = kernel(params).  F and E come
-    from one _fe_sc call, the fused loop behind incomplete_e, on sin u,
-    cos^2 u and 1 - m^2.  m2 is not m*m for the sinh kernel (1 - k^2), and a
-    kernel 1 - x sin^2 u passes coef = -x, which is exact.  Nodes lie inside
-    (0, pi/2) and m < 1, so the argument checks of incomplete_e cannot fire."""
+    """Decorator: the part (F w, E w) of a first/second-kind pair, F and E at
+    (u, m) from _landen_fe and w = d0 s c / ((d0 + d1 s^2) sqrt(c^2 + m'^2 s^2))
+    with s, c = sin u, cos u, for (m, m', d0, d1) = kernel(params), m' exact."""
 
     def part(p) -> Callable:
-        m, m2, coef = kernel(p)
-        kc2 = (1.0 - m) * (1.0 + m)
+        m, mc, d0, d1 = kernel(p)
+        fe = _landen_fe(m, mc)
+        mc2 = mc * mc
 
         def fn(u: float) -> tuple:
             s = math.sin(u)
             c = math.cos(u)
             s2 = s * s
-            f, e = _fe_sc(s, c * c, kc2)
-            den = (1.0 + coef * s2) * math.sqrt(1.0 - m2 * s2)
-            return f * s * c / den, e * s * c / den
+            f, e = fe(s, c)
+            w = d0 * s * c / ((d0 + d1 * s2) * math.sqrt(c * c + mc2 * s2))
+            return f * w, e * w
 
         return fn
 
@@ -443,26 +464,27 @@ def _kernel_part(kernel: Callable) -> Callable:
 @_kernel_part
 def _cosh_part(p: NuK) -> tuple:
     kp = _check_cosh_kernel(p.nu, p.k)
-    kp2 = kp * kp
-    return kp, kp2, -(kp2 * math.cosh(p.nu) ** 2)
+    return kp, p.k, 1.0, -(kp * kp * math.cosh(p.nu) ** 2)
 
 
 @_kernel_part
 def _sinh_part(p: MuK) -> tuple:
-    kp2 = 1.0 - p.k * p.k
-    return math.sqrt(kp2), kp2, kp2 * math.sinh(p.mu) ** 2
+    # 1 + k'^2 sinh^2(mu) s^2 times sech^2 mu = (2e/(1 + e^2))^2, e = exp(-mu): no overflow
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
+    e = math.exp(-p.mu)
+    return math.sqrt(kp2), p.k, (2.0 * e / (1.0 + e * e)) ** 2, kp2 * math.tanh(p.mu) ** 2
 
 
 @_kernel_part
 def _psi_part(p: PsiKBar) -> tuple:
-    kb2 = p.kbar * p.kbar
-    return p.kbar, kb2, -(kb2 * math.cos(p.psi) ** 2)
+    kbc = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
+    return p.kbar, kbc, 1.0, -(p.kbar * p.kbar * math.cos(p.psi) ** 2)
 
 
 @_kernel_part
 def _xi_part(p: XiKBar) -> tuple:
-    kb2 = p.kbar * p.kbar
-    return p.kbar, kb2, -(kb2 * math.sin(p.xi) ** 2)
+    kbc = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
+    return p.kbar, kbc, 1.0, -(p.kbar * p.kbar * math.sin(p.xi) ** 2)
 
 
 def _atan_part(p: FBar) -> Callable:

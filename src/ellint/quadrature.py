@@ -10,25 +10,10 @@ the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
 integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
+_integrate_singular_pair_graded grades it toward a log term at q = hi.
 
-_integrate_singular_pair_graded is the same integral for a g with a
-(hi^2-q^2) log(hi^2-q^2) term at q = hi, as u^2 E(u/alpha) has at u = alpha.
-After the substitution that term is cos^2 t log(cos t) at t = pi/2, and GK15
-resolves it only by bisecting toward that end.  The graded map
-t = (pi/2) sin tau, dt = (pi/2) cos tau dtau, over tau in (0, pi/2) turns it
-into s^5 log(s) with s = pi/2 - tau, which a few panels resolve.  Near t = 0
-the integrand may have a narrow feature of its own, such as u = z in PR3_D
-when z << alpha.  There a panel covers pi/2 times the t-range it covers
-without the map; t = (pi/2)(1 - (1 - tau)^2) over (0, 1) would cover twice
-that range and is 4.7e-10 off the closed form at PR3_D's alpha = 1,
-z = 1e-9, where the sine map is within 1.1e-15.  The interval stays
-(0, pi/2), so integrate's absolute floor is the same as without the map.
-
-integrate also takes a vector integrand, one that returns a tuple of floats,
-as the vector extensions of adaptive quadrature do (Genz and Malik 1980;
-DCUHRE, Berntsen, Espelid and Genz 1991): its components share the nodes, the
-subdivision and the budget, and each is estimated and judged on its own.  A
-float integrand keeps its own loop and arithmetic, bit for bit.
+integrate also takes a tuple integrand, as the vector extensions of adaptive
+quadrature do (Genz and Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).
 """
 
 import heapq
@@ -259,9 +244,12 @@ def integrate_singular_pair(g, lo: float, hi: float,
 
 def _integrate_singular_pair_graded(g, lo: float, hi: float,
                                     tol: float) -> QuadratureResult:
-    """integrate_singular_pair for a g with a log term at q = hi: the
-    substituted integrand f(t) is sampled as f((pi/2) sin tau) (pi/2) cos tau
-    over tau in (0, pi/2), which grades the panels toward t = pi/2."""
+    """integrate_singular_pair for a g with a (hi^2-q^2) log(hi^2-q^2) term, as
+    u^2 E(u/alpha) has at u = alpha: sampling f((pi/2) sin tau) (pi/2) cos tau
+    over tau in (0, pi/2) turns its cos^2 t log(cos t) at t = pi/2 into
+    s^5 log(s), s = pi/2 - tau, which a few panels resolve without bisecting
+    toward it.  (pi/2)(1 - (1 - tau)^2) would be 4.7e-10 off at PR3_D's
+    alpha = 1, z = 1e-9, where this map is within 1.1e-15."""
     f = _singular_pair_integrand(g, lo, hi)
 
     def graded(tau: float) -> float:

@@ -135,6 +135,15 @@ def test_integral_both_mode_passes(capsys):
                                                     rel=1e-13)
 
 
+def test_integral_both_mode_below_the_subnormals(capsys):
+    # the I5 oracle formed k'^2 sinh(mu)^2 and raised OverflowError from mu = 355
+    rc, out, err = run_cli(["integral", "--id", "I5", "--mu", "400", "--k", "0.5",
+                            "--mode", "both"], capsys)
+    assert (rc, err) == (0, "")
+    fields = _lines_to_dict(out)
+    assert (fields["closed"], fields["oracle"], fields["pass"]) == ("0", "0", "true")
+
+
 def test_integral_both_mode_tight_tolerance_fails(capsys):
     rc, out, _ = run_cli(["integral", "--id", "PSEUDO", "--e1", "0.8",
                           "--e2", "0.4", "--tol", "1e-30"], capsys)

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from ellint import identities, quadrature
+from ellint import elliptic, geometry, identities, quadrature
 from ellint import (
     DomainError,
     IdentityId,
@@ -25,7 +25,6 @@ from ellint import (
     grid_params,
     incomplete_d,
     incomplete_f,
-    integrate,
     oracle_value,
 )
 from ellint.identities import (
@@ -49,7 +48,6 @@ from ellint.identities import (
     i1_barred_closed,
     i1_closed,
     make_record,
-    pi_third_special,
 )
 from ellint.verify import (
     area_via_arctan_kernel,
@@ -283,22 +281,6 @@ def test_endpoint_bracket_is_exact():
     assert bracket(e2) == -math.pi / 4.0
 
 
-def test_third_kind_special_case_vs_quadrature():
-    import random
-    rng = random.Random(5151)
-    for _ in range(20):
-        e1 = rng.uniform(0.2, 0.95)
-        e2 = rng.uniform(0.05, e1 * 0.95)
-        u = rng.uniform(0.1, 1.5)
-        kp2 = 1.0 - (e2 / e1) ** 2
-
-        def fn(t):
-            return (1.0 - kp2 * math.sin(t) ** 2) ** -1.5
-
-        ref = integrate(fn, 0.0, u, 1e-12).value
-        assert pi_third_special(u, e1, e2) == pytest.approx(ref, rel=1e-10)
-
-
 def test_kernel_swap_relations():
     records = kernel_relation_records(50)
     assert len(records) == 100
@@ -393,6 +375,36 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
     assert (len(calls), sum(calls)) == (275, 17_835)
+
+
+_KERNEL_IDS = (IdentityId.I3, IdentityId.I4, IdentityId.I5, IdentityId.I6,
+               IdentityId.I2_BARRED, IdentityId.I3_BARRED, IdentityId.GR_E_SIN,
+               IdentityId.GR_F_SIN)
+
+
+def test_kernel_oracles_share_no_code_with_elliptic(monkeypatch):
+    # the Carlson loops and the AGM behind the closed forms raise wherever a
+    # module binds them, yet the eight kernel oracles still run
+    expected = {ident: oracle_value(ident, grid_params(ident, 2)[1]) for ident in _KERNEL_IDS}
+
+    def refuse(*args):
+        raise AssertionError("the kernel oracle called elliptic")
+
+    for module in (elliptic, identities, geometry, quadrature):
+        for name in ("_fe_sc", "_rf_rd", "_agm", "carlson_rf"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        closed_value(IdentityId.I5, MuK(1.0, 0.3))
+    for ident, res in expected.items():
+        assert oracle_value(ident, grid_params(ident, 2)[1]) == res
+
+
+@pytest.mark.parametrize("m,mc", [(0.5, 0.0), (0.0, 1.0), (0.5, -1e-300), (math.nan, 0.5)])
+def test_landen_oracle_rejects_a_zero_modulus_or_complement(m, mc):
+    # from b_0 = 0 the AGM would never stop
+    with pytest.raises(DomainError):
+        identities._landen_fe(m, mc)
 
 
 def test_sweep_records_read_the_oracle_value():

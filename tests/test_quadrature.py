@@ -28,7 +28,7 @@ from ellint import (
     triaxial_area,
     write_report,
 )
-from ellint.identities import AlphaZ, EpsAB, log_f_closed, pi_third_special
+from ellint.identities import AlphaZ, EpsAB, log_f_closed
 from ellint.quadrature import HALF_PI
 
 
@@ -208,8 +208,6 @@ def test_budget_env_rejects_non_integer(monkeypatch):
 _GUARDS = {
     "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
     "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
-    "pi_third_u_zero": lambda path: pi_third_special(0.0, 0.8, 0.4),
-    "pi_third_u_above_half_pi": lambda path: pi_third_special(HALF_PI + 0.1, 0.8, 0.4),
     "integrate_reversed": lambda path: integrate(math.sin, 1.0, 0.0),
     "integrate_empty": lambda path: integrate(math.sin, 1.0, 1.0),
     "integrate_infinite": lambda path: integrate(math.sin, 0.0, math.inf),

@@ -10,7 +10,7 @@ derivatives of F(arcsin x, k) where their series coefficients underflow, and the
 PR3_D, LOG_Q2, I3, I4, I5, I6, ATAN_F and ATAN_E closed forms at edges of their
 parameter classes, I5 out to mu = 1e300, and the oracle of the eight kernel
 identities, whose F and E legs share one quadrature, against their defining
-integrals.
+integrals, with the Landen F and E at its nodes down to m' = 1e-15.
 Skipped when mpmath is not installed.
 """
 
@@ -43,7 +43,7 @@ from ellint import (
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar
+from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar, _landen_fe
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -508,3 +508,49 @@ def test_i5_below_the_subnormals_is_zero(mu):
     ref = _identity_ref(IdentityId.I5, params)
     assert ref > 0 and float(ref) == 0.0
     assert closed_value(IdentityId.I5, params) == 0.0
+
+
+def _landen_cases():
+    rng = random.Random(1906)
+    cases = [(10.0 ** rng.uniform(-15.0, 0.0), rng.uniform(0.0, HALF_PI)) for _ in range(200)]
+    edges = (1e-9, 0.3, 1.0, 1.5, HALF_PI - 1e-6, HALF_PI - 1e-9)
+    return cases + [(mc, u) for mc in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.999) for u in edges]
+
+
+def test_landen_oracle_against_mpmath():
+    # within 2e-15 over m' in [1e-15, 1); the same steps on the angle by atan2
+    # were 5.7e-12 off at u = pi/2 - 1e-6, m' = 1e-15, and E/K as
+    # 1 - sum 2^(n-1) c_n^2 was 2.9e-15 off at u = pi/2 - 1e-9
+    worst_f = worst_e = 0.0
+    for mc, u in _landen_cases():
+        f, e = _landen_fe(math.sqrt((1.0 - mc) * (1.0 + mc)), mc)(math.sin(u), math.cos(u))
+        m = 1 - mp.mpf(mc) ** 2
+        worst_f = max(worst_f, _rel(f, mp.ellipf(u, m)))
+        worst_e = max(worst_e, _rel(e, mp.ellipe(u, m)))
+    assert worst_f <= 2e-15 and worst_e <= 2e-15
+
+
+@pytest.mark.parametrize("ident", [IdentityId.I4, IdentityId.I5])
+@pytest.mark.parametrize("k", [1e-9, 1e-6])
+def test_sinh_kernel_oracle_at_small_k(ident, k):
+    # 1 - (1 - k^2) sin^2 u rounded to 0.0 at k = 1e-9 (ZeroDivisionError), and
+    # at 1e-6 the budget ran out; with k' = k exact both converge
+    params = MuK(1.0, k)
+    assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 1e-13
+
+
+@pytest.mark.parametrize("ident", [IdentityId.I4, IdentityId.I5])
+@pytest.mark.parametrize("mu", [356.0, 400.0, 800.0])
+def test_sinh_kernel_oracle_at_large_mu(ident, mu):
+    # k'^2 sinh(mu)^2 raised OverflowError from mu = 355.  At 356 the value is
+    # a subnormal, below the oracle's absolute floor, so one GK15 panel ends it
+    # (3.6e-12 off for I5, as at mu = 300 before); from 400 it lies below the
+    # subnormals and the oracle returns 0.0
+    params = MuK(mu, 0.5)
+    with mp.workdps(50 + int(mu)):  # the I4 formula cancels e^mu-sized terms
+        ref = _IDENTITY_REFS[ident](mp.mpf(mu), mp.mpf(0.5))
+    got = oracle_value(ident, params).value
+    if float(ref) == 0.0:
+        assert got == 0.0
+    else:
+        assert _rel(got, ref) <= 1e-11
