@@ -1,9 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature, independent of every closed form here.
 
-A 7-point Gauss / 15-point Kronrod pair is applied per panel; the panel with
-the largest error estimate is bisected until the global estimate meets the
-tolerance or the evaluation budget runs out.  The estimator is the classic
-scaled (200|K15-G7|)^{3/2} rule, floored at 50 ulp of the absolute integral.
+An integrand returns a float or a tuple of floats, and a float is the
+one-component case, as in the vector form of adaptive quadrature (Genz and
+Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).  A 7-point Gauss /
+15-point Kronrod pair is applied per panel to every component; the panel
+whose largest component error is the largest multiple of that component's
+target is bisected until every component meets its tolerance or the
+evaluation budget runs out.  The estimator is the classic scaled
+(200|K15-G7|)^{3/2} rule, floored at 50 ulp of the absolute integral.
 
 integrate_singular_pair handles kernels 1/sqrt((hi^2-q^2)(q^2-lo^2)) through
 the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
@@ -11,13 +15,11 @@ integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
 _integrate_singular_pair_graded grades it toward a log term at q = hi.
-
-integrate also takes a tuple integrand, as the vector extensions of adaptive
-quadrature do (Genz and Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).
 """
 
 import heapq
 import math
+import operator
 import os
 from typing import NamedTuple
 
@@ -103,112 +105,78 @@ def _rule(fv, h: float, a: float, b: float) -> tuple:
 
 
 def _panel(f, a: float, b: float) -> tuple:
-    """One GK15 pass over [a, b]: (value, error estimate), or a tuple of
-    each, one entry per component, when f returns a tuple."""
+    """One GK15 pass over [a, b]: (values, error estimates), one entry per
+    component; tuples for a tuple integrand, one-element lists for a float
+    one."""
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fv = [f(center + h * x) for x in _XK]
-    if not isinstance(fv[0], tuple):
-        return _rule(fv, h, a, b)
-    rules = [_rule(col, h, a, b) for col in zip(*fv)]
-    return tuple(v for v, _ in rules), tuple(e for _, e in rules)
-
-
-def _bisect(heap: list, evals: int, budget: int, lo: float, hi: float,
-            total_err: float) -> tuple:
-    """Pop the heap's first panel, the one to bisect: (a, midpoint, b, its
-    entry), after checking that the budget admits two more panels and that
-    the panel can still be split."""
-    if evals + 30 > budget:
-        raise NonConvergenceError(
-            f"quadrature budget of {budget} evaluations exhausted on "
-            f"[{lo!r}, {hi!r}] with error estimate {total_err:.3e}")
-    entry = heapq.heappop(heap)
-    a, b = entry[2], entry[3]
-    mid = 0.5 * (a + b)
-    if mid <= a or mid >= b:
-        raise NonConvergenceError(
-            f"interval [{a!r}, {b!r}] below float resolution with "
-            f"tolerance unmet (error estimate {total_err:.3e})")
-    return a, mid, b, entry
+    if isinstance(fv[0], tuple):
+        return tuple(zip(*[_rule(col, h, a, b) for col in zip(*fv)]))
+    value, err = _rule(fv, h, a, b)
+    return [value], [err]
 
 
 def integrate(f, lo: float, hi: float, tol: float = 1e-10,
               max_evals: int | None = None) -> QuadratureResult:
     """Adaptive integral of f over (lo, hi).
 
-    Runs until the error estimate drops below max(tol * |value|,
-    1e-15 * (hi - lo)).  Deterministic: identical inputs always produce
-    bit-identical results.  Raises NonConvergenceError once the budget
-    (max_evals, default 1e6 or ELLINT_MAX_EVALS) would be exceeded.
-
-    f may also return a tuple of floats.  Its components then share one
-    subdivision and one budget, each must meet its own max(tol * |value|,
-    1e-15 * (hi - lo)), value and error_estimate are tuples, and evaluations
-    counts each call of f once.
+    f returns a float or a tuple of floats; a float is the one-component
+    case.  The components share one subdivision and one budget, and each
+    runs until its error estimate drops below max(tol * |value|,
+    1e-15 * (hi - lo)).  A panel is keyed on its largest component error as
+    a multiple of that component's target, so a component 1e12 times
+    smaller than another is refined as far as it needs.  value and
+    error_estimate are floats for a float integrand and tuples for a tuple
+    one; evaluations counts each call of f once.  Deterministic: identical
+    inputs always produce bit-identical results.  Raises NonConvergenceError
+    once the budget (max_evals, default 1e6 or ELLINT_MAX_EVALS) would be
+    exceeded, at once if it is below one 15-point panel.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     budget = _env_budget(DEFAULT_MAX_EVALS_1D) if max_evals is None else max_evals
-    abs_target = _ABS_FLOOR * (hi - lo)
+    if budget < 15:
+        raise NonConvergenceError(
+            f"quadrature budget of {budget} evaluations is below one 15-point panel")
+    # floored at the smallest normal float, in case it underflows
+    abs_target = max(_ABS_FLOOR * (hi - lo), 2.2250738585072014e-308)
 
-    value, err = _panel(f, lo, hi)
-    if isinstance(value, tuple):
-        return _integrate_components(f, lo, hi, tol, budget, abs_target, value, err)
+    values, errs = _panel(f, lo, hi)
     evals = 15
-    total_val = value
-    total_err = err
-    heap = [(-err, 0, lo, hi, value)]
-    seq = 1
-    while total_err > max(tol * abs(total_val), abs_target):
-        a, mid, b, (neg_err, _, _, _, v) = _bisect(heap, evals, budget, lo, hi, total_err)
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
-        evals += 30
-        total_val += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, seq, a, mid, v1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2))
-        seq += 2
-    value = math.fsum(entry[4] for entry in heap)
-    err = math.fsum(-entry[0] for entry in heap)
-    return QuadratureResult(value, err, evals)
-
-
-def _integrate_components(f, lo: float, hi: float, tol: float, budget: int,
-                          abs_target: float, values: tuple,
-                          errs: tuple) -> QuadratureResult:
-    """integrate's loop for a tuple integrand, from the first panel's values
-    and errors.  A panel is keyed on its largest component error as a
-    multiple of that component's target, so a component 1e12 times smaller
-    than another is refined as far as it needs."""
-    evals = 15
-    total_val = list(values)
-    total_err = list(errs)
-    comps = range(len(values))
+    total_val = values
+    total_err = errs
     heap = [(0.0, 0, lo, hi, values, errs)]
     seq = 1
     while True:
-        # floored at the smallest normal float, in case abs_target underflows
-        targets = [max(tol * abs(v), abs_target, 2.2250738585072014e-308) for v in total_val]
-        if all(e <= t for e, t in zip(total_err, targets)):
+        targets = [max(tol * abs(v), abs_target) for v in total_val]
+        if all(map(operator.le, total_err, targets)):
             break
-        a, mid, b, (_, _, _, _, v, e) = _bisect(heap, evals, budget, lo, hi,
-                                                max(total_err))
+        if evals + 30 > budget:
+            raise NonConvergenceError(
+                f"quadrature budget of {budget} evaluations exhausted on "
+                f"[{lo!r}, {hi!r}] with error estimate {max(total_err):.3e}")
+        _, _, a, b, v, e = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            raise NonConvergenceError(
+                f"interval [{a!r}, {b!r}] below float resolution with "
+                f"tolerance unmet (error estimate {max(total_err):.3e})")
         v1, e1 = _panel(f, a, mid)
         v2, e2 = _panel(f, mid, b)
         evals += 30
-        for c in comps:
-            total_val[c] += (v1[c] + v2[c]) - v[c]
-            total_err[c] += (e1[c] + e2[c]) - e[c]
-        heapq.heappush(heap, (-max(x / t for x, t in zip(e1, targets)), seq, a, mid, v1, e1))
-        heapq.heappush(heap, (-max(x / t for x, t in zip(e2, targets)), seq + 1, mid, b, v2, e2))
+        total_val = [t + ((x + y) - z) for t, x, y, z in zip(total_val, v1, v2, v)]
+        total_err = [t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e)]
+        heapq.heappush(heap, (-max(map(operator.truediv, e1, targets)), seq, a, mid, v1, e1))
+        heapq.heappush(heap, (-max(map(operator.truediv, e2, targets)), seq + 1, mid, b, v2, e2))
         seq += 2
-    return QuadratureResult(tuple(map(math.fsum, zip(*(entry[4] for entry in heap)))),
-                            tuple(map(math.fsum, zip(*(entry[5] for entry in heap)))),
-                            evals)
+    value = list(map(math.fsum, zip(*[entry[4] for entry in heap])))
+    err = list(map(math.fsum, zip(*[entry[5] for entry in heap])))
+    if isinstance(values, tuple):
+        return QuadratureResult(tuple(value), tuple(err), evals)
+    return QuadratureResult(value[0], err[0], evals)
 
 
 def _singular_pair_integrand(g, lo: float, hi: float):
@@ -290,11 +258,7 @@ def surface_area_quadrature(a: float, b: float, c: float,
             ct = math.cos(theta)
             return st * math.sqrt(st * st * (b2c2 * cp2 + a2c2 * sp2) + a2b2 * ct * ct)
 
-        remaining = budget - used[0]
-        if remaining < 15:
-            raise NonConvergenceError(
-                f"2D quadrature budget of {budget} evaluations exhausted")
-        res = integrate(f, 0.0, HALF_PI, inner_tol, max_evals=remaining)
+        res = integrate(f, 0.0, HALF_PI, inner_tol, max_evals=budget - used[0])
         used[0] += res.evaluations
         return res.value
 
