@@ -390,7 +390,8 @@ _IMAG_REDUCTIONS = (
 
 
 def imaginary_reduction_records(grid: int) -> list:
-    """The two imaginary-parameter reductions vs direct real quadrature."""
+    """The two imaginary-parameter reductions vs direct real quadrature, F
+    and E at each point from one paired integral."""
     out = []
     for ident, key, trig, reduce, phi_range, k_range in _IMAG_REDUCTIONS:
         for phi in _lin(grid, *phi_range):
@@ -398,19 +399,14 @@ def imaginary_reduction_records(grid: int) -> list:
                 f_red, e_red = reduce(phi, k)
                 k2 = k * k
 
-                def de(t: float) -> float:
-                    return math.sqrt(1.0 + k2 * trig(t) ** 2)
+                def fe(t: float) -> tuple:
+                    d = math.sqrt(1.0 + k2 * trig(t) ** 2)
+                    return 1.0 / d, d
 
-                def df(t: float) -> float:
-                    return 1.0 / de(t)
-
+                f_quad, e_quad = integrate(fe, 0.0, phi, IMAG_ORACLE_TOL).value
                 pr = {key: phi, "k": k}
-                out.append(make_record(ident + "_F", pr, f_red,
-                                       integrate(df, 0.0, phi, IMAG_ORACLE_TOL).value,
-                                       IMAG_TOL))
-                out.append(make_record(ident + "_E", pr, e_red,
-                                       integrate(de, 0.0, phi, IMAG_ORACLE_TOL).value,
-                                       IMAG_TOL))
+                out.append(make_record(ident + "_F", pr, f_red, f_quad, IMAG_TOL))
+                out.append(make_record(ident + "_E", pr, e_red, e_quad, IMAG_TOL))
     return out
 
 

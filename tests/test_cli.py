@@ -6,6 +6,7 @@ are pinned here byte for byte where the contract demands determinism.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,13 +19,13 @@ from pathlib import Path
 import pytest
 
 import ellint
-from ellint import IdentityId, __version__, closed_value, surface_area
+from ellint import IdentityId, __version__, closed_value, quadrature, surface_area, verify
 from ellint.cli import main
 from ellint.identities import (NEAR_ZERO_ABS_TOL, EpsAB, MuK, NuK, check,
                                log_f_closed, make_record)
 from ellint.series import sigma1_sum
-from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, report_json,
-                           run_suite)
+from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, imaginary_reduction_records,
+                           report_json, run_suite)
 
 
 def run_cli(argv, capsys):
@@ -316,6 +317,40 @@ def test_grid5_record_count_per_id():
     assert len(records) == sum(_GRID5_RECORDS.values()) == 892
     assert all(r.passed for r in records)
 
+
+
+# sha256 of report_json(run_suite("all", g)), computed with CPython 3.11 on
+# x86-64 Linux (glibc libm): the verify report is a byte-for-byte contract,
+# so any change to a record, a tolerance or the layout fails here.  A libm
+# that rounds sin, exp or log differently can move an oracle's last bit
+REPORT_DIGESTS = {
+    4: "88c5b4aae951c3c9341f05df14f52d041857644c25c5174a4731ad352695bc78",
+    5: "94a5e810bbdbce933319f983df5d6ed28718006dbecea78c44888c9558fd3f17",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(REPORT_DIGESTS))
+def test_report_json_is_pinned(grid):
+    text = report_json(run_suite("all", grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[grid]
+
+
+def test_imaginary_reduction_records_integrate_each_point_once(monkeypatch):
+    # F and E at each point from one paired integral: 50 calls and 1,680
+    # evaluations for the 100 records, against 100 and 3,210 with each
+    # record integrated on its own
+    plain = quadrature.integrate
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        calls.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    records = imaginary_reduction_records(5)
+    assert len(records) == 100 and all(r.passed for r in records)
+    assert (len(calls), sum(calls)) == (50, 1_680)
 
 def _indented(report):
     payload = {

@@ -165,9 +165,28 @@ def test_determinism_bitwise():
     assert (a1.value, a1.error_estimate) == (a2.value, a2.error_estimate)
 
 
-def test_budget_exhaustion_raises():
-    with pytest.raises(NonConvergenceError):
-        integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-14, max_evals=100)
+# one integrand as a float and as a 1-tuple: the two run the same loop
+_KINDS = {"float": lambda g: g, "tuple": lambda g: lambda x: (g(x),)}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_budget_exhaustion_raises(kind):
+    f = _KINDS[kind](lambda x: math.sin(50.0 * x))
+    with pytest.raises(NonConvergenceError, match="exhausted"):
+        integrate(f, 0.0, 10.0, 1e-14, max_evals=100)
+
+
+@pytest.mark.parametrize("budget", [0, 14])
+def test_budget_below_one_panel_raises_before_sampling(budget):
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return x
+
+    with pytest.raises(NonConvergenceError, match="below one 15-point panel"):
+        integrate(f, 0.0, 1.0, max_evals=budget)
+    assert nodes == []
 
 
 def test_budget_env_override(monkeypatch):
@@ -234,10 +253,11 @@ def test_budget_env_rejects_zero(monkeypatch):
         integrate(lambda x: x, 0.0, 1.0)
 
 
-def test_interval_below_float_resolution():
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_interval_below_float_resolution(kind):
     hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
     with pytest.raises(NonConvergenceError, match="below float resolution"):
-        integrate(lambda x: x, 1.0, hi, 1e-300)
+        integrate(_KINDS[kind](lambda x: x), 1.0, hi, 1e-300)
 
 
 def test_non_finite_integrand():
@@ -249,12 +269,16 @@ def test_non_finite_integrand():
 
 
 def test_float_integrand_results_are_unchanged():
-    # a float integrand keeps the scalar loop's arithmetic: these two results
-    # are pinned bit for bit
-    res = integrate(lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2), 0.0, HALF_PI, 1e-11)
-    assert res == (1.171697052781614, 1.3008450458835852e-14, 75)
-    res = integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-10)
-    assert res == (0.037676985468630166, 9.512457278050712e-13, 3825)
+    # pinned bit for bit; the same integrand as a 1-tuple gives the same bits
+    # in 1-tuples
+    for f, lo, hi, tol, pinned in [
+            (lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2), 0.0, HALF_PI, 1e-11,
+             (1.171697052781614, 1.3008450458835852e-14, 75)),
+            (lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-10,
+             (0.037676985468630166, 9.512457278050712e-13, 3825))]:
+        value, err, evals = pinned
+        assert integrate(f, lo, hi, tol) == pinned
+        assert integrate(lambda x: (f(x),), lo, hi, tol) == ((value,), (err,), evals)
 
 
 def test_tuple_components_meet_their_own_tolerance():
