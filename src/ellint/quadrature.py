@@ -172,10 +172,10 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
         heapq.heappush(heap, (-max(map(operator.truediv, e1, targets)), seq, a, mid, v1, e1))
         heapq.heappush(heap, (-max(map(operator.truediv, e2, targets)), seq + 1, mid, b, v2, e2))
         seq += 2
-    value = list(map(math.fsum, zip(*[entry[4] for entry in heap])))
-    err = list(map(math.fsum, zip(*[entry[5] for entry in heap])))
+    value = tuple(map(math.fsum, zip(*[entry[4] for entry in heap])))
+    err = tuple(map(math.fsum, zip(*[entry[5] for entry in heap])))
     if isinstance(values, tuple):
-        return QuadratureResult(tuple(value), tuple(err), evals)
+        return QuadratureResult(value, err, evals)
     return QuadratureResult(value[0], err[0], evals)
 
 
