@@ -17,8 +17,8 @@ from .errors import (DivergenceError, DomainError, EllintError,
 from .geometry import (BarredPair, EccentricityPair, barred_params,
                        eccentricities, oblate_area, prolate_area, surface_area,
                        triaxial_area)
-from .identities import (IdentityId, Singularity, VerificationRecord, check,
-                         closed_value, grid_params, oracle_value)
+from .identities import (IdentityId, VerificationRecord, check, closed_value,
+                         grid_params, oracle_value)
 from .quadrature import (QuadratureResult, integrate, integrate_singular_pair,
                          surface_area_quadrature)
 from .series import (SeriesCoefficients, SeriesSum, a_coefficients,
@@ -39,7 +39,7 @@ __all__ = [
     "EccentricityPair", "BarredPair",
     "eccentricities", "barred_params",
     "oblate_area", "prolate_area", "triaxial_area", "surface_area",
-    "IdentityId", "Singularity", "VerificationRecord",
+    "IdentityId", "VerificationRecord",
     "closed_value", "oracle_value", "grid_params", "check",
     "QuadratureResult", "integrate", "integrate_singular_pair",
     "surface_area_quadrature",

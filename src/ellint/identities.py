@@ -1,17 +1,18 @@
 """Catalog of definite integrals with elliptic closed forms.
 
-Each entry pairs a left-hand-side integrand with its closed form and a
-parameter class with a grid map, so any entry can be checked against the
-adaptive quadrature oracle.  Integrands over (lo, hi) with the kernel
-1/sqrt((hi^2-q^2)(q^2-lo^2)) are stored through their smooth part g(q) and
-integrated with the exact trig substitution (graded toward hi for the log
-term of PR3_D and PR3_D_BARRED); the others are bounded on (0, pi/2) and
-integrated directly.  First/second-kind pairs that share bounds and kernel
-(I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and
-ATAN_F/ATAN_E) are integrated as one tuple integrand; each row reads its
-component.  The four kernel pairs take F and E at each node from descending
-Landen steps on an AGM built once per integral (_landen_fe), which shares no
-code with elliptic, where the closed forms get theirs.
+Each registry row pairs a closed form with its oracle, oracle(params, tol),
+which integrates the left-hand side by adaptive quadrature, and with a
+parameter class whose grid map covers its domain.  Integrands over (lo, hi)
+with the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their
+smooth part g(q) with the exact trig substitution, which the weighted-E
+oracle grades toward hi itself where u^2 E(u/s) has a log term there
+(s = alpha: PR3_D and PR3_D_BARRED); the others are bounded on (0, pi/2)
+and integrated directly.  First/second-kind pairs that share bounds and
+kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2
+and ATAN_F/ATAN_E) share one oracle with a tuple integrand; each row reads
+its component.  The four kernel pairs take F and E at each node from
+descending Landen steps on an AGM built once per integral (_landen_fe),
+which shares no code with elliptic, where the closed forms get theirs.
 """
 
 import math
@@ -29,6 +30,7 @@ IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
 NEAR_ZERO_ABS_TOL = 1e-12
+_EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
 
 
 class IdentityId(Enum):
@@ -49,12 +51,6 @@ class IdentityId(Enum):
     GR_F_SIN = "GR_F_SIN"
     ATAN_F = "ATAN_F"
     ATAN_E = "ATAN_E"
-
-
-class Singularity(Enum):
-    NONE = "none"
-    INV_SQRT_BOTH = "inverse_sqrt_both_endpoints"
-    INV_SQRT_BOTH_LOG_HI = "inverse_sqrt_both_endpoints_log_upper"
 
 
 def arctanh_guarded(x: float) -> float:
@@ -249,8 +245,12 @@ def i3_closed(p: NuK) -> float:
 
 def i4_closed(p: MuK) -> float:
     # I4 and I5: the amplitude arcsin(tanh mu) as sin = tanh mu, cos^2 = sech^2 mu,
-    # and E(k'), K(k') from the AGM started at b_0 = k exactly
+    # and E(k'), K(k') from the AGM started at b_0 = k exactly.  Both are even
+    # in mu: below _EVEN_MU, where the general forms divide subnormals, their
+    # mu -> 0 limits are within a relative 5e-17
     kp2 = (1.0 - p.k) * (1.0 + p.k)
+    if p.mu < _EVEN_MU:
+        return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[1] - 0.25 * math.pi * kp2) / kp2
     sh = math.sinh(p.mu)
     ch = math.cosh(p.mu)
     th = math.tanh(p.mu)
@@ -269,6 +269,8 @@ def i5_closed(p: MuK) -> float:
     # e = exp(-mu), so nothing overflows; the last factor e takes a value that
     # is still a subnormal there gracefully, and one below them to 0.0
     kp2 = (1.0 - p.k) * (1.0 + p.k)
+    if p.mu < _EVEN_MU:
+        return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[0]) / kp2
     th = math.tanh(p.mu)
     e = math.exp(-p.mu)
     sech2 = (2.0 * e / (1.0 + e * e)) ** 2
@@ -350,32 +352,37 @@ def atan_e_closed(p: FBar) -> float:
 
 
 def _weighted_e_part(shape: Callable) -> Callable:
-    """Part u^2 E(u/s) / (c0 + c1 u^2)^n with (s, c0, c1, n) = shape(params).
+    """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), with
+    (s, c0, c1, n) = shape(params).  Where s is alpha (PR3_D, PR3_D_BARRED),
+    E(u/s) has its log term at the upper end, so the graded map is used.
     u / 1.0, +-1.0 * u and x ** 1 are exact, so those rows add no rounding."""
 
-    def part(p) -> Callable:
+    def oracle(p, tol: float) -> QuadratureResult:
         s, c0, c1, n = shape(p)
 
         def g(u: float) -> float:
             return u * u * complete_e(u / s) / (c0 + c1 * u * u) ** n
 
-        return g
+        if s == p.alpha:
+            return _integrate_singular_pair_graded(g, 0.0, p.alpha, tol)
+        return integrate_singular_pair(g, 0.0, p.alpha, tol)
 
-    return part
+    return oracle
 
 
-def _log_part(p: EpsAB) -> Callable:
-    """Parts of LOG_F and LOG_Q2 as one pair: (v, u^2 v), v = log((eps+u)/(eps-u))."""
+def _log_part(p: EpsAB, tol: float) -> QuadratureResult:
+    """Oracle of LOG_F and LOG_Q2 as one pair over (alpha, beta): the parts
+    (v, u^2 v), v = log((eps+u)/(eps-u))."""
     eps = p.eps
 
     def g(u: float) -> tuple:
         v = math.log((eps + u) / (eps - u))
         return v, u * u * v
 
-    return g
+    return integrate_singular_pair(g, p.alpha, p.beta, tol)
 
 
-def _pseudo_part(p: E1E2) -> Callable:
+def _pseudo_part(p: E1E2, tol: float) -> QuadratureResult:
     # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand; direct
     # quadrature would bisect toward both square-root zeros, for about ten times the evaluations
     e1sq = p.e1 * p.e1
@@ -385,7 +392,7 @@ def _pseudo_part(p: E1E2) -> Callable:
         q2 = q * q
         return (e1sq - q2) * (q2 - e2sq) / (q * (1.0 - q2))
 
-    return g
+    return integrate_singular_pair(g, p.e2, p.e1, tol)
 
 
 def _agm_steps(b: float, c: float) -> tuple:
@@ -439,11 +446,12 @@ def _landen_fe(m: float, mc: float) -> Callable:
 
 
 def _kernel_part(kernel: Callable) -> Callable:
-    """Decorator: the part (F w, E w) of a first/second-kind pair, F and E at
-    (u, m) from _landen_fe and w = d0 s c / ((d0 + d1 s^2) sqrt(c^2 + m'^2 s^2))
-    with s, c = sin u, cos u, for (m, m', d0, d1) = kernel(params), m' exact."""
+    """Decorator: the oracle of a first/second-kind pair, the part (F w, E w)
+    over (0, pi/2), F and E at (u, m) from _landen_fe and
+    w = d0 s c / ((d0 + d1 s^2) sqrt(c^2 + m'^2 s^2)) with s, c = sin u, cos u,
+    for (m, m', d0, d1) = kernel(params), m' exact."""
 
-    def part(p) -> Callable:
+    def oracle(p, tol: float) -> QuadratureResult:
         m, mc, d0, d1 = kernel(p)
         fe = _landen_fe(m, mc)
         mc2 = mc * mc
@@ -456,9 +464,9 @@ def _kernel_part(kernel: Callable) -> Callable:
             w = d0 * s * c / ((d0 + d1 * s2) * math.sqrt(c * c + mc2 * s2))
             return f * w, e * w
 
-        return fn
+        return integrate(fn, 0.0, HALF_PI, tol)
 
-    return part
+    return oracle
 
 
 @_kernel_part
@@ -487,73 +495,56 @@ def _xi_part(p: XiKBar) -> tuple:
     return p.kbar, kbc, 1.0, -(p.kbar * p.kbar * math.sin(p.xi) ** 2)
 
 
-def _atan_part(p: FBar) -> Callable:
-    """Parts of ATAN_F and ATAN_E as one pair: (v, q^2 v), v = atan q."""
+def _atan_part(p: FBar, tol: float) -> QuadratureResult:
+    """Oracle of ATAN_F and ATAN_E as one pair over (f2, f1): the parts
+    (v, q^2 v), v = atan q."""
 
     def g(q: float) -> tuple:
         v = math.atan(q)
         return v, q * q * v
 
-    return g
+    return integrate_singular_pair(g, p.f2, p.f1, tol)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-# the component a paired row reads of its part: the first-kind (F) member
-# or the second-kind (E) member
+# the component a paired row reads of its oracle's result: the first-kind
+# (F) member or the second-kind (E) member
 _F, _E = 0, 1
 
 
 class _Entry(NamedTuple):
     params_cls: type
     closed: Callable
-    bounds: Callable
-    singularity: Singularity
-    part: Callable
-    component: int | None = None  # _F or _E for a row of a paired part
-
-
-def _quarter_period(p) -> tuple:
-    return (0.0, HALF_PI)
+    oracle: Callable  # oracle(params, tol) -> QuadratureResult
+    component: int | None = None  # _F or _E for a row of a paired oracle
 
 
 REGISTRY = {
     IdentityId.I1: _Entry(
-        AlphaK, i1_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
-        _weighted_e_part(lambda p: (1.0, 1.0 - p.k * p.k, p.k * p.k, 2))),
+        AlphaK, i1_closed, _weighted_e_part(lambda p: (1.0, 1.0 - p.k * p.k, p.k * p.k, 2))),
     IdentityId.I1_BARRED: _Entry(
-        AlphaKBar, i1_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH,
-        _weighted_e_part(lambda p: (1.0, p.kbar * p.kbar, -1.0, 2))),
+        AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p: (1.0, p.kbar * p.kbar, -1.0, 2))),
     IdentityId.PR3_D: _Entry(
-        AlphaZ, pr3_d_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH_LOG_HI,
-        _weighted_e_part(lambda p: (p.alpha, p.z * p.z, 1.0, 1))),
+        AlphaZ, pr3_d_closed, _weighted_e_part(lambda p: (p.alpha, p.z * p.z, 1.0, 1))),
     IdentityId.PR3_D_BARRED: _Entry(
-        AlphaKBar, pr3_d_barred_closed, lambda p: (0.0, p.alpha), Singularity.INV_SQRT_BOTH_LOG_HI,
+        AlphaKBar, pr3_d_barred_closed,
         _weighted_e_part(lambda p: (p.alpha, p.kbar * p.kbar, -1.0, 1))),
-    IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, lambda p: (p.alpha, p.beta),
-                             Singularity.INV_SQRT_BOTH, _log_part, _F),
-    IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, lambda p: (p.alpha, p.beta),
-                              Singularity.INV_SQRT_BOTH, _log_part, _E),
-    IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, lambda p: (p.e2, p.e1),
-                              Singularity.INV_SQRT_BOTH, _pseudo_part),
-    IdentityId.I3: _Entry(NuK, i3_closed, _quarter_period, Singularity.NONE, _cosh_part, _E),
-    IdentityId.I4: _Entry(MuK, i4_closed, _quarter_period, Singularity.NONE, _sinh_part, _E),
-    IdentityId.I5: _Entry(MuK, i5_closed, _quarter_period, Singularity.NONE, _sinh_part, _F),
-    IdentityId.I6: _Entry(NuK, i6_closed, _quarter_period, Singularity.NONE, _cosh_part, _F),
-    IdentityId.I2_BARRED: _Entry(PsiKBar, i2_barred_closed, _quarter_period, Singularity.NONE,
-                                 _psi_part, _E),
-    IdentityId.I3_BARRED: _Entry(PsiKBar, i3_barred_closed, _quarter_period, Singularity.NONE,
-                                 _psi_part, _F),
-    IdentityId.GR_E_SIN: _Entry(XiKBar, gr_e_sin_closed, _quarter_period, Singularity.NONE,
-                                _xi_part, _E),
-    IdentityId.GR_F_SIN: _Entry(XiKBar, gr_f_sin_closed, _quarter_period, Singularity.NONE,
-                                _xi_part, _F),
-    IdentityId.ATAN_F: _Entry(FBar, atan_f_closed, lambda p: (p.f2, p.f1),
-                              Singularity.INV_SQRT_BOTH, _atan_part, _F),
-    IdentityId.ATAN_E: _Entry(FBar, atan_e_closed, lambda p: (p.f2, p.f1),
-                              Singularity.INV_SQRT_BOTH, _atan_part, _E),
+    IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, _log_part, _F),
+    IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, _log_part, _E),
+    IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, _pseudo_part),
+    IdentityId.I3: _Entry(NuK, i3_closed, _cosh_part, _E),
+    IdentityId.I4: _Entry(MuK, i4_closed, _sinh_part, _E),
+    IdentityId.I5: _Entry(MuK, i5_closed, _sinh_part, _F),
+    IdentityId.I6: _Entry(NuK, i6_closed, _cosh_part, _F),
+    IdentityId.I2_BARRED: _Entry(PsiKBar, i2_barred_closed, _psi_part, _E),
+    IdentityId.I3_BARRED: _Entry(PsiKBar, i3_barred_closed, _psi_part, _F),
+    IdentityId.GR_E_SIN: _Entry(XiKBar, gr_e_sin_closed, _xi_part, _E),
+    IdentityId.GR_F_SIN: _Entry(XiKBar, gr_f_sin_closed, _xi_part, _F),
+    IdentityId.ATAN_F: _Entry(FBar, atan_f_closed, _atan_part, _F),
+    IdentityId.ATAN_E: _Entry(FBar, atan_e_closed, _atan_part, _E),
 }
 
 
@@ -569,21 +560,9 @@ def closed_value(ident: IdentityId, params) -> float:
     return _entry(ident, params).closed(params)
 
 
-def _integral(entry: _Entry, params, tol: float = ORACLE_TOL) -> QuadratureResult:
-    """The oracle integral of entry's part at params: for a paired part, both
-    components in one integrate call, with tuple value and error."""
-    lo, hi = entry.bounds(params)
-    part = entry.part(params)
-    if entry.singularity is Singularity.INV_SQRT_BOTH:
-        return integrate_singular_pair(part, lo, hi, tol)
-    if entry.singularity is Singularity.INV_SQRT_BOTH_LOG_HI:
-        return _integrate_singular_pair_graded(part, lo, hi, tol)
-    return integrate(part, lo, hi, tol)
-
-
 def _read(entry: _Entry, res: QuadratureResult) -> QuadratureResult:
-    """entry's own result from _integral's: its component of a paired part,
-    with the evaluations the pair shared."""
+    """entry's own result from its oracle's: its component of a paired
+    oracle's tuple result, with the evaluations the pair shared."""
     c = entry.component
     if c is None:
         return res
@@ -592,9 +571,9 @@ def _read(entry: _Entry, res: QuadratureResult) -> QuadratureResult:
 
 def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
     """Evaluate the left-hand side by adaptive quadrature.  For a row of a
-    paired part, both members are integrated and this row's is returned."""
+    paired oracle, both members are integrated and this row's is returned."""
     entry = _entry(ident, params)
-    return _read(entry, _integral(entry, params, tol))
+    return _read(entry, entry.oracle(params, tol))
 
 
 def grid_params(ident: IdentityId, n: int) -> list:

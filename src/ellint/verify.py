@@ -33,8 +33,8 @@ from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_redu
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB,
-                         FBar, PsiKBar, XiKBar, _integral, _lin, _read,
+from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, ORACLE_TOL, REGISTRY,
+                         EpsAB, FBar, PsiKBar, XiKBar, _lin, _read,
                          alpha_k_from_eccentricities, alpha_kbar_from_barred,
                          atan_e_closed, atan_f_closed, closed_value, gr_e_sin_closed,
                          gr_f_sin_closed, grid_params, i1_barred_closed,
@@ -223,20 +223,20 @@ def geometry_records(grid: int) -> list:
 
 def identity_records(grid: int, tol: float = IDENTITY_TOL) -> list:
     """Closed form vs quadrature for every registry identity.  The two rows
-    of a paired part read one integral per grid point, kept only for the
+    of a paired oracle read one integral per grid point, kept only for the
     length of this call."""
     out = []
-    pending = {}  # (part, params) -> integral awaiting the pair's other row
+    pending = {}  # (oracle, params) -> integral awaiting the pair's other row
     for ident, entry in REGISTRY.items():
         for params in grid_params(ident, grid):
             closed = closed_value(ident, params)
-            key = (entry.part, params)
+            key = (entry.oracle, params)
             if entry.component is None:
-                res = _integral(entry, params)
+                res = entry.oracle(params, ORACLE_TOL)
             elif key in pending:
                 res = pending.pop(key)
             else:
-                res = pending[key] = _integral(entry, params)
+                res = pending[key] = entry.oracle(params, ORACLE_TOL)
             out.append(make_record(ident.value, params._asdict(), closed,
                                    _read(entry, res).value, tol))
     return out

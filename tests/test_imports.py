@@ -56,9 +56,12 @@ def test_readme_names_every_public_name():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"`([A-Za-z_]\w*)[`(]", readme))
     assert set(ellint.__all__) - {"__version__"} - named == set()
-    # folded into triaxial_area and complementary_amplitude
-    for gone in ("surface_area_legendre", "surface_area_ascending", "conjugate_delta"):
+    # folded into triaxial_area and complementary_amplitude, and Singularity,
+    # whose choice of substitution each registry row's oracle now makes
+    for gone in ("surface_area_legendre", "surface_area_ascending", "conjugate_delta",
+                 "Singularity"):
         assert not re.search(rf"\b{gone}\b", readme), gone
+        assert not hasattr(ellint, gone), gone
 
 
 def _private_top_level(tree: ast.Module) -> set:
