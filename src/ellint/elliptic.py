@@ -1,21 +1,10 @@
 """Legendre-form elliptic integrals via Carlson symmetric forms and the AGM.
 
-Incomplete integrals take an amplitude phi in [0, pi/2] and a modulus k in
-[0, 1].  They reduce to the Carlson functions R_F and R_D, evaluated by the
-duplication algorithm: the argument triple is contracted toward its mean
-until a fifth-order Taylor tail suffices.  R_D's duplication step uses the
-same lambda as R_F's, so one fused loop returns both; every (F, E) pair at
-one (phi, k) comes from that single loop.  The argument 1 - k^2 sin^2 phi
-is formed as cos^2 phi + k'^2 sin^2 phi, which keeps full double precision
-uniformly in k, including the (pi/2, 1) corner, without the cancellation
-that plagues the (F - E)/k^2 route for D at small k.  Complete K and E come
-from the arithmetic-geometric mean (DLMF 19.8), which converges
-quadratically, started at k' as given, so that a caller holding k' exactly
-keeps it; complete D stays on R_D, which is stable at small k.
-The two imaginary-parameter extensions of (F, E) are each one fused call
-too, since Carlson's forms hold at negative parameter (DLMF 19.25(i)):
-within 1e-15 of mpmath for k up to 1.34e154 (imaginary modulus) and
-phi_hyp up to 710.47, where sinh overflows (imaginary argument).
+Carlson's R_F and R_D by duplication, both from one fused loop (_rf_rd);
+the incomplete F, E and D at amplitude phi in [0, pi/2] and modulus k in
+[0, 1], each (F, E) pair from one loop (_fe_sc); the complete K and E from
+the AGM (_agm) and D from R_D; the conjugate amplitude; and (F, E) at an
+imaginary modulus or argument.
 """
 
 import math
@@ -133,7 +122,8 @@ def carlson_rd(x: float, y: float, z: float) -> float:
 
 
 def _agm(k: float, kc: float) -> tuple:
-    """(K(k), E(k)) for 0 <= k < 1 and kc = k' by the arithmetic-geometric mean.
+    """(K(k), E(k)) for 0 <= k < 1 and kc = k' by the arithmetic-geometric mean,
+    started at kc as given, so that a caller holding k' exactly keeps it.
 
     a_0 = 1, b_0 = kc, c_0 = k; K = pi/(2 a_N) and
     E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6).  c_(n+1) is
@@ -261,8 +251,8 @@ def complementary_amplitude(phi1: float, kprime: float) -> float:
 
 def imaginary_modulus_reduce(phi: float, k: float) -> tuple:
     """(f, e), the integrals of 1/sqrt(1 + k^2 sin^2 t) and sqrt(1 + k^2 sin^2 t)
-    over (0, phi): F and E at parameter m = -k^2, one fused call with
-    k'^2 = 1 + k^2.  Needs k >= 0 with k^2 finite (k <= about 1.34e154).
+    over (0, phi): F and E at parameter m = -k^2 (DLMF 19.25(i)), one fused
+    call with k'^2 = 1 + k^2.  Needs k >= 0 with k^2 finite (k <= about 1.34e154).
     """
     _check_amplitude(phi)
     if not (k >= 0.0 and math.isfinite(k * k)):

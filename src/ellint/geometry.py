@@ -1,14 +1,11 @@
-"""Ellipsoid surface areas in every axis-ordering regime.
+"""Ellipsoid surface areas.
 
-surface_area evaluates Carlson's symmetric form S = 4 pi abc R_G(a^-2, b^-2,
-c^-2) (DLMF 19.33.1; Carlson 1995) for every shape and axis order, from one
-fused R_F/R_D loop on the ratios of the axes to the largest.  The paper's
-closed forms stay as independent cross-checks: the elementary log/arcsin
-spheroid forms, and triaxial_area, the descending-axes form in the
-eccentricities (e1, e2), which is Legendre's form and, with a and c
-interchanged, the paper's c > b > a form in the barred parameters (f1, f2):
-that area is triaxial_area(c, b, a).  Axis differences are formed from the
-axes (x - y), never from rounded ratios, exact for nearly equal axes.
+surface_area is the accurate path, for every shape and axis order.  The
+paper's closed forms stay as independent cross-checks: oblate_area and
+prolate_area for spheroids, triaxial_area for descending axes (and, on
+reversed axes, ascending ones); eccentricities and barred_params give their
+parameters.  Axis differences are formed from the axes (x - y), never from
+rounded ratios.
 """
 
 import math
@@ -68,26 +65,29 @@ def oblate_area(r: float, c: float) -> float:
     """Oblate spheroid a = b = r > c, via the elementary log form in the
     ratio t = c/r: S = 2 pi r^2 [1 + t^2/sqrt(1-t^2) log((1 + sqrt(1-t^2))/t)].
     The log is taken as log1p(root) - log(t), two terms that add, so a tiny t
-    neither divides by zero nor overflows the quotient."""
+    neither divides by zero nor overflows the quotient; log t is
+    log c - log r where c/r underflows to 0.0."""
     _check_axes(r, c)
     if not r > c:
         raise DomainError("oblate_area needs r > c")
     t = c / r
     root = math.sqrt((r - c) / r * (1.0 + t))
-    return TWO_PI * r * (r * (1.0 + t * t / root * (math.log1p(root) - math.log(t))))
+    log_t = math.log(t) if t else math.log(c) - math.log(r)
+    return TWO_PI * r * (r * (1.0 + t * t / root * (math.log1p(root) - log_t)))
 
 
 def prolate_area(c: float, r: float) -> float:
     """Prolate spheroid c > a = b = r, via the elementary arcsin form in the
     ratio t = r/c: S = 2 pi c^2 [t^2 + t arcsin(root)/root], root = sqrt(1-t^2).
     arcsin(root) is evaluated as atan2(root, t), because arcsin is
-    ill-conditioned as root -> 1."""
+    ill-conditioned as root -> 1.  The arcsin term is formed as c r, not as
+    c^2 t, so a ratio t below the float range loses nothing."""
     _check_axes(c, r)
     if not c > r:
         raise DomainError("prolate_area needs c > r")
     t = r / c
     root = math.sqrt((c - r) / c * (1.0 + t))
-    return TWO_PI * c * (c * (t * t + t * math.atan2(root, t) / root))
+    return TWO_PI * (c * (c * t * t) + c * r * math.atan2(root, t) / root)
 
 
 def triaxial_area(a: float, b: float, c: float) -> float:
@@ -152,5 +152,5 @@ def surface_area(a: float, b: float, c: float) -> float:
     s0, s1, s2 = sorted((a, b, c), reverse=True)
     y, z = s1 / s0, s2 / s0
     if y * z < _NEEDLE_YZ:
-        return TWO_PI * s0 * (s1 * _g(0.0, (s2 / s1) ** 2, 1.0))
+        return TWO_PI * (s0 * s1) * _g(0.0, (s2 / s1) ** 2, 1.0)
     return TWO_PI * s0 * (s0 * _g((y * z) ** 2, z * z, y * y))

@@ -8,9 +8,10 @@ zero, non-finite or overflowing Carlson arguments, both imaginary-parameter
 extensions of (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin
 derivatives of F(arcsin x, k) where their series coefficients underflow, and the
 PR3_D, LOG_Q2, I3, I4, I5, I6, ATAN_F and ATAN_E closed forms at edges of their
-parameter classes, I5 out to mu = 1e300, and the oracle of the eight kernel
-identities, whose F and E legs share one quadrature, against their defining
-integrals, with the Landen F and E at its nodes down to m' = 1e-15.
+parameter classes, I5 out to mu = 1e300, I4 and I5 down to mu = 5e-324, and
+the oracle of the eight kernel identities, whose F and E legs share one
+quadrature, against their defining integrals, with the Landen F and E at its
+nodes down to m' = 1e-15.
 Skipped when mpmath is not installed.
 """
 
@@ -205,6 +206,23 @@ def test_spheroid_and_triaxial_forms_at_extreme_scales(fn, args, axes):
     # last triple raised ZeroDivisionError, the third DomainError; the
     # spheroid areas lie below the subnormal range
     assert _area_close(fn(*args), _area_ref(*axes))
+
+
+@pytest.mark.parametrize("fn,args,axes", [
+    (oblate_area, (2.0, 5e-324), (2.0, 2.0, 5e-324)),
+    (oblate_area, (1.0, 1e-310), (1.0, 1.0, 1e-310)),
+    (prolate_area, (1e10, 1e-315), (1e10, 1e-315, 1e-315)),
+    (prolate_area, (1e10, 1e-310), (1e10, 1e-310, 1e-310)),
+    (prolate_area, (1e10, 1e-305), (1e10, 1e-305, 1e-305))])
+def test_spheroid_forms_at_axis_ratios_below_the_float_range(fn, args, axes):
+    # the axis ratio t rounded to 0.0 or to a subnormal: oblate_area raised a
+    # bare ValueError from log(t); prolate_area returned 0.0 at 1e-315 and was
+    # 1.0e-4 off at 1e-310 and 9.5e-11 at 1e-305.  surface_area scaled the
+    # subnormal axis before the largest and was 1.4e-9 off at 1e-315
+    ref = _area_ref(*axes)
+    assert _area_close(fn(*args), ref)
+    assert _area_close(surface_area(*axes), ref)
+    assert fn(*args) == pytest.approx(surface_area(*axes), rel=1e-15)
 
 
 def test_triaxial_form_domain_ends_at_the_corner():
@@ -508,6 +526,22 @@ def test_i5_below_the_subnormals_is_zero(mu):
     ref = _identity_ref(IdentityId.I5, params)
     assert ref > 0 and float(ref) == 0.0
     assert closed_value(IdentityId.I5, params) == 0.0
+
+
+_SINH_AT_ZERO = {  # the mu -> 0 limits of I5 and I4 (mpmath, 50 digits)
+    (IdentityId.I5, 0.5): 0.65671800406009995, (IdentityId.I5, 0.95): 0.41051457577339151,
+    (IdentityId.I4, 0.5): 0.50162625395010751, (IdentityId.I4, 0.95): 0.40031543251245444}
+
+
+@pytest.mark.parametrize("ident,k", list(_SINH_AT_ZERO), ids=lambda x: str(getattr(x, "value", x)))
+@pytest.mark.parametrize("mu", [5e-324, 1e-310, 1e-308, 1e-20, 7e-9])
+def test_sinh_kernel_closed_forms_at_small_mu(ident, k, mu):
+    # 1/(sinh mu cosh mu) divided subnormals: I5 was inf at MuK(1e-310, 0.5)
+    # and MuK(1e-308, 0.95), I4 2.0 at MuK(5e-324, 0.5).  Both are even in mu,
+    # so below 2^-27 the limit is within 5e-17.  I5 at k = 0.95 is 1.2e-15 off:
+    # pi/2 - k K(k') cancels by a factor of about 40 after k K(k') is rounded
+    tol = 1.5e-15 if (ident, k) == (IdentityId.I5, 0.95) else 1e-15
+    assert abs(closed_value(ident, MuK(mu, k)) - _SINH_AT_ZERO[ident, k]) <= tol
 
 
 def _landen_cases():
