@@ -218,8 +218,9 @@ def _integrate_singular_pair_graded(g, lo: float, hi: float,
     PR3_D_BARRED, whose modulus u/alpha reaches 1 there.  Sampling
     f((pi/2) sin tau) (pi/2) cos tau over tau in (0, pi/2) turns its
     cos^2 t log(cos t) at t = pi/2 into s^5 log(s), s = pi/2 - tau, which a
-    few panels resolve without bisecting toward it.  (pi/2)(1 - (1 - tau)^2) would be 4.7e-10 off at PR3_D's
-    alpha = 1, z = 1e-9, where this map is within 1.1e-15."""
+    few panels resolve without bisecting toward it.  (pi/2)(1 - (1 - tau)^2)
+    would be 4.7e-10 off at PR3_D's alpha = 1, z = 1e-9, where this map is
+    within 1.1e-15."""
     f = _singular_pair_integrand(g, lo, hi)
 
     def graded(tau: float) -> float:
