@@ -1,10 +1,11 @@
 """Legendre-form elliptic integrals via Carlson symmetric forms and the AGM.
 
-Carlson's R_F and R_D by duplication, both from one fused loop (_rf_rd);
-the incomplete F, E and D at amplitude phi in [0, pi/2] and modulus k in
-[0, 1], each (F, E) pair from one loop (_fe_sc); the complete K and E from
-the AGM (_agm) and D from R_D; the conjugate amplitude; and (F, E) at an
-imaginary modulus or argument.
+Carlson's R_F and R_D by duplication from one loop (_rf_rd), which
+carlson_rf, carlson_rd, the incomplete F, E and D at amplitude phi in
+[0, pi/2] and modulus k in [0, 1] (F and E through one entry, _fe_sc), the
+complete D and the R_G area core of geometry all read; the complete K and
+E from the AGM (_agm); the conjugate amplitude; and (F, E) at an imaginary
+modulus or argument.
 """
 
 import math
@@ -34,37 +35,14 @@ _AGM_TOL = 2.0 ** -27
 _ASINH_MAX = 710.4758600739439
 
 
-def _shrunk(x: float, y: float, z: float) -> tuple:
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise DomainError(f"Carlson arguments must be finite, got {(x, y, z)!r}")
-    return (x * _SHRINK, y * _SHRINK, z * _SHRINK)
-
-
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z); finite, nonnegative, at most one argument zero."""
-    s = x + y + z
-    if not s < _HUGE:
-        return carlson_rf(*_shrunk(x, y, z)) * _SHRINK_RF
     if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (x + z) == 0.0:
         raise DomainError("carlson_rf needs nonnegative args, at most one zero")
-    a = s / 3.0
-    q = _RF_PREF * max(abs(a - x), abs(a - y), abs(a - z))
-    x0, y0, a0 = x, y, a
-    scale = 1.0
-    while scale * q >= abs(a):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        scale *= 0.25
-    dx = scale * (a0 - x0) / a
-    dy = scale * (a0 - y0) / a
-    dz = -dx - dy
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+    # R_F is symmetric and _rf_rd needs z > 0, so a zero z moves to the first slot
+    if z == 0.0:
+        x, z = z, x
+    return _rf_rd(x, y, z)[0]
 
 
 def _rf_rd(x: float, y: float, z: float) -> tuple:
@@ -76,7 +54,9 @@ def _rf_rd(x: float, y: float, z: float) -> tuple:
     """
     s = x + y + z
     if not s < _HUGE:
-        rf, rd = _rf_rd(*_shrunk(x, y, z))
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DomainError(f"Carlson arguments must be finite, got {(x, y, z)!r}")
+        rf, rd = _rf_rd(x * _SHRINK, y * _SHRINK, z * _SHRINK)
         return (rf * _SHRINK_RF, rd * _SHRINK_RD)
     if min(x, y) < 0.0 or z <= 0.0 or (x + y) == 0.0:
         raise DomainError("carlson_rd needs x, y >= 0 (not both zero) and z > 0")
@@ -155,16 +135,6 @@ def _fe_sc(s: float, c2: float, kc2: float) -> tuple:
     return (f, f - (1.0 - kc2) * s * s2 * rd / 3.0)
 
 
-def _f_sc(s: float, c2: float, kc2: float) -> float:
-    """F alone from the same arguments as _fe_sc, with one R_F call."""
-    return s * carlson_rf(c2, c2 + kc2 * s * s, 1.0)
-
-
-def _e_sc(s: float, c2: float, kc2: float) -> float:
-    """E alone from the same arguments as _fe_sc."""
-    return _fe_sc(s, c2, kc2)[1]
-
-
 def _check_amplitude(phi: float) -> None:
     if not (0.0 <= phi <= HALF_PI) or math.isnan(phi):
         raise DomainError(f"amplitude {phi!r} outside [0, pi/2]")
@@ -184,7 +154,7 @@ def incomplete_f(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         raise DivergenceError("F(pi/2, 1) diverges")
-    return _f_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
+    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[0]
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -193,7 +163,7 @@ def incomplete_e(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         return 1.0
-    return _e_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))
+    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[1]
 
 
 def incomplete_d(phi: float, k: float) -> float:

@@ -20,7 +20,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .elliptic import (HALF_PI, _agm, _e_sc, _f_sc, _fe_sc, carlson_rd, complete_d,
+from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
                        complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import (QuadratureResult, _integrate_singular_pair_graded, integrate,
@@ -187,6 +187,9 @@ def pr3_d_closed(p: AlphaZ) -> float:
     # homogeneous of degree -1, so written in r = alpha/z: D(k) = R_D(0, k'^2, 1)/3
     # at k'^2 = z^2/(z^2 + alpha^2) = 1/(1 + r^2), not rounded through k
     r = p.alpha / p.z
+    if r > 2.0 ** 500:
+        # k'^2 < 2^-1000: D(k) = ln(4/k') - 1 within O(k'^2 ln k'), r k'^2/z -> 1/alpha
+        return HALF_PI * (math.log(4.0) + math.log(p.alpha) - math.log(p.z) - 1.0) / p.alpha
     kp2 = 1.0 / (1.0 + r * r)
     return HALF_PI * (r * kp2) / p.z * carlson_rd(0.0, kp2, 1.0) / 3.0
 
@@ -275,7 +278,7 @@ def i5_closed(p: MuK) -> float:
     e = math.exp(-p.mu)
     sech2 = (2.0 * e / (1.0 + e * e)) ** 2
     return (-(_agm(math.sqrt(kp2), p.k)[0] * arctanh_guarded(p.k * th)
-              - HALF_PI * _f_sc(th, sech2, kp2))
+              - HALF_PI * _fe_sc(th, sech2, kp2)[0])
             * (4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))) * e)
 
 
@@ -287,32 +290,35 @@ def i6_closed(p: NuK) -> float:
             / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
 
 
+def _psi_fe(p: PsiKBar) -> tuple:
+    # (beta, F, E): beta = arctan(tan(psi)/kbar') without overflow, and F and E
+    # at beta from its sine and cosine, with kbar'^2 not rounded through kbar^2
+    kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
+    sp, kc = math.sin(p.psi), math.sqrt(kbp2) * math.cos(p.psi)
+    r = math.hypot(sp, kc)
+    return (math.atan2(sp, kc), *_fe_sc(sp / r, (kc / r) ** 2, kbp2))
+
+
 def i2_barred_closed(p: PsiKBar) -> float:
     kb2 = p.kbar * p.kbar
-    kbp = math.sqrt(1.0 - kb2)
     sp = math.sin(p.psi)
     cp = math.cos(p.psi)
-    beta = math.atan2(sp, kbp * cp)  # arctan(tan(psi)/kbp) without overflow
+    beta, _, e = _psi_fe(p)
     root = math.sqrt(1.0 - kb2 * cp * cp)
-    return ((complete_e(p.kbar) * beta
-             - HALF_PI * incomplete_e(beta, p.kbar)
+    return ((complete_e(p.kbar) * beta - HALF_PI * e
              + HALF_PI * (sp / cp / root) * (1.0 - root))
             / (kb2 * sp * cp))
 
 
 def i3_barred_closed(p: PsiKBar) -> float:
-    kb2 = p.kbar * p.kbar
-    kbp = math.sqrt(1.0 - kb2)
-    sp = math.sin(p.psi)
-    cp = math.cos(p.psi)
-    beta = math.atan2(sp, kbp * cp)
-    return ((complete_k(p.kbar) * beta - HALF_PI * incomplete_f(beta, p.kbar))
-            / (kb2 * sp * cp))
+    beta, f, _ = _psi_fe(p)
+    return ((complete_k(p.kbar) * beta - HALF_PI * f)
+            / (p.kbar * p.kbar * math.sin(p.psi) * math.cos(p.psi)))
 
 
 def gr_e_sin_closed(p: XiKBar) -> float:
     kb2 = p.kbar * p.kbar
-    kbp = math.sqrt(1.0 - kb2)
+    kbp = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
     sx = math.sin(p.xi)
     cx = math.cos(p.xi)
     root = math.sqrt(1.0 - kb2 * sx * sx)
@@ -322,12 +328,11 @@ def gr_e_sin_closed(p: XiKBar) -> float:
 
 
 def gr_f_sin_closed(p: XiKBar) -> float:
-    kb2 = p.kbar * p.kbar
-    kbp = math.sqrt(1.0 - kb2)
+    kbp = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
     sx = math.sin(p.xi)
     cx = math.cos(p.xi)
     return -(complete_k(p.kbar) * math.atan2(kbp * sx, cx)
-             - HALF_PI * incomplete_f(p.xi, p.kbar)) / (kb2 * sx * cx)
+             - HALF_PI * incomplete_f(p.xi, p.kbar)) / (p.kbar * p.kbar * sx * cx)
 
 
 def _atan_sc(p: FBar) -> tuple:
@@ -336,7 +341,7 @@ def _atan_sc(p: FBar) -> tuple:
 
 
 def atan_f_closed(p: FBar) -> float:
-    return HALF_PI * _f_sc(*_atan_sc(p)) / p.f1
+    return HALF_PI * _fe_sc(*_atan_sc(p))[0] / p.f1
 
 
 def atan_e_closed(p: FBar) -> float:
@@ -344,7 +349,7 @@ def atan_e_closed(p: FBar) -> float:
     # (f1 - f2)(f1 + f2)/(1 + f1^2) and 1 - x = (1 + f2^2)/(1 + f1^2)
     h1 = math.hypot(1.0, p.f1)
     x = (p.f1 - p.f2) / h1 * ((p.f1 + p.f2) / h1)
-    return HALF_PI * (_e_sc(*_atan_sc(p)) * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
+    return HALF_PI * (_fe_sc(*_atan_sc(p))[1] * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
 
 
 # ---------------------------------------------------------------------------

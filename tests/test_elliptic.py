@@ -73,6 +73,14 @@ def test_carlson_special_points():
         carlson_rd(x, y, z) / lam ** 1.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("args", [(-1.0, 1.0, 1.0), (1.0, 1.0, -1e-300), (0.0, 0.0, 1.0),
+                                  (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.7e308, 0.0)])
+def test_carlson_rf_domain(args):
+    # negative arguments and two zeros raise, also when the sum would be rescaled
+    with pytest.raises(DomainError):
+        carlson_rf(*args)
+
+
 def test_complete_limits_at_zero_modulus():
     assert abs(complete_k(0.0) - HALF_PI) <= 1e-15
     assert abs(complete_e(0.0) - HALF_PI) <= 1e-15

@@ -4,17 +4,19 @@ Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
 spheroids, axis triples over the whole float range, conjugate amplitudes near
-zero, non-finite or overflowing Carlson arguments, both imaginary-parameter
-extensions of (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin
-derivatives of F(arcsin x, k) where their series coefficients underflow, and the
-PR3_D, LOG_Q2, I3, I4, I5, I6, ATAN_F and ATAN_E closed forms at edges of their
-parameter classes, I5 out to mu = 1e300, I4 and I5 down to mu = 5e-324, and
-the oracle of the eight kernel identities, whose F and E legs share one
-quadrature, against their defining integrals, with the Landen F and E at its
-nodes down to m' = 1e-15.
+zero, non-finite or overflowing Carlson arguments, R_F in every argument
+order, both imaginary-parameter extensions of (F, E) out to the overflow of
+k^2 and of sinh, the odd Maclaurin derivatives of F(arcsin x, k) where their
+series coefficients underflow, and the PR3_D, LOG_Q2, I3, I4, I5, I6,
+I3_BARRED, ATAN_F and ATAN_E closed forms at edges of their parameter classes,
+PR3_D out to alpha/z = inf, I5 out to mu = 1e300, I4 and I5 down to mu =
+5e-324, I3_BARRED at kbar = 1 - 1e-15, and the oracle of the eight kernel
+identities, whose F and E legs share one quadrature, against their defining
+integrals, with the Landen F and E at its nodes down to m' = 1e-15.
 Skipped when mpmath is not installed.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -155,6 +157,15 @@ def test_overflowing_sum_is_rescaled(x, y, z):
     rd = carlson_rd(x, y, z)
     assert rd == pytest.approx(float(mp.elliprd(x, y, z)), rel=2e-15, abs=0.0)
     assert _rel(_rf_rd(x, y, z)[0], mp.elliprf(x, y, z)) <= 2e-15
+
+
+# a zero in each slot, the six orders of one triple, and a zero z with an
+# overflowing sum: carlson_rf reads _rf_rd, which needs z > 0
+@pytest.mark.parametrize("x,y,z", [(0.0, 2.5e-3, 7e5), (2.5e-3, 0.0, 7e5), (2.5e-3, 7e5, 0.0)]
+                         + list(itertools.permutations((0.3, 4.0, 9e3)))
+                         + [(1.7e308, 1e308, 0.0)])
+def test_carlson_rf_in_every_argument_order(x, y, z):
+    assert _rel(carlson_rf(x, y, z), mp.elliprf(x, y, z)) <= 2e-15
 
 
 @pytest.mark.parametrize("a,b,c", [(1e-150, 1e-150, 3e-151), (1e-150, 3e-151, 3e-151),
@@ -339,9 +350,10 @@ def test_maclaurin_derivative_where_the_coefficient_underflows(m, e1, e2):
 
 
 def _pr3_d_ref(alpha, z):
+    # (K - E)/m = D(k) = R_D(0, k'^2, 1)/3 (DLMF 19.25.1), in k'^2 = z^2/hyp,
+    # which stays distinct from 0 where m rounds to 1 at 50 digits
     hyp = z * z + alpha * alpha
-    m = alpha * alpha / hyp
-    return mp.pi * alpha / (2 * hyp) * (mp.ellipk(m) - mp.ellipe(m)) / m
+    return mp.pi * alpha / (2 * hyp) * mp.elliprd(0, z * z / hyp, 1) / 3
 
 
 def _log_q2_ref(eps, alpha, beta):
@@ -388,10 +400,16 @@ def _atan_e_ref(f1, f2):
     return mp.pi / 2 * (mp.ellipe(phib, kb2) * f1 - (1 - mp.sqrt(1 - kb2 * mp.sin(phib) ** 2)))
 
 
+def _i3_barred_ref(psi, kbar):
+    m, beta = kbar * kbar, mp.atan(mp.tan(psi) / mp.sqrt(1 - kbar * kbar))
+    return ((mp.ellipk(m) * beta - mp.pi / 2 * mp.ellipf(beta, m))
+            / (m * mp.sin(psi) * mp.cos(psi)))
+
+
 _IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
-                  IdentityId.ATAN_E: _atan_e_ref}
+                  IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref}
 
 
 def _identity_ref(ident, params):
@@ -425,8 +443,9 @@ def _pair_integral(g, lo, hi):
 
 def test_identity_references_are_the_integrals():
     alpha, z, mu, k, f1, f2 = (mp.mpf(v) for v in (0.7, 0.3, 0.8, 0.4, 2.0, 0.7))
-    eps, nu, kn = (mp.mpf(v) for v in (3.0, 0.3, 0.6))
+    eps, nu, kn, psi = (mp.mpf(v) for v in (3.0, 0.3, 0.6, 1.1))
     (sinh_m, sinh_coef), (cosh_m, cosh_coef) = _KERNELS[MuK](mu, k), _KERNELS[NuK](nu, kn)
+    psi_m, psi_coef = _KERNELS[PsiKBar](psi, kn)
     cases = [
         (IdentityId.PR3_D, (alpha, z), _pair_integral(
             lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
@@ -436,6 +455,7 @@ def test_identity_references_are_the_integrals():
         (IdentityId.I4, (mu, k), _kernel_integral(mp.ellipe, sinh_coef, sinh_m)),
         (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, sinh_coef, sinh_m)),
         (IdentityId.I6, (nu, kn), _kernel_integral(mp.ellipf, cosh_coef, cosh_m)),
+        (IdentityId.I3_BARRED, (psi, kn), _kernel_integral(mp.ellipf, psi_coef, psi_m)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
         (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
     ]
@@ -513,6 +533,15 @@ def test_i3_at_small_k(k):
     (IdentityId.LOG_Q2, EpsAB(3e-160, 1e-160, 2e-160), 1e-15),
     # 1/(sinh mu cosh mu) underflowed to 0.0 for the subnormal 4.73e-309
     (IdentityId.I5, MuK(356.0, 0.5), 2e-15),
+    # (alpha/z)^2 overflowed, k'^2 = 1/(1 + r^2) became 0: DomainError
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-160), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-300), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1e300, 1e-10), 1e-15),
+    (IdentityId.PR3_D, AlphaZ(1e-100, 1e-260), 1e-15),
+    # kbar' = sqrt(1 - kbar^2) and F(beta) from sin and cos of the rounded
+    # beta: 2.4e-10 and 1.1e-9 off
+    (IdentityId.I3_BARRED, PsiKBar(1.3, 0.999999999), 1e-13),
+    (IdentityId.I3_BARRED, PsiKBar(0.7, 0.999999999999999), 1e-13),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
