@@ -19,13 +19,13 @@ HALF_PI = math.pi / 2.0
 _RF_PREF = (3.0 * 1e-16) ** (-1.0 / 6.0)
 _RD_PREF = (0.25 * 1e-16) ** (-1.0 / 6.0)
 
-# A triple whose sum reaches _HUGE (or is not finite) is scaled by _SHRINK
-# first, so that neither the sum nor the spread Q overflows; the results are
-# scaled back by homogeneity, R_F(l x) = R_F(x)/sqrt(l), R_D(l x) = R_D(x)/l^1.5.
+# A triple whose sum reaches _HUGE (or is not finite) is scaled by 2^-32
+# first, so that neither the sum nor the spread Q overflows, and one whose sum
+# is below _TINY by 2^32, so that R_D's terms in z^1.5 do not underflow; the
+# results are scaled back by homogeneity, R_F(x) = sqrt(l) R_F(l x) and
+# R_D(x) = l^1.5 R_D(l x).
 _HUGE = 2.0 ** 1000
-_SHRINK = 2.0 ** -32
-_SHRINK_RF = 2.0 ** -16
-_SHRINK_RD = 2.0 ** -48
+_TINY = 2.0 ** -600
 
 # The AGM stops once c_n <= _AGM_TOL * a_n: the next step would move a_n by
 # about (c_n/a_n)^2/4 relative, below half an ulp.
@@ -37,11 +37,11 @@ _ASINH_MAX = 710.4758600739439
 
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z); finite, nonnegative, at most one argument zero."""
-    if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (x + z) == 0.0:
+    # R_F is symmetric: sorted, a zero lands in x, and z > 0 is the largest, so
+    # that _rf_rd's terms in z^1.5 only underflow where its _TINY rescale acts
+    x, y, z = sorted((x, y, z))
+    if x < 0.0 or y == 0.0:
         raise DomainError("carlson_rf needs nonnegative args, at most one zero")
-    # R_F is symmetric and _rf_rd needs z > 0, so a zero z moves to the first slot
-    if z == 0.0:
-        x, z = z, x
     return _rf_rd(x, y, z)[0]
 
 
@@ -52,14 +52,15 @@ def _rf_rd(x: float, y: float, z: float) -> tuple:
     recovers R_D's as a - 4^-m (aF0 - aD0), running until both stopping
     rules hold.  Domain as carlson_rd: finite x, y >= 0 (not both zero), z > 0.
     """
-    s = x + y + z
-    if not s < _HUGE:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise DomainError(f"Carlson arguments must be finite, got {(x, y, z)!r}")
-        rf, rd = _rf_rd(x * _SHRINK, y * _SHRINK, z * _SHRINK)
-        return (rf * _SHRINK_RF, rd * _SHRINK_RD)
     if min(x, y) < 0.0 or z <= 0.0 or (x + y) == 0.0:
         raise DomainError("carlson_rd needs x, y >= 0 (not both zero) and z > 0")
+    s = x + y + z
+    if not _TINY <= s < _HUGE:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DomainError(f"Carlson arguments must be finite, got {(x, y, z)!r}")
+        mult = 2.0 ** (-32 if s >= _HUGE else 32)
+        rf, rd = _rf_rd(x * mult, y * mult, z * mult)
+        return (rf * math.sqrt(mult), rd * (mult * math.sqrt(mult)))
     af0 = s / 3.0
     ad0 = (s + 2.0 * z) / 5.0
     gap = af0 - ad0

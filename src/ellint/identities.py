@@ -290,20 +290,20 @@ def i6_closed(p: NuK) -> float:
             / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
 
 
-def _psi_fe(p: PsiKBar) -> tuple:
-    # (beta, F, E): beta = arctan(tan(psi)/kbar') without overflow, and F and E
-    # at beta from its sine and cosine, with kbar'^2 not rounded through kbar^2
-    kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
-    sp, kc = math.sin(p.psi), math.sqrt(kbp2) * math.cos(p.psi)
+def _psi_fe(sp: float, cp: float, kbar: float) -> tuple:
+    # (beta, F, E) from sin psi and cos psi: beta = arctan(tan(psi)/kbar')
+    # without overflow, and F and E at beta from its own sine and cosine, with
+    # kbar'^2 not rounded through kbar^2
+    kbp2 = (1.0 - kbar) * (1.0 + kbar)
+    kc = math.sqrt(kbp2) * cp
     r = math.hypot(sp, kc)
     return (math.atan2(sp, kc), *_fe_sc(sp / r, (kc / r) ** 2, kbp2))
 
 
 def i2_barred_closed(p: PsiKBar) -> float:
     kb2 = p.kbar * p.kbar
-    sp = math.sin(p.psi)
-    cp = math.cos(p.psi)
-    beta, _, e = _psi_fe(p)
+    sp, cp = math.sin(p.psi), math.cos(p.psi)
+    beta, _, e = _psi_fe(sp, cp, p.kbar)
     root = math.sqrt(1.0 - kb2 * cp * cp)
     return ((complete_e(p.kbar) * beta - HALF_PI * e
              + HALF_PI * (sp / cp / root) * (1.0 - root))
@@ -311,9 +311,9 @@ def i2_barred_closed(p: PsiKBar) -> float:
 
 
 def i3_barred_closed(p: PsiKBar) -> float:
-    beta, f, _ = _psi_fe(p)
-    return ((complete_k(p.kbar) * beta - HALF_PI * f)
-            / (p.kbar * p.kbar * math.sin(p.psi) * math.cos(p.psi)))
+    sp, cp = math.sin(p.psi), math.cos(p.psi)
+    beta, f, _ = _psi_fe(sp, cp, p.kbar)
+    return (complete_k(p.kbar) * beta - HALF_PI * f) / (p.kbar * p.kbar * sp * cp)
 
 
 def gr_e_sin_closed(p: XiKBar) -> float:

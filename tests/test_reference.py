@@ -159,11 +159,15 @@ def test_overflowing_sum_is_rescaled(x, y, z):
     assert _rel(_rf_rd(x, y, z)[0], mp.elliprf(x, y, z)) <= 2e-15
 
 
-# a zero in each slot, the six orders of one triple, and a zero z with an
-# overflowing sum: carlson_rf reads _rf_rd, which needs z > 0
+# a zero in each slot, the six orders of one triple, a zero z with an
+# overflowing sum (carlson_rf reads _rf_rd, which needs z > 0), and sums so
+# small that R_D's terms in z^1.5 would underflow to 0.0 unless _rf_rd
+# rescales them and, in the last, carlson_rf puts the largest argument in z
 @pytest.mark.parametrize("x,y,z", [(0.0, 2.5e-3, 7e5), (2.5e-3, 0.0, 7e5), (2.5e-3, 7e5, 0.0)]
                          + list(itertools.permutations((0.3, 4.0, 9e3)))
-                         + [(1.7e308, 1e308, 0.0)])
+                         + [(1.7e308, 1e308, 0.0), (1e-300, 2e-300, 3e-300),
+                            (2e-300, 1e-300, 0.0), (1e-320, 3e-320, 2e-320),
+                            (1e-180, 0.0, 1e-320)])
 def test_carlson_rf_in_every_argument_order(x, y, z):
     assert _rel(carlson_rf(x, y, z), mp.elliprf(x, y, z)) <= 2e-15
 
