@@ -10,20 +10,17 @@ failed, 2 usage or domain error, 3 quadrature or series non-convergence.
 """
 
 import argparse
-import json
 import sys
 
+# geometry, identities, quadrature, series and verify are the package's lazy
+# modules: each body runs on its first attribute read, so a command compiles
+# only what it uses.  Calls read each function from its module when they run,
+# which also honours a rebinding there (as the perfbench layer trace does).
+from . import geometry, identities, quadrature, series, verify
+from ._options import (AREA_ORACLE_TOL, IDENTITY_TOL, MAX_TERMS_DEFAULT, PARAM_FLAGS,
+                       SERIES_SUM_TOL, SERIES_TERM_TOL, SUITES, IdentityId)
 from ._version import __version__
 from .errors import DomainError, NonConvergenceError
-from .geometry import _check_axes, surface_area, triaxial_area
-from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB,
-                         IdentityId, check, closed_value, make_record, oracle_value)
-from .quadrature import surface_area_quadrature
-from .series import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
-from .verify import (AREA_ORACLE_TOL, AREA_QUAD_TOL, SERIES_SUM_TOL, SUITES,
-                     Report, _sigma_sums, report_json, run_suite, write_report)
-
-_PARAM_FLAGS = tuple(sorted({f for e in REGISTRY.values() for f in e.params_cls._fields}))
 
 
 def _fmt(x: float) -> str:
@@ -42,7 +39,7 @@ def _axes(text: str) -> tuple:
 
 
 def _print_report(tolerances: dict, record) -> None:
-    print(report_json(Report(__version__, tolerances, None, (record,))), end="")
+    print(verify.report_json(verify.Report(__version__, tolerances, None, (record,))), end="")
 
 
 def _print_comparison(record, rows: list) -> None:
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="evaluate a catalog identity by id")
     p.add_argument("--id", required=True, dest="ident",
                    choices=[i.value for i in IdentityId])
-    for flag in _PARAM_FLAGS:
+    for flag in PARAM_FLAGS:
         p.add_argument(f"--{flag}", type=float)
     p.add_argument("--mode", default="both",
                    choices=("closed", "oracle", "both"))
@@ -108,31 +105,32 @@ def _run_area(args) -> int:
     a, b, c = args.axes
     ident = "AREA"
     if args.method == "auto":
-        value = closed = surface_area(a, b, c)
+        value = closed = geometry.surface_area(a, b, c)
     elif args.method == "quadrature":
-        value = surface_area_quadrature(a, b, c, args.tol).value
-        ident, closed = "AREA_VS_QUADRATURE", surface_area(a, b, c)
+        value = quadrature.surface_area_quadrature(a, b, c, args.tol).value
+        ident, closed = "AREA_VS_QUADRATURE", geometry.surface_area(a, b, c)
     else:
         # Legendre's form is triaxial_area on strictly descending axes, and
         # the paper's ascending form is it with a and c interchanged
-        _check_axes(a, b, c)
+        geometry._check_axes(a, b, c)
         axes = (a, b, c) if args.method == "legendre" else (c, b, a)
         if not axes[0] > axes[1] > axes[2]:
             order = "descending a > b > c" if args.method == "legendre" else "ascending a < b < c"
             raise DomainError(f"area --method {args.method} needs strictly {order}")
-        value = closed = triaxial_area(*axes)
+        value = closed = geometry.triaxial_area(*axes)
     if args.json:
         params = {"a": a, "b": b, "c": c, "method": args.method}
-        _print_report({"area_vs_quadrature_rel": AREA_QUAD_TOL},
-                      make_record(ident, params, closed, value, AREA_QUAD_TOL))
+        tol = verify.AREA_QUAD_TOL
+        _print_report({"area_vs_quadrature_rel": tol},
+                      identities.make_record(ident, params, closed, value, tol))
     else:
         print(_fmt(value))
     return 0
 
 
 def _build_params(ident: IdentityId, args):
-    params_cls = REGISTRY[ident].params_cls
-    given = {f for f in _PARAM_FLAGS if getattr(args, f) is not None}
+    params_cls = identities.REGISTRY[ident].params_cls
+    given = {f for f in PARAM_FLAGS if getattr(args, f) is not None}
     needed = set(params_cls._fields)
     if given != needed:
         missing = sorted(needed - given)
@@ -153,16 +151,16 @@ def _run_integral(args) -> int:
     params = _build_params(ident, args)
     rec = None
     if args.mode == "closed":
-        value = closed_value(ident, params)
+        value = identities.closed_value(ident, params)
     elif args.mode == "oracle":
-        value = oracle_value(ident, params).value
+        value = identities.oracle_value(ident, params).value
     else:
-        rec = check(ident, params, args.tol)
+        rec = identities.check(ident, params, args.tol)
     if args.json:
         if rec is None:
-            rec = make_record(ident.value, params._asdict(), value, value, args.tol)
+            rec = identities.make_record(ident.value, params._asdict(), value, value, args.tol)
         _print_report({"identity_rel": args.tol,
-                       "near_zero_abs": NEAR_ZERO_ABS_TOL}, rec)
+                       "near_zero_abs": identities.NEAR_ZERO_ABS_TOL}, rec)
     elif rec is None:
         print(_fmt(value))
     else:
@@ -172,14 +170,14 @@ def _run_integral(args) -> int:
 
 
 def _run_series(args) -> int:
-    series_sum, closed = _sigma_sums()[args.ident]
+    series_sum, closed = series._sigma_sums()[args.ident]
     res = series_sum(args.e1, args.e2, args.tol, args.max_terms)
-    ref = closed(EpsAB(1.0, args.e2, args.e1))
-    rec = make_record(args.ident, {"e1": args.e1, "e2": args.e2},
-                      res.value, ref, SERIES_SUM_TOL)
+    ref = closed(identities.EpsAB(1.0, args.e2, args.e1))
+    rec = identities.make_record(args.ident, {"e1": args.e1, "e2": args.e2},
+                                 res.value, ref, SERIES_SUM_TOL)
     if args.json:
         _print_report({"series_sum_rel": SERIES_SUM_TOL,
-                       "near_zero_abs": NEAR_ZERO_ABS_TOL}, rec)
+                       "near_zero_abs": identities.NEAR_ZERO_ABS_TOL}, rec)
     else:
         _print_comparison(rec, [("sum", _fmt(res.value)),
                                 ("terms_used", res.terms_used),
@@ -190,11 +188,12 @@ def _run_series(args) -> int:
 def _run_verify(args) -> int:
     if args.grid < 2:
         raise DomainError(f"--grid must be at least 2, got {args.grid}")
-    report = run_suite(args.suite, args.grid, args.tol)
+    import json
+    report = verify.run_suite(args.suite, args.grid, args.tol)
     if args.out:
-        write_report(report, args.out, args.format)
+        verify.write_report(report, args.out, args.format)
     if args.json:
-        print(report_json(report), end="")
+        print(verify.report_json(report), end="")
     else:
         npass = sum(1 for r in report.records if r.passed)
         nfail = len(report.records) - npass

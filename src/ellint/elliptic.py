@@ -66,18 +66,23 @@ def _rf_rd(x: float, y: float, z: float) -> tuple:
     gap = af0 - ad0
     q = max(_RF_PREF * max(abs(af0 - x), abs(af0 - y), abs(af0 - z)),
             _RD_PREF * max(abs(ad0 - x), abs(ad0 - y), abs(ad0 - z)) + abs(gap))
-    x0, y0, a = x, y, af0
+    x0, y0, z0, a = x, y, z, af0
     scale = 1.0
     tail = 0.0
-    while scale * q >= a:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        tail += scale / (sz * (z + lam))
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        scale *= 0.25
+    try:
+        while scale * q >= a:
+            sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+            lam = sx * (sy + sz) + sy * sz
+            tail += scale / (sz * (z + lam))
+            x = 0.25 * (x + lam)
+            y = 0.25 * (y + lam)
+            z = 0.25 * (z + lam)
+            a = 0.25 * (a + lam)
+            scale *= 0.25
+    except ZeroDivisionError:
+        # sz (z + lam) underflowed: z is so far below x + y that this one
+        # term of R_D, 3 scale / (sz (z + lam)), is above the float range
+        return (carlson_rf(x0, y0, z0), math.inf)
     dx = scale * (af0 - x0) / a
     dy = scale * (af0 - y0) / a
     dz = -dx - dy
@@ -98,7 +103,8 @@ def _rf_rd(x: float, y: float, z: float) -> tuple:
 
 
 def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson R_D(x, y, z) = R_J(x, y, z, z); finite x, y >= 0, z > 0."""
+    """Carlson R_D(x, y, z) = R_J(x, y, z, z); finite x, y >= 0, z > 0.
+    A value above the float range, where z is tiny beside x + y, is inf."""
     return _rf_rd(x, y, z)[1]
 
 

@@ -17,40 +17,19 @@ which shares no code with elliptic, where the closed forms get theirs.
 
 import math
 from collections import namedtuple
-from enum import Enum
 from typing import Callable, NamedTuple
 
+from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
                        complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
 from .quadrature import (QuadratureResult, _integrate_singular_pair_graded, integrate,
                          integrate_singular_pair)
 
-IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
 NEAR_ZERO_ABS_TOL = 1e-12
 _EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
-
-
-class IdentityId(Enum):
-    I1 = "I1"
-    I1_BARRED = "I1_BARRED"
-    PR3_D = "PR3_D"
-    PR3_D_BARRED = "PR3_D_BARRED"
-    LOG_F = "LOG_F"
-    LOG_Q2 = "LOG_Q2"
-    PSEUDO = "PSEUDO"
-    I3 = "I3"
-    I4 = "I4"
-    I5 = "I5"
-    I6 = "I6"
-    I2_BARRED = "I2_BARRED"
-    I3_BARRED = "I3_BARRED"
-    GR_E_SIN = "GR_E_SIN"
-    GR_F_SIN = "GR_F_SIN"
-    ATAN_F = "ATAN_F"
-    ATAN_E = "ATAN_E"
 
 
 def arctanh_guarded(x: float) -> float:
@@ -304,9 +283,10 @@ def i2_barred_closed(p: PsiKBar) -> float:
     kb2 = p.kbar * p.kbar
     sp, cp = math.sin(p.psi), math.cos(p.psi)
     beta, _, e = _psi_fe(sp, cp, p.kbar)
+    # (sp/cp/root)(1 - root) written as sp cp kb2/(root (1 + root)), free of cancellation
     root = math.sqrt(1.0 - kb2 * cp * cp)
     return ((complete_e(p.kbar) * beta - HALF_PI * e
-             + HALF_PI * (sp / cp / root) * (1.0 - root))
+             + HALF_PI * sp * cp * kb2 / (root * (1.0 + root)))
             / (kb2 * sp * cp))
 
 
@@ -321,10 +301,11 @@ def gr_e_sin_closed(p: XiKBar) -> float:
     kbp = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
     sx = math.sin(p.xi)
     cx = math.cos(p.xi)
+    # (cx/sx)(1 - root) written as cx kb2 sx/(1 + root), free of cancellation
     root = math.sqrt(1.0 - kb2 * sx * sx)
     return -(complete_e(p.kbar) * math.atan2(kbp * sx, cx)
              - HALF_PI * incomplete_e(p.xi, p.kbar)
-             + HALF_PI * (cx / sx) * (1.0 - root)) / (kb2 * sx * cx)
+             + HALF_PI * cx * kb2 * sx / (1.0 + root)) / (kb2 * sx * cx)
 
 
 def gr_f_sin_closed(p: XiKBar) -> float:

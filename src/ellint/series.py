@@ -14,15 +14,18 @@ and a two-sided termination test on the next term.
 The terms shrink like e1^(2m), so a sum takes about 25/(1 - e1^2) terms: at
 the default max_terms of 100,000 the sums converge up to e1 of about 0.9998
 (59,576 terms at e2 = 0.5) and raise NonConvergenceError above it.
+
+Each sum's closed reference is an identity (LOG_F, LOG_Q2); identities is
+the package's lazy module, so only a caller of _sigma_sums loads it.
 """
 
 import math
 from typing import NamedTuple
 
+from . import identities
+from ._options import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
 from .errors import DomainError, NonConvergenceError
 
-MAX_TERMS_DEFAULT = 100_000
-SERIES_TERM_TOL = 1e-15     # relative size of the next term that stops a sum
 _ABS_TAIL = 1e-18
 
 
@@ -177,6 +180,14 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
     raises NonConvergenceError above it.
     """
     return _sigma_sum("OMEGA", e1, e2, tol, max_terms)
+
+
+def _sigma_sums() -> dict:
+    """Each sigma sum with its closed value at EpsAB(1, e2, e1), as sigma1 and sigma2
+    are the LOG_F and LOG_Q2 integrals with unit log argument.  Built per call,
+    so that rebinding these names (as the perfbench layer trace does) is honoured."""
+    return {"SIGMA1": (sigma1_sum, identities.log_f_closed),
+            "SIGMA2": (sigma2_sum, identities.log_q2_closed)}
 
 
 def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:

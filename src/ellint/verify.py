@@ -16,8 +16,10 @@ abs_err, rel_err, pass):
               modulus / argument reductions vs direct quadrature
 
 The identity sweep honours the caller's tolerance; the invariant suites
-carry intrinsic tolerances listed in the module constants below.  All
-sampling is seeded, so repeated runs produce identical reports.
+carry intrinsic tolerances listed in the module constants below, and in
+_options for the two that the command line reads too (AREA_ORACLE_TOL,
+SERIES_SUM_TOL).  All sampling is seeded, so repeated runs produce
+identical reports.
 """
 
 import csv
@@ -28,12 +30,13 @@ import random
 from itertools import permutations
 from typing import NamedTuple
 
+from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SERIES_SUM_TOL, SUITES
 from ._version import __version__
 from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_reduce
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, ORACLE_TOL, REGISTRY,
+from .identities import (NEAR_ZERO_ABS_TOL, ORACLE_TOL, REGISTRY,
                          EpsAB, FBar, PsiKBar, XiKBar, _lin, _read,
                          alpha_k_from_eccentricities, alpha_kbar_from_barred,
                          atan_e_closed, atan_f_closed, closed_value, gr_e_sin_closed,
@@ -41,20 +44,16 @@ from .identities import (IDENTITY_TOL, NEAR_ZERO_ABS_TOL, ORACLE_TOL, REGISTRY,
                          i1_closed, i2_barred_closed, i3_barred_closed,
                          log_f_closed, log_q2_closed, make_record)
 from .quadrature import integrate, surface_area_quadrature
-from .series import (f_maclaurin_derivative, omega_coefficients, psi_terms,
-                     sigma1_sum, sigma2_sum, theta_terms)
-
-SUITES = ("geometry", "integrals", "series", "extensions")
+from .series import (_sigma_sums, f_maclaurin_derivative, omega_coefficients,
+                     psi_terms, theta_terms)
 
 # intrinsic tolerances of the invariant suites
 AREA_QUAD_TOL = 1e-7        # closed area vs 2D quadrature
-AREA_ORACLE_TOL = 1e-9      # relative tolerance handed to the 2D oracle
 PERMUTATION_TOL = 1e-12
 SCALING_TOL = 1e-12
 LIMIT_TOL = 1e-5            # triaxial form at axis gap 1e-6 vs spheroid form
 LIMIT_GAP = 1e-6
 ROUTE_TOL = 1e-10
-SERIES_SUM_TOL = 1e-12
 SERIES_COEFF_TOL = 1e-14
 MACLAURIN_TOL = 1e-13
 KERNEL_TOL = 1e-11
@@ -253,13 +252,6 @@ def _sigma_grid(grid: int) -> list:
         for j in range(grid):
             pairs.append((e1, e1 * (j + 0.5) / grid))
     return pairs
-
-
-def _sigma_sums() -> dict:
-    """Each sigma sum with its closed value at EpsAB(1, e2, e1), as sigma1 and sigma2
-    are the LOG_F and LOG_Q2 integrals with unit log argument.  Built per call,
-    so that rebinding these names (as the perfbench layer trace does) is honoured."""
-    return {"SIGMA1": (sigma1_sum, log_f_closed), "SIGMA2": (sigma2_sum, log_q2_closed)}
 
 
 def sigma_records(grid: int) -> list:

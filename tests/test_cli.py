@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import ellint
-from ellint import IdentityId, __version__, closed_value, quadrature, surface_area, verify
+from ellint import (IdentityId, __version__, _options, closed_value, quadrature, surface_area,
+                    verify)
 from ellint.cli import main
-from ellint.identities import (NEAR_ZERO_ABS_TOL, EpsAB, MuK, NuK, check,
+from ellint.identities import (NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB, MuK, NuK, check,
                                log_f_closed, make_record)
 from ellint.series import sigma1_sum
 from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, imaginary_reduction_records,
@@ -324,8 +325,8 @@ def test_grid5_record_count_per_id():
 # so any change to a record, a tolerance or the layout fails here.  A libm
 # that rounds sin, exp or log differently can move an oracle's last bit
 REPORT_DIGESTS = {
-    4: "1fb409c66fd10813352014239da9ee2fa916a4f81be9c52e7f8dc459846e5ac2",
-    5: "d17e947dbeadf9fc13933cd414bde952a044240c2ec0b49e1321d7a56e1cc2a7",
+    4: "be12ef32dfcf681edbd6f3917aded90774603b7b6ea10b55514a12ce2ae1fb0f",
+    5: "d83fcda68594fd9667c3e380b43e060392a81ac6f41e2204b4f74d4e1914b289",
 }
 
 
@@ -449,3 +450,36 @@ def test_cli_import_skips_dataclasses():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the package's lazy modules, and for each command those whose bodies run
+_LAZY = ("elliptic", "geometry", "quadrature", "identities", "series", "verify")
+_COMMAND_RUNS = [
+    (["area", "--axes", "3,2,1"], {"elliptic", "geometry"}),
+    (["integral", "--id", "I1", "--mode", "closed", "--alpha", "0.5", "--k", "0.5"],
+     {"elliptic", "quadrature", "identities"}),
+    (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3"],
+     {"elliptic", "quadrature", "identities", "series"}),
+]
+
+
+@pytest.mark.parametrize("argv,ran", _COMMAND_RUNS, ids=[a[0] for a, _ in _COMMAND_RUNS])
+def test_command_runs_only_the_modules_it_uses(argv, ran):
+    # a lazy module becomes a plain module once its body has run; reading an
+    # attribute of one would run it, so only its type is looked at
+    code = ("import sys, types, ellint.cli\n"
+            "ellint.cli.main(sys.argv[1:])\n"
+            f"print(*(n for n in {_LAZY!r} "
+            "if type(sys.modules['ellint.' + n]) is types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == ran
+
+
+def test_parser_options_are_the_registry_s():
+    # build_parser reads the ids and the --<param> flags from the light
+    # _options module, without loading the registry they must match
+    assert list(_options.IdentityId) == list(REGISTRY)
+    assert _options.PARAM_FLAGS == tuple(
+        sorted({f for e in REGISTRY.values() for f in e.params_cls._fields}))

@@ -1,8 +1,9 @@
 """Import hygiene, checked with the standard library's ast module.
 
 Every module of the package (its __init__ aside) and every test module uses
-each name it imports, the package's __init__ imports exactly the names it
-exports in __all__, each of which resolves and is named in README.md,
+each name it imports, the package's __init__ reads exactly the names it
+exports in __all__ from their submodules, each of which resolves and is
+named in README.md,
 every private top-level name of the package is used somewhere in it besides
 its definition, and every raise in the package raises an ellint.errors class.
 """
@@ -41,9 +42,13 @@ def test_every_import_is_used(path):
 
 
 def test_init_imports_exactly_all():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    assert _imported_names(tree) == set(ellint.__all__)
+    # the package reads each public name from its submodule on first use,
+    # through one name -> submodule table that covers exactly __all__
+    home = ellint._HOME
+    assert set(home) == set(ellint.__all__)
     assert len(ellint.__all__) == len(set(ellint.__all__))
+    for name, module in home.items():
+        assert getattr(ellint, name) is getattr(getattr(ellint, module), name), name
 
 
 def test_all_names_resolve():
@@ -94,7 +99,8 @@ def test_no_dead_private_helpers():
 
 def test_every_raise_is_typed():
     # a raise names an EllintError class or re-raises; argparse's own error type
-    # is how cli._axes reports a malformed --axes value to the parser
+    # is how cli._axes reports a malformed --axes value to the parser, and
+    # AttributeError is what the package's module __getattr__ must raise
     typed = {name for name, v in vars(errors).items()
              if isinstance(v, type) and issubclass(v, errors.EllintError)}
     raised = []
@@ -105,4 +111,5 @@ def test_every_raise_is_typed():
                 raised.append((path.name, ast.unparse(exc)))
     assert len(raised) > 40
     untyped = [r for r in raised if r[1] not in typed]
-    assert untyped == [("cli.py", "argparse.ArgumentTypeError")] * 2
+    assert sorted(untyped) == [("__init__.py", "AttributeError")] + [
+        ("cli.py", "argparse.ArgumentTypeError")] * 2

@@ -4,11 +4,12 @@ Each input here either failed at some point or sits at an edge of the
 documented domain: the (pi/2, 1) corner of F and D, moduli within 1e-15 of
 one, a thin disc whose amplitude rounds to pi/2, flat oblate and long prolate
 spheroids, axis triples over the whole float range, conjugate amplitudes near
-zero, non-finite or overflowing Carlson arguments, R_F in every argument
-order, both imaginary-parameter extensions of (F, E) out to the overflow of
-k^2 and of sinh, the odd Maclaurin derivatives of F(arcsin x, k) where their
-series coefficients underflow, and the PR3_D, LOG_Q2, I3, I4, I5, I6,
-I3_BARRED, ATAN_F and ATAN_E closed forms at edges of their parameter classes,
+zero, non-finite or overflowing Carlson arguments, R_D above the float
+range, R_F in every argument order, both imaginary-parameter extensions of
+(F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin derivatives
+of F(arcsin x, k) where their series coefficients underflow, and the PR3_D,
+LOG_Q2, I3, I4, I5, I6, I2_BARRED, I3_BARRED, GR_E_SIN, ATAN_F and ATAN_E
+closed forms at edges of their parameter classes,
 PR3_D out to alpha/z = inf, I5 out to mu = 1e300, I4 and I5 down to mu =
 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the oracle of the eight kernel
 identities, whose F and E legs share one quadrature, against their defining
@@ -157,6 +158,17 @@ def test_overflowing_sum_is_rescaled(x, y, z):
     rd = carlson_rd(x, y, z)
     assert rd == pytest.approx(float(mp.elliprd(x, y, z)), rel=2e-15, abs=0.0)
     assert _rel(_rf_rd(x, y, z)[0], mp.elliprf(x, y, z)) <= 2e-15
+
+
+@pytest.mark.parametrize("x,y,z", [(1e-180, 0.0, 1e-320), (1e-200, 1e-200, 1e-320)])
+def test_rd_above_the_float_range_is_inf(x, y, z):
+    # sqrt(z) (z + lambda) underflowed to 0.0 and raised ZeroDivisionError;
+    # R_D is 3.0e410 and 3.0e360 here, and R_F stays finite
+    assert mp.elliprd(x, y, z) > sys.float_info.max
+    assert carlson_rd(x, y, z) == math.inf
+    rf, rd = _rf_rd(x, y, z)
+    assert rd == math.inf
+    assert _rel(rf, mp.elliprf(x, y, z)) <= 2e-15
 
 
 # a zero in each slot, the six orders of one triple, a zero z with an
@@ -410,10 +422,25 @@ def _i3_barred_ref(psi, kbar):
             / (m * mp.sin(psi) * mp.cos(psi)))
 
 
+def _i2_barred_ref(psi, kbar):
+    m, sp, cp = kbar * kbar, mp.sin(psi), mp.cos(psi)
+    beta, root = mp.atan(mp.tan(psi) / mp.sqrt(1 - m)), mp.sqrt(1 - m * cp * cp)
+    return ((mp.ellipe(m) * beta - mp.pi / 2 * mp.ellipe(beta, m)
+             + mp.pi / 2 * (sp / cp / root) * (1 - root)) / (m * sp * cp))
+
+
+def _gr_e_sin_ref(xi, kbar):
+    m, sx, cx = kbar * kbar, mp.sin(xi), mp.cos(xi)
+    root = mp.sqrt(1 - m * sx * sx)
+    return -(mp.ellipe(m) * mp.atan(mp.sqrt(1 - m) * mp.tan(xi)) - mp.pi / 2 * mp.ellipe(xi, m)
+             + mp.pi / 2 * (cx / sx) * (1 - root)) / (m * sx * cx)
+
+
 _IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
-                  IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref}
+                  IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref,
+                  IdentityId.I2_BARRED: _i2_barred_ref, IdentityId.GR_E_SIN: _gr_e_sin_ref}
 
 
 def _identity_ref(ident, params):
@@ -450,6 +477,7 @@ def test_identity_references_are_the_integrals():
     eps, nu, kn, psi = (mp.mpf(v) for v in (3.0, 0.3, 0.6, 1.1))
     (sinh_m, sinh_coef), (cosh_m, cosh_coef) = _KERNELS[MuK](mu, k), _KERNELS[NuK](nu, kn)
     psi_m, psi_coef = _KERNELS[PsiKBar](psi, kn)
+    xi_m, xi_coef = _KERNELS[XiKBar](psi, kn)
     cases = [
         (IdentityId.PR3_D, (alpha, z), _pair_integral(
             lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
@@ -460,6 +488,8 @@ def test_identity_references_are_the_integrals():
         (IdentityId.I5, (mu, k), _kernel_integral(mp.ellipf, sinh_coef, sinh_m)),
         (IdentityId.I6, (nu, kn), _kernel_integral(mp.ellipf, cosh_coef, cosh_m)),
         (IdentityId.I3_BARRED, (psi, kn), _kernel_integral(mp.ellipf, psi_coef, psi_m)),
+        (IdentityId.I2_BARRED, (psi, kn), _kernel_integral(mp.ellipe, psi_coef, psi_m)),
+        (IdentityId.GR_E_SIN, (psi, kn), _kernel_integral(mp.ellipe, xi_coef, xi_m)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
         (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
     ]
@@ -546,6 +576,13 @@ def test_i3_at_small_k(k):
     # beta: 2.4e-10 and 1.1e-9 off
     (IdentityId.I3_BARRED, PsiKBar(1.3, 0.999999999), 1e-13),
     (IdentityId.I3_BARRED, PsiKBar(0.7, 0.999999999999999), 1e-13),
+    # (cx/sx)(1 - root) cancelled: 1.7e-4, 6.4e-9 and 1.5e-10 off
+    (IdentityId.GR_E_SIN, XiKBar(1e-6, 0.5), 1e-14),
+    (IdentityId.GR_E_SIN, XiKBar(1e-4, 0.5), 1e-14),
+    (IdentityId.GR_E_SIN, XiKBar(1e-3, 0.5), 1e-14),
+    # (sp/cp/root)(1 - root) cancelled: 1.5e-8 off; the rest is E beta -
+    # (pi/2) E(beta), which cancels toward psi = pi/2
+    (IdentityId.I2_BARRED, PsiKBar(1.5707, 0.5), 1e-10),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
