@@ -10,9 +10,9 @@ oracle grades toward hi itself where u^2 E(u/s) has a log term there
 and integrated directly.  First/second-kind pairs that share bounds and
 kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2
 and ATAN_F/ATAN_E) share one oracle with a tuple integrand; each row reads
-its component.  The four kernel pairs take F and E at each node from
-descending Landen steps on an AGM built once per integral (_landen_fe),
-which shares no code with elliptic, where the closed forms get theirs.
+its component.  The four kernel pairs integrate in swapped order: the
+kernel weight's integral W is elementary, so their oracle integrates
+W (1/Delta, Delta) and needs no F or E, and nothing of elliptic, at a node.
 """
 
 import math
@@ -358,11 +358,11 @@ def _weighted_e_part(shape: Callable) -> Callable:
 
 def _log_part(p: EpsAB, tol: float) -> QuadratureResult:
     """Oracle of LOG_F and LOG_Q2 as one pair over (alpha, beta): the parts
-    (v, u^2 v), v = log((eps+u)/(eps-u))."""
+    (v, u^2 v), v = log((eps+u)/(eps-u)) taken as 2 atanh(u/eps), exact at u << eps."""
     eps = p.eps
 
     def g(u: float) -> tuple:
-        v = math.log((eps + u) / (eps - u))
+        v = 2.0 * math.atanh(u / eps)
         return v, u * u * v
 
     return integrate_singular_pair(g, p.alpha, p.beta, tol)
@@ -381,104 +381,81 @@ def _pseudo_part(p: E1E2, tol: float) -> QuadratureResult:
     return integrate_singular_pair(g, p.e2, p.e1, tol)
 
 
-def _agm_steps(b: float, c: float) -> tuple:
-    """The AGM from (1, b), c = sqrt(1 - b^2) (DLMF 19.8.1): a_N, the sum of
-    2^(n-1) c_n^2 and the steps (a_n^2, b_n^2, a_n, b_n, c_(n+1)).  Needs
-    b > 0; from b = 0 the loop would never stop."""
-    a = 1.0
-    weight = 0.5
-    csum = weight * c * c
-    steps = []
-    while c > 2.0 ** -27 * a:  # else the next step moves a_n by under half an ulp
-        a_n, b_n = a, b
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c = 0.25 * c * c / a
-        steps.append((a_n * a_n, b_n * b_n, a_n, b_n, c))
-        weight *= 2.0
-        csum += weight * c * c
-    return a, csum, steps
-
-
-def _landen_fe(m: float, mc: float) -> Callable:
-    """fe(sin phi, cos phi) -> (F, E) at the modulus m with exact complement
-    mc, by descending Landen steps (DLMF 19.8(ii); A&S 17.5-17.6) on an AGM
-    built once.  Each step tan(phi_(n+1) - phi_n) = (b_n/a_n) tan phi_n acts on
-    (sin, cos) as ((a_n + b_n) s c, a_n c^2 - b_n s^2)/sqrt(a_n^2 c^2 + b_n^2 s^2),
-    whole turns counted apart, so no angle near pi/2 is rounded (an atan2
-    step is 5.7e-12 off there at mc = 1e-15).  F = phi_N/(2^N a_N) and
-    E = F E/K + sum c_n sin phi_n, E/K = 2 a_N a'_N/pi + sum 2^(n-1) c'_n^2 by
-    Legendre's relation on the complementary AGM, a sum of positive terms."""
-    if not (m > 0.0 and mc > 0.0):
-        raise DomainError(f"Landen oracle needs m, m' > 0, got {m!r}, {mc!r}")
-    a, _, steps = _agm_steps(mc, m)
-    a_c, csum_c, _ = _agm_steps(m, mc)
-    scale = 2.0 ** len(steps) * a
-    e_over_k = 2.0 * a * a_c / math.pi + csum_c
-
-    def fe(s: float, c: float) -> tuple:
-        turns, esum = 0, 0.0
-        for a2, b2, a_n, b_n, c_next in steps:
-            turns += turns
-            if c < 0.0:  # turns of phi_(n+1) = round(phi_n/pi), here odd
-                turns += math.copysign(1.0, s)
-            cc, ss = c * c, s * s
-            r = math.sqrt(a2 * cc + b2 * ss)
-            s, c = (a_n + b_n) * s * c / r, (a_n * cc - b_n * ss) / r
-            esum += c_next * s
-        f = (2.0 * math.pi * turns + math.atan2(s, c)) / scale
-        return f, f * e_over_k + esum
-
-    return fe
-
-
 def _kernel_part(kernel: Callable) -> Callable:
     """Decorator: the oracle of a first/second-kind pair, the part (F w, E w)
-    over (0, pi/2), F and E at (u, m) from _landen_fe and
-    w = d0 s c / ((d0 + d1 s^2) sqrt(c^2 + m'^2 s^2)) with s, c = sin u, cos u,
-    for (m, m', d0, d1) = kernel(params), m' exact."""
+    over (0, pi/2), F and E at modulus m, w = d0 s c / ((d0 + d1 s^2) D) with
+    D = sqrt(c^2 + m'^2 s^2), s, c = sin u, cos u.  In swapped order it is the
+    part (W/D, W D) at t, W(t) the integral of w over (t, pi/2), elementary as
+    y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  kernel(params) gives
+    (m', weight, const), m' exact, W = const weight(s, c, D); const scales the
+    integral after quadrature, so the integrand stays O(1)."""
 
     def oracle(p, tol: float) -> QuadratureResult:
-        m, mc, d0, d1 = kernel(p)
-        fe = _landen_fe(m, mc)
+        mc, weight, const = kernel(p)
         mc2 = mc * mc
 
-        def fn(u: float) -> tuple:
-            s = math.sin(u)
-            c = math.cos(u)
-            s2 = s * s
-            f, e = fe(s, c)
-            w = d0 * s * c / ((d0 + d1 * s2) * math.sqrt(c * c + mc2 * s2))
-            return f * w, e * w
+        def fn(t: float) -> tuple:
+            s = math.sin(t)
+            c = math.cos(t)
+            d = math.sqrt(c * c + mc2 * s * s)
+            w = weight(s, c, d)
+            return w / d, w * d
 
-        return integrate(fn, 0.0, HALF_PI, tol)
+        value, err, evals = integrate(fn, 0.0, HALF_PI, tol)
+        return QuadratureResult(tuple(const * v for v in value),
+                                tuple(const * e for e in err), evals)
 
     return oracle
 
 
 @_kernel_part
 def _cosh_part(p: NuK) -> tuple:
+    # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(k - th)(D + th)), th = tanh nu
     kp = _check_cosh_kernel(p.nu, p.k)
-    return kp, p.k, 1.0, -(kp * kp * math.cosh(p.nu) ** 2)
+    k, th = p.k, math.tanh(p.nu)
+    zq = 2.0 * kp * kp * th
+
+    def weight(s: float, c: float, d: float) -> float:
+        q = c / (d + k) * (c / (d + th)) / (k - th)
+        z = zq * q
+        return q * (math.log1p(z) / z) if z else q
+
+    return k, weight, math.cosh(p.nu) ** -2
 
 
 @_kernel_part
 def _sinh_part(p: MuK) -> tuple:
-    # 1 + k'^2 sinh^2(mu) s^2 times sech^2 mu = (2e/(1 + e^2))^2, e = exp(-mu): no overflow
-    kp2 = (1.0 - p.k) * (1.0 + p.k)
-    e = math.exp(-p.mu)
-    return math.sqrt(kp2), p.k, (2.0 * e / (1.0 + e * e)) ** 2, kp2 * math.tanh(p.mu) ** 2
+    # W = sech^2(mu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(1 + th k)(1 - th D)),
+    # in e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
+    # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms
+    k = p.k
+    kp2 = (1.0 - k) * (1.0 + k)
+    e2 = math.exp(-2.0 * p.mu)
+    th = -math.expm1(-2.0 * p.mu) / (1.0 + e2)
+    gap = 2.0 * e2 / (1.0 + e2)
+    zq = 2.0 * kp2 * th
+
+    def weight(s: float, c: float, d: float) -> float:
+        q = c / (d + k) * c / ((1.0 + th * k) * (kp2 * s * s / (1.0 + d) + d * gap))
+        z = zq * q
+        return q * (math.log1p(z) / z) if z else q
+
+    return k, weight, 4.0 * e2 / (1.0 + e2) ** 2
 
 
-@_kernel_part
-def _psi_part(p: PsiKBar) -> tuple:
-    kbc = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
-    return p.kbar, kbc, 1.0, -(p.kbar * p.kbar * math.cos(p.psi) ** 2)
+def _atan_kernel(kbar: float, sa: float, ca: float) -> tuple:
+    """(kbar', weight, 1) of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1:
+    W = atan2(kbar^2 sa ca c^2/(D + kbar'), sa^2 + D kbar' ca^2)/(kbar^2 sa ca)."""
+    kbc = math.sqrt((1.0 - kbar) * (1.0 + kbar))
+    scale = kbar * kbar * sa * ca
+    sa2, ca2 = sa * sa, ca * ca
+    return kbc, lambda s, c, d: math.atan2(
+        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale, 1.0
 
 
-@_kernel_part
-def _xi_part(p: XiKBar) -> tuple:
-    kbc = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
-    return p.kbar, kbc, 1.0, -(p.kbar * p.kbar * math.sin(p.xi) ** 2)
+# the cos psi kernel, and the sin xi kernel as the cos psi kernel at psi = pi/2 - xi
+_psi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.cos(p.psi)))
+_xi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi)))
 
 
 def _atan_part(p: FBar, tol: float) -> QuadratureResult:

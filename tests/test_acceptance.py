@@ -98,7 +98,7 @@ def test_criterion_04_spheroid_limits(capsys):
     bad = _failures(records)
     ok = not bad and len(records) == 6
     _emit(capsys, 4, ok,
-          f"triaxial form at axis gap 1e-6 within 1e-5 of both spheroid "
+          f"triaxial form at exact spheroids within 1e-13 of both spheroid "
           f"closed forms ({len(records) - len(bad)}/{len(records)})")
     assert ok, bad
 

@@ -325,8 +325,8 @@ def test_grid5_record_count_per_id():
 # so any change to a record, a tolerance or the layout fails here.  A libm
 # that rounds sin, exp or log differently can move an oracle's last bit
 REPORT_DIGESTS = {
-    4: "be12ef32dfcf681edbd6f3917aded90774603b7b6ea10b55514a12ce2ae1fb0f",
-    5: "d83fcda68594fd9667c3e380b43e060392a81ac6f41e2204b4f74d4e1914b289",
+    4: "1f70ed070c3bb6ffafbee0066fc461b36e580dcb282b32a374c7dcb25cca0d34",
+    5: "bbb5b955aee8aa5c5103118e8efd6f3cff64c748047691447ffc90db413ec76e",
 }
 
 
@@ -352,6 +352,18 @@ def test_imaginary_reduction_records_integrate_each_point_once(monkeypatch):
     records = imaginary_reduction_records(5)
     assert len(records) == 100 and all(r.passed for r in records)
     assert (len(calls), sum(calls)) == (50, 1_680)
+
+
+def test_imaginary_reduction_records_read_the_reductions_at_call_time(monkeypatch):
+    # a tuple bound at import kept the original reductions, so rebinding
+    # verify's names (as the layer trace and a mutation probe do) reached no record
+    for name in ("imaginary_modulus_reduce", "imaginary_argument_reduce"):
+        plain = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda phi, k, plain=plain: tuple(
+            v * (1.0 + 1e-6) for v in plain(phi, k)))
+    records = imaginary_reduction_records(2)
+    assert len(records) == 16 and not any(r.passed for r in records)
+
 
 def _indented(report):
     payload = {
