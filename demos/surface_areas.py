@@ -1,6 +1,6 @@
 """Walk through the surface-area routines on a few representative shapes.
 
-Shows the R_G surface area against brute-force 2D quadrature, its exact
+Shows the R_G surface area against quadrature over the azimuth, its exact
 invariance under axis reordering, and how the paper's triaxial expression
 degenerates smoothly into the oblate/prolate/sphere closed forms.
 
@@ -35,7 +35,7 @@ def main() -> int:
                     help="relative tolerance for the quadrature reference")
     args = ap.parse_args()
 
-    print("closed form vs 2D quadrature")
+    print("closed form vs azimuthal quadrature")
     print(f"{'axes':>18}  {'area':>22}  {'rel err vs quad':>16}")
     for axes in SHAPES:
         area = surface_area(*axes)

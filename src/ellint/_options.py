@@ -33,7 +33,7 @@ PARAM_FLAGS = ("alpha", "beta", "e1", "e2", "eps", "f1", "f2", "k", "kbar", "mu"
 SUITES = ("geometry", "integrals", "series", "extensions")
 
 IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
-AREA_ORACLE_TOL = 1e-9      # relative tolerance handed to the 2D oracle
+AREA_ORACLE_TOL = 1e-9      # relative tolerance handed to the area oracle
 SERIES_TERM_TOL = 1e-15     # relative size of the next term that stops a sum
 SERIES_SUM_TOL = 1e-12      # sigma sum vs its closed reference, relative
 MAX_TERMS_DEFAULT = 100_000

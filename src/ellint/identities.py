@@ -392,6 +392,8 @@ def _kernel_part(kernel: Callable) -> Callable:
 
     def oracle(p, tol: float) -> QuadratureResult:
         mc, weight, const = kernel(p)
+        if const == 0.0:  # the sinh constant underflows above mu ~ 372
+            return QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
         mc2 = mc * mc
 
         def fn(t: float) -> tuple:

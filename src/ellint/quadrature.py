@@ -14,7 +14,8 @@ the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
 integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
-_integrate_singular_pair_graded grades it toward a log term at q = hi.
+_integrate_singular_pair_graded grades it toward a log term at q = hi, and
+surface_area_quadrature does the polar integral in closed form first.
 """
 
 import heapq
@@ -27,8 +28,7 @@ from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError
 
 HALF_PI = math.pi / 2.0
 
-DEFAULT_MAX_EVALS_1D = 1_000_000
-DEFAULT_MAX_EVALS_2D = 10_000_000
+DEFAULT_MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-15  # absolute target is _ABS_FLOOR * (hi - lo)
 _EPS = 2.220446049250313e-16
 
@@ -137,7 +137,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
-    budget = _env_budget(DEFAULT_MAX_EVALS_1D) if max_evals is None else max_evals
+    budget = _env_budget(DEFAULT_MAX_EVALS) if max_evals is None else max_evals
     if budget < 15:
         raise NonConvergenceError(
             f"quadrature budget of {budget} evaluations is below one 15-point panel")
@@ -231,41 +231,34 @@ def _integrate_singular_pair_graded(g, lo: float, hi: float,
 
 def surface_area_quadrature(a: float, b: float, c: float,
                             tol: float = 1e-7) -> QuadratureResult:
-    """Ellipsoid surface area by direct 2D quadrature over one octant.
+    """Ellipsoid surface area as one quadrature over the azimuth phi.
 
-    Integrates 8 * sin(theta) * sqrt(b^2 c^2 sin^2 theta cos^2 phi
-    + a^2 c^2 sin^2 theta sin^2 phi + a^2 b^2 cos^2 theta) over
-    (0, pi/2)^2.  The integrand is symmetric in the axes, so the result is
-    invariant under any permutation of (a, b, c) by construction.  tol is
-    relative; the budget is 1e7 integrand evaluations, or ELLINT_MAX_EVALS.
-    The result's evaluations counts calls of the inner (theta) integrand
-    only, summed over every inner integral; the outer integrand calls, one
-    per inner integral, are not counted.
+    With the axes sorted s0 >= s1 >= s2 and s2 on the polar axis, the polar
+    integral is elementary: the area is 4 s0 s1 times the integral over
+    (0, pi/2) of 1 + r atanh(q)/q, r = u^2 cos^2 phi + w^2 sin^2 phi with
+    u = s2/s0, w = s2/s1, and q^2 = 1 - r = e1^2 cos^2 phi + e2^2 sin^2 phi.
+    e1^2 = 1 - u^2 and e2^2 = 1 - w^2 come from axis differences, and
+    atanh(q) = log1p(q) - log(r)/2 adds two nonnegative terms, so nothing
+    cancels.  Sorting makes the result bit-identical under any permutation
+    of (a, b, c).  tol is relative; the budget is that of integrate.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError(f"semi-axis {name}={v!r} must be positive and finite")
-    budget = _env_budget(DEFAULT_MAX_EVALS_2D)
-    b2c2 = (b * c) ** 2
-    a2c2 = (a * c) ** 2
-    a2b2 = (a * b) ** 2
-    inner_tol = tol / 50.0
-    used = [0]
+    s0, s1, s2 = sorted((a, b, c), reverse=True)
+    u, w = s2 / s0, s2 / s1
+    e12, e22 = (s0 - s2) / s0 * (1.0 + u), (s1 - s2) / s1 * (1.0 + w)
 
-    def inner(phi: float) -> float:
-        cp2 = math.cos(phi) ** 2
-        sp2 = math.sin(phi) ** 2
+    def f(phi: float) -> float:
+        cp2, sp2 = math.cos(phi) ** 2, math.sin(phi) ** 2
+        r = u * u * cp2 + w * w * sp2
+        q2 = e12 * cp2 + e22 * sp2
+        if r == 0.0 or q2 == 0.0:  # the limits q -> 1 and q -> 0
+            return 2.0 if r else 1.0
+        q = math.sqrt(q2)
+        log_r = math.log1p(-q2) if q2 < 0.5 else math.log(r)
+        return 1.0 + r * (math.log1p(q) - 0.5 * log_r) / q
 
-        def f(theta: float) -> float:
-            st = math.sin(theta)
-            ct = math.cos(theta)
-            return st * math.sqrt(st * st * (b2c2 * cp2 + a2c2 * sp2) + a2b2 * ct * ct)
-
-        res = integrate(f, 0.0, HALF_PI, inner_tol, max_evals=budget - used[0])
-        used[0] += res.evaluations
-        return res.value
-
-    outer = integrate(inner, 0.0, HALF_PI, tol / 2.0, max_evals=budget)
-    value = 8.0 * outer.value
-    err = 8.0 * outer.error_estimate + inner_tol * abs(value)
-    return QuadratureResult(value, err, used[0])
+    value, err, evals = integrate(f, 0.0, HALF_PI, tol)
+    scale = 4.0 * (s0 * s1)
+    return QuadratureResult(scale * value, scale * err, evals)

@@ -3,7 +3,7 @@
 Four suites, each producing uniform records (id, params, closed, oracle,
 abs_err, rel_err, pass):
 
-  geometry    R_G surface area vs 2D quadrature, permutation and
+  geometry    R_G surface area vs azimuthal quadrature, permutation and
               scaling invariance, the triaxial form at exact
               spheroids, and four independent single-integral routes
               to the same area
@@ -49,7 +49,7 @@ from .series import (_sigma_sums, f_maclaurin_derivative, omega_coefficients,
                      psi_terms, theta_terms)
 
 # intrinsic tolerances of the invariant suites
-AREA_QUAD_TOL = 1e-7        # closed area vs 2D quadrature
+AREA_QUAD_TOL = 1e-7        # closed area vs the area oracle
 PERMUTATION_TOL = 1e-12
 SCALING_TOL = 1e-12
 LIMIT_TOL = 1e-13           # triaxial form vs spheroid form at an exact spheroid

@@ -56,7 +56,7 @@ def test_criterion_01_area_vs_quadrature(capsys):
     bad = _failures(records)
     ok = not bad and len(records) == 100 and elapsed < 120.0
     _emit(capsys, 1, ok,
-          f"closed area vs 2D quadrature on 100 random triples in "
+          f"closed area vs azimuthal quadrature on 100 random triples in "
           f"[0.1, 10]^3, rel tol 1e-7 ({len(records) - len(bad)}/100, "
           f"{elapsed:.1f} s, limit 120 s)")
     assert ok, (bad[:3], elapsed)

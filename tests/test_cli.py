@@ -325,8 +325,8 @@ def test_grid5_record_count_per_id():
 # so any change to a record, a tolerance or the layout fails here.  A libm
 # that rounds sin, exp or log differently can move an oracle's last bit
 REPORT_DIGESTS = {
-    4: "1f70ed070c3bb6ffafbee0066fc461b36e580dcb282b32a374c7dcb25cca0d34",
-    5: "bbb5b955aee8aa5c5103118e8efd6f3cff64c748047691447ffc90db413ec76e",
+    4: "855f9b3e779dd908045af5b980862bef89386ba0b20eb1a2c26f4682f87ad29b",
+    5: "eb032ef6032e3bfdc0299c6c2c0051722409170f95f329bb2d70fb82d89f0520",
 }
 
 

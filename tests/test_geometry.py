@@ -2,11 +2,12 @@
 
 Frozen area values come from 30-digit evaluation of the defining surface
 integral; the closed forms are additionally cross-checked against the
-two-dimensional quadrature oracle and against each other.
+quadrature oracle, over the whole float range, and against each other.
 """
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,25 @@ def test_against_two_dimensional_quadrature():
     for axes, expected in FROZEN_AREAS[:3]:
         oracle = surface_area_quadrature(*axes, 1e-9)
         assert oracle.value == pytest.approx(expected, rel=1e-8)
+
+
+_AXIS = st.floats(5e-324, sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_AXIS, _AXIS, _AXIS)
+def test_area_oracle_over_the_float_range(a, b, c):
+    # the oracle never raises; it agrees with the closed form wherever that
+    # is a normal float well inside the range, and elsewhere both overflow
+    # or both underflow together
+    oracle = surface_area_quadrature(a, b, c, 1e-12).value
+    closed = surface_area(a, b, c)
+    if 1e-300 < closed < 1e300:
+        assert oracle == pytest.approx(closed, rel=1e-10)
+    elif closed >= 1e300:
+        assert oracle >= 1e290
+    else:
+        assert oracle < 1e-290
 
 
 def test_surface_area_rejects_bad_axes():

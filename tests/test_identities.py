@@ -381,8 +381,10 @@ _KERNEL_IDS = (IdentityId.I3, IdentityId.I4, IdentityId.I5, IdentityId.I6,
 
 def test_kernel_oracles_share_no_code_with_elliptic(monkeypatch):
     # the Carlson loops and the AGM behind the closed forms raise wherever a
-    # module binds them, yet the eight kernel oracles still run
+    # module binds them, yet the eight kernel oracles and the area oracle
+    # still run
     expected = {ident: oracle_value(ident, grid_params(ident, 2)[1]) for ident in _KERNEL_IDS}
+    area = quadrature.surface_area_quadrature(2.0, 1.5, 1.0)
 
     def refuse(*args):
         raise AssertionError("the kernel oracle called elliptic")
@@ -395,6 +397,7 @@ def test_kernel_oracles_share_no_code_with_elliptic(monkeypatch):
         closed_value(IdentityId.I5, MuK(1.0, 0.3))
     for ident, res in expected.items():
         assert oracle_value(ident, grid_params(ident, 2)[1]) == res
+    assert quadrature.surface_area_quadrature(2.0, 1.5, 1.0) == area
 
 
 def test_sweep_records_read_the_oracle_value():

@@ -44,6 +44,7 @@ from ellint import (
     oracle_value,
     prolate_area,
     surface_area,
+    surface_area_quadrature,
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
@@ -196,6 +197,14 @@ def test_extreme_scale_area(a, b, c):
     # (1, 0.5, 1e-170) raised DomainError and (1, 1e-160, 1e-161) was off by
     # 1.6e-4
     assert _rel(surface_area(a, b, c), _area_ref(a, b, c)) <= 1e-15
+
+
+@pytest.mark.parametrize("a,b,c", [(2.0, 1.5, 1.0), (10.0, 0.1, 0.1), (1e-3, 1.0, 1e3),
+                                   (1.0, 0.5, 1e-200), (1.0, 1e-200, 1e-200)])
+def test_area_oracle_against_mpmath(a, b, c):
+    # the nested 2D oracle returned 0.0 for the needle (1, 1e-200, 1e-200),
+    # whose area is 9.87e-200
+    assert _rel(surface_area_quadrature(a, b, c, 1e-12).value, _area_ref(a, b, c)) <= 1e-12
 
 
 def test_area_beyond_float_range_is_inf():
@@ -628,6 +637,9 @@ def test_i5_below_the_subnormals_is_zero(mu):
     ref = _identity_ref(IdentityId.I5, params)
     assert ref > 0 and float(ref) == 0.0
     assert closed_value(IdentityId.I5, params) == 0.0
+    # the oracle's constant sech^2 mu underflows, so it skips the quadrature
+    oracle = oracle_value(IdentityId.I5, params)
+    assert (oracle.value, oracle.evaluations) == (0.0, 0)
 
 
 _SINH_AT_ZERO = {  # the mu -> 0 limits of I5 and I4 (mpmath, 50 digits)
