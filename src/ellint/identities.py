@@ -4,15 +4,15 @@ Each registry row pairs a closed form with its oracle, oracle(params, tol),
 which integrates the left-hand side by adaptive quadrature, and with a
 parameter class whose grid map covers its domain.  Integrands over (lo, hi)
 with the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their
-smooth part g(q) with the exact trig substitution, which the weighted-E
-oracle grades toward hi itself where u^2 E(u/s) has a log term there
-(s = alpha: PR3_D and PR3_D_BARRED); the others are bounded on (0, pi/2)
-and integrated directly.  First/second-kind pairs that share bounds and
-kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2
-and ATAN_F/ATAN_E) share one oracle with a tuple integrand; each row reads
-its component.  The four kernel pairs integrate in swapped order: the
-kernel weight's integral W is elementary, so their oracle integrates
-W (1/Delta, Delta) and needs no F or E, and nothing of elliptic, at a node.
+smooth part g(q) with the exact trig substitution; the others are bounded
+on (0, pi/2) and integrated directly.  First/second-kind pairs that share
+bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN,
+LOG_F/LOG_Q2 and ATAN_F/ATAN_E) share one oracle with a tuple integrand;
+each row reads its component.  The four kernel pairs and the four
+weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
+order: the inner integral is elementary (the kernel weight's integral W,
+and the integral over phi of the E integrand against the weight), so no
+oracle node needs F or E, and no oracle calls anything of elliptic.
 """
 
 import math
@@ -23,8 +23,7 @@ from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
                        complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
 from .errors import DomainError, KernelSingularityError
-from .quadrature import (QuadratureResult, _integrate_singular_pair_graded, integrate,
-                         integrate_singular_pair)
+from .quadrature import QuadratureResult, integrate, integrate_singular_pair
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
@@ -338,20 +337,63 @@ def atan_e_closed(p: FBar) -> float:
 
 
 def _weighted_e_part(shape: Callable) -> Callable:
-    """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), with
-    (s, c0, c1, n) = shape(params).  Where s is alpha (PR3_D, PR3_D_BARRED),
-    E(u/s) has its log term at the upper end, so the graded map is used.
-    u / 1.0, +-1.0 * u and x ** 1 are exact, so those rows add no rounding."""
+    """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), in
+    swapped order.  At u = alpha sin phi, with E(k) the integral of
+    sqrt(1 - k^2 sin^2 theta), the part is alpha times the integral over
+    theta of J, the integral over phi of sin phi sqrt(1 - M sin^2 phi) /
+    (c0 + R sin^2 phi)^n, M = g^2 sin^2 theta, g = alpha/s, R = c1 alpha^2.
+    J is elementary: with P = 1 - M, Q = c0 + R and a^2 = M + R P/Q (so
+    1 - a^2 = P c0/Q), J = (h(a^2) - h(M))/R for n = 1, h(x) = x t(x), and
+    J = P t(a^2)/(2 Q^2) + 1/(2 Q c0) for n = 2, t(x) = atanh(sqrt x)/sqrt x,
+    or atan(sqrt -x)/sqrt -x below 0.  No node needs F, E or anything of
+    elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
+    cancellation; the oracle divides J by J(0), so the integrand stays O(1).
+    The n = 1 rows (PR3_D, PR3_D_BARRED) have s = alpha: M = sin^2 theta,
+    J has a P log P term at theta = pi/2, and theta = (pi/2) sin tau grades
+    the nodes toward it."""
 
     def oracle(p, tol: float) -> QuadratureResult:
-        s, c0, c1, n = shape(p)
+        g, c, r, q, n = shape(p)
+        gc = (1.0 - g) * (1.0 + g)
+        c0_q = c * c / q
+        log_c0_q = 2.0 * math.log(c) - math.log(q)  # no subnormal c0 = c^2 in it
 
-        def g(u: float) -> float:
-            return u * u * complete_e(u / s) / (c0 + c1 * u * u) ** n
+        def j(theta: float) -> float:
+            st, ct = math.sin(theta), math.cos(theta)
+            pp = ct * ct + gc * st * st  # P
+            d = r * pp / q  # a^2 - M
+            a2 = (g * st) ** 2 + d
+            a = math.sqrt(abs(a2))
+            if a2 < 0.0:  # a = i |a|, and atanh(a)/a = atan|a|/|a|
+                ta = math.atan(a)
+            elif a2 < 0.25:
+                ta = math.atanh(a)
+            else:  # 1 - a^2 from log P + log(c0/Q), exact as a^2 -> 1
+                ta = math.log1p(a) - 0.5 * (math.log(pp) + log_c0_q)
+            if n == 2:
+                return pp * (ta / a if a else 1.0) / (2.0 * q * q) + 0.5 / (q * c) / c
+            tm = math.atanh(st) if st < 0.5 else math.log1p(st) - math.log(ct)  # atanh sqrt M
+            if a2 < 0.0:  # h(a^2) = -|a| atan|a|, of the sign opposite to h(M)
+                return -(a * ta + st * tm) / r
+            # h(a^2) - h(M) = a (atanh a - atanh m) + (a - m) atanh m, m = sin theta: like
+            # signs, with the first difference atanh((a - m)/(1 - a m)) where that is small,
+            # 1 - a m = (P c0/Q + P + (a - m)^2)/2 and a - m = (a^2 - M)/(a + m)
+            apm = a + st
+            delta = 2.0 * d / (apm * (pp * c0_q + pp + (d / apm) ** 2))
+            diff = math.atanh(delta) if abs(delta) <= 0.5 else ta - tm
+            return a * diff / r + pp * tm / (q * apm)
 
-        if s == p.alpha:
-            return _integrate_singular_pair_graded(g, 0.0, p.alpha, tol)
-        return integrate_singular_pair(g, 0.0, p.alpha, tol)
+        j0 = j(0.0)
+        if g == 1.0:
+            def fn(tau: float) -> float:
+                return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
+            const = p.alpha * j0 * HALF_PI
+        else:
+            def fn(theta: float) -> float:
+                return j(theta) / j0
+            const = p.alpha * j0
+        value, err, evals = integrate(fn, 0.0, HALF_PI, tol)
+        return QuadratureResult(const * value, const * err, evals)
 
     return oracle
 
@@ -488,15 +530,15 @@ class _Entry(NamedTuple):
 
 
 REGISTRY = {
-    IdentityId.I1: _Entry(
-        AlphaK, i1_closed, _weighted_e_part(lambda p: (1.0, 1.0 - p.k * p.k, p.k * p.k, 2))),
-    IdentityId.I1_BARRED: _Entry(
-        AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p: (1.0, p.kbar * p.kbar, -1.0, 2))),
-    IdentityId.PR3_D: _Entry(
-        AlphaZ, pr3_d_closed, _weighted_e_part(lambda p: (p.alpha, p.z * p.z, 1.0, 1))),
-    IdentityId.PR3_D_BARRED: _Entry(
-        AlphaKBar, pr3_d_barred_closed,
-        _weighted_e_part(lambda p: (p.alpha, p.kbar * p.kbar, -1.0, 1))),
+    IdentityId.I1: _Entry(AlphaK, i1_closed, _weighted_e_part(lambda p: (
+        p.alpha, math.sqrt((1.0 - p.k) * (1.0 + p.k)), (p.k * p.alpha) ** 2,
+        (1.0 - p.k) * (1.0 + p.k) + (p.k * p.alpha) ** 2, 2))),
+    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p: (
+        p.alpha, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 2))),
+    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, _weighted_e_part(lambda p: (
+        1.0, p.z, p.alpha * p.alpha, p.z * p.z + p.alpha * p.alpha, 1))),
+    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, _weighted_e_part(lambda p: (
+        1.0, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 1))),
     IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, _log_part, _F),
     IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, _log_part, _E),
     IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, _pseudo_part),

@@ -14,7 +14,6 @@ the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
 integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
-_integrate_singular_pair_graded grades it toward a log term at q = hi, and
 surface_area_quadrature does the polar integral in closed form first.
 """
 
@@ -179,9 +178,16 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     return QuadratureResult(value[0], err[0], evals)
 
 
-def _singular_pair_integrand(g, lo: float, hi: float):
-    """g(q(t))/q(t) with q^2 = lo^2 + (hi^2 - lo^2) sin^2 t, after checking
-    0 <= lo < hi; each component divided by q(t) when g returns a tuple."""
+def integrate_singular_pair(g, lo: float, hi: float,
+                            tol: float = 1e-10) -> QuadratureResult:
+    """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
+
+    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
+    sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
+    (0, pi/2), which is what actually gets sampled; the endpoints are
+    never evaluated.  g may return a tuple of floats, integrated as
+    integrate integrates a tuple integrand, each component divided by q(t).
+    """
     if not (0.0 <= lo < hi) or not math.isfinite(hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
     lo2 = lo * lo
@@ -194,39 +200,7 @@ def _singular_pair_integrand(g, lo: float, hi: float):
             return tuple([c / q for c in y])
         return y / q
 
-    return transformed
-
-
-def integrate_singular_pair(g, lo: float, hi: float,
-                            tol: float = 1e-10) -> QuadratureResult:
-    """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
-
-    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
-    sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
-    (0, pi/2), which is what actually gets sampled; the endpoints are
-    never evaluated.  g may return a tuple of floats, integrated as
-    integrate integrates a tuple integrand.
-    """
-    return integrate(_singular_pair_integrand(g, lo, hi), 0.0, HALF_PI, tol)
-
-
-def _integrate_singular_pair_graded(g, lo: float, hi: float,
-                                    tol: float) -> QuadratureResult:
-    """integrate_singular_pair for a g that returns a float and has a
-    (hi^2-q^2) log(hi^2-q^2) term, as u^2 E(u/alpha) has at u = alpha; the
-    weighted-E oracle in identities picks this map for PR3_D and
-    PR3_D_BARRED, whose modulus u/alpha reaches 1 there.  Sampling
-    f((pi/2) sin tau) (pi/2) cos tau over tau in (0, pi/2) turns its
-    cos^2 t log(cos t) at t = pi/2 into s^5 log(s), s = pi/2 - tau, which a
-    few panels resolve without bisecting toward it.  (pi/2)(1 - (1 - tau)^2)
-    would be 4.7e-10 off at PR3_D's alpha = 1, z = 1e-9, where this map is
-    within 1.1e-15."""
-    f = _singular_pair_integrand(g, lo, hi)
-
-    def graded(tau: float) -> float:
-        return f(HALF_PI * math.sin(tau)) * (HALF_PI * math.cos(tau))
-
-    return integrate(graded, 0.0, HALF_PI, tol)
+    return integrate(transformed, 0.0, HALF_PI, tol)
 
 
 def surface_area_quadrature(a: float, b: float, c: float,

@@ -329,7 +329,7 @@ def test_pseudo_oracle_cost():
 # part (I3/I6, I4/I5, I2_BARRED/I3_BARRED, GR_E_SIN/GR_F_SIN, LOG_F/LOG_Q2,
 # ATAN_F/ATAN_E) share one integral per point and report its count
 GRID5_ORACLE_EVALS = {
-    "I1": 1005, "I1_BARRED": 1275, "PR3_D": 2655, "PR3_D_BARRED": 1425,
+    "I1": 765, "I1_BARRED": 435, "PR3_D": 1125, "PR3_D_BARRED": 1275,
     "LOG_F": 855, "LOG_Q2": 855, "PSEUDO": 2505, "I3": 2325, "I4": 5595,
     "I5": 5595, "I6": 2325, "I2_BARRED": 1095, "I3_BARRED": 1095,
     "GR_E_SIN": 1095, "GR_F_SIN": 1095, "ATAN_F": 855, "ATAN_E": 855,
@@ -343,7 +343,7 @@ def test_oracle_evaluation_counts_at_grid_5():
                                for p in grid_params(ident, 5))
               for ident in IdentityId}
     assert counts == GRID5_ORACLE_EVALS
-    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 20_685
+    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 17_925
 
 
 def test_paired_rows_share_their_part():
@@ -357,7 +357,7 @@ def test_paired_rows_share_their_part():
 
 def test_identity_records_integrate_each_pair_once(monkeypatch):
     # one integrate call per unpaired row and per paired part at each grid
-    # point: 275 calls and 20,685 evaluations, against 425 calls with every
+    # point: 275 calls and 17,925 evaluations, against 425 calls with every
     # row integrated on its own
     plain = quadrature.integrate
     calls = []
@@ -371,30 +371,27 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
     monkeypatch.setattr(identities, "integrate", counted)
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
-    assert (len(calls), sum(calls)) == (275, 20_685)
+    assert (len(calls), sum(calls)) == (275, 17_925)
 
 
-_KERNEL_IDS = (IdentityId.I3, IdentityId.I4, IdentityId.I5, IdentityId.I6,
-               IdentityId.I2_BARRED, IdentityId.I3_BARRED, IdentityId.GR_E_SIN,
-               IdentityId.GR_F_SIN)
-
-
-def test_kernel_oracles_share_no_code_with_elliptic(monkeypatch):
-    # the Carlson loops and the AGM behind the closed forms raise wherever a
-    # module binds them, yet the eight kernel oracles and the area oracle
-    # still run
-    expected = {ident: oracle_value(ident, grid_params(ident, 2)[1]) for ident in _KERNEL_IDS}
+def test_oracles_share_no_code_with_elliptic(monkeypatch):
+    # the Carlson loops and the AGM behind the closed forms, and K and E
+    # themselves, raise wherever a module binds them, yet all 17 identity
+    # oracles and the area oracle still run
+    expected = {ident: oracle_value(ident, grid_params(ident, 2)[1]) for ident in IdentityId}
     area = quadrature.surface_area_quadrature(2.0, 1.5, 1.0)
 
     def refuse(*args):
-        raise AssertionError("the kernel oracle called elliptic")
+        raise AssertionError("the oracle called elliptic")
 
     for module in (elliptic, identities, geometry, quadrature):
-        for name in ("_fe_sc", "_rf_rd", "_agm", "carlson_rf"):
+        for name in ("_fe_sc", "_rf_rd", "_agm", "carlson_rf", "complete_e", "complete_k"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
         closed_value(IdentityId.I5, MuK(1.0, 0.3))
+    with pytest.raises(AssertionError):
+        closed_value(IdentityId.PR3_D_BARRED, AlphaKBar(0.3, 0.6))
     for ident, res in expected.items():
         assert oracle_value(ident, grid_params(ident, 2)[1]) == res
     assert quadrature.surface_area_quadrature(2.0, 1.5, 1.0) == area
@@ -409,22 +406,21 @@ def test_sweep_records_read_the_oracle_value():
         assert rec.oracle == oracle_value(ident, params).value
 
 
-@pytest.mark.parametrize("ident,params,ungraded", [
-    (IdentityId.PR3_D, AlphaZ(1.0, 1e-9), 1065),
-    (IdentityId.PR3_D, AlphaZ(1.0, 1e-6), 765),
-    (IdentityId.PR3_D, AlphaZ(1e6, 1.0), 765),
-    (IdentityId.PR3_D_BARRED, AlphaKBar(1e-6, 0.5), 195),
-    (IdentityId.PR3_D_BARRED, AlphaKBar(0.999, 0.999999), 195),
+@pytest.mark.parametrize("ident,params,evals", [
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-9), 45),
+    (IdentityId.PR3_D, AlphaZ(1.0, 1e-6), 45),
+    (IdentityId.PR3_D, AlphaZ(1e6, 1.0), 45),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(1e-6, 0.5), 45),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.999, 0.999999), 75),
 ], ids=["z_1e-9", "z_1e-6", "alpha_1e6", "alpha_1e-6", "kbar_near_1"])
-def test_graded_oracle_at_lower_end_edges(ident, params, ungraded):
-    # the graded map must keep the lower end resolved, where u = z is a narrow
-    # feature when z << alpha; the map (pi/2)(1 - (1 - tau)^2) was 4.7e-10 off
-    # at AlphaZ(1.0, 1e-9) and 3.9e-13 at the next two points.  ungraded is
-    # the evaluation count of integrate_singular_pair at the same point
+def test_graded_oracle_at_lower_end_edges(ident, params, evals):
+    # the graded map must keep the lower end u = z resolved, a narrow feature
+    # when z << alpha; in swapped order it is the P log P term of the inner
+    # integral at theta = pi/2, where cos theta is about z/alpha
     closed = closed_value(ident, params)
     res = oracle_value(ident, params)
     assert abs(res.value - closed) <= 1e-13 * abs(closed)
-    assert res.evaluations <= ungraded
+    assert res.evaluations == evals
 
 
 def test_record_near_zero_rule():

@@ -9,8 +9,9 @@ range, R_F in every argument order, both imaginary-parameter extensions of
 (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin derivatives
 of F(arcsin x, k) where their series coefficients underflow, and the PR3_D,
 LOG_Q2, I3, I4, I5, I6, I2_BARRED, I3_BARRED, GR_E_SIN, ATAN_F and ATAN_E
-closed forms at edges of their parameter classes,
-PR3_D out to alpha/z = inf, I5 out to mu = 1e300, I4 and I5 down to mu =
+closed forms at edges of their parameter classes, the weighted-E oracle of
+I1, I1_BARRED, PR3_D and PR3_D_BARRED at k -> 1, at alpha -> kbar and at
+z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I5 out to mu = 1e300, I4 and I5 down to mu =
 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the oracle of the eight kernel
 identities, whose F and E legs share one quadrature, against their defining
 integrals out to mu = 19 and k = 1e-6, and the LOG oracle at u << eps.
@@ -48,7 +49,7 @@ from ellint import (
     triaxial_area,
 )
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar
+from ellint.identities import AlphaK, AlphaKBar, AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -374,6 +375,30 @@ def test_maclaurin_derivative_where_the_coefficient_underflows(m, e1, e2):
 # Closed formulas of the identities, evaluated in mpmath; m is the parameter k^2.
 
 
+def _i1_ref(alpha, k):
+    m, kp2, ca2 = k * k, 1 - k * k, 1 - alpha * alpha
+    s2 = kp2 + m * alpha * alpha
+    lam = mp.asin(alpha / mp.sqrt(s2))
+    return mp.pi / 4 * (alpha * mp.sqrt(ca2) / (s2 * s2)
+                        + alpha * alpha * mp.ellipe(lam, m) / (kp2 * s2 ** 1.5)
+                        + ca2 * mp.ellipf(lam, m) / s2 ** 1.5)
+
+
+def _i1_barred_ref(alpha, kbar):
+    m, diff = kbar * kbar, kbar * kbar - alpha * alpha
+    lam = mp.asin(alpha / kbar)
+    return mp.pi / 4 * (alpha * mp.sqrt(1 - alpha * alpha) / (m * diff)
+                        + mp.ellipf(lam, m) / (m * mp.sqrt(diff))
+                        + alpha * alpha * mp.ellipe(lam, m) / (m * diff ** 1.5))
+
+
+def _pr3_d_barred_ref(alpha, kbar):
+    # K - D at modulus alpha/kbar, with D = (K - E)/m
+    m = (alpha / kbar) ** 2
+    k, e = mp.ellipk(m), mp.ellipe(m)
+    return mp.pi * alpha / (2 * kbar * mp.sqrt(kbar * kbar - alpha * alpha)) * (k - (k - e) / m)
+
+
 def _pr3_d_ref(alpha, z):
     # (K - E)/m = D(k) = R_D(0, k'^2, 1)/3 (DLMF 19.25.1), in k'^2 = z^2/hyp,
     # which stays distinct from 0 where m rounds to 1 at 50 digits
@@ -445,7 +470,9 @@ def _gr_e_sin_ref(xi, kbar):
              + mp.pi / 2 * (cx / sx) * (1 - root)) / (m * sx * cx)
 
 
-_IDENTITY_REFS = {IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
+_IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
+                  IdentityId.PR3_D_BARRED: _pr3_d_barred_ref,
+                  IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
                   IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref,
@@ -498,6 +525,12 @@ def test_identity_references_are_the_integrals():
     psi_m, psi_coef = _KERNELS[PsiKBar](psi, kn)
     xi_m, xi_coef = _KERNELS[XiKBar](psi, kn)
     cases = [
+        (IdentityId.I1, (alpha, k), _pair_integral(
+            lambda u: u * u * mp.ellipe(u * u) / (1 - k * k + k * k * u * u) ** 2, 0, alpha)),
+        (IdentityId.I1_BARRED, (z, kn), _pair_integral(
+            lambda u: u * u * mp.ellipe(u * u) / (kn * kn - u * u) ** 2, 0, z)),
+        (IdentityId.PR3_D_BARRED, (z, kn), _pair_integral(
+            lambda u: u * u * mp.ellipe((u / z) ** 2) / (kn * kn - u * u), 0, z)),
         (IdentityId.PR3_D, (alpha, z), _pair_integral(
             lambda u: u * u * mp.ellipe((u / alpha) ** 2) / (z * z + u * u), 0, alpha)),
         (IdentityId.LOG_Q2, (eps, alpha, z + alpha), _pair_integral(
@@ -561,6 +594,37 @@ def test_log_oracle_at_small_u_over_eps(params):
     assert _rel(oracle_value(IdentityId.LOG_F, params).value, log_f) <= 1e-15
     assert _rel(oracle_value(IdentityId.LOG_Q2, params).value,
                 _identity_ref(IdentityId.LOG_Q2, params)) <= 1e-15
+
+
+@pytest.mark.parametrize("ident,params,tol", [
+    # c0 = 1 - k^2 rounded in the I1 weight: 5.0e-10, 1.1e-11 and 5.0e-13 off
+    (IdentityId.I1, AlphaK(1 - 1e-9, 1 - 1e-9), 1e-13),
+    (IdentityId.I1, AlphaK(0.5, 1 - 1e-6), 1e-13),
+    (IdentityId.I1, AlphaK(0.5, 1 - 1e-12), 1e-13),
+    # alpha -> kbar: 4.4e-12 and 6.6e-12 off at 1 - 1e-6, NonConvergenceError at 1 - 1e-9
+    (IdentityId.I1_BARRED, AlphaKBar(0.5 * (1 - 1e-6), 0.5), 1e-12),
+    (IdentityId.I1_BARRED, AlphaKBar(0.5 * (1 - 1e-9), 0.5), 1e-12),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.5 * (1 - 1e-6), 0.5), 1e-12),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.5 * (1 - 1e-9), 0.5), 1e-12),
+    # h(a^2) - h(M) cancels as |R|/Q -> 0; taken as the plain difference it
+    # was 1.8e-11 off at z = 300 and ran out of budget at 3e4
+    (IdentityId.PR3_D, AlphaZ(1.0, 300.0), 1e-13),
+    (IdentityId.PR3_D, AlphaZ(1.0, 3e4), 1e-13),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(1e-4, 0.5), 1e-13),
+], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
+def test_weighted_e_oracle_at_class_edges(ident, params, tol):
+    assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= tol
+
+
+@pytest.mark.parametrize("z", [1e-150, 1e-160, 1e-200])
+def test_pr3_d_oracle_at_small_z(z):
+    # alpha sin t underflowed in the substitution: 15,015 evaluations at
+    # 1e-150, then a bare ZeroDivisionError.  log(1 - a^2) takes log z, not
+    # the subnormal or zero z^2
+    params = AlphaZ(1.0, z)
+    res = oracle_value(IdentityId.PR3_D, params)
+    assert _rel(res.value, closed_value(IdentityId.PR3_D, params)) <= 1e-12
+    assert res.evaluations <= 45
 
 
 @pytest.mark.parametrize("k", [1e-4, 1e-6, 1e-8])
