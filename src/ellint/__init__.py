@@ -24,8 +24,7 @@ _PUBLIC = {
                  "complementary_amplitude",
                  "imaginary_modulus_reduce", "imaginary_argument_reduce"),
     "errors": ("EllintError", "DomainError", "DivergenceError",
-               "KernelSingularityError", "NonConvergenceError",
-               "NonFiniteIntegrandError"),
+               "NonConvergenceError", "NonFiniteIntegrandError"),
     "geometry": ("EccentricityPair", "BarredPair",
                  "eccentricities", "barred_params",
                  "oblate_area", "prolate_area", "triaxial_area", "surface_area"),

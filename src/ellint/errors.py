@@ -18,10 +18,6 @@ class DivergenceError(DomainError):
     """The requested value diverges at the given point, e.g. K(1)."""
 
 
-class KernelSingularityError(DomainError):
-    """An integrand kernel vanishes strictly inside the integration range."""
-
-
 class NonConvergenceError(EllintError, RuntimeError):
     """An iterative process exhausted its budget before reaching tolerance."""
 

@@ -12,18 +12,19 @@ each row reads its component.  The four kernel pairs and the four
 weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
 order: the inner integral is elementary (the kernel weight's integral W,
 and the integral over phi of the E integrand against the weight), so no
-oracle node needs F or E, and no oracle calls anything of elliptic.
+oracle node needs F or E, and no oracle calls anything of elliptic.  The cosh
+and sinh kernel oracles raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
 """
 
 import math
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
+from . import quadrature  # read at call time, so that the closed forms never load it
 from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
                        complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
-from .errors import DomainError, KernelSingularityError
-from .quadrature import QuadratureResult, integrate, integrate_singular_pair
+from .errors import DomainError
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
@@ -172,11 +173,18 @@ def pr3_d_closed(p: AlphaZ) -> float:
     return HALF_PI * (r * kp2) / p.z * carlson_rd(0.0, kp2, 1.0) / 3.0
 
 
+def _scaled(*xs: float) -> tuple:
+    # (e, *xs over 2^e), e the top binary exponent cut to a multiple of 128: 0 within 2^127 of 1
+    e = int(math.frexp(max(xs))[1] / 128) * 128
+    return e, *(math.ldexp(x, -e) for x in xs)
+
+
 def pr3_d_barred_closed(p: AlphaKBar) -> float:
+    # homogeneous of degree -1: at alpha, kbar over 2^e, where the gap cannot underflow
     x = p.alpha / p.kbar
-    diff = (p.kbar - p.alpha) * (p.kbar + p.alpha)
-    return (math.pi * p.alpha / (2.0 * p.kbar * math.sqrt(diff))
-            * (complete_k(x) - complete_d(x)))
+    e, alpha, kbar = _scaled(p.alpha, p.kbar)
+    return (math.pi * alpha / (2.0 * kbar * math.sqrt((kbar - alpha) * (kbar + alpha)))
+            * (complete_k(x) - complete_d(x)) / 2.0 ** e)
 
 
 def log_f_closed(p: EpsAB) -> float:
@@ -205,20 +213,10 @@ def pseudo_closed(p: E1E2) -> float:
     return (math.pi / 2.0) * (p.e1 - p.e2) ** 2 / (1.0 - p.e1 * p.e2 + root)
 
 
-def _check_cosh_kernel(nu: float, k: float) -> float:
-    """The 1 - k'^2 cosh^2(nu) sin^2(u) kernel must stay positive on (0, pi/2)."""
-    kp = math.sqrt(1.0 - k * k)
-    if kp * math.cosh(nu) >= 1.0:
-        raise KernelSingularityError(
-            f"kernel vanishes inside (0, pi/2): k' cosh(nu) = {kp * math.cosh(nu)!r} >= 1")
-    return kp
-
-
 def i3_closed(p: NuK) -> float:
-    kp = _check_cosh_kernel(p.nu, p.k)
+    kp = math.sqrt(1.0 - p.k * p.k)
     th = math.tanh(p.nu)
-    phi = math.asin(th / p.k)
-    fme = p.k * p.k * incomplete_d(phi, p.k)
+    fme = p.k * p.k * incomplete_d(math.asin(th / p.k), p.k)
     return ((_agm(kp, p.k)[1] * arctanh_guarded(th / p.k)
              - HALF_PI * th - HALF_PI * fme)
             / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
@@ -261,7 +259,7 @@ def i5_closed(p: MuK) -> float:
 
 
 def i6_closed(p: NuK) -> float:
-    kp = _check_cosh_kernel(p.nu, p.k)
+    kp = math.sqrt(1.0 - p.k * p.k)
     th = math.tanh(p.nu)
     return ((_agm(kp, p.k)[0] * arctanh_guarded(th / p.k)
              - HALF_PI * incomplete_f(math.asin(th / p.k), p.k))
@@ -336,7 +334,7 @@ def atan_e_closed(p: FBar) -> float:
 # integrand parts (oracle side)
 
 
-def _weighted_e_part(shape: Callable) -> Callable:
+def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), in
     swapped order.  At u = alpha sin phi, with E(k) the integral of
     sqrt(1 - k^2 sin^2 theta), the part is alpha times the integral over
@@ -348,11 +346,14 @@ def _weighted_e_part(shape: Callable) -> Callable:
     or atan(sqrt -x)/sqrt -x below 0.  No node needs F, E or anything of
     elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
     cancellation; the oracle divides J by J(0), so the integrand stays O(1).
+    A homogeneous part (degree -1) is integrated at its parameters over 2^e.
     The n = 1 rows (PR3_D, PR3_D_BARRED) have s = alpha: M = sin^2 theta,
     J has a P log P term at theta = pi/2, and theta = (pi/2) sin tau grades
     the nodes toward it."""
 
-    def oracle(p, tol: float) -> QuadratureResult:
+    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
+        e, *xs = _scaled(*p) if homogeneous else (0, *p)
+        p = p._make(xs)
         g, c, r, q, n = shape(p)
         gc = (1.0 - g) * (1.0 + g)
         c0_q = c * c / q
@@ -387,40 +388,49 @@ def _weighted_e_part(shape: Callable) -> Callable:
         if g == 1.0:
             def fn(tau: float) -> float:
                 return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
-            const = p.alpha * j0 * HALF_PI
+            const = p.alpha * j0 * HALF_PI / 2.0 ** e
         else:
             def fn(theta: float) -> float:
                 return j(theta) / j0
-            const = p.alpha * j0
-        value, err, evals = integrate(fn, 0.0, HALF_PI, tol)
-        return QuadratureResult(const * value, const * err, evals)
+            const = p.alpha * j0 / 2.0 ** e
+        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, tol)
+        return quadrature.QuadratureResult(const * value, const * err, evals)
 
     return oracle
 
 
-def _log_part(p: EpsAB, tol: float) -> QuadratureResult:
-    """Oracle of LOG_F and LOG_Q2 as one pair over (alpha, beta): the parts
-    (v, u^2 v), v = log((eps+u)/(eps-u)) taken as 2 atanh(u/eps), exact at u << eps."""
-    eps = p.eps
+def _pair_part(integrand: Callable) -> Callable:
+    """Oracle of a first/second-kind pair over (lo, hi) with the kernel
+    1/sqrt((hi^2-q^2)(q^2-lo^2)): the parts (v, q^2 v), integrand(params)
+    giving (v, lo, hi).  v is 2 atanh(u/eps) for LOG_F and LOG_Q2, the log
+    of (eps+u)/(eps-u) exact at u << eps, and atan q for ATAN_F and ATAN_E."""
 
-    def g(u: float) -> tuple:
-        v = 2.0 * math.atanh(u / eps)
-        return v, u * u * v
+    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
+        v, lo, hi = integrand(p)
 
-    return integrate_singular_pair(g, p.alpha, p.beta, tol)
+        def g(q: float) -> tuple:
+            x = v(q)
+            return x, q * q * x
+
+        return quadrature.integrate_singular_pair(g, lo, hi, tol)
+
+    return oracle
 
 
-def _pseudo_part(p: E1E2, tol: float) -> QuadratureResult:
+_log_part = _pair_part(lambda p: (lambda u: 2.0 * math.atanh(u / p.eps), p.alpha, p.beta))
+_atan_part = _pair_part(lambda p: (math.atan, p.f2, p.f1))
+
+
+def _pseudo_part(p: E1E2, tol: float) -> "quadrature.QuadratureResult":
     # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand; direct
     # quadrature would bisect toward both square-root zeros, for about ten times the evaluations
-    e1sq = p.e1 * p.e1
-    e2sq = p.e2 * p.e2
+    e1sq, e2sq = p.e1 * p.e1, p.e2 * p.e2
 
     def g(q: float) -> float:
         q2 = q * q
         return (e1sq - q2) * (q2 - e2sq) / (q * (1.0 - q2))
 
-    return integrate_singular_pair(g, p.e2, p.e1, tol)
+    return quadrature.integrate_singular_pair(g, p.e2, p.e1, tol)
 
 
 def _kernel_part(kernel: Callable) -> Callable:
@@ -430,24 +440,25 @@ def _kernel_part(kernel: Callable) -> Callable:
     part (W/D, W D) at t, W(t) the integral of w over (t, pi/2), elementary as
     y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  kernel(params) gives
     (m', weight, const), m' exact, W = const weight(s, c, D); const scales the
-    integral after quadrature, so the integrand stays O(1)."""
+    integral after quadrature, so the integrand stays O(1).  As m' -> 0 the F leg's
+    1/D peak at t = pi/2, of width m', escapes the GK15 nodes and estimate: a kernel
+    with m' = k raises DomainError, unevaluated, below the least k seen within ORACLE_TOL."""
 
-    def oracle(p, tol: float) -> QuadratureResult:
+    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
         mc, weight, const = kernel(p)
         if const == 0.0:  # the sinh constant underflows above mu ~ 372
-            return QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
+            return quadrature.QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
         mc2 = mc * mc
 
         def fn(t: float) -> tuple:
-            s = math.sin(t)
-            c = math.cos(t)
+            s, c = math.sin(t), math.cos(t)
             d = math.sqrt(c * c + mc2 * s * s)
             w = weight(s, c, d)
             return w / d, w * d
 
-        value, err, evals = integrate(fn, 0.0, HALF_PI, tol)
-        return QuadratureResult(tuple(const * v for v in value),
-                                tuple(const * e for e in err), evals)
+        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, tol)
+        return quadrature.QuadratureResult(tuple(const * v for v in value),
+                                           tuple(const * e for e in err), evals)
 
     return oracle
 
@@ -455,8 +466,10 @@ def _kernel_part(kernel: Callable) -> Callable:
 @_kernel_part
 def _cosh_part(p: NuK) -> tuple:
     # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(k - th)(D + th)), th = tanh nu
-    kp = _check_cosh_kernel(p.nu, p.k)
     k, th = p.k, math.tanh(p.nu)
+    if k < 5e-8:  # see _kernel_part
+        raise DomainError(f"the I3/I6 oracle needs k >= 5e-8, got {p!r}")
+    kp = math.sqrt(1.0 - k * k)
     zq = 2.0 * kp * kp * th
 
     def weight(s: float, c: float, d: float) -> float:
@@ -473,6 +486,8 @@ def _sinh_part(p: MuK) -> tuple:
     # in e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
     # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms
     k = p.k
+    if k < 1e-9:  # see _kernel_part
+        raise DomainError(f"the I4/I5 oracle needs k >= 1e-9, got {p!r}")
     kp2 = (1.0 - k) * (1.0 + k)
     e2 = math.exp(-2.0 * p.mu)
     th = -math.expm1(-2.0 * p.mu) / (1.0 + e2)
@@ -502,17 +517,6 @@ _psi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.co
 _xi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi)))
 
 
-def _atan_part(p: FBar, tol: float) -> QuadratureResult:
-    """Oracle of ATAN_F and ATAN_E as one pair over (f2, f1): the parts
-    (v, q^2 v), v = atan q."""
-
-    def g(q: float) -> tuple:
-        v = math.atan(q)
-        return v, q * q * v
-
-    return integrate_singular_pair(g, p.f2, p.f1, tol)
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -536,9 +540,9 @@ REGISTRY = {
     IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p: (
         p.alpha, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 2))),
     IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, _weighted_e_part(lambda p: (
-        1.0, p.z, p.alpha * p.alpha, p.z * p.z + p.alpha * p.alpha, 1))),
+        1.0, p.z, p.alpha * p.alpha, p.z * p.z + p.alpha * p.alpha, 1), True)),
     IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, _weighted_e_part(lambda p: (
-        1.0, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 1))),
+        1.0, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 1), True)),
     IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, _log_part, _F),
     IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, _log_part, _E),
     IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, _pseudo_part),
@@ -567,16 +571,16 @@ def closed_value(ident: IdentityId, params) -> float:
     return _entry(ident, params).closed(params)
 
 
-def _read(entry: _Entry, res: QuadratureResult) -> QuadratureResult:
+def _read(entry: _Entry, res: "quadrature.QuadratureResult") -> "quadrature.QuadratureResult":
     """entry's own result from its oracle's: its component of a paired
     oracle's tuple result, with the evaluations the pair shared."""
     c = entry.component
-    if c is None:
-        return res
-    return QuadratureResult(res.value[c], res.error_estimate[c], res.evaluations)
+    return res if c is None else res._replace(value=res.value[c],
+                                              error_estimate=res.error_estimate[c])
 
 
-def oracle_value(ident: IdentityId, params, tol: float = ORACLE_TOL) -> QuadratureResult:
+def oracle_value(ident: IdentityId, params,
+                 tol: float = ORACLE_TOL) -> "quadrature.QuadratureResult":
     """Evaluate the left-hand side by adaptive quadrature.  For a row of a
     paired oracle, both members are integrated and this row's is returned."""
     entry = _entry(ident, params)

@@ -469,9 +469,9 @@ _LAZY = ("elliptic", "geometry", "quadrature", "identities", "series", "verify")
 _COMMAND_RUNS = [
     (["area", "--axes", "3,2,1"], {"elliptic", "geometry"}),
     (["integral", "--id", "I1", "--mode", "closed", "--alpha", "0.5", "--k", "0.5"],
-     {"elliptic", "quadrature", "identities"}),
+     {"elliptic", "identities"}),
     (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3"],
-     {"elliptic", "quadrature", "identities", "series"}),
+     {"elliptic", "identities", "series"}),
 ]
 
 

@@ -18,7 +18,6 @@ from ellint import elliptic, geometry, identities, quadrature
 from ellint import (
     DomainError,
     IdentityId,
-    KernelSingularityError,
     check,
     closed_value,
     grid_params,
@@ -40,7 +39,6 @@ from ellint.identities import (
     NuK,
     PsiKBar,
     XiKBar,
-    _check_cosh_kernel,
     alpha_k_from_eccentricities,
     alpha_kbar_from_barred,
     arctanh_guarded,
@@ -182,13 +180,16 @@ def test_parameter_records_are_validated_named_tuples():
                     p._replace(**{field: bad})
 
 
-def test_cosh_kernel_guard():
-    # tanh(nu) < k keeps the kernel positive; the guard is the defensive
-    # complement for raw inputs that bypass the parameter-class validation
-    with pytest.raises(KernelSingularityError):
-        _check_cosh_kernel(0.9, 0.5)
-    assert issubclass(KernelSingularityError, DomainError)
-    assert _check_cosh_kernel(0.3, 0.8) == pytest.approx(0.6, rel=1e-15)
+@pytest.mark.parametrize("params", [
+    NuK(1.4722194895832188, 0.9),
+    *(NuK(math.atanh(k * (1.0 - 4e-16)), k) for k in (1e-9, 1e-5, 0.5)),
+], ids=repr)
+def test_cosh_kernel_closed_forms_at_the_edge(params):
+    # NuK admits 0 < tanh(nu) < k < 1 and is the one gate of I3 and I6; within
+    # about 1e-15 of tanh(nu) = k the arctanh guard raises, at every k
+    for ident in (IdentityId.I3, IdentityId.I6):
+        with pytest.raises(DomainError):
+            closed_value(ident, params)
 
 
 def test_arctanh_guarded():
@@ -367,8 +368,8 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
         calls.append(res.evaluations)
         return res
 
+    # identities reads quadrature.integrate at call time
     monkeypatch.setattr(quadrature, "integrate", counted)
-    monkeypatch.setattr(identities, "integrate", counted)
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
     assert (len(calls), sum(calls)) == (275, 17_925)

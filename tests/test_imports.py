@@ -61,10 +61,11 @@ def test_readme_names_every_public_name():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"`([A-Za-z_]\w*)[`(]", readme))
     assert set(ellint.__all__) - {"__version__"} - named == set()
-    # folded into triaxial_area and complementary_amplitude, and Singularity,
-    # whose choice of substitution each registry row's oracle now makes
+    # folded into triaxial_area and complementary_amplitude; Singularity,
+    # whose choice of substitution each registry row's oracle now makes; and
+    # KernelSingularityError, whose one raiser re-tested NuK's class condition
     for gone in ("surface_area_legendre", "surface_area_ascending", "conjugate_delta",
-                 "Singularity"):
+                 "Singularity", "KernelSingularityError"):
         assert not re.search(rf"\b{gone}\b", readme), gone
         assert not hasattr(ellint, gone), gone
 

@@ -48,8 +48,10 @@ from ellint import (
     surface_area_quadrature,
     triaxial_area,
 )
+from ellint import quadrature
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import AlphaK, AlphaKBar, AlphaZ, EpsAB, FBar, MuK, NuK, PsiKBar, XiKBar
+from ellint.identities import (ORACLE_TOL, AlphaK, AlphaKBar, AlphaZ, EpsAB, FBar,
+                               MuK, NuK, PsiKBar, XiKBar)
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -480,7 +482,11 @@ _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
 
 
 def _identity_ref(ident, params):
-    with mp.workdps(50):
+    # two more digits for each decade of the smallest parameter: at a fixed
+    # precision 1 - k^2 rounds to 1 once k is small enough (from k = 1e-20 at
+    # 40 digits, where I6 read 3.5e-4 "off")
+    digits = 50 + 2 * round(abs(math.log10(min(params))))
+    with mp.workdps(digits):
         return _IDENTITY_REFS[ident](*(mp.mpf(v) for v in params))
 
 
@@ -633,6 +639,61 @@ def test_i3_at_small_k(k):
     # about 5e-15 whichever of k and k' the AGM is started from
     params = NuK(math.atanh(0.5 * k), k)
     assert _rel(closed_value(IdentityId.I3, params), _identity_ref(IdentityId.I3, params)) <= 1e-14
+
+
+@pytest.mark.parametrize("ident", [IdentityId.I3, IdentityId.I6])
+@pytest.mark.parametrize("k", [2e-8, 5e-9, 1e-9, 1e-12, 1e-40, 1e-100])
+@pytest.mark.parametrize("f", [0.01, 0.5, 0.99])
+def test_cosh_kernel_closed_forms_at_small_k(ident, k, f):
+    # k' cosh(nu) >= 1, NuK's own condition squared, was tested again after
+    # rounding and raised for every one of these from k = 5e-9 down
+    params = NuK(math.atanh(f * k), k)
+    assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= 1e-13
+
+
+def _no_quadrature(*args):
+    raise AssertionError("the oracle integrated past its stated limit")
+
+
+_SMALL_K_PAIRS = {NuK: (IdentityId.I3, IdentityId.I6), MuK: (IdentityId.I4, IdentityId.I5)}
+
+
+@pytest.mark.parametrize("params", [
+    # the F leg peaks with width k at u = pi/2: without a limit the cosh
+    # oracle was 1.2e-10 off at the first point, 1.8e-10 at k = 1e-8 and 83%
+    # at 1e-100, after 381,195 evaluations; the sinh oracle was 5.4e-9 off at
+    # MuK(0.73, 6e-10), and at MuK(0.5, 1e-10) one panel that never sampled
+    # the peak estimated 4.9e-11
+    NuK(math.atanh(0.94 * 2.5e-8), 2.5e-8),
+    NuK(math.atanh(0.5e-8), 1e-8), NuK(math.atanh(0.5e-10), 1e-10),
+    NuK(math.atanh(0.5e-14), 1e-14), NuK(math.atanh(0.5e-100), 1e-100),
+    MuK(0.73, 6e-10), MuK(3.0, 3e-10), MuK(0.5, 1e-10),
+], ids=repr)
+def test_kernel_oracles_raise_below_their_small_k_limit(params, monkeypatch):
+    monkeypatch.setattr(quadrature, "integrate", _no_quadrature)
+    for ident in _SMALL_K_PAIRS[type(params)]:
+        with pytest.raises(DomainError):
+            oracle_value(ident, params)
+
+
+@pytest.mark.parametrize("ident", [IdentityId.I3, IdentityId.I6])
+@pytest.mark.parametrize("k", [5e-8, 1e-7])  # the limit, and above it
+@pytest.mark.parametrize("f", [0.01, 0.5, 0.99])
+def test_cosh_kernel_oracle_down_to_its_limit(ident, k, f):
+    params = NuK(math.atanh(f * k), k)
+    assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("ident,params", [
+    # alpha^2 underflowed to 0.0 in the oracle's shape, and the gap
+    # (kbar - alpha)(kbar + alpha) in both sides: bare ZeroDivisionError
+    (IdentityId.PR3_D, AlphaZ(1e-200, 1e-200)),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(5e-201, 1e-200)),
+], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
+def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
+    ref = _identity_ref(ident, params)
+    assert _rel(closed_value(ident, params), ref) <= 1e-12
+    assert _rel(oracle_value(ident, params).value, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("ident,params,tol", [
