@@ -22,8 +22,8 @@ def main() -> int:
                     help="pass tolerance for closed vs quadrature")
     args = ap.parse_args()
 
-    # rel_err is raw; near-zero values are judged on abs_err instead, so
-    # both worst columns are shown.
+    # a record passes iff rel_err <= tol, at every size of the value; abs_err
+    # is shown beside it for scale.
     print(f"{'identity':<12} {'points':>6} {'worst rel':>11} {'worst abs':>11} "
           f"{'median closed':>15}  status")
     total = failures = 0

@@ -159,8 +159,7 @@ def _run_integral(args) -> int:
     if args.json:
         if rec is None:
             rec = identities.make_record(ident.value, params._asdict(), value, value, args.tol)
-        _print_report({"identity_rel": args.tol,
-                       "near_zero_abs": identities.NEAR_ZERO_ABS_TOL}, rec)
+        _print_report({"identity_rel": args.tol}, rec)
     elif rec is None:
         print(_fmt(value))
     else:
@@ -176,8 +175,7 @@ def _run_series(args) -> int:
     rec = identities.make_record(args.ident, {"e1": args.e1, "e2": args.e2},
                                  res.value, ref, SERIES_SUM_TOL)
     if args.json:
-        _print_report({"series_sum_rel": SERIES_SUM_TOL,
-                       "near_zero_abs": identities.NEAR_ZERO_ABS_TOL}, rec)
+        _print_report({"series_sum_rel": SERIES_SUM_TOL}, rec)
     else:
         _print_comparison(rec, [("sum", _fmt(res.value)),
                                 ("terms_used", res.terms_used),

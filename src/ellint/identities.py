@@ -27,8 +27,6 @@ from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
 from .errors import DomainError
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
-NEAR_ZERO_CUTOFF = 1e-6     # below this |closed| the absolute tolerance applies
-NEAR_ZERO_ABS_TOL = 1e-12
 _EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
 
 
@@ -226,27 +224,28 @@ def i4_closed(p: MuK) -> float:
     # I4 and I5: the amplitude arcsin(tanh mu) as sin = tanh mu, cos^2 = sech^2 mu,
     # and E(k'), K(k') from the AGM started at b_0 = k exactly.  Both are even
     # in mu: below _EVEN_MU, where the general forms divide subnormals, their
-    # mu -> 0 limits are within a relative 5e-17
+    # mu -> 0 limits are within a relative 5e-17.  Above it, sech mu = 2e/(1 + e^2)
+    # and 1/(sinh mu cosh mu) = 4e e/(1 - e^4) in e = exp(-mu), so nothing
+    # overflows; the last factor e takes a value that is still a subnormal there
+    # gracefully, and one below them to 0.0
     kp2 = (1.0 - p.k) * (1.0 + p.k)
     if p.mu < _EVEN_MU:
         return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[1] - 0.25 * math.pi * kp2) / kp2
-    sh = math.sinh(p.mu)
-    ch = math.cosh(p.mu)
     th = math.tanh(p.mu)
-    sech2 = (1.0 / ch) ** 2
-    root = math.sqrt(1.0 + kp2 * sh * sh)
-    # F - E = k^2 D, with D in its R_D form
-    fme = p.k * p.k * th * th * th * carlson_rd(sech2, sech2 + kp2 * th * th, 1.0) / 3.0
-    # (ch/sh)(1 - root) written as -ch kp2 sh/(1 + root), free of cancellation
-    return -(_agm(math.sqrt(kp2), p.k)[1] * arctanh_guarded(p.k * th)
-             - HALF_PI * (fme + th * root)
-             + HALF_PI * ch * kp2 * sh / (1.0 + root)) / (kp2 * sh * ch)
+    e = math.exp(-p.mu)
+    sech = 2.0 * e / (1.0 + e * e)
+    y = sech * sech + kp2 * th * th
+    r = math.sqrt(y)
+    # F - E = k^2 D, with D in its R_D form; th root + (coth mu)(1 - root), root =
+    # sqrt(1 + kp2 sinh^2 mu) = r/sech, has e^mu-sized terms: it is th (k^2 sech + r)/(sech + r)
+    fme = p.k * p.k * th * th * th * carlson_rd(sech * sech, y, 1.0) / 3.0
+    return ((HALF_PI * (fme + th * (p.k * p.k * sech + r) / (sech + r))
+             - _agm(math.sqrt(kp2), p.k)[1] * arctanh_guarded(p.k * th))
+            * (4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))) * e)
 
 
 def i5_closed(p: MuK) -> float:
-    # sech^2 mu = (2e/(1 + e^2))^2 and 1/(sinh mu cosh mu) = 4e e/(1 - e^4) in
-    # e = exp(-mu), so nothing overflows; the last factor e takes a value that
-    # is still a subnormal there gracefully, and one below them to 0.0
+    # in e = exp(-mu) as I4
     kp2 = (1.0 - p.k) * (1.0 + p.k)
     if p.mu < _EVEN_MU:
         return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[0]) / kp2
@@ -612,19 +611,14 @@ class VerificationRecord(NamedTuple):
 
 def make_record(ident: str, params: dict, closed: float, oracle: float,
                 tol: float) -> VerificationRecord:
-    """Compare a closed form with its oracle.
-
-    Pass criterion: relative error <= tol, except when |closed| <
-    1e-6 where an absolute tolerance of 1e-12 applies instead.
-    """
+    """Compare a closed form with its oracle.  The one pass rule is rel_err
+    <= tol, with rel_err = |closed - oracle|/|closed|: an exact zero passes
+    only against an exact zero (rel_err 0.0, else inf), and a NaN on either
+    side fails."""
     abs_err = abs(closed - oracle)
     scale = abs(closed)
     rel_err = abs_err / scale if scale > 0.0 else (0.0 if abs_err == 0.0 else math.inf)
-    if scale < NEAR_ZERO_CUTOFF:
-        passed = abs_err <= NEAR_ZERO_ABS_TOL
-    else:
-        passed = rel_err <= tol
-    return VerificationRecord(ident, params, closed, oracle, abs_err, rel_err, passed)
+    return VerificationRecord(ident, params, closed, oracle, abs_err, rel_err, rel_err <= tol)
 
 
 def check(ident: IdentityId, params, tol: float = IDENTITY_TOL) -> VerificationRecord:

@@ -22,7 +22,7 @@ import ellint
 from ellint import (IdentityId, __version__, _options, closed_value, quadrature, surface_area,
                     verify)
 from ellint.cli import main
-from ellint.identities import (NEAR_ZERO_ABS_TOL, REGISTRY, EpsAB, MuK, NuK, check,
+from ellint.identities import (REGISTRY, EpsAB, MuK, NuK, check,
                                log_f_closed, make_record)
 from ellint.series import sigma1_sum
 from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, imaginary_reduction_records,
@@ -146,6 +146,15 @@ def test_integral_both_mode_below_the_subnormals(capsys):
     assert (fields["closed"], fields["oracle"], fields["pass"]) == ("0", "0", "true")
 
 
+def test_integral_i4_where_sinh_overflows(capsys):
+    # the I4 closed form formed sinh mu and cosh mu: a bare OverflowError from mu = 710.48
+    rc, out, err = run_cli(["integral", "--id", "I4", "--mu", "711", "--k", "0.5",
+                            "--mode", "both"], capsys)
+    assert (rc, err) == (0, "")
+    fields = _lines_to_dict(out)
+    assert (fields["closed"], fields["oracle"], fields["pass"]) == ("0", "0", "true")
+
+
 def test_integral_both_mode_tight_tolerance_fails(capsys):
     rc, out, _ = run_cli(["integral", "--id", "PSEUDO", "--e1", "0.8",
                           "--e2", "0.4", "--tol", "1e-30"], capsys)
@@ -194,7 +203,7 @@ def test_integral_single_mode_json(mode, capsys):
     assert record["closed"] == record["oracle"]
     assert "%.15g" % record["closed"] == plain.strip()
     assert record["abs_err"] == 0.0 and record["pass"] is True
-    assert set(report["meta"]["tolerances"]) == {"identity_rel", "near_zero_abs"}
+    assert set(report["meta"]["tolerances"]) == {"identity_rel"}
 
 
 def _single_record_json(tolerances, record):
@@ -209,10 +218,10 @@ def test_single_record_json_is_report_json(capsys):
          make_record("AREA", {"a": 2.0, "b": 1.5, "c": 1.0, "method": "auto"},
                      area, area, AREA_QUAD_TOL)),
         (["integral", "--id", "I3", "--nu", "0.3", "--k", "0.8", "--json"],
-         {"identity_rel": 1e-8, "near_zero_abs": NEAR_ZERO_ABS_TOL},
+         {"identity_rel": 1e-8},
          check(IdentityId.I3, NuK(0.3, 0.8), 1e-8)),
         (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3", "--json"],
-         {"series_sum_rel": SERIES_SUM_TOL, "near_zero_abs": NEAR_ZERO_ABS_TOL},
+         {"series_sum_rel": SERIES_SUM_TOL},
          make_record("SIGMA1", {"e1": 0.6, "e2": 0.3}, sigma1_sum(0.6, 0.3).value,
                      log_f_closed(EpsAB(1.0, 0.3, 0.6)), SERIES_SUM_TOL)),
     ]
@@ -325,8 +334,8 @@ def test_grid5_record_count_per_id():
 # so any change to a record, a tolerance or the layout fails here.  A libm
 # that rounds sin, exp or log differently can move an oracle's last bit
 REPORT_DIGESTS = {
-    4: "0161c4011808d740be3df01cf50d597440d610c16fbe635fc92eddee4821965b",
-    5: "1b8c8767039ee70ee68f8122ae2364a149e6d22591573659e312df2b21a85242",
+    4: "7335c99191e72351893e7760f0ac33ac53d681af0d884ebc5dd195893635f528",
+    5: "36e0a083096db77973f28f99e095a84731111e1a640256382ad3c7ce9629ea4e",
 }
 
 
@@ -334,6 +343,16 @@ REPORT_DIGESTS = {
 def test_report_json_is_pinned(grid):
     text = report_json(run_suite("all", grid))
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[grid]
+
+
+def test_verify_lists_every_pass_tolerance():
+    # every record passes iff rel_err <= one of these; OMEGA_SPLIT's was a bare 1e-15
+    tolerances = run_suite("series", 2).tolerances
+    assert set(tolerances) == {
+        "identity_rel", "area_vs_quadrature_rel", "permutation_rel", "scaling_rel",
+        "spheroid_limit_rel", "route_rel", "series_sum_rel", "series_coeff_rel",
+        "series_split_rel", "maclaurin_rel", "kernel_relation_rel", "imag_reduction_rel"}
+    assert tolerances["series_split_rel"] == verify.SPLIT_TOL == 1e-15
 
 
 def test_imaginary_reduction_records_integrate_each_point_once(monkeypatch):

@@ -25,10 +25,9 @@ from ellint import (
     incomplete_f,
     oracle_value,
 )
+from ellint._options import IDENTITY_TOL
 from ellint.identities import (
     REGISTRY,
-    NEAR_ZERO_ABS_TOL,
-    NEAR_ZERO_CUTOFF,
     AlphaK,
     AlphaKBar,
     AlphaZ,
@@ -424,14 +423,35 @@ def test_graded_oracle_at_lower_end_edges(ident, params, evals):
     assert res.evaluations == evals
 
 
-def test_record_near_zero_rule():
-    ok = make_record("X", {}, 1e-9, 1e-9 + 5e-13, 1e-8)
-    assert ok.passed and ok.rel_err > 1e-8
-    bad = make_record("X", {}, 1e-9, 1e-9 + 5e-12, 1e-8)
-    assert not bad.passed
+def test_record_pass_rule():
+    # one rule at every size, rel_err <= tol: an exact zero passes only against
+    # an exact zero, and a NaN on either side fails
+    assert make_record("X", {}, 0.0, 0.0, 1e-8).passed
+    for closed, oracle in [(-0.0, 1.2e-34), (0.0, 5e-324), (1e-9, 1e-9 + 5e-13),
+                           (math.nan, 1.0), (1.0, math.nan)]:
+        assert not make_record("X", {}, closed, oracle, 1e-8).passed
+    assert make_record("X", {}, 1e-300, 1e-300 * (1.0 + 5e-9), 1e-8).passed
     plain = make_record("X", {}, 2.0, 2.0 + 1e-9, 1e-8)
     assert plain.passed and plain.abs_err == pytest.approx(1e-9, rel=1e-6)
-    assert NEAR_ZERO_CUTOFF == 1e-6 and NEAR_ZERO_ABS_TOL == 1e-12
+
+
+@pytest.mark.parametrize("ident", [IdentityId.I4, IdentityId.I5])
+def test_sinh_kernel_records_fail_for_small_mutants(ident, monkeypatch):
+    # the grid-5 records of I4 and I5 under a mutant of the registry's closed
+    # form: 1 + 1e-6 times it fails all 25, and it plus 5e-13 the five at
+    # mu = 19, whose values are about 1e-16.  Under the absolute bound once
+    # applied below |closed| = 1e-6, five and none of them failed
+    points = grid_params(ident, 5)
+    at_19 = [p for p in points if p.mu > 18.0]
+    assert len(at_19) == 5
+    oracles = [oracle_value(ident, p).value for p in points]
+    closed = REGISTRY[ident].closed
+    for mutant, failing in [(lambda p: closed(p) * (1.0 + 1e-6), points),
+                            (lambda p: closed(p) + 5e-13, at_19)]:
+        monkeypatch.setitem(REGISTRY, ident, REGISTRY[ident]._replace(closed=mutant))
+        records = [make_record(ident.value, p._asdict(), closed_value(ident, p), o, IDENTITY_TOL)
+                   for p, o in zip(points, oracles)]
+        assert [p for p, r in zip(points, records) if not r.passed] == failing
 
 
 def test_check_record_fields():

@@ -11,10 +11,11 @@ of F(arcsin x, k) where their series coefficients underflow, and the PR3_D,
 LOG_Q2, I3, I4, I5, I6, I2_BARRED, I3_BARRED, GR_E_SIN, ATAN_F and ATAN_E
 closed forms at edges of their parameter classes, the weighted-E oracle of
 I1, I1_BARRED, PR3_D and PR3_D_BARRED at k -> 1, at alpha -> kbar and at
-z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I5 out to mu = 1e300, I4 and I5 down to mu =
-5e-324, I3_BARRED at kbar = 1 - 1e-15, and the oracle of the eight kernel
-identities, whose F and E legs share one quadrature, against their defining
-integrals out to mu = 19 and k = 1e-6, and the LOG oracle at u << eps.
+z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I4 and I5 out to
+mu = 1e300 and down to mu = 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the
+oracle of the eight kernel identities, whose F and E legs share one
+quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
+and the LOG oracle at u << eps.
 Skipped when mpmath is not installed.
 """
 
@@ -429,12 +430,14 @@ def _i6_ref(nu, k):
 
 
 def _i4_ref(mu, k):
-    sh, ch, kp2 = mp.sinh(mu), mp.cosh(mu), 1 - k * k
-    th = sh / ch
-    phi, root = mp.asin(th), mp.sqrt(1 + kp2 * sh * sh)
-    fme = mp.ellipf(phi, k * k) - mp.ellipe(phi, k * k)
-    return -(mp.ellipe(kp2) * mp.atanh(k * th) - mp.pi / 2 * (fme + th * root)
-             - mp.pi / 2 * (ch / sh) * (1 - root)) / (kp2 * sh * ch)
+    # the formula cancels e^mu-sized terms, so it takes mu more digits
+    with mp.workdps(mp.mp.dps + int(mu)):
+        sh, ch, kp2 = mp.sinh(mu), mp.cosh(mu), 1 - k * k
+        th = sh / ch
+        phi, root = mp.asin(th), mp.sqrt(1 + kp2 * sh * sh)
+        fme = mp.ellipf(phi, k * k) - mp.ellipe(phi, k * k)
+        return -(mp.ellipe(kp2) * mp.atanh(k * th) - mp.pi / 2 * (fme + th * root)
+                 - mp.pi / 2 * (ch / sh) * (1 - root)) / (kp2 * sh * ch)
 
 
 def _i5_ref(mu, k):
@@ -703,9 +706,10 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     # K(k') took k' = sqrt(1 - k^2): DivergenceError, then 2.3e-13 off
     (IdentityId.I5, MuK(1.0, 1e-9), 1e-15),
     (IdentityId.I5, MuK(1.0, 1e-5), 1e-15),
-    # asin(sinh mu / cosh mu) raised ValueError, as the quotient rounded above 1
+    # asin(sinh mu / cosh mu) raised ValueError, as the quotient rounded above 1;
+    # then I4's e^mu-sized terms cancelled: 2.2e-8 off
     (IdentityId.I5, MuK(19.0, 0.5), 1e-15),
-    (IdentityId.I4, MuK(19.0, 0.5), 3e-8),
+    (IdentityId.I4, MuK(19.0, 0.5), 1e-15),
     # (cosh mu / sinh mu)(1 - root) cancelled: 5.8e-8 off; then arctanh as
     # 0.5 log((1 + x)/(1 - x)) lost 1e-16/x: 7.4e-13 off
     (IdentityId.I4, MuK(1e-4, 0.5), 1e-15),
@@ -749,6 +753,13 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     # (sp/cp/root)(1 - root) cancelled: 1.5e-8 off; the rest is E beta -
     # (pi/2) E(beta), which cancels toward psi = pi/2
     (IdentityId.I2_BARRED, PsiKBar(1.5707, 0.5), 1e-10),
+    # the same e^mu-sized terms of I4: 6.8e-8, 1.3e-5 and 1.2e-3 off, and -0.0
+    (IdentityId.I4, MuK(20.0, 0.5), 1e-15),
+    (IdentityId.I4, MuK(25.0, 0.5), 1e-15),
+    (IdentityId.I4, MuK(30.0, 0.5), 1e-15),
+    (IdentityId.I4, MuK(40.0, 0.5), 1e-15),
+    # sinh mu cosh mu overflowed to NaN; the value is a subnormal
+    (IdentityId.I4, MuK(356.0, 0.5), 2e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
@@ -765,6 +776,13 @@ def test_i5_below_the_subnormals_is_zero(mu):
     # the oracle's constant sech^2 mu underflows, so it skips the quadrature
     oracle = oracle_value(IdentityId.I5, params)
     assert (oracle.value, oracle.evaluations) == (0.0, 0)
+
+
+@pytest.mark.parametrize("mu", [400.0, 711.0, 1e300])
+def test_i4_below_the_subnormals_is_zero(mu):
+    # sinh mu cosh mu gave NaN at mu = 400, then a bare OverflowError from
+    # mu = 710.48; the true values lie below half the smallest subnormal
+    assert closed_value(IdentityId.I4, MuK(mu, 0.5)) == 0.0
 
 
 _SINH_AT_ZERO = {  # the mu -> 0 limits of I5 and I4 (mpmath, 50 digits)
@@ -803,8 +821,7 @@ def test_sinh_kernel_oracle_at_large_mu(ident, mu):
     # (3.6e-12 off for I5, as at mu = 300 before); from 400 it lies below the
     # subnormals and the oracle returns 0.0
     params = MuK(mu, 0.5)
-    with mp.workdps(50 + int(mu)):  # the I4 formula cancels e^mu-sized terms
-        ref = _IDENTITY_REFS[ident](mp.mpf(mu), mp.mpf(0.5))
+    ref = _identity_ref(ident, params)
     got = oracle_value(ident, params).value
     if float(ref) == 0.0:
         assert got == 0.0
