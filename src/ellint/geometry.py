@@ -101,14 +101,15 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     parameters, S = 2 pi a^2 {1 + sqrt((1+f1^2)/(1+f2^2)) [F(phib,kb)/f1
     + f1 E(phib,kb)]} with phib = arctan f1, kb = sqrt(1 - f2^2/f1^2): that
     area is triaxial_area(c, b, a).  Written in the ratios y = b/a and
-    z = c/a as S = 2 pi a^2 [z^2 + y (e1 E + z^2 F / e1)], so no square of an
-    axis is formed.  F and E come from one fused Carlson loop at sin phi = e1,
+    z = c/a as S = 2 pi (c c + (a b)(e1 E) + b c (z F / e1)), whose leading
+    term a b stays in the float range wherever S does, as a^2 and 2 pi a need not.
+    F and E come from one fused Carlson loop at sin phi = e1,
     cos^2 phi = z^2 and k'^2 = (c/b)^2 (1 - y^2) / e1^2, with no arcsin: then
     1 - k^2 sin^2 phi = (c/b)^2 stays positive even for thin discs c << b.
     Below c/b of about 1e-162 both cos^2 phi and k'^2 underflow to zero, the
     (pi/2, 1) corner of F, and the loop raises DomainError.  On thin discs F
     and E sit near that corner: at (679.69, 401.30, 0.00158) the result is
-    7.2e-15 from mpmath's 4 pi abc R_G, where surface_area, the accurate
+    7.4e-15 from mpmath's 4 pi abc R_G, where surface_area, the accurate
     path with no such limit, is 2.2e-16 from it.
     """
     _check_axes(a, b, c)
@@ -117,9 +118,8 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     y, z = b / a, c / a
     e1_sq = (a - c) / a * (1.0 + z)
     e1 = math.sqrt(e1_sq)
-    z_sq = z * z
-    f, e = _fe_sc(e1, z_sq, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
-    return TWO_PI * a * (a * (z_sq + y * (e1 * e + z_sq * f / e1)))
+    f, e = _fe_sc(e1, z * z, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
+    return TWO_PI * (c * c + (a * b) * (e1 * e) + b * c * (z * f / e1))
 
 
 def _g(x: float, m: float, z: float) -> float:

@@ -7,13 +7,17 @@ with the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their
 smooth part g(q) with the exact trig substitution; the others are bounded
 on (0, pi/2) and integrated directly.  First/second-kind pairs that share
 bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN,
-LOG_F/LOG_Q2 and ATAN_F/ATAN_E) share one oracle with a tuple integrand;
-each row reads its component.  The four kernel pairs and the four
-weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
-order: the inner integral is elementary (the kernel weight's integral W,
-and the integral over phi of the E integrand against the weight), so no
-oracle node needs F or E, and no oracle calls anything of elliptic.  The cosh
-and sinh kernel oracles raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
+LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body, named after the kernel
+(cosh_closed, sinh_closed, psi_closed, xi_closed, log_closed, atan_closed)
+that gives (F member, E member) from one Carlson pass and, for the kernel
+pairs, one AGM, and one oracle with a tuple integrand; both rows of a pair
+share the two, and each row reads its component of either.  The four kernel
+pairs and the four weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED)
+integrate in swapped order: the inner integral is elementary (the kernel
+weight's integral W, and the integral over phi of the E integrand against
+the weight), so no oracle node needs F or E, and no oracle calls anything of
+elliptic.  The cosh and sinh kernel oracles raise DomainError below
+k = 5e-8 and 1e-9 (see _kernel_part).
 """
 
 import math
@@ -22,8 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import quadrature  # read at call time, so that the closed forms never load it
 from ._options import IDENTITY_TOL, IdentityId
-from .elliptic import (HALF_PI, _agm, _fe_sc, carlson_rd, complete_d,
-                       complete_e, complete_k, incomplete_d, incomplete_e, incomplete_f)
+from .elliptic import HALF_PI, _agm, _fe_sc, _rf_rd, carlson_rd, complete_d, complete_k
 from .errors import DomainError
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
@@ -185,23 +188,25 @@ def pr3_d_barred_closed(p: AlphaKBar) -> float:
             * (complete_k(x) - complete_d(x)) / 2.0 ** e)
 
 
-def log_f_closed(p: EpsAB) -> float:
-    return math.pi / p.beta * incomplete_f(math.asin(p.beta / p.eps), p.alpha / p.beta)
-
-
-def log_q2_closed(p: EpsAB) -> float:
-    # homogeneous of degree 1, so evaluated at eps = 1 and scaled back by eps:
-    # no square of eps, alpha or beta over- or underflows
+def log_closed(p: EpsAB) -> tuple:
+    """(LOG_F, LOG_Q2) at p, from one Carlson pass at the amplitude asin(beta/eps)
+    and modulus k = alpha/beta."""
+    # LOG_Q2 is homogeneous of degree 1, so evaluated at eps = 1 and scaled back
+    # by eps: no square of eps, alpha or beta over- or underflows
     a = p.alpha / p.eps
     b = p.beta / p.eps
     k = p.alpha / p.beta
+    phi = math.asin(b)
+    s, c2 = math.sin(phi), math.cos(phi) ** 2
+    rf, rd = _rf_rd(c2, c2 + (1.0 - k) * (1.0 + k) * (s * s), 1.0)
     a2 = a * a
     b2 = b * b
     # 1 - sqrt((1-a^2)(1-b^2)) via its exact-difference form, stable when a, b << 1
     root = math.sqrt((1.0 - a2) * (1.0 - b2))
     elementary = math.pi * ((a2 + b2) - a2 * b2) / (1.0 + root)
     # F - E written as k^2 D to avoid cancellation at small k
-    return p.eps * (elementary + math.pi * b * k * k * incomplete_d(math.asin(b), k))
+    return (math.pi / p.beta * (s * rf),
+            p.eps * (elementary + math.pi * b * k * k * (s * s * s * rd / 3.0)))
 
 
 def pseudo_closed(p: E1E2) -> float:
@@ -211,122 +216,91 @@ def pseudo_closed(p: E1E2) -> float:
     return (math.pi / 2.0) * (p.e1 - p.e2) ** 2 / (1.0 - p.e1 * p.e2 + root)
 
 
-def i3_closed(p: NuK) -> float:
+def cosh_closed(p: NuK) -> tuple:
+    """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude asin(tanh(nu)/k)."""
     kp = math.sqrt(1.0 - p.k * p.k)
     th = math.tanh(p.nu)
-    fme = p.k * p.k * incomplete_d(math.asin(th / p.k), p.k)
-    return ((_agm(kp, p.k)[1] * arctanh_guarded(th / p.k)
-             - HALF_PI * th - HALF_PI * fme)
-            / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
+    phi = math.asin(th / p.k)
+    s, c2 = math.sin(phi), math.cos(phi) ** 2
+    rf, rd = _rf_rd(c2, c2 + (1.0 - p.k) * (1.0 + p.k) * (s * s), 1.0)
+    kk, ee = _agm(kp, p.k)
+    at = arctanh_guarded(th / p.k)
+    den = kp * kp * math.sinh(p.nu) * math.cosh(p.nu)
+    # F - E = k^2 D, with D in its R_D form
+    return ((kk * at - HALF_PI * (s * rf)) / den,
+            (ee * at - HALF_PI * th - HALF_PI * (p.k * p.k * (s * s * s * rd / 3.0))) / den)
 
 
-def i4_closed(p: MuK) -> float:
-    # I4 and I5: the amplitude arcsin(tanh mu) as sin = tanh mu, cos^2 = sech^2 mu,
-    # and E(k'), K(k') from the AGM started at b_0 = k exactly.  Both are even
+def sinh_closed(p: MuK) -> tuple:
+    """(I5, I4) at p, from one AGM and one Carlson pass."""
+    # the amplitude arcsin(tanh mu) as sin = tanh mu, cos^2 = sech^2 mu, and
+    # E(k'), K(k') from the AGM started at b_0 = k exactly.  Both members are even
     # in mu: below _EVEN_MU, where the general forms divide subnormals, their
     # mu -> 0 limits are within a relative 5e-17.  Above it, sech mu = 2e/(1 + e^2)
     # and 1/(sinh mu cosh mu) = 4e e/(1 - e^4) in e = exp(-mu), so nothing
     # overflows; the last factor e takes a value that is still a subnormal there
     # gracefully, and one below them to 0.0
     kp2 = (1.0 - p.k) * (1.0 + p.k)
+    kk, ee = _agm(math.sqrt(kp2), p.k)
     if p.mu < _EVEN_MU:
-        return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[1] - 0.25 * math.pi * kp2) / kp2
+        return (HALF_PI - p.k * kk) / kp2, (HALF_PI - p.k * ee - 0.25 * math.pi * kp2) / kp2
     th = math.tanh(p.mu)
     e = math.exp(-p.mu)
     sech = 2.0 * e / (1.0 + e * e)
-    y = sech * sech + kp2 * th * th
+    y = sech * sech + kp2 * (th * th)
     r = math.sqrt(y)
+    rf, rd = _rf_rd(sech * sech, y, 1.0)
+    at = arctanh_guarded(p.k * th)
+    scale = 4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))
     # F - E = k^2 D, with D in its R_D form; th root + (coth mu)(1 - root), root =
     # sqrt(1 + kp2 sinh^2 mu) = r/sech, has e^mu-sized terms: it is th (k^2 sech + r)/(sech + r)
-    fme = p.k * p.k * th * th * th * carlson_rd(sech * sech, y, 1.0) / 3.0
-    return ((HALF_PI * (fme + th * (p.k * p.k * sech + r) / (sech + r))
-             - _agm(math.sqrt(kp2), p.k)[1] * arctanh_guarded(p.k * th))
-            * (4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))) * e)
+    fme = p.k * p.k * th * th * th * rd / 3.0
+    return (-(kk * at - HALF_PI * (th * rf)) * scale * e,
+            (HALF_PI * (fme + th * (p.k * p.k * sech + r) / (sech + r)) - ee * at) * scale * e)
 
 
-def i5_closed(p: MuK) -> float:
-    # in e = exp(-mu) as I4
-    kp2 = (1.0 - p.k) * (1.0 + p.k)
-    if p.mu < _EVEN_MU:
-        return (HALF_PI - p.k * _agm(math.sqrt(kp2), p.k)[0]) / kp2
-    th = math.tanh(p.mu)
-    e = math.exp(-p.mu)
-    sech2 = (2.0 * e / (1.0 + e * e)) ** 2
-    return (-(_agm(math.sqrt(kp2), p.k)[0] * arctanh_guarded(p.k * th)
-              - HALF_PI * _fe_sc(th, sech2, kp2)[0])
-            * (4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))) * e)
-
-
-def i6_closed(p: NuK) -> float:
-    kp = math.sqrt(1.0 - p.k * p.k)
-    th = math.tanh(p.nu)
-    return ((_agm(kp, p.k)[0] * arctanh_guarded(th / p.k)
-             - HALF_PI * incomplete_f(math.asin(th / p.k), p.k))
-            / (kp * kp * math.sinh(p.nu) * math.cosh(p.nu)))
-
-
-def _psi_fe(sp: float, cp: float, kbar: float) -> tuple:
-    # (beta, F, E) from sin psi and cos psi: beta = arctan(tan(psi)/kbar')
-    # without overflow, and F and E at beta from its own sine and cosine, with
-    # kbar'^2 not rounded through kbar^2
-    kbp2 = (1.0 - kbar) * (1.0 + kbar)
+def psi_closed(p: PsiKBar) -> tuple:
+    """(I3_BARRED, I2_BARRED) at p, from one AGM and one Carlson pass."""
+    # beta = arctan(tan(psi)/kbar') without overflow, and F and E at beta from its
+    # own sine and cosine, with kbar'^2 not rounded through kbar^2
+    kb2 = p.kbar * p.kbar
+    kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
+    sp, cp = math.sin(p.psi), math.cos(p.psi)
     kc = math.sqrt(kbp2) * cp
     r = math.hypot(sp, kc)
-    return (math.atan2(sp, kc), *_fe_sc(sp / r, (kc / r) ** 2, kbp2))
-
-
-def i2_barred_closed(p: PsiKBar) -> float:
-    kb2 = p.kbar * p.kbar
-    sp, cp = math.sin(p.psi), math.cos(p.psi)
-    beta, _, e = _psi_fe(sp, cp, p.kbar)
+    beta = math.atan2(sp, kc)
+    f, e = _fe_sc(sp / r, (kc / r) ** 2, kbp2)
+    kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (sp/cp/root)(1 - root) written as sp cp kb2/(root (1 + root)), free of cancellation
     root = math.sqrt(1.0 - kb2 * cp * cp)
-    return ((complete_e(p.kbar) * beta - HALF_PI * e
-             + HALF_PI * sp * cp * kb2 / (root * (1.0 + root)))
+    return ((kk * beta - HALF_PI * f) / (kb2 * sp * cp),
+            (ee * beta - HALF_PI * e + HALF_PI * sp * cp * kb2 / (root * (1.0 + root)))
             / (kb2 * sp * cp))
 
 
-def i3_barred_closed(p: PsiKBar) -> float:
-    sp, cp = math.sin(p.psi), math.cos(p.psi)
-    beta, f, _ = _psi_fe(sp, cp, p.kbar)
-    return (complete_k(p.kbar) * beta - HALF_PI * f) / (p.kbar * p.kbar * sp * cp)
-
-
-def gr_e_sin_closed(p: XiKBar) -> float:
+def xi_closed(p: XiKBar) -> tuple:
+    """(GR_F_SIN, GR_E_SIN) at p, from one AGM and one Carlson pass."""
     kb2 = p.kbar * p.kbar
-    kbp = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
-    sx = math.sin(p.xi)
-    cx = math.cos(p.xi)
+    kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
+    sx, cx = math.sin(p.xi), math.cos(p.xi)
+    gamma = math.atan2(math.sqrt(kbp2) * sx, cx)
+    f, e = _fe_sc(sx, cx ** 2, kbp2)
+    kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (cx/sx)(1 - root) written as cx kb2 sx/(1 + root), free of cancellation
     root = math.sqrt(1.0 - kb2 * sx * sx)
-    return -(complete_e(p.kbar) * math.atan2(kbp * sx, cx)
-             - HALF_PI * incomplete_e(p.xi, p.kbar)
-             + HALF_PI * cx * kb2 * sx / (1.0 + root)) / (kb2 * sx * cx)
+    return (-(kk * gamma - HALF_PI * f) / (kb2 * sx * cx),
+            -(ee * gamma - HALF_PI * e + HALF_PI * cx * kb2 * sx / (1.0 + root)) / (kb2 * sx * cx))
 
 
-def gr_f_sin_closed(p: XiKBar) -> float:
-    kbp = math.sqrt((1.0 - p.kbar) * (1.0 + p.kbar))
-    sx = math.sin(p.xi)
-    cx = math.cos(p.xi)
-    return -(complete_k(p.kbar) * math.atan2(kbp * sx, cx)
-             - HALF_PI * incomplete_f(p.xi, p.kbar)) / (p.kbar * p.kbar * sx * cx)
-
-
-def _atan_sc(p: FBar) -> tuple:
-    # sin and cos^2 of phib = arctan f1, and kbar'^2 = (f2/f1)^2, exact where kbar rounds to 1
-    return p.f1 / math.hypot(1.0, p.f1), 1.0 / (1.0 + p.f1 * p.f1), (p.f2 / p.f1) ** 2
-
-
-def atan_f_closed(p: FBar) -> float:
-    return HALF_PI * _fe_sc(*_atan_sc(p))[0] / p.f1
-
-
-def atan_e_closed(p: FBar) -> float:
+def atan_closed(p: FBar) -> tuple:
+    """(ATAN_F, ATAN_E) at p, from one Carlson pass at the amplitude phib = arctan f1."""
+    # sin and cos^2 of phib, and kbar'^2 = (f2/f1)^2, exact where kbar rounds to 1
+    h1 = math.hypot(1.0, p.f1)
+    f, e = _fe_sc(p.f1 / h1, 1.0 / (1.0 + p.f1 * p.f1), (p.f2 / p.f1) ** 2)
     # 1 - sqrt(1 - x) as x/(1 + sqrt(1 - x)), with x = kbar^2 sin^2 phib =
     # (f1 - f2)(f1 + f2)/(1 + f1^2) and 1 - x = (1 + f2^2)/(1 + f1^2)
-    h1 = math.hypot(1.0, p.f1)
     x = (p.f1 - p.f2) / h1 * ((p.f1 + p.f2) / h1)
-    return HALF_PI * (_fe_sc(*_atan_sc(p))[1] * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
+    return HALF_PI * f / p.f1, HALF_PI * (e * p.f1 - x / (1.0 + math.hypot(1.0, p.f2) / h1))
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +494,16 @@ _xi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(
 # registry
 
 
-# the component a paired row reads of its oracle's result: the first-kind
-# (F) member or the second-kind (E) member
+# the component a paired row reads of its pair's closed tuple and oracle
+# result: the first-kind (F) member or the second-kind (E) member
 _F, _E = 0, 1
 
 
 class _Entry(NamedTuple):
     params_cls: type
-    closed: Callable
+    closed: Callable  # closed(params) -> float, or the pair's (F, E) tuple
     oracle: Callable  # oracle(params, tol) -> QuadratureResult
-    component: int | None = None  # _F or _E for a row of a paired oracle
+    component: int | None = None  # _F or _E for a row of a pair
 
 
 REGISTRY = {
@@ -542,19 +516,19 @@ REGISTRY = {
         1.0, p.z, p.alpha * p.alpha, p.z * p.z + p.alpha * p.alpha, 1), True)),
     IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, _weighted_e_part(lambda p: (
         1.0, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 1), True)),
-    IdentityId.LOG_F: _Entry(EpsAB, log_f_closed, _log_part, _F),
-    IdentityId.LOG_Q2: _Entry(EpsAB, log_q2_closed, _log_part, _E),
+    IdentityId.LOG_F: _Entry(EpsAB, log_closed, _log_part, _F),
+    IdentityId.LOG_Q2: _Entry(EpsAB, log_closed, _log_part, _E),
     IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, _pseudo_part),
-    IdentityId.I3: _Entry(NuK, i3_closed, _cosh_part, _E),
-    IdentityId.I4: _Entry(MuK, i4_closed, _sinh_part, _E),
-    IdentityId.I5: _Entry(MuK, i5_closed, _sinh_part, _F),
-    IdentityId.I6: _Entry(NuK, i6_closed, _cosh_part, _F),
-    IdentityId.I2_BARRED: _Entry(PsiKBar, i2_barred_closed, _psi_part, _E),
-    IdentityId.I3_BARRED: _Entry(PsiKBar, i3_barred_closed, _psi_part, _F),
-    IdentityId.GR_E_SIN: _Entry(XiKBar, gr_e_sin_closed, _xi_part, _E),
-    IdentityId.GR_F_SIN: _Entry(XiKBar, gr_f_sin_closed, _xi_part, _F),
-    IdentityId.ATAN_F: _Entry(FBar, atan_f_closed, _atan_part, _F),
-    IdentityId.ATAN_E: _Entry(FBar, atan_e_closed, _atan_part, _E),
+    IdentityId.I3: _Entry(NuK, cosh_closed, _cosh_part, _E),
+    IdentityId.I4: _Entry(MuK, sinh_closed, _sinh_part, _E),
+    IdentityId.I5: _Entry(MuK, sinh_closed, _sinh_part, _F),
+    IdentityId.I6: _Entry(NuK, cosh_closed, _cosh_part, _F),
+    IdentityId.I2_BARRED: _Entry(PsiKBar, psi_closed, _psi_part, _E),
+    IdentityId.I3_BARRED: _Entry(PsiKBar, psi_closed, _psi_part, _F),
+    IdentityId.GR_E_SIN: _Entry(XiKBar, xi_closed, _xi_part, _E),
+    IdentityId.GR_F_SIN: _Entry(XiKBar, xi_closed, _xi_part, _F),
+    IdentityId.ATAN_F: _Entry(FBar, atan_closed, _atan_part, _F),
+    IdentityId.ATAN_E: _Entry(FBar, atan_closed, _atan_part, _E),
 }
 
 
@@ -566,24 +540,26 @@ def _entry(ident: IdentityId, params) -> _Entry:
     return entry
 
 
+def _member(entry: _Entry, x):
+    """entry's own member of x, a pair's (F, E) tuple; x itself for an unpaired row."""
+    return x if entry.component is None else x[entry.component]
+
+
 def closed_value(ident: IdentityId, params) -> float:
-    return _entry(ident, params).closed(params)
-
-
-def _read(entry: _Entry, res: "quadrature.QuadratureResult") -> "quadrature.QuadratureResult":
-    """entry's own result from its oracle's: its component of a paired
-    oracle's tuple result, with the evaluations the pair shared."""
-    c = entry.component
-    return res if c is None else res._replace(value=res.value[c],
-                                              error_estimate=res.error_estimate[c])
+    """Evaluate the closed form: for a row of a pair, its member of the pair's body."""
+    entry = _entry(ident, params)
+    return _member(entry, entry.closed(params))
 
 
 def oracle_value(ident: IdentityId, params,
                  tol: float = ORACLE_TOL) -> "quadrature.QuadratureResult":
     """Evaluate the left-hand side by adaptive quadrature.  For a row of a
-    paired oracle, both members are integrated and this row's is returned."""
+    pair, both members are integrated and this row's is returned, with the
+    evaluations the pair shared."""
     entry = _entry(ident, params)
-    return _read(entry, entry.oracle(params, tol))
+    res = entry.oracle(params, tol)
+    return res._replace(value=_member(entry, res.value),
+                        error_estimate=_member(entry, res.error_estimate))
 
 
 def grid_params(ident: IdentityId, n: int) -> list:

@@ -15,14 +15,13 @@ The terms shrink like e1^(2m), so a sum takes about 25/(1 - e1^2) terms: at
 the default max_terms of 100,000 the sums converge up to e1 of about 0.9998
 (59,576 terms at e2 = 0.5) and raise NonConvergenceError above it.
 
-Each sum's closed reference is an identity (LOG_F, LOG_Q2); identities is
-the package's lazy module, so only a caller of _sigma_sums loads it.
+Each sum's closed reference is an identity (LOG_F, LOG_Q2): the member of
+identities.log_closed that _sigma_sums names, evaluated by its callers.
 """
 
 import math
 from typing import NamedTuple
 
-from . import identities
 from ._options import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
 from .errors import DomainError, NonConvergenceError
 
@@ -183,11 +182,10 @@ def sigma2_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,
 
 
 def _sigma_sums() -> dict:
-    """Each sigma sum with its closed value at EpsAB(1, e2, e1), as sigma1 and sigma2
-    are the LOG_F and LOG_Q2 integrals with unit log argument.  Built per call,
-    so that rebinding these names (as the perfbench layer trace does) is honoured."""
-    return {"SIGMA1": (sigma1_sum, identities.log_f_closed),
-            "SIGMA2": (sigma2_sum, identities.log_q2_closed)}
+    """Each sigma sum with the member of identities.log_closed(EpsAB(1, e2, e1)),
+    LOG_F or LOG_Q2 at unit log argument, that is its closed value.  Built per
+    call, so that rebinding these names (as the perfbench layer trace does) is honoured."""
+    return {"SIGMA1": (sigma1_sum, 0), "SIGMA2": (sigma2_sum, 1)}
 
 
 def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:

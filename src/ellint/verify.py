@@ -38,13 +38,10 @@ from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_redu
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (ORACLE_TOL, REGISTRY,
-                         EpsAB, FBar, PsiKBar, XiKBar, _lin, _read,
-                         alpha_k_from_eccentricities, alpha_kbar_from_barred,
-                         atan_e_closed, atan_f_closed, closed_value, gr_e_sin_closed,
-                         gr_f_sin_closed, grid_params, i1_barred_closed,
-                         i1_closed, i2_barred_closed, i3_barred_closed,
-                         log_f_closed, log_q2_closed, make_record)
+from .identities import (ORACLE_TOL, REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
+                         _member, alpha_k_from_eccentricities, alpha_kbar_from_barred,
+                         atan_closed, grid_params, i1_barred_closed, i1_closed,
+                         log_closed, make_record, psi_closed, xi_closed)
 from .quadrature import integrate, surface_area_quadrature
 from .series import (_sigma_sums, f_maclaurin_derivative, omega_coefficients,
                      psi_terms, theta_terms)
@@ -110,8 +107,8 @@ def area_via_log_kernel(a: float, b: float, c: float) -> float:
     """Descending axes: 2 pi a b plus the difference of two log-kernel
     integrals taken between the eccentricities with unit log argument."""
     e = eccentricities(a, b, c)
-    p = EpsAB(1.0, e.e2, e.e1)
-    return 2.0 * math.pi * a * b + 2.0 * a * b * (log_f_closed(p) - log_q2_closed(p))
+    f, q2 = log_closed(EpsAB(1.0, e.e2, e.e1))
+    return 2.0 * math.pi * a * b + 2.0 * a * b * (f - q2)
 
 
 def area_via_barred_weighted_e(a: float, b: float, c: float) -> float:
@@ -126,8 +123,8 @@ def area_via_arctan_kernel(a: float, b: float, c: float) -> float:
     """Ascending axes: 2 pi a b plus four a b times the two arctan-kernel
     integrals between the barred parameters."""
     f = barred_params(a, b, c)
-    p = FBar(f.f1, f.f2)
-    return 2.0 * math.pi * a * b + 4.0 * a * b * (atan_f_closed(p) + atan_e_closed(p))
+    atan_f, atan_e = atan_closed(FBar(f.f1, f.f2))
+    return 2.0 * math.pi * a * b + 4.0 * a * b * (atan_f + atan_e)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +215,21 @@ def geometry_records(grid: int) -> list:
 
 def identity_records(grid: int, tol: float = IDENTITY_TOL) -> list:
     """Closed form vs quadrature for every registry identity.  The two rows
-    of a paired oracle read one integral per grid point, kept only for the
-    length of this call."""
+    of a pair read one closed body call and one integral per grid point,
+    kept only for the length of this call."""
     out = []
-    pending = {}  # (oracle, params) -> integral awaiting the pair's other row
+    pending = {}  # (oracle, params) -> (closed, integral) awaiting the pair's other row
     for ident, entry in REGISTRY.items():
         for params in grid_params(ident, grid):
-            closed = closed_value(ident, params)
             key = (entry.oracle, params)
-            if entry.component is None:
-                res = entry.oracle(params, ORACLE_TOL)
-            elif key in pending:
-                res = pending.pop(key)
+            if key in pending:
+                closed, res = pending.pop(key)
             else:
-                res = pending[key] = entry.oracle(params, ORACLE_TOL)
-            out.append(make_record(ident.value, params._asdict(), closed,
-                                   _read(entry, res).value, tol))
+                closed, res = entry.closed(params), entry.oracle(params, ORACLE_TOL)
+                if entry.component is not None:
+                    pending[key] = closed, res
+            out.append(make_record(ident.value, params._asdict(), _member(entry, closed),
+                                   _member(entry, res.value), tol))
     return out
 
 
@@ -253,10 +249,10 @@ def _sigma_grid(grid: int) -> list:
 def sigma_records(grid: int) -> list:
     out = []
     for e1, e2 in _sigma_grid(grid):
-        for name, (series_sum, closed) in _sigma_sums().items():
+        closed = log_closed(EpsAB(1.0, e2, e1))
+        for name, (series_sum, member) in _sigma_sums().items():
             out.append(make_record(name + "_SUM", {"e1": e1, "e2": e2},
-                                   series_sum(e1, e2).value,
-                                   closed(EpsAB(1.0, e2, e1)), SERIES_SUM_TOL))
+                                   series_sum(e1, e2).value, closed[member], SERIES_SUM_TOL))
     return out
 
 
@@ -360,12 +356,11 @@ def kernel_relation_records(n: int) -> list:
     for _ in range(n):
         xi = rng.uniform(0.05, HALF_PI - 0.05)
         kbar = rng.uniform(0.05, 0.95)
-        psi = PsiKBar(HALF_PI - xi, kbar)
-        xik = XiKBar(xi, kbar)
-        out.append(make_record("KERNEL_COS_TO_SIN_E", {"xi": xi, "kbar": kbar},
-                               i2_barred_closed(psi), gr_e_sin_closed(xik), KERNEL_TOL))
-        out.append(make_record("KERNEL_COS_TO_SIN_F", {"xi": xi, "kbar": kbar},
-                               i3_barred_closed(psi), gr_f_sin_closed(xik), KERNEL_TOL))
+        psi_f, psi_e = psi_closed(PsiKBar(HALF_PI - xi, kbar))
+        xi_f, xi_e = xi_closed(XiKBar(xi, kbar))
+        pr = {"xi": xi, "kbar": kbar}
+        out.append(make_record("KERNEL_COS_TO_SIN_E", pr, psi_e, xi_e, KERNEL_TOL))
+        out.append(make_record("KERNEL_COS_TO_SIN_F", pr, psi_f, xi_f, KERNEL_TOL))
     return out
 
 

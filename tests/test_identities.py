@@ -283,17 +283,15 @@ def test_kernel_swap_relations():
     assert len(records) == 100
     assert all(r.passed for r in records)
     # direct spot checks of the cos^2 <-> sin^2 swap
-    from ellint.identities import (gr_e_sin_closed, gr_f_sin_closed,
-                                   i2_barred_closed, i3_barred_closed)
     for xi, kbar in [(0.4, 0.3), (1.1, 0.8)]:
         swap = PsiKBar(math.pi / 2.0 - xi, kbar)
-        assert i2_barred_closed(swap) == pytest.approx(
-            gr_e_sin_closed(XiKBar(xi, kbar)), rel=1e-11)
-        assert i3_barred_closed(swap) == pytest.approx(
-            gr_f_sin_closed(XiKBar(xi, kbar)), rel=1e-11)
+        assert closed_value(IdentityId.I2_BARRED, swap) == pytest.approx(
+            closed_value(IdentityId.GR_E_SIN, XiKBar(xi, kbar)), rel=1e-11)
+        assert closed_value(IdentityId.I3_BARRED, swap) == pytest.approx(
+            closed_value(IdentityId.GR_F_SIN, XiKBar(xi, kbar)), rel=1e-11)
         # and the swap is an involution: going back recovers the originals
-        assert gr_e_sin_closed(XiKBar(math.pi / 2.0 - swap.psi, kbar)) == \
-            pytest.approx(i2_barred_closed(swap), rel=1e-11)
+        assert closed_value(IdentityId.GR_E_SIN, XiKBar(math.pi / 2.0 - swap.psi, kbar)) == \
+            pytest.approx(closed_value(IdentityId.I2_BARRED, swap), rel=1e-11)
 
 
 @pytest.mark.parametrize("ident,params", [
@@ -356,22 +354,32 @@ def test_paired_rows_share_their_part():
 
 
 def test_identity_records_integrate_each_pair_once(monkeypatch):
-    # one integrate call per unpaired row and per paired part at each grid
-    # point: 275 calls and 17,925 evaluations, against 425 calls with every
-    # row integrated on its own
+    # one integrate call and one closed-body call per unpaired row and per pair
+    # at each grid point: 275 of each and 17,925 evaluations, against 425 calls
+    # of each with every row evaluated on its own
     plain = quadrature.integrate
     calls = []
+    bodies = []
 
     def counted(*args, **kwargs):
         res = plain(*args, **kwargs)
         calls.append(res.evaluations)
         return res
 
+    def counting(closed):
+        def body(p):
+            bodies.append(closed)
+            return closed(p)
+        return body
+
     # identities reads quadrature.integrate at call time
     monkeypatch.setattr(quadrature, "integrate", counted)
+    for ident, entry in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(entry.closed)))
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
     assert (len(calls), sum(calls)) == (275, 17_925)
+    assert len(bodies) == 275 and len(set(bodies)) == 11
 
 
 def test_oracles_share_no_code_with_elliptic(monkeypatch):
@@ -437,18 +445,24 @@ def test_record_pass_rule():
 
 @pytest.mark.parametrize("ident", [IdentityId.I4, IdentityId.I5])
 def test_sinh_kernel_records_fail_for_small_mutants(ident, monkeypatch):
-    # the grid-5 records of I4 and I5 under a mutant of the registry's closed
-    # form: 1 + 1e-6 times it fails all 25, and it plus 5e-13 the five at
-    # mu = 19, whose values are about 1e-16.  Under the absolute bound once
-    # applied below |closed| = 1e-6, five and none of them failed
+    # the grid-5 records of I4 and I5 under a mutant of one member of the
+    # pair's closed body: 1 + 1e-6 times it fails all 25, and it plus 5e-13 the
+    # five at mu = 19, whose values are about 1e-16.  Under the absolute bound
+    # once applied below |closed| = 1e-6, five and none of them failed
     points = grid_params(ident, 5)
     at_19 = [p for p in points if p.mu > 18.0]
     assert len(at_19) == 5
     oracles = [oracle_value(ident, p).value for p in points]
-    closed = REGISTRY[ident].closed
-    for mutant, failing in [(lambda p: closed(p) * (1.0 + 1e-6), points),
-                            (lambda p: closed(p) + 5e-13, at_19)]:
-        monkeypatch.setitem(REGISTRY, ident, REGISTRY[ident]._replace(closed=mutant))
+    entry = REGISTRY[ident]
+    assert entry.closed is identities.sinh_closed
+
+    def mutant_of(change):
+        return lambda p: tuple(change(v) if c == entry.component else v
+                               for c, v in enumerate(entry.closed(p)))
+
+    for mutant, failing in [(mutant_of(lambda v: v * (1.0 + 1e-6)), points),
+                            (mutant_of(lambda v: v + 5e-13), at_19)]:
+        monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=mutant))
         records = [make_record(ident.value, p._asdict(), closed_value(ident, p), o, IDENTITY_TOL)
                    for p, o in zip(points, oracles)]
         assert [p for p, r in zip(points, records) if not r.passed] == failing

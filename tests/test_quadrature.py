@@ -20,6 +20,7 @@ from ellint import (
     NonFiniteIntegrandError,
     Report,
     check,
+    closed_value,
     complete_e,
     grid_params,
     integrate,
@@ -29,7 +30,7 @@ from ellint import (
     triaxial_area,
     write_report,
 )
-from ellint.identities import AlphaZ, EpsAB, log_f_closed
+from ellint.identities import AlphaZ, EpsAB
 from ellint.quadrature import HALF_PI
 
 
@@ -123,7 +124,7 @@ def test_singular_pair_log_weight_matches_closed_form():
 
     res = integrate_singular_pair(g, 0.3, 0.9, 1e-12)
     assert res.value == pytest.approx(
-        log_f_closed(EpsAB(1.0, 0.3, 0.9)), rel=1e-10)
+        closed_value(IdentityId.LOG_F, EpsAB(1.0, 0.3, 0.9)), rel=1e-10)
 
 
 def test_singular_pair_substitution_equivalence():

@@ -23,7 +23,7 @@ from ellint import (
     sigma2_sum,
     theta_terms,
 )
-from ellint.identities import EpsAB, log_f_closed, log_q2_closed
+from ellint.identities import EpsAB, IdentityId, closed_value
 from ellint.verify import _maclaurin_reference, maclaurin_records
 
 PAIRS = [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.2), (0.3, 0.1),
@@ -32,12 +32,12 @@ PAIRS = [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.2), (0.3, 0.1),
 
 def sigma1_reference(e1, e2):
     """sigma1's closed value: the LOG_F integral with unit log argument."""
-    return log_f_closed(EpsAB(1.0, e2, e1))
+    return closed_value(IdentityId.LOG_F, EpsAB(1.0, e2, e1))
 
 
 def sigma2_reference(e1, e2):
     """sigma2's closed value: the LOG_Q2 integral with unit log argument."""
-    return log_q2_closed(EpsAB(1.0, e2, e1))
+    return closed_value(IdentityId.LOG_Q2, EpsAB(1.0, e2, e1))
 
 
 def _sq(x):
