@@ -184,8 +184,6 @@ def _run_series(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.grid < 2:
-        raise DomainError(f"--grid must be at least 2, got {args.grid}")
     import json
     report = verify.run_suite(args.suite, args.grid, args.tol)
     if args.out:

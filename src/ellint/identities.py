@@ -250,7 +250,8 @@ def sinh_closed(p: MuK) -> tuple:
     y = sech * sech + kp2 * (th * th)
     r = math.sqrt(y)
     rf, rd = _rf_rd(sech * sech, y, 1.0)
-    at = arctanh_guarded(p.k * th)
+    # atanh(k th) from the exact 1 - k th = (1 - k) + k (1 - th), 1 - th = e sech
+    at = 0.5 * math.log1p(2.0 * p.k * th / ((1.0 - p.k) + p.k * (e * sech)))
     scale = 4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))
     # F - E = k^2 D, with D in its R_D form; th root + (coth mu)(1 - root), root =
     # sqrt(1 + kp2 sinh^2 mu) = r/sech, has e^mu-sized terms: it is th (k^2 sech + r)/(sech + r)
@@ -551,13 +552,12 @@ def closed_value(ident: IdentityId, params) -> float:
     return _member(entry, entry.closed(params))
 
 
-def oracle_value(ident: IdentityId, params,
-                 tol: float = ORACLE_TOL) -> "quadrature.QuadratureResult":
-    """Evaluate the left-hand side by adaptive quadrature.  For a row of a
-    pair, both members are integrated and this row's is returned, with the
-    evaluations the pair shared."""
+def oracle_value(ident: IdentityId, params) -> "quadrature.QuadratureResult":
+    """Evaluate the left-hand side by adaptive quadrature at ORACLE_TOL.  For
+    a row of a pair, both members are integrated and this row's is returned,
+    with the evaluations the pair shared."""
     entry = _entry(ident, params)
-    res = entry.oracle(params, tol)
+    res = entry.oracle(params, ORACLE_TOL)
     return res._replace(value=_member(entry, res.value),
                         error_estimate=_member(entry, res.error_estimate))
 

@@ -6,7 +6,7 @@ Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).  A 7-point Gauss /
 15-point Kronrod pair is applied per panel to every component; the panel
 whose largest component error is the largest multiple of that component's
 target is bisected until every component meets its tolerance or the
-evaluation budget runs out.  The estimator is the classic scaled
+evaluation budget MAX_EVALS runs out.  The estimator is the classic scaled
 (200|K15-G7|)^{3/2} rule, floored at 50 ulp of the absolute integral.
 
 integrate_singular_pair handles kernels 1/sqrt((hi^2-q^2)(q^2-lo^2)) through
@@ -20,14 +20,13 @@ surface_area_quadrature does the polar integral in closed form first.
 import heapq
 import math
 import operator
-import os
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError
 
 HALF_PI = math.pi / 2.0
 
-DEFAULT_MAX_EVALS = 1_000_000
+MAX_EVALS = 1_000_000  # evaluations per integral, read when integrate runs
 _ABS_FLOOR = 1e-15  # absolute target is _ABS_FLOOR * (hi - lo)
 _EPS = 2.220446049250313e-16
 
@@ -59,19 +58,6 @@ class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
-
-
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("ELLINT_MAX_EVALS")
-    if raw is None:
-        return default
-    try:
-        val = int(raw)
-    except ValueError:
-        raise DomainError(f"ELLINT_MAX_EVALS must be an integer, got {raw!r}")
-    if val <= 0:
-        raise DomainError("ELLINT_MAX_EVALS must be positive")
-    return val
 
 
 def _rule(fv, h: float, a: float, b: float) -> tuple:
@@ -116,8 +102,7 @@ def _panel(f, a: float, b: float) -> tuple:
     return [value], [err]
 
 
-def integrate(f, lo: float, hi: float, tol: float = 1e-10,
-              max_evals: int | None = None) -> QuadratureResult:
+def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     """Adaptive integral of f over (lo, hi).
 
     f returns a float or a tuple of floats; a float is the one-component
@@ -129,17 +114,12 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
     error_estimate are floats for a float integrand and tuples for a tuple
     one; evaluations counts each call of f once.  Deterministic: identical
     inputs always produce bit-identical results.  Raises NonConvergenceError
-    once the budget (max_evals, default 1e6 or ELLINT_MAX_EVALS) would be
-    exceeded, at once if it is below one 15-point panel.
+    once the next bisection would exceed MAX_EVALS evaluations.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
-    budget = _env_budget(DEFAULT_MAX_EVALS) if max_evals is None else max_evals
-    if budget < 15:
-        raise NonConvergenceError(
-            f"quadrature budget of {budget} evaluations is below one 15-point panel")
     # floored at the smallest normal float, in case it underflows
     abs_target = max(_ABS_FLOOR * (hi - lo), 2.2250738585072014e-308)
 
@@ -153,9 +133,9 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
         targets = [max(tol * abs(v), abs_target) for v in total_val]
         if all(map(operator.le, total_err, targets)):
             break
-        if evals + 30 > budget:
+        if evals + 30 > MAX_EVALS:
             raise NonConvergenceError(
-                f"quadrature budget of {budget} evaluations exhausted on "
+                f"quadrature budget MAX_EVALS = {MAX_EVALS} evaluations exhausted on "
                 f"[{lo!r}, {hi!r}] with error estimate {max(total_err):.3e}")
         _, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)

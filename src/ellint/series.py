@@ -19,6 +19,7 @@ Each sum's closed reference is an identity (LOG_F, LOG_Q2): the member of
 identities.log_closed that _sigma_sums names, evaluated by its callers.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -70,17 +71,22 @@ def _omega_next(s: float, p: float, n: int, w3: float, w1: float) -> float:
 _FAMILIES = {"A": (6.0, _a_next, 1.0), "OMEGA": (2.0, _omega_next, 0.0)}
 
 
-def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
-    _check_pair(e1, e2)
-    _check_m_max(m_max)
+def _family(kind: str, e1: float, e2: float):
+    """X_1, X_3, X_5, ... of the recurrence family kind, without end."""
     divisor, next_fn, _ = _FAMILIES[kind]
     s = e1 * e1 + e2 * e2
     p = (e1 * e2) ** 2
-    terms = [1.0]
-    if m_max >= 1:
-        terms.append(s / divisor)
-    for n in range(0, m_max - 1):
-        terms.append(next_fn(s, p, n, terms[n + 1], terms[n]))
+    prev, cur = 1.0, s / divisor
+    yield prev
+    for n in itertools.count():  # cur = X_{2n+3}
+        yield cur
+        prev, cur = cur, next_fn(s, p, n, cur, prev)
+
+
+def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
+    _check_pair(e1, e2)
+    _check_m_max(m_max)
+    terms = itertools.islice(_family(kind, e1, e2), m_max + 1)
     return SeriesCoefficients(kind, e1, e2, tuple(terms))
 
 
@@ -136,14 +142,10 @@ def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> S
         raise DomainError("tol must be positive")
     if max_terms < 2:
         raise DomainError("max_terms must be at least 2")
-    divisor, next_fn, total = _FAMILIES[kind]
-    s = e1 * e1 + e2 * e2
-    p = (e1 * e2) ** 2
+    total = _FAMILIES[kind][2]
     comp = 0.0
-    prev, cur = 1.0, s / divisor
-    n = 0  # cur = X_{2n+3}
     used = 1
-    while True:
+    for prev, cur in itertools.pairwise(_family(kind, e1, e2)):
         if abs(cur) < tol * abs(total) and abs(cur) < _ABS_TAIL:
             tail = max(abs(prev), abs(cur) / (1.0 - e1 * e1))
             return SeriesSum(math.pi * total, used, math.pi * tail)
@@ -156,8 +158,6 @@ def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> S
         comp = (t - total) - y
         total = t
         used += 1
-        prev, cur = cur, next_fn(s, p, n, cur, prev)
-        n += 1
 
 
 def sigma1_sum(e1: float, e2: float, tol: float = SERIES_TERM_TOL,

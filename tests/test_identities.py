@@ -304,12 +304,12 @@ def test_small_parameter_corners(ident, params):
     # the closed forms are 0/0-scaled at vanishing nu or mu; they must
     # still track the integral to 1e-6 at 1e-4
     closed = closed_value(ident, params)
-    oracle = oracle_value(ident, params, 1e-12).value
+    oracle = oracle_value(ident, params).value
     assert abs(closed - oracle) / max(abs(closed), 1e-6) <= 1e-6
 
 
 def test_oracle_result_shape():
-    res = oracle_value(IdentityId.PSEUDO, E1E2(0.8, 0.4), 1e-10)
+    res = oracle_value(IdentityId.PSEUDO, E1E2(0.8, 0.4))
     assert res.error_estimate <= 1e-9 * abs(res.value)
     assert res.evaluations >= 15
 

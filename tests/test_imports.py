@@ -5,7 +5,8 @@ each name it imports, the package's __init__ reads exactly the names it
 exports in __all__ from their submodules, each of which resolves and is
 named in README.md,
 every private top-level name of the package is used somewhere in it besides
-its definition, and every raise in the package raises an ellint.errors class.
+its definition, every raise in the package raises an ellint.errors class,
+and no module of the package reads the environment.
 """
 
 import ast
@@ -62,12 +63,25 @@ def test_readme_names_every_public_name():
     named = set(re.findall(r"`([A-Za-z_]\w*)[`(]", readme))
     assert set(ellint.__all__) - {"__version__"} - named == set()
     # folded into triaxial_area and complementary_amplitude; Singularity,
-    # whose choice of substitution each registry row's oracle now makes; and
-    # KernelSingularityError, whose one raiser re-tested NuK's class condition
+    # whose choice of substitution each registry row's oracle now makes;
+    # KernelSingularityError, whose one raiser re-tested NuK's class condition;
+    # and ELLINT_MAX_EVALS, the environment's budget, now quadrature.MAX_EVALS
     for gone in ("surface_area_legendre", "surface_area_ascending", "conjugate_delta",
-                 "Singularity", "KernelSingularityError"):
+                 "Singularity", "KernelSingularityError", "ELLINT_MAX_EVALS"):
         assert not re.search(rf"\b{gone}\b", readme), gone
         assert not hasattr(ellint, gone), gone
+
+
+def test_no_module_reads_the_environment():
+    # a result depends on the arguments alone, never on the process environment
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _imported_names(tree)
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        readers += [(path.name, n) for n in sorted(names & {"environ", "getenv"})]
+    assert readers == []
 
 
 def _private_top_level(tree: ast.Module) -> set:

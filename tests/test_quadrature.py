@@ -2,8 +2,8 @@
 
 Covers plain integration, the inverse-square-root substitution helper,
 the surface-area oracle over the azimuth, error-estimate honesty,
-determinism, and the evaluation-budget machinery including the
-ELLINT_MAX_EVALS environment override.  One table also pins the input guards
+determinism, and the evaluation budget quadrature.MAX_EVALS, which a test
+swaps with monkeypatch.  One table also pins the input guards
 of the public entry points, quadrature and others, that no other test
 triggers.
 """
@@ -25,6 +25,7 @@ from ellint import (
     grid_params,
     integrate,
     integrate_singular_pair,
+    quadrature,
     run_suite,
     surface_area_quadrature,
     triaxial_area,
@@ -172,59 +173,25 @@ _KINDS = {"float": lambda g: g, "tuple": lambda g: lambda x: (g(x),)}
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
-def test_budget_exhaustion_raises(kind):
+def test_budget_exhaustion_raises(kind, monkeypatch):
     f = _KINDS[kind](lambda x: math.sin(50.0 * x))
-    with pytest.raises(NonConvergenceError, match="exhausted"):
-        integrate(f, 0.0, 10.0, 1e-14, max_evals=100)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 100)
+    with pytest.raises(NonConvergenceError, match="MAX_EVALS = 100 evaluations exhausted"):
+        integrate(f, 0.0, 10.0, 1e-14)
 
 
-@pytest.mark.parametrize("budget", [0, 14])
-def test_budget_below_one_panel_raises_before_sampling(budget):
-    nodes = []
-
-    def f(x):
-        nodes.append(x)
-        return x
-
-    with pytest.raises(NonConvergenceError, match="below one 15-point panel"):
-        integrate(f, 0.0, 1.0, max_evals=budget)
-    assert nodes == []
-
-
-def test_budget_env_override(monkeypatch):
-    fn = lambda x: math.sin(50.0 * x)
-    monkeypatch.setenv("ELLINT_MAX_EVALS", "60")
-    with pytest.raises(NonConvergenceError):
-        integrate(fn, 0.0, 10.0, 1e-14)
-    # an explicit argument wins over the environment
-    res = integrate(fn, 0.0, 10.0, 1e-10, max_evals=200_000)
-    assert res.value == pytest.approx((1.0 - math.cos(500.0)) / 50.0, rel=1e-9)
-    monkeypatch.delenv("ELLINT_MAX_EVALS")
-    res2 = integrate(fn, 0.0, 10.0, 1e-10)
-    assert res2.value == res.value
-
-
-def test_env_budget_bounds_every_oracle_caller(monkeypatch):
-    # ELLINT_MAX_EVALS is the only budget control above integrate(); 30 admits
-    # only the first GK15 panel, so each caller raises unless one panel meets
-    # its tolerance, whatever endpoint map its oracle uses; the area oracle
-    # needs 105 evaluations at (10, 0.1, 0.1), against one panel at (2, 1.5, 1)
-    monkeypatch.setenv("ELLINT_MAX_EVALS", "30")
+def test_budget_bounds_every_oracle_caller(monkeypatch):
+    # MAX_EVALS is the only budget control; 30 admits only the first GK15
+    # panel, so each caller raises unless one panel meets its tolerance,
+    # whatever endpoint map its oracle uses; the area oracle needs 105
+    # evaluations at (10, 0.1, 0.1), against one panel at (2, 1.5, 1)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 30)
     with pytest.raises(NonConvergenceError):
         check(IdentityId.PR3_D, AlphaZ(0.5, 0.7))
     with pytest.raises(NonConvergenceError):
         run_suite("integrals", grid=2)
     with pytest.raises(NonConvergenceError):
         surface_area_quadrature(10.0, 0.1, 0.1)
-
-
-def test_budget_env_rejects_non_integer(monkeypatch):
-    monkeypatch.setenv("ELLINT_MAX_EVALS", "bogus")
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, 1.0)
-    monkeypatch.setenv("ELLINT_MAX_EVALS", "1.5")
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, 1.0)
 
 
 _GUARDS = {
@@ -248,12 +215,6 @@ def test_input_guards_raise_domain_error(case, tmp_path):
     with pytest.raises(DomainError):
         _GUARDS[case](str(path))
     assert not path.exists()
-
-
-def test_budget_env_rejects_zero(monkeypatch):
-    monkeypatch.setenv("ELLINT_MAX_EVALS", "0")
-    with pytest.raises(DomainError, match="positive"):
-        integrate(lambda x: x, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
@@ -315,7 +276,7 @@ def test_tuple_non_finite_component_raises(bad):
             integrate(f, 0.0, 1.0)
 
 
-def test_tuple_budget_counts_shared_evaluations_once():
+def test_tuple_budget_counts_shared_evaluations_once(monkeypatch):
     nodes = []
 
     def f(x):
@@ -325,9 +286,11 @@ def test_tuple_budget_counts_shared_evaluations_once():
     res = integrate(f, 0.0, 10.0, 1e-10)
     assert res.evaluations == len(nodes)
     # a budget of exactly that many evaluations suffices; one fewer does not
-    assert integrate(f, 0.0, 10.0, 1e-10, max_evals=res.evaluations) == res
+    monkeypatch.setattr(quadrature, "MAX_EVALS", res.evaluations)
+    assert integrate(f, 0.0, 10.0, 1e-10) == res
+    monkeypatch.setattr(quadrature, "MAX_EVALS", res.evaluations - 1)
     with pytest.raises(NonConvergenceError):
-        integrate(f, 0.0, 10.0, 1e-10, max_evals=res.evaluations - 1)
+        integrate(f, 0.0, 10.0, 1e-10)
 
 
 def test_tuple_singular_pair():

@@ -770,6 +770,13 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     (IdentityId.I4, MuK(40.0, 0.5), 1e-15),
     # sinh mu cosh mu overflowed to NaN; the value is a subnormal
     (IdentityId.I4, MuK(356.0, 0.5), 2e-15),
+    # atanh(k tanh mu) of the rounded product raised DomainError within 1e-15 of 1
+    (IdentityId.I5, MuK(20.0, 1.0 - 2.0 ** -52), 1e-15),
+    (IdentityId.I4, MuK(20.0, 1.0 - 2.0 ** -52), 1e-15),
+    (IdentityId.I5, MuK(40.0, 1.0 - 2.0 ** -53), 2e-15),
+    (IdentityId.I4, MuK(40.0, 1.0 - 2.0 ** -53), 1e-14),
+    (IdentityId.I5, MuK(20.0, 0.999999999999999), 2e-14),
+    (IdentityId.I4, MuK(20.0, 0.999999999999999), 1e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
