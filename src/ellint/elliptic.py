@@ -1,11 +1,11 @@
 """Legendre-form elliptic integrals via Carlson symmetric forms and the AGM.
 
 Carlson's R_F and R_D by duplication from one loop (_rf_rd), which
-carlson_rf, carlson_rd, the incomplete F, E and D at amplitude phi in
-[0, pi/2] and modulus k in [0, 1] (F and E through one entry, _fe_sc), the
-complete D and the R_G area core of geometry all read; the complete K and
-E from the AGM (_agm); the conjugate amplitude; and (F, E) at an imaginary
-modulus or argument.
+carlson_rf, carlson_rd, the R_G area core of geometry and _fed read; _fed,
+the one amplitude entry, gives every F, E and D of the library (incomplete,
+complete D, imaginary modulus or argument, triaxial area, identity closed
+forms) at an amplitude taken as its sine and cosine squared.  The complete
+K and E come from the AGM (_agm); the conjugate amplitude from an atan2.
 """
 
 import math
@@ -128,18 +128,19 @@ def _agm(k: float, kc: float) -> tuple:
     return (kk, kk * (1.0 - csum))
 
 
-def _fe_sc(s: float, c2: float, kc2: float) -> tuple:
-    """(F, E) at the amplitude with sine s and cosine squared c2, for the
-    complementary modulus squared kc2 = k'^2, from one fused loop.
+def _fed(s: float, c2: float, kc2: float) -> tuple:
+    """(F, E, D) at the amplitude with sine s and cosine squared c2, for
+    kc2 = k'^2, from one R_F/R_D pass; D = (F - E)/k^2 = s^3 R_D/3.
 
-    Callers that know cos phi directly pass it here without an asin round
-    trip; 1 - k^2 s^2 is formed as c2 + k'^2 s^2, with no cancellation.
-    Needs c2 > 0 or kc2 > 0, which excludes only the (pi/2, 1) corner.
+    The one place an amplitude becomes Legendre integrals: callers take s
+    and c2 from their inputs, with no asin round trip; 1 - k^2 s^2 is
+    c2 + k'^2 s^2, free of cancellation.  Needs c2 > 0 or kc2 > 0, which
+    excludes only the (pi/2, 1) corner.
     """
     s2 = s * s
     rf, rd = _rf_rd(c2, c2 + kc2 * s2, 1.0)
     f = s * rf
-    return (f, f - (1.0 - kc2) * s * s2 * rd / 3.0)
+    return (f, f - (1.0 - kc2) * s * s2 * rd / 3.0, s * s2 * rd / 3.0)
 
 
 def _check_amplitude(phi: float) -> None:
@@ -161,7 +162,7 @@ def incomplete_f(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         raise DivergenceError("F(pi/2, 1) diverges")
-    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[0]
+    return _fed(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[0]
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -170,7 +171,7 @@ def incomplete_e(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         return 1.0
-    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[1]
+    return _fed(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[1]
 
 
 def incomplete_d(phi: float, k: float) -> float:
@@ -183,9 +184,7 @@ def incomplete_d(phi: float, k: float) -> float:
     _check_modulus(k)
     if k == 1.0 and phi == HALF_PI:
         raise DivergenceError("D(pi/2, 1) diverges")
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
-    return s * s * s * carlson_rd(c2, c2 + (1.0 - k) * (1.0 + k) * s * s, 1.0) / 3.0
+    return _fed(math.sin(phi), math.cos(phi) ** 2, (1.0 - k) * (1.0 + k))[2]
 
 
 def complete_k(k: float) -> float:
@@ -209,7 +208,7 @@ def complete_d(k: float) -> float:
     _check_modulus(k)
     if k == 1.0:
         raise DivergenceError("D(1) diverges")
-    return carlson_rd(0.0, (1.0 - k) * (1.0 + k), 1.0) / 3.0
+    return _fed(1.0, 0.0, (1.0 - k) * (1.0 + k))[2]
 
 
 def complementary_amplitude(phi1: float, kprime: float) -> float:
@@ -236,7 +235,7 @@ def imaginary_modulus_reduce(phi: float, k: float) -> tuple:
         raise DomainError(f"imaginary_modulus_reduce needs 0 <= k <= 1.34e154, got {k!r}")
     if k == 0.0:
         return (phi, phi)
-    return _fe_sc(math.sin(phi), math.cos(phi) ** 2, 1.0 + k * k)
+    return _fed(math.sin(phi), math.cos(phi) ** 2, 1.0 + k * k)[:2]
 
 
 def imaginary_argument_reduce(phi_hyp: float, k: float) -> tuple:
@@ -252,5 +251,5 @@ def imaginary_argument_reduce(phi_hyp: float, k: float) -> tuple:
         raise DomainError("imaginary_argument_reduce needs 0 < k < 1")
     th = math.tanh(phi_hyp)
     sech2 = (1.0 / math.cosh(phi_hyp)) ** 2
-    f, e = _fe_sc(th, sech2, k * k)
+    f, e, _ = _fed(th, sech2, k * k)
     return (f, f - e + math.sinh(phi_hyp) * math.sqrt(sech2 + (k * th) ** 2))

@@ -11,7 +11,7 @@ rounded ratios.
 import math
 from typing import NamedTuple
 
-from .elliptic import _fe_sc, _rf_rd
+from .elliptic import _fed, _rf_rd
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -118,7 +118,7 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     y, z = b / a, c / a
     e1_sq = (a - c) / a * (1.0 + z)
     e1 = math.sqrt(e1_sq)
-    f, e = _fe_sc(e1, z * z, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
+    f, e, _ = _fed(e1, z * z, (c / b) ** 2 * ((a - b) / a * (1.0 + y)) / e1_sq)
     return TWO_PI * (c * c + (a * b) * (e1 * e) + b * c * (z * f / e1))
 
 

@@ -9,15 +9,16 @@ on (0, pi/2) and integrated directly.  First/second-kind pairs that share
 bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN,
 LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body, named after the kernel
 (cosh_closed, sinh_closed, psi_closed, xi_closed, log_closed, atan_closed)
-that gives (F member, E member) from one Carlson pass and, for the kernel
-pairs, one AGM, and one oracle with a tuple integrand; both rows of a pair
-share the two, and each row reads its component of either.  The four kernel
-pairs and the four weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED)
-integrate in swapped order: the inner integral is elementary (the kernel
-weight's integral W, and the integral over phi of the E integrand against
-the weight), so no oracle node needs F or E, and no oracle calls anything of
-elliptic.  The cosh and sinh kernel oracles raise DomainError below
-k = 5e-8 and 1e-9 (see _kernel_part).
+that gives (F member, E member), and one oracle with a tuple integrand;
+both rows of a pair share the two, and each row reads its component of
+either.  Each closed body but PSEUDO's makes one pass of elliptic._fed, at
+a sine and cosine squared formed from its parameters, and a kernel pair one
+AGM.  The four kernel pairs and the four weighted-E rows (I1, I1_BARRED,
+PR3_D, PR3_D_BARRED) integrate in swapped order: the inner integral is
+elementary (the kernel weight's integral W, and the integral over phi of
+the E integrand against the weight), so no oracle node needs F or E, and
+no oracle calls anything of elliptic.  The cosh and sinh kernel oracles
+raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
 """
 
 import math
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from . import quadrature  # read at call time, so that the closed forms never load it
 from ._options import IDENTITY_TOL, IdentityId
-from .elliptic import HALF_PI, _agm, _fe_sc, _rf_rd, carlson_rd, complete_d, complete_k
+from .elliptic import HALF_PI, _agm, _fed
 from .errors import DomainError
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
@@ -122,18 +123,17 @@ FBar = _params("FBar", "f1 f2", "0 < f2 < f1 < inf", lambda f1, f2: 0.0 < f2 < f
 
 
 def alpha_k_from_eccentricities(e1: float, e2: float) -> AlphaK:
-    """(alpha, k) with alpha^2 = (e1^2-e2^2)/(1-e2^2) and k = e2/e1."""
+    """(alpha, k), alpha^2 = (e1-e2)(e1+e2)/((1-e2)(1+e2)) and k = e2/e1."""
     p = E1E2(e1, e2)
-    alpha = math.sqrt((p.e1 * p.e1 - p.e2 * p.e2) / (1.0 - p.e2 * p.e2))
+    alpha = math.sqrt((p.e1 - p.e2) * (p.e1 + p.e2) / ((1.0 - p.e2) * (1.0 + p.e2)))
     return AlphaK(alpha, p.e2 / p.e1)
 
 
 def alpha_kbar_from_barred(f1: float, f2: float) -> AlphaKBar:
-    """(alphabar, kbar) with alphabar^2 = (f1^2-f2^2)/(1+f1^2), kbar^2 = 1 - f2^2/f1^2."""
+    """(alphabar, kbar) = (d/sqrt(1+f1^2), d/f1), d^2 = (f1-f2)(f1+f2)."""
     p = FBar(f1, f2)
-    alpha = math.sqrt((p.f1 * p.f1 - p.f2 * p.f2) / (1.0 + p.f1 * p.f1))
-    kbar = math.sqrt(1.0 - (p.f2 / p.f1) ** 2)
-    return AlphaKBar(alpha, kbar)
+    d2 = (p.f1 - p.f2) * (p.f1 + p.f2)
+    return AlphaKBar(math.sqrt(d2 / (1.0 + p.f1 * p.f1)), math.sqrt(d2) / p.f1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def i1_closed(p: AlphaK) -> float:
     s2 = kp2 + (p.k * p.alpha) ** 2
     ca2 = (1.0 - p.alpha) * (1.0 + p.alpha)
     # amplitude lam = arcsin(alpha/sqrt(s2)), with cos^2 lam = k'^2 (1-alpha^2)/s2
-    fe, ee = _fe_sc(p.alpha / math.sqrt(s2), kp2 * ca2 / s2, kp2)
+    fe, ee, _ = _fed(p.alpha / math.sqrt(s2), kp2 * ca2 / s2, kp2)
     return (math.pi / 4.0) * (
         p.alpha * math.sqrt(ca2) / (s2 * s2)
         + p.alpha * p.alpha * ee / (kp2 * s2 ** 1.5)
@@ -156,7 +156,7 @@ def i1_barred_closed(p: AlphaKBar) -> float:
     kb2 = p.kbar * p.kbar
     diff = (p.kbar - p.alpha) * (p.kbar + p.alpha)
     # amplitude arcsin(alpha/kbar), with cos^2 = (kbar^2 - alpha^2)/kbar^2
-    fe, ee = _fe_sc(p.alpha / p.kbar, diff / kb2, (1.0 - p.kbar) * (1.0 + p.kbar))
+    fe, ee, _ = _fed(p.alpha / p.kbar, diff / kb2, (1.0 - p.kbar) * (1.0 + p.kbar))
     return (math.pi / 4.0) * (
         p.alpha * math.sqrt(1.0 - p.alpha * p.alpha) / (kb2 * diff)
         + fe / (kb2 * math.sqrt(diff))
@@ -164,14 +164,14 @@ def i1_barred_closed(p: AlphaKBar) -> float:
 
 
 def pr3_d_closed(p: AlphaZ) -> float:
-    # homogeneous of degree -1, so written in r = alpha/z: D(k) = R_D(0, k'^2, 1)/3
-    # at k'^2 = z^2/(z^2 + alpha^2) = 1/(1 + r^2), not rounded through k
+    # homogeneous of degree -1, so written in r = alpha/z: D(k) at phi = pi/2 and
+    # k'^2 = z^2/(z^2 + alpha^2) = 1/(1 + r^2), not rounded through k
     r = p.alpha / p.z
     if r > 2.0 ** 500:
         # k'^2 < 2^-1000: D(k) = ln(4/k') - 1 within O(k'^2 ln k'), r k'^2/z -> 1/alpha
         return HALF_PI * (math.log(4.0) + math.log(p.alpha) - math.log(p.z) - 1.0) / p.alpha
     kp2 = 1.0 / (1.0 + r * r)
-    return HALF_PI * (r * kp2) / p.z * carlson_rd(0.0, kp2, 1.0) / 3.0
+    return HALF_PI * (r * kp2) / p.z * _fed(1.0, 0.0, kp2)[2]
 
 
 def _scaled(*xs: float) -> tuple:
@@ -181,32 +181,33 @@ def _scaled(*xs: float) -> tuple:
 
 
 def pr3_d_barred_closed(p: AlphaKBar) -> float:
-    # homogeneous of degree -1: at alpha, kbar over 2^e, where the gap cannot underflow
-    x = p.alpha / p.kbar
+    # homogeneous of degree -1: at alpha, kbar over 2^e, where the gap cannot underflow.
+    # K - D at modulus x = alpha/kbar is (E - x'^2 K)/x^2 = x'^2 R_D(0, 1, x'^2)/3
+    # (DLMF 19.25.1), by homogeneity x'^-1 times D at phi = pi/2 and k'^2 = 1/x'^2 =
+    # kbar^2/gap: one pass, no AGM, and no cancellation of K against D as x -> 1
     e, alpha, kbar = _scaled(p.alpha, p.kbar)
-    return (math.pi * alpha / (2.0 * kbar * math.sqrt((kbar - alpha) * (kbar + alpha)))
-            * (complete_k(x) - complete_d(x)) / 2.0 ** e)
+    gap = (kbar - alpha) * (kbar + alpha)
+    return HALF_PI * alpha / gap * _fed(1.0, 0.0, kbar * kbar / gap)[2] / 2.0 ** e
 
 
 def log_closed(p: EpsAB) -> tuple:
-    """(LOG_F, LOG_Q2) at p, from one Carlson pass at the amplitude asin(beta/eps)
-    and modulus k = alpha/beta."""
+    """(LOG_F, LOG_Q2) at p, from one Carlson pass at the amplitude with sine
+    beta/eps and cosine squared (eps - beta)(eps + beta)/eps^2, and modulus
+    k = alpha/beta."""
     # LOG_Q2 is homogeneous of degree 1, so evaluated at eps = 1 and scaled back
     # by eps: no square of eps, alpha or beta over- or underflows
     a = p.alpha / p.eps
     b = p.beta / p.eps
     k = p.alpha / p.beta
-    phi = math.asin(b)
-    s, c2 = math.sin(phi), math.cos(phi) ** 2
-    rf, rd = _rf_rd(c2, c2 + (1.0 - k) * (1.0 + k) * (s * s), 1.0)
+    c2 = (p.eps - p.beta) / p.eps * (1.0 + b)  # from eps - beta, exact as beta -> eps
+    f, _, d = _fed(b, c2, (1.0 - k) * (1.0 + k))
     a2 = a * a
     b2 = b * b
-    # 1 - sqrt((1-a^2)(1-b^2)) via its exact-difference form, stable when a, b << 1
-    root = math.sqrt((1.0 - a2) * (1.0 - b2))
+    # 1 - sqrt((1-a^2) c2) via its exact-difference form, stable when a, b << 1
+    root = math.sqrt((1.0 - a2) * c2)
     elementary = math.pi * ((a2 + b2) - a2 * b2) / (1.0 + root)
-    # F - E written as k^2 D to avoid cancellation at small k
-    return (math.pi / p.beta * (s * rf),
-            p.eps * (elementary + math.pi * b * k * k * (s * s * s * rd / 3.0)))
+    # F - E is k^2 D, free of cancellation at small k
+    return (math.pi / p.beta * f, p.eps * (elementary + math.pi * b * k * k * d))
 
 
 def pseudo_closed(p: E1E2) -> float:
@@ -217,18 +218,17 @@ def pseudo_closed(p: E1E2) -> float:
 
 
 def cosh_closed(p: NuK) -> tuple:
-    """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude asin(tanh(nu)/k)."""
+    """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude with
+    sine tanh(nu)/k and cosine squared (k - tanh nu)(k + tanh nu)/k^2."""
     kp = math.sqrt(1.0 - p.k * p.k)
     th = math.tanh(p.nu)
-    phi = math.asin(th / p.k)
-    s, c2 = math.sin(phi), math.cos(phi) ** 2
-    rf, rd = _rf_rd(c2, c2 + (1.0 - p.k) * (1.0 + p.k) * (s * s), 1.0)
+    f, _, d = _fed(th / p.k, (p.k - th) / p.k * ((p.k + th) / p.k), (1.0 - p.k) * (1.0 + p.k))
     kk, ee = _agm(kp, p.k)
     at = arctanh_guarded(th / p.k)
     den = kp * kp * math.sinh(p.nu) * math.cosh(p.nu)
-    # F - E = k^2 D, with D in its R_D form
-    return ((kk * at - HALF_PI * (s * rf)) / den,
-            (ee * at - HALF_PI * th - HALF_PI * (p.k * p.k * (s * s * s * rd / 3.0))) / den)
+    # F - E = k^2 D
+    return ((kk * at - HALF_PI * f) / den,
+            (ee * at - HALF_PI * th - HALF_PI * (p.k * p.k * d)) / den)
 
 
 def sinh_closed(p: MuK) -> tuple:
@@ -247,17 +247,16 @@ def sinh_closed(p: MuK) -> tuple:
     th = math.tanh(p.mu)
     e = math.exp(-p.mu)
     sech = 2.0 * e / (1.0 + e * e)
-    y = sech * sech + kp2 * (th * th)
-    r = math.sqrt(y)
-    rf, rd = _rf_rd(sech * sech, y, 1.0)
+    r = math.sqrt(sech * sech + kp2 * (th * th))
+    f, _, d = _fed(th, sech * sech, kp2)
     # atanh(k th) from the exact 1 - k th = (1 - k) + k (1 - th), 1 - th = e sech
     at = 0.5 * math.log1p(2.0 * p.k * th / ((1.0 - p.k) + p.k * (e * sech)))
     scale = 4.0 * e / (kp2 * -math.expm1(-4.0 * p.mu))
-    # F - E = k^2 D, with D in its R_D form; th root + (coth mu)(1 - root), root =
-    # sqrt(1 + kp2 sinh^2 mu) = r/sech, has e^mu-sized terms: it is th (k^2 sech + r)/(sech + r)
-    fme = p.k * p.k * th * th * th * rd / 3.0
-    return (-(kk * at - HALF_PI * (th * rf)) * scale * e,
-            (HALF_PI * (fme + th * (p.k * p.k * sech + r) / (sech + r)) - ee * at) * scale * e)
+    # F - E = k^2 D; th root + (coth mu)(1 - root), root = sqrt(1 + kp2 sinh^2 mu) = r/sech,
+    # has e^mu-sized terms: it is th (k^2 sech + r)/(sech + r)
+    return (-(kk * at - HALF_PI * f) * scale * e,
+            (HALF_PI * (p.k * p.k * d + th * (p.k * p.k * sech + r) / (sech + r)) - ee * at)
+            * scale * e)
 
 
 def psi_closed(p: PsiKBar) -> tuple:
@@ -270,7 +269,7 @@ def psi_closed(p: PsiKBar) -> tuple:
     kc = math.sqrt(kbp2) * cp
     r = math.hypot(sp, kc)
     beta = math.atan2(sp, kc)
-    f, e = _fe_sc(sp / r, (kc / r) ** 2, kbp2)
+    f, e, _ = _fed(sp / r, (kc / r) ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (sp/cp/root)(1 - root) written as sp cp kb2/(root (1 + root)), free of cancellation
     root = math.sqrt(1.0 - kb2 * cp * cp)
@@ -285,7 +284,7 @@ def xi_closed(p: XiKBar) -> tuple:
     kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
     sx, cx = math.sin(p.xi), math.cos(p.xi)
     gamma = math.atan2(math.sqrt(kbp2) * sx, cx)
-    f, e = _fe_sc(sx, cx ** 2, kbp2)
+    f, e, _ = _fed(sx, cx ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (cx/sx)(1 - root) written as cx kb2 sx/(1 + root), free of cancellation
     root = math.sqrt(1.0 - kb2 * sx * sx)
@@ -297,7 +296,7 @@ def atan_closed(p: FBar) -> tuple:
     """(ATAN_F, ATAN_E) at p, from one Carlson pass at the amplitude phib = arctan f1."""
     # sin and cos^2 of phib, and kbar'^2 = (f2/f1)^2, exact where kbar rounds to 1
     h1 = math.hypot(1.0, p.f1)
-    f, e = _fe_sc(p.f1 / h1, 1.0 / (1.0 + p.f1 * p.f1), (p.f2 / p.f1) ** 2)
+    f, e, _ = _fed(p.f1 / h1, 1.0 / (1.0 + p.f1 * p.f1), (p.f2 / p.f1) ** 2)
     # 1 - sqrt(1 - x) as x/(1 + sqrt(1 - x)), with x = kbar^2 sin^2 phib =
     # (f1 - f2)(f1 + f2)/(1 + f1^2) and 1 - x = (1 + f2^2)/(1 + f1^2)
     x = (p.f1 - p.f2) / h1 * ((p.f1 + p.f2) / h1)
@@ -321,9 +320,9 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
     cancellation; the oracle divides J by J(0), so the integrand stays O(1).
     A homogeneous part (degree -1) is integrated at its parameters over 2^e.
-    The n = 1 rows (PR3_D, PR3_D_BARRED) have s = alpha: M = sin^2 theta,
-    J has a P log P term at theta = pi/2, and theta = (pi/2) sin tau grades
-    the nodes toward it."""
+    Every row is integrated in tau, theta = (pi/2) sin tau, which grades the
+    nodes toward theta = pi/2: there J has a P log P term where s = alpha
+    (PR3_D, PR3_D_BARRED), and a kink from sqrt(P) as g -> 1 (I1, I1_BARRED)."""
 
     def oracle(p, tol: float) -> "quadrature.QuadratureResult":
         e, *xs = _scaled(*p) if homogeneous else (0, *p)
@@ -359,14 +358,11 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
             return a * diff / r + pp * tm / (q * apm)
 
         j0 = j(0.0)
-        if g == 1.0:
-            def fn(tau: float) -> float:
-                return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
-            const = p.alpha * j0 * HALF_PI / 2.0 ** e
-        else:
-            def fn(theta: float) -> float:
-                return j(theta) / j0
-            const = p.alpha * j0 / 2.0 ** e
+
+        def fn(tau: float) -> float:
+            return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
+
+        const = p.alpha * j0 * HALF_PI / 2.0 ** e
         value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, tol)
         return quadrature.QuadratureResult(const * value, const * err, evals)
 

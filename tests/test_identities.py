@@ -11,6 +11,7 @@ and the four single-integral routes to the ellipsoid area.
 import hashlib
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -254,6 +255,30 @@ def test_barred_parameter_map_exact_values():
     assert p.kbar == pytest.approx(math.sqrt(20.0 / 27.0), rel=1e-14)
 
 
+def _sqrt_rel(x: float, square: Fraction) -> float:
+    # relative error of x as sqrt(square), exact to first order: |x^2 - square|/(2 square)
+    return float(abs(Fraction(x) ** 2 - square) / (2 * square))
+
+
+def test_alpha_k_map_at_close_eccentricities():
+    # e1^2 - e2^2 as a difference of rounded squares: alpha was 2.1e-7 off
+    e1, e2 = 0.9, 0.9 * (1.0 - 1e-10)
+    p = alpha_k_from_eccentricities(e1, e2)
+    f1, f2 = Fraction(e1), Fraction(e2)
+    assert _sqrt_rel(p.alpha, (f1 * f1 - f2 * f2) / (1 - f2 * f2)) <= 4e-16
+    assert p.k == e2 / e1
+
+
+def test_barred_parameter_map_at_close_f():
+    # f1^2 - f2^2 and 1 - (f2/f1)^2 as differences of rounded squares: alpha
+    # and kbar were 2.8e-10 off
+    f1, f2 = 0.5, 0.5 * (1.0 - 1e-8)
+    p = alpha_kbar_from_barred(f1, f2)
+    d2 = (Fraction(f1) - Fraction(f2)) * (Fraction(f1) + Fraction(f2))
+    assert _sqrt_rel(p.alpha, d2 / (1 + Fraction(f1) ** 2)) <= 4e-16
+    assert _sqrt_rel(p.kbar, d2 / Fraction(f1) ** 2) <= 4e-16
+
+
 @pytest.mark.parametrize("route,axes", [
     (area_via_weighted_e_integral, (2.0, 1.5, 1.0)),
     (area_via_log_kernel, (2.0, 1.5, 1.0)),
@@ -327,7 +352,7 @@ def test_pseudo_oracle_cost():
 # part (I3/I6, I4/I5, I2_BARRED/I3_BARRED, GR_E_SIN/GR_F_SIN, LOG_F/LOG_Q2,
 # ATAN_F/ATAN_E) share one integral per point and report its count
 GRID5_ORACLE_EVALS = {
-    "I1": 765, "I1_BARRED": 435, "PR3_D": 1125, "PR3_D_BARRED": 1275,
+    "I1": 1095, "I1_BARRED": 855, "PR3_D": 1125, "PR3_D_BARRED": 1275,
     "LOG_F": 855, "LOG_Q2": 855, "PSEUDO": 2505, "I3": 2325, "I4": 5595,
     "I5": 5595, "I6": 2325, "I2_BARRED": 1095, "I3_BARRED": 1095,
     "GR_E_SIN": 1095, "GR_F_SIN": 1095, "ATAN_F": 855, "ATAN_E": 855,
@@ -341,7 +366,7 @@ def test_oracle_evaluation_counts_at_grid_5():
                                for p in grid_params(ident, 5))
               for ident in IdentityId}
     assert counts == GRID5_ORACLE_EVALS
-    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 17_925
+    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 18_675
 
 
 def test_paired_rows_share_their_part():
@@ -355,7 +380,7 @@ def test_paired_rows_share_their_part():
 
 def test_identity_records_integrate_each_pair_once(monkeypatch):
     # one integrate call and one closed-body call per unpaired row and per pair
-    # at each grid point: 275 of each and 17,925 evaluations, against 425 calls
+    # at each grid point: 275 of each and 18,675 evaluations, against 425 calls
     # of each with every row evaluated on its own
     plain = quadrature.integrate
     calls = []
@@ -378,7 +403,7 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
         monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(entry.closed)))
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
-    assert (len(calls), sum(calls)) == (275, 17_925)
+    assert (len(calls), sum(calls)) == (275, 18_675)
     assert len(bodies) == 275 and len(set(bodies)) == 11
 
 
@@ -393,7 +418,7 @@ def test_oracles_share_no_code_with_elliptic(monkeypatch):
         raise AssertionError("the oracle called elliptic")
 
     for module in (elliptic, identities, geometry, quadrature):
-        for name in ("_fe_sc", "_rf_rd", "_agm", "carlson_rf", "complete_e", "complete_k"):
+        for name in ("_fed", "_rf_rd", "_agm", "carlson_rf", "complete_e", "complete_k"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
@@ -403,6 +428,31 @@ def test_oracles_share_no_code_with_elliptic(monkeypatch):
     for ident, res in expected.items():
         assert oracle_value(ident, grid_params(ident, 2)[1]) == res
     assert quadrature.surface_area_quadrature(2.0, 1.5, 1.0) == area
+
+
+def test_each_closed_body_makes_one_pass(monkeypatch):
+    # every F, E and D at one amplitude comes from elliptic._fed: one _rf_rd pass
+    # per body (PSEUDO is elementary), and K and E from one AGM for the four
+    # kernel pairs only; PR3_D_BARRED takes its K - D from that one pass
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for module in (elliptic, identities, geometry, quadrature):
+        for name in ("_rf_rd", "_agm"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    kernel_pairs = {identities.cosh_closed, identities.sinh_closed,
+                    identities.psi_closed, identities.xi_closed}
+    for ident, entry in REGISTRY.items():
+        calls.clear()
+        entry.closed(grid_params(ident, 3)[4])
+        expected = (0 if ident is IdentityId.PSEUDO else 1, 1 if entry.closed in kernel_pairs else 0)
+        assert (calls.count("_rf_rd"), calls.count("_agm")) == expected, ident
 
 
 def test_sweep_records_read_the_oracle_value():

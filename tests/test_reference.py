@@ -419,6 +419,10 @@ def _pr3_d_ref(alpha, z):
     return mp.pi * alpha / (2 * hyp) * mp.elliprd(0, z * z / hyp, 1) / 3
 
 
+def _log_f_ref(eps, alpha, beta):
+    return mp.pi / beta * mp.ellipf(mp.asin(beta / eps), (alpha / beta) ** 2)
+
+
 def _log_q2_ref(eps, alpha, beta):
     phi, m = mp.asin(beta / eps), (alpha / beta) ** 2
     root = mp.sqrt((eps * eps - alpha * alpha) * (eps * eps - beta * beta))
@@ -487,7 +491,8 @@ def _gr_e_sin_ref(xi, kbar):
 
 _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
                   IdentityId.PR3_D_BARRED: _pr3_d_barred_ref,
-                  IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_Q2: _log_q2_ref,
+                  IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_F: _log_f_ref,
+                  IdentityId.LOG_Q2: _log_q2_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
                   IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref,
@@ -608,11 +613,8 @@ def test_kernel_oracle_off_the_grid_against_the_integral(ident, params):
     EpsAB(0.7, 1.907e-15, 1.918e-15), EpsAB(1.0, 1e-9, 2e-9), EpsAB(1.0, 1e-6, 2e-6),
 ], ids=repr)
 def test_log_oracle_at_small_u_over_eps(params):
-    eps, alpha, beta = (mp.mpf(v) for v in params)
-    log_f = mp.pi / beta * mp.ellipf(mp.asin(beta / eps), (alpha / beta) ** 2)
-    assert _rel(oracle_value(IdentityId.LOG_F, params).value, log_f) <= 1e-15
-    assert _rel(oracle_value(IdentityId.LOG_Q2, params).value,
-                _identity_ref(IdentityId.LOG_Q2, params)) <= 1e-15
+    for ident in (IdentityId.LOG_F, IdentityId.LOG_Q2):
+        assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 1e-15
 
 
 @pytest.mark.parametrize("ident,params,tol", [
@@ -630,6 +632,9 @@ def test_log_oracle_at_small_u_over_eps(params):
     (IdentityId.PR3_D, AlphaZ(1.0, 300.0), 1e-13),
     (IdentityId.PR3_D, AlphaZ(1.0, 3e4), 1e-13),
     (IdentityId.PR3_D_BARRED, AlphaKBar(1e-4, 0.5), 1e-13),
+    # sqrt(cos^2 theta + kbar'^2 sin^2 theta) kinks at theta = pi/2 as kbar -> 1, which
+    # one ungraded panel did not see: 2.2e-11 off with an estimate of 5.7e-14
+    (IdentityId.I1_BARRED, AlphaKBar(0.999999999998, 0.999999999999), 5e-12),
 ], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
 def test_weighted_e_oracle_at_class_edges(ident, params, tol):
     assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= tol
@@ -777,6 +782,14 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     (IdentityId.I4, MuK(40.0, 1.0 - 2.0 ** -53), 1e-14),
     (IdentityId.I5, MuK(20.0, 0.999999999999999), 2e-14),
     (IdentityId.I4, MuK(20.0, 0.999999999999999), 1e-15),
+    # cos^2 of the amplitude as cos(asin(beta/eps))^2 of the rounded quotient:
+    # 4.0e-11, 5.7e-11 and 7.8e-15 off
+    (IdentityId.LOG_F, EpsAB(0.7, 0.3, 0.6999999999999), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(0.7, 0.3, 0.6999999999999), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(1.0, 0.5, 0.999999999), 1e-15),
+    # K(x) - D(x) at x = alpha/kbar cancelled as x -> 1: 8.8e-15 and 8.9e-15 off
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.5 * (1 - 1e-12), 0.5), 1e-15),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(0.9 * (1 - 1e-12), 0.9), 1e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
