@@ -1,24 +1,24 @@
 """Catalog of definite integrals with elliptic closed forms.
 
-Each registry row pairs a closed form with its oracle, oracle(params, tol),
-which integrates the left-hand side by adaptive quadrature, and with a
-parameter class whose grid map covers its domain.  Integrands over (lo, hi)
-with the kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their
-smooth part g(q) with the exact trig substitution; the others are bounded
-on (0, pi/2) and integrated directly.  First/second-kind pairs that share
-bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN,
-LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body, named after the kernel
-(cosh_closed, sinh_closed, psi_closed, xi_closed, log_closed, atan_closed)
-that gives (F member, E member), and one oracle with a tuple integrand;
-both rows of a pair share the two, and each row reads its component of
-either.  Each closed body but PSEUDO's makes one pass of elliptic._fed, at
-a sine and cosine squared formed from its parameters, and a kernel pair one
-AGM.  The four kernel pairs and the four weighted-E rows (I1, I1_BARRED,
-PR3_D, PR3_D_BARRED) integrate in swapped order: the inner integral is
-elementary (the kernel weight's integral W, and the integral over phi of
-the E integrand against the weight), so no oracle node needs F or E, and
-no oracle calls anything of elliptic.  The cosh and sinh kernel oracles
-raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
+Each registry row pairs a closed form with its oracle, oracle(params), which
+integrates the left-hand side by adaptive quadrature at ORACLE_TOL, and with
+a parameter class whose grid map covers its domain.  Integrands with the
+kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their smooth part
+g, handed q and the kernel's two factors by the exact trig substitution; the
+others are bounded on (0, pi/2) and integrated directly.  First/second-kind
+pairs that share bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED,
+GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body,
+named after the kernel (cosh_closed, sinh_closed, psi_closed, xi_closed,
+log_closed, atan_closed) that gives (F member, E member), and one oracle
+with a tuple integrand; both rows of a pair share the two, and each row
+reads its component of either.  Each closed body but PSEUDO's makes one pass
+of elliptic._fed, at a sine and cosine squared formed from its parameters,
+and a kernel pair one AGM.  The four kernel pairs and the four weighted-E
+rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped order: the
+inner integral is elementary (the kernel weight's integral W, and the
+integral over phi of the E integrand against the weight), so no oracle node
+needs F or E, and no oracle calls anything of elliptic.  The cosh and sinh
+kernel oracles raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
 """
 
 import math
@@ -200,7 +200,8 @@ def log_closed(p: EpsAB) -> tuple:
     b = p.beta / p.eps
     k = p.alpha / p.beta
     c2 = (p.eps - p.beta) / p.eps * (1.0 + b)  # from eps - beta, exact as beta -> eps
-    f, _, d = _fed(b, c2, (1.0 - k) * (1.0 + k))
+    # k'^2 from beta - alpha, not from the rounded k, exact as alpha -> beta
+    f, _, d = _fed(b, c2, (p.beta - p.alpha) / p.beta * ((p.beta + p.alpha) / p.beta))
     a2 = a * a
     b2 = b * b
     # 1 - sqrt((1-a^2) c2) via its exact-difference form, stable when a, b << 1
@@ -211,10 +212,10 @@ def log_closed(p: EpsAB) -> tuple:
 
 
 def pseudo_closed(p: E1E2) -> float:
-    # 1 - e1 e2 - sqrt((1-e1^2)(1-e2^2)) rewritten as an exact quotient,
-    # stable as e2 -> e1
-    root = math.sqrt((1.0 - p.e1 * p.e1) * (1.0 - p.e2 * p.e2))
-    return (math.pi / 2.0) * (p.e1 - p.e2) ** 2 / (1.0 - p.e1 * p.e2 + root)
+    # 1 - e1 e2 - sqrt((1-e1^2)(1-e2^2)) rewritten as an exact quotient, stable as
+    # e2 -> e1, with 1 - e1 e2 = (1 - e1) + e1 (1 - e2) and 1 - e^2 = (1 - e)(1 + e)
+    root = math.sqrt((1.0 - p.e1) * (1.0 + p.e1) * ((1.0 - p.e2) * (1.0 + p.e2)))
+    return (math.pi / 2.0) * (p.e1 - p.e2) ** 2 / ((1.0 - p.e1) + p.e1 * (1.0 - p.e2) + root)
 
 
 def cosh_closed(p: NuK) -> tuple:
@@ -324,7 +325,7 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     nodes toward theta = pi/2: there J has a P log P term where s = alpha
     (PR3_D, PR3_D_BARRED), and a kink from sqrt(P) as g -> 1 (I1, I1_BARRED)."""
 
-    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
+    def oracle(p) -> "quadrature.QuadratureResult":
         e, *xs = _scaled(*p) if homogeneous else (0, *p)
         p = p._make(xs)
         g, c, r, q, n = shape(p)
@@ -363,44 +364,39 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
             return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
 
         const = p.alpha * j0 * HALF_PI / 2.0 ** e
-        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, tol)
+        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL)
         return quadrature.QuadratureResult(const * value, const * err, evals)
 
     return oracle
 
 
 def _pair_part(integrand: Callable) -> Callable:
-    """Oracle of a first/second-kind pair over (lo, hi) with the kernel
-    1/sqrt((hi^2-q^2)(q^2-lo^2)): the parts (v, q^2 v), integrand(params)
-    giving (v, lo, hi).  v is 2 atanh(u/eps) for LOG_F and LOG_Q2, the log
-    of (eps+u)/(eps-u) exact at u << eps, and atan q for ATAN_F and ATAN_E."""
-
-    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
-        v, lo, hi = integrand(p)
-
-        def g(q: float) -> tuple:
-            x = v(q)
-            return x, q * q * x
-
-        return quadrature.integrate_singular_pair(g, lo, hi, tol)
-
-    return oracle
+    """Decorator: the oracle of a part over (lo, hi) with the kernel 1/sqrt((hi^2-q^2)
+    (q^2-lo^2)), integrand(params) giving (g, lo, hi).  g(q, q^2 - lo^2, hi^2 - q^2) gets
+    the factors exact (see quadrature.integrate_singular_pair); a pair's g gives (v, q^2 v)."""
+    return lambda p: quadrature.integrate_singular_pair(*integrand(p), ORACLE_TOL)
 
 
-_log_part = _pair_part(lambda p: (lambda u: 2.0 * math.atanh(u / p.eps), p.alpha, p.beta))
-_atan_part = _pair_part(lambda p: (math.atan, p.f2, p.f1))
+@_pair_part
+def _log_part(p: EpsAB) -> tuple:
+    # v = 2 atanh(q/eps) = log1p(2q/(eps - q)), exact at q << eps, with eps - q =
+    # (eps - beta) + (beta^2 - q^2)/(beta + q), exact as q -> beta -> eps
+    gap = p.eps - p.beta
+    return (lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (p.beta + q))),
+                                     q * q * v)), p.alpha, p.beta
 
 
-def _pseudo_part(p: E1E2, tol: float) -> "quadrature.QuadratureResult":
-    # g(q) / sqrt((e1^2-q^2)(q^2-e2^2)) is the bounded pseudo-elliptic integrand; direct
-    # quadrature would bisect toward both square-root zeros, for about ten times the evaluations
-    e1sq, e2sq = p.e1 * p.e1, p.e2 * p.e2
+@_pair_part
+def _atan_part(p: FBar) -> tuple:
+    return (lambda q, below, above: (v := math.atan(q), q * q * v)), p.f2, p.f1
 
-    def g(q: float) -> float:
-        q2 = q * q
-        return (e1sq - q2) * (q2 - e2sq) / (q * (1.0 - q2))
 
-    return quadrature.integrate_singular_pair(g, p.e2, p.e1, tol)
+@_pair_part
+def _pseudo_part(p: E1E2) -> tuple:
+    # g times the kernel is the bounded sqrt((e1^2-q^2)(q^2-e2^2))/(q (1-q^2)), 1 - q^2 =
+    # (1 - e1^2) + (e1^2 - q^2); direct quadrature would bisect toward both square-root zeros
+    c = (1.0 - p.e1) * (1.0 + p.e1)
+    return (lambda q, below, above: below * above / (q * (c + above))), p.e2, p.e1
 
 
 def _kernel_part(kernel: Callable) -> Callable:
@@ -414,7 +410,7 @@ def _kernel_part(kernel: Callable) -> Callable:
     1/D peak at t = pi/2, of width m', escapes the GK15 nodes and estimate: a kernel
     with m' = k raises DomainError, unevaluated, below the least k seen within ORACLE_TOL."""
 
-    def oracle(p, tol: float) -> "quadrature.QuadratureResult":
+    def oracle(p) -> "quadrature.QuadratureResult":
         mc, weight, const = kernel(p)
         if const == 0.0:  # the sinh constant underflows above mu ~ 372
             return quadrature.QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
@@ -426,7 +422,7 @@ def _kernel_part(kernel: Callable) -> Callable:
             w = weight(s, c, d)
             return w / d, w * d
 
-        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, tol)
+        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL)
         return quadrature.QuadratureResult(tuple(const * v for v in value),
                                            tuple(const * e for e in err), evals)
 
@@ -499,7 +495,7 @@ _F, _E = 0, 1
 class _Entry(NamedTuple):
     params_cls: type
     closed: Callable  # closed(params) -> float, or the pair's (F, E) tuple
-    oracle: Callable  # oracle(params, tol) -> QuadratureResult
+    oracle: Callable  # oracle(params) -> QuadratureResult, integrated at ORACLE_TOL
     component: int | None = None  # _F or _E for a row of a pair
 
 
@@ -553,7 +549,7 @@ def oracle_value(ident: IdentityId, params) -> "quadrature.QuadratureResult":
     a row of a pair, both members are integrated and this row's is returned,
     with the evaluations the pair shared."""
     entry = _entry(ident, params)
-    res = entry.oracle(params, ORACLE_TOL)
+    res = entry.oracle(params)
     return res._replace(value=_member(entry, res.value),
                         error_estimate=_member(entry, res.error_estimate))
 

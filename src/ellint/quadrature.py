@@ -162,11 +162,13 @@ def integrate_singular_pair(g, lo: float, hi: float,
                             tol: float = 1e-10) -> QuadratureResult:
     """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
 
-    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + (hi^2 - lo^2)
-    sin^2 t turns this into the bounded integral of g(q(t))/q(t) over
-    (0, pi/2), which is what actually gets sampled; the endpoints are
-    never evaluated.  g may return a tuple of floats, integrated as
-    integrate integrates a tuple integrand, each component divided by q(t).
+    Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + span sin^2 t,
+    span = hi^2 - lo^2, turns this into the bounded integral of g/q over
+    (0, pi/2); the endpoints are never evaluated.  g is called as
+    g(q, q^2 - lo^2, hi^2 - q^2), the kernel's factors formed exactly as
+    span sin^2 t and span cos^2 t, not from the rounded q, so a g built on
+    them keeps its digits on a thin interval.  g may return a tuple of
+    floats, integrated as integrate integrates a tuple integrand.
     """
     if not (0.0 <= lo < hi) or not math.isfinite(hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
@@ -174,10 +176,12 @@ def integrate_singular_pair(g, lo: float, hi: float,
     span = (hi - lo) * (hi + lo)
 
     def transformed(t: float) -> float:
-        q = math.sqrt(lo2 + span * math.sin(t) ** 2)
-        y = g(q)
+        s, c = math.sin(t), math.cos(t)
+        below = span * (s * s)
+        q = math.sqrt(lo2 + below)
+        y = g(q, below, span * (c * c))
         if isinstance(y, tuple):
-            return tuple([c / q for c in y])
+            return tuple([v / q for v in y])
         return y / q
 
     return integrate(transformed, 0.0, HALF_PI, tol)

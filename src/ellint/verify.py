@@ -38,7 +38,7 @@ from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_redu
 from .errors import DomainError
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
-from .identities import (ORACLE_TOL, REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
+from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
                          _member, alpha_k_from_eccentricities, alpha_kbar_from_barred,
                          atan_closed, grid_params, i1_barred_closed, i1_closed,
                          log_closed, make_record, psi_closed, xi_closed)
@@ -225,7 +225,7 @@ def identity_records(grid: int, tol: float = IDENTITY_TOL) -> list:
             if key in pending:
                 closed, res = pending.pop(key)
             else:
-                closed, res = entry.closed(params), entry.oracle(params, ORACLE_TOL)
+                closed, res = entry.closed(params), entry.oracle(params)
                 if entry.component is not None:
                     pending[key] = closed, res
             out.append(make_record(ident.value, params._asdict(), _member(entry, closed),

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -136,6 +137,14 @@ def test_integral_both_mode_passes(capsys):
                                                     rel=1e-13)
 
 
+def test_integral_both_mode_on_a_thin_interval(capsys):
+    # PSEUDO's oracle rebuilt e1^2 - q^2 and q^2 - e2^2 from the rounded q: 4.6e-8 off, exit 1
+    rc, out, err = run_cli(["integral", "--id", "PSEUDO", "--e1", "0.5",
+                            "--e2", "0.4999999995", "--mode", "both"], capsys)
+    assert (rc, err) == (0, "")
+    assert _lines_to_dict(out)["pass"] == "true"
+
+
 def test_integral_both_mode_below_the_subnormals(capsys):
     # the I5 oracle formed k'^2 sinh(mu)^2 and raised OverflowError from mu = 355
     rc, out, err = run_cli(["integral", "--id", "I5", "--mu", "400", "--k", "0.5",
@@ -155,8 +164,9 @@ def test_integral_i4_where_sinh_overflows(capsys):
 
 
 def test_integral_both_mode_tight_tolerance_fails(capsys):
-    rc, out, _ = run_cli(["integral", "--id", "PSEUDO", "--e1", "0.8",
-                          "--e2", "0.4", "--tol", "1e-30"], capsys)
+    # rel_err 3.8e-16 here; PSEUDO at (0.8, 0.4) agrees bit for bit, so no tol fails it
+    rc, out, _ = run_cli(["integral", "--id", "I3", "--nu", "0.3",
+                          "--k", "0.8", "--tol", "1e-30"], capsys)
     assert rc == 1
     assert _lines_to_dict(out)["pass"] == "false"
 
@@ -337,8 +347,8 @@ def test_grid5_record_count_per_id():
 # so any change to a record, a tolerance or the layout fails here.  A libm
 # that rounds sin, exp or log differently can move an oracle's last bit
 REPORT_DIGESTS = {
-    4: "422ad05bdf79474f571ea441c59b9f8504ff5a0f056e630319f60547b0a6c6b6",
-    5: "78a1d371f47dc4e5aa218d9cb7c568c61dd0e06b1f1c2a005c5ba9bff9e02d33",
+    4: "af1a46802af298ba7ce6415a0013a26ff7b22e3027bb1305499213187cb01886",
+    5: "99d9216772b922f6ac8f1d385f34076fdb392b6f015d7b3e914b5f289ed5bce9",
 }
 
 
@@ -509,3 +519,39 @@ def test_parser_options_are_the_registry_s():
     assert list(_options.IdentityId) == list(REGISTRY)
     assert _options.PARAM_FLAGS == tuple(
         sorted({f for e in REGISTRY.values() for f in e.params_cls._fields}))
+
+
+def _readme_examples() -> list:
+    """(argv, expected lines) of each `$ ellint ...` line in README's sh blocks:
+    the lines after it up to a blank line, the next command or the block's end.
+    A `...` line, kept as a final Ellipsis, stands for the lines left out."""
+    examples, in_sh, expected = [], False, None
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh, expected = line == "```sh", None
+        elif in_sh and line.startswith("$ ellint "):
+            expected = []
+            examples.append((shlex.split(line[len("$ ellint "):]), expected))
+        elif expected is not None and line == "...":
+            expected.append(...)
+            expected = None
+        elif expected is not None and line:
+            expected.append(line)
+        else:
+            expected = None
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv,expected", _README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in _README_EXAMPLES])
+def test_readme_examples_print_what_the_readme_shows(argv, expected, capsys):
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    if expected[-1] is ...:
+        expected = expected[:-1]
+        lines = lines[:len(expected)]
+    assert lines == expected

@@ -108,19 +108,19 @@ def test_error_estimate_honesty():
 @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.2, 0.7), (1.0, 3.0), (0.0, 0.4)])
 def test_singular_pair_linear_weight(lo, hi):
     # g(q) = q integrates to pi/2 regardless of the bracket
-    res = integrate_singular_pair(lambda q: q, lo, hi, 1e-12)
+    res = integrate_singular_pair(lambda q, below, above: q, lo, hi, 1e-12)
     assert res.value == pytest.approx(HALF_PI, rel=1e-12)
 
 
 @pytest.mark.parametrize("e1,e2", [(0.8, 0.4), (0.9, 0.1), (0.5, 0.3)])
 def test_singular_pair_reciprocal_weight(e1, e2):
     scale = -(e1 * e1) * (e2 * e2)
-    res = integrate_singular_pair(lambda q: scale / q, e2, e1, 1e-12)
+    res = integrate_singular_pair(lambda q, below, above: scale / q, e2, e1, 1e-12)
     assert res.value == pytest.approx(-math.pi * e1 * e2 / 2.0, rel=1e-12)
 
 
 def test_singular_pair_log_weight_matches_closed_form():
-    def g(q):
+    def g(q, below, above):
         return math.log((1.0 + q) / (1.0 - q))
 
     res = integrate_singular_pair(g, 0.3, 0.9, 1e-12)
@@ -143,14 +143,29 @@ def test_singular_pair_substitution_equivalence():
     tail_lo = 2.0 * math.sqrt(delta) * g(lo) / math.sqrt(2.0 * lo * span)
     tail_hi = 2.0 * math.sqrt(delta) * g(hi) / math.sqrt(2.0 * hi * span)
     recovered = direct + tail_lo + tail_hi
-    substituted = integrate_singular_pair(g, lo, hi, 1e-12).value
+    substituted = integrate_singular_pair(lambda q, below, above: g(q), lo, hi, 1e-12).value
     assert recovered == pytest.approx(substituted, rel=1e-6)
+
+
+def test_singular_pair_hands_g_the_exact_factors():
+    # on an interval 2^-40 wide, q sqrt((q^2 - lo^2)(hi^2 - q^2)) integrates to
+    # (pi/16) span^2; the factors g is handed are exact, while the same g with
+    # them rebuilt from the rounded q is 4.5e-5 off
+    lo, hi = 1.0, 1.0 + 2.0 ** -40
+    span = (hi - lo) * (hi + lo)
+    exact = math.pi / 16.0 * span * span
+    res = integrate_singular_pair(lambda q, below, above: q * below * above, lo, hi, 1e-12)
+    assert abs(res.value - exact) <= 1e-14 * exact
+    assert res.evaluations == 15
+    rebuilt = integrate_singular_pair(
+        lambda q, below, above: q * (q * q - lo * lo) * (hi * hi - q * q), lo, hi, 1e-12)
+    assert abs(rebuilt.value - exact) > 1e-6 * exact
 
 
 def test_singular_pair_domain():
     for lo, hi in [(-0.1, 1.0), (1.0, 1.0), (2.0, 1.0)]:
         with pytest.raises(DomainError):
-            integrate_singular_pair(lambda q: q, lo, hi)
+            integrate_singular_pair(lambda q, below, above: q, lo, hi)
 
 
 def test_determinism_bitwise():
@@ -159,8 +174,8 @@ def test_determinism_bitwise():
     r2 = integrate(fn, 0.0, HALF_PI, 1e-12)
     assert (r1.value, r1.error_estimate, r1.evaluations) == \
         (r2.value, r2.error_estimate, r2.evaluations)
-    s1 = integrate_singular_pair(lambda q: q * q, 0.3, 1.1, 1e-12)
-    s2 = integrate_singular_pair(lambda q: q * q, 0.3, 1.1, 1e-12)
+    s1 = integrate_singular_pair(lambda q, below, above: q * q, 0.3, 1.1, 1e-12)
+    s2 = integrate_singular_pair(lambda q, below, above: q * q, 0.3, 1.1, 1e-12)
     assert (s1.value, s1.error_estimate, s1.evaluations) == \
         (s2.value, s2.error_estimate, s2.evaluations)
     a1 = surface_area_quadrature(1.0, 1.3, 0.8, 1e-7)
@@ -295,7 +310,7 @@ def test_tuple_budget_counts_shared_evaluations_once(monkeypatch):
 
 def test_tuple_singular_pair():
     # g(q) = (q, q^3): pi/2 and pi/4 (lo^2 + hi^2)
-    res = integrate_singular_pair(lambda q: (q, q ** 3), 0.3, 0.9, 1e-12)
+    res = integrate_singular_pair(lambda q, below, above: (q, q ** 3), 0.3, 0.9, 1e-12)
     assert res.value[0] == pytest.approx(HALF_PI, rel=1e-12)
     assert res.value[1] == pytest.approx(math.pi / 4.0 * (0.09 + 0.81), rel=1e-12)
 

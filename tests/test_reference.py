@@ -8,14 +8,15 @@ zero, non-finite or overflowing Carlson arguments, R_D above the float
 range, R_F in every argument order, both imaginary-parameter extensions of
 (F, E) out to the overflow of k^2 and of sinh, the odd Maclaurin derivatives
 of F(arcsin x, k) where their series coefficients underflow, and the PR3_D,
-LOG_Q2, I3, I4, I5, I6, I2_BARRED, I3_BARRED, GR_E_SIN, ATAN_F and ATAN_E
-closed forms at edges of their parameter classes, the weighted-E oracle of
+LOG_F, LOG_Q2, PSEUDO, I3, I4, I5, I6, I2_BARRED, I3_BARRED, GR_E_SIN, ATAN_F
+and ATAN_E closed forms at edges of their parameter classes, the weighted-E oracle of
 I1, I1_BARRED, PR3_D and PR3_D_BARRED at k -> 1, at alpha -> kbar and at
 z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I4 and I5 out to
 mu = 1e300 and down to mu = 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the
 oracle of the eight kernel identities, whose F and E legs share one
 quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
-and the LOG oracle at u << eps.
+the LOG oracle at u << eps, and the PSEUDO and LOG oracles on thin
+intervals and at beta -> eps.
 Skipped when mpmath is not installed.
 """
 
@@ -51,7 +52,7 @@ from ellint import (
 )
 from ellint import quadrature
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import (ORACLE_TOL, AlphaK, AlphaKBar, AlphaZ, EpsAB, FBar,
+from ellint.identities import (ORACLE_TOL, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB, FBar,
                                MuK, NuK, PsiKBar, XiKBar)
 
 mp = pytest.importorskip("mpmath")
@@ -429,6 +430,10 @@ def _log_q2_ref(eps, alpha, beta):
     return mp.pi * (eps - root / eps) + mp.pi * beta * (mp.ellipf(phi, m) - mp.ellipe(phi, m))
 
 
+def _pseudo_ref(e1, e2):
+    return mp.pi / 2 * (1 - e1 * e2 - mp.sqrt((1 - e1 * e1) * (1 - e2 * e2)))
+
+
 def _i3_ref(nu, k):
     th, kp2 = mp.tanh(nu), 1 - k * k
     phi = mp.asin(th / k)
@@ -492,7 +497,7 @@ def _gr_e_sin_ref(xi, kbar):
 _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
                   IdentityId.PR3_D_BARRED: _pr3_d_barred_ref,
                   IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_F: _log_f_ref,
-                  IdentityId.LOG_Q2: _log_q2_ref,
+                  IdentityId.LOG_Q2: _log_q2_ref, IdentityId.PSEUDO: _pseudo_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
                   IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref,
@@ -566,6 +571,8 @@ def test_identity_references_are_the_integrals():
         (IdentityId.I3_BARRED, (psi, kn), _kernel_integral(mp.ellipf, psi_coef, psi_m)),
         (IdentityId.I2_BARRED, (psi, kn), _kernel_integral(mp.ellipe, psi_coef, psi_m)),
         (IdentityId.GR_E_SIN, (psi, kn), _kernel_integral(mp.ellipe, xi_coef, xi_m)),
+        (IdentityId.PSEUDO, (f2, z), _pair_integral(
+            lambda q: (f2 * f2 - q * q) * (q * q - z * z) / (q * (1 - q * q)), z, f2)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
         (IdentityId.ATAN_E, (f1, f2), _pair_integral(lambda q: q * q * mp.atan(q), f2, f1)),
     ]
@@ -615,6 +622,26 @@ def test_kernel_oracle_off_the_grid_against_the_integral(ident, params):
 def test_log_oracle_at_small_u_over_eps(params):
     for ident in (IdentityId.LOG_F, IdentityId.LOG_Q2):
         assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 1e-15
+
+
+@pytest.mark.parametrize("ident,params", [
+    # e1^2 - q^2 and q^2 - e2^2 rebuilt from the rounded q: 14.8%, 4.6e-8 and 4.8% off
+    (IdentityId.PSEUDO, E1E2(1.3044041976686021e-12, 1.3044041976686003e-12)),
+    (IdentityId.PSEUDO, E1E2(0.5, 0.4999999995)),
+    (IdentityId.PSEUDO, E1E2(1.2166e-13, 1.2166e-13 * (1 - 5.7e-15))),
+] + [(ident, params) for params in (
+    # eps - q rebuilt from the rounded q: 6.8e-8 off after 174,945 evaluations and
+    # 7.4e-6 after 28,125, then NonConvergenceError at the last two
+    EpsAB(3.7, 3.6999999999630777, 3.6999999999633792),
+    EpsAB(0.7, 0.6999999999999585, 0.6999999999999643),
+    EpsAB(1.0, 0.9999999991809817, 0.99999999953183),
+    EpsAB(1.0, 0.9999999739198002, 0.9999999999999989),
+) for ident in (IdentityId.LOG_F, IdentityId.LOG_Q2)],
+    ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
+def test_singular_pair_oracles_on_thin_intervals(ident, params):
+    res = oracle_value(ident, params)
+    assert _rel(res.value, _identity_ref(ident, params)) <= 1e-13
+    assert res.evaluations <= 375
 
 
 @pytest.mark.parametrize("ident,params,tol", [
@@ -790,6 +817,13 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     # K(x) - D(x) at x = alpha/kbar cancelled as x -> 1: 8.8e-15 and 8.9e-15 off
     (IdentityId.PR3_D_BARRED, AlphaKBar(0.5 * (1 - 1e-12), 0.5), 1e-15),
     (IdentityId.PR3_D_BARRED, AlphaKBar(0.9 * (1 - 1e-12), 0.9), 1e-15),
+    # k'^2 = (1 - k)(1 + k) of the rounded k = alpha/beta: 8.9e-6 and 1.2e-8 off
+    (IdentityId.LOG_F, EpsAB(0.7, 0.6999999999999585, 0.6999999999999643), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(0.7, 0.6999999999999585, 0.6999999999999643), 1e-15),
+    (IdentityId.LOG_F, EpsAB(3.7, 3.6999999999630777, 3.6999999999633792), 1e-15),
+    (IdentityId.LOG_Q2, EpsAB(3.7, 3.6999999999630777, 3.6999999999633792), 1e-15),
+    # 1 - e1 e2 and 1 - e^2 of the rounded products: 2.2e-9 off
+    (IdentityId.PSEUDO, E1E2(0.9999999915304821, 0.9999999912800239), 1e-15),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
