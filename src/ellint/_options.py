@@ -1,8 +1,9 @@
 """What the command-line parser offers, in a module light enough for every
-cold start: the identity ids, the --<param> flags, the suite names and the
-default tolerances.  The modules that use these names import them from here,
-so each keeps one definition; the flag tuple is the union of the registry's
-parameter fields, which a test pins.
+cold start: the identity ids, the --<param> flags, the suite names, the
+default tolerances and TOLERANCES, the fixed pass tolerance of each verify
+family under the key the report's meta lists it by.  The modules that use
+these names import them from here, so each keeps one definition; the flag
+tuple is the union of the registry's parameter fields, which a test pins.
 """
 
 from enum import Enum
@@ -35,5 +36,19 @@ SUITES = ("geometry", "integrals", "series", "extensions")
 IDENTITY_TOL = 1e-8         # closed form vs oracle, relative
 AREA_ORACLE_TOL = 1e-9      # relative tolerance handed to the area oracle
 SERIES_TERM_TOL = 1e-15     # relative size of the next term that stops a sum
-SERIES_SUM_TOL = 1e-12      # sigma sum vs its closed reference, relative
 MAX_TERMS_DEFAULT = 100_000
+
+# each verify family's fixed relative pass tolerance, in report order after identity_rel
+TOLERANCES = {
+    "area_vs_quadrature_rel": 1e-7,   # closed area vs the area oracle
+    "permutation_rel": 1e-12,
+    "scaling_rel": 1e-12,
+    "spheroid_limit_rel": 1e-13,      # triaxial form vs spheroid form at an exact spheroid
+    "route_rel": 1e-10,
+    "series_sum_rel": 1e-12,          # sigma sum vs its closed reference
+    "series_coeff_rel": 1e-14,
+    "series_split_rel": 1e-15,        # Omega = Theta + Psi, term by term
+    "maclaurin_rel": 1e-13,
+    "kernel_relation_rel": 1e-11,
+    "imag_reduction_rel": 1e-10,
+}

@@ -18,7 +18,7 @@ import sys
 # which also honours a rebinding there (as the perfbench layer trace does).
 from . import geometry, identities, quadrature, series, verify
 from ._options import (AREA_ORACLE_TOL, IDENTITY_TOL, MAX_TERMS_DEFAULT, PARAM_FLAGS,
-                       SERIES_SUM_TOL, SERIES_TERM_TOL, SUITES, IdentityId)
+                       SERIES_TERM_TOL, SUITES, TOLERANCES, IdentityId)
 from ._version import __version__
 from .errors import DomainError, NonConvergenceError
 
@@ -120,9 +120,9 @@ def _run_area(args) -> int:
         value = closed = geometry.triaxial_area(*axes)
     if args.json:
         params = {"a": a, "b": b, "c": c, "method": args.method}
-        tol = verify.AREA_QUAD_TOL
-        _print_report({"area_vs_quadrature_rel": tol},
-                      identities.make_record(ident, params, closed, value, tol))
+        key = "area_vs_quadrature_rel"
+        _print_report({key: TOLERANCES[key]},
+                      identities.make_record(ident, params, closed, value, TOLERANCES[key]))
     else:
         print(_fmt(value))
     return 0
@@ -172,10 +172,11 @@ def _run_series(args) -> int:
     series_sum, member = series._sigma_sums()[args.ident]
     res = series_sum(args.e1, args.e2, args.tol, args.max_terms)
     ref = identities.log_closed(identities.EpsAB(1.0, args.e2, args.e1))[member]
+    key = "series_sum_rel"
     rec = identities.make_record(args.ident, {"e1": args.e1, "e2": args.e2},
-                                 res.value, ref, SERIES_SUM_TOL)
+                                 res.value, ref, TOLERANCES[key])
     if args.json:
-        _print_report({"series_sum_rel": SERIES_SUM_TOL}, rec)
+        _print_report({key: TOLERANCES[key]}, rec)
     else:
         _print_comparison(rec, [("sum", _fmt(res.value)),
                                 ("terms_used", res.terms_used),
@@ -187,7 +188,11 @@ def _run_verify(args) -> int:
     import json
     report = verify.run_suite(args.suite, args.grid, args.tol)
     if args.out:
-        verify.write_report(report, args.out, args.format)
+        try:
+            verify.write_report(report, args.out, args.format)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.json:
         print(verify.report_json(report), end="")
     else:

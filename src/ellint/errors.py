@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and its one tol check.
 
 DomainError and its subclasses signal bad inputs (CLI exit code 2);
 NonConvergenceError and its subclasses signal a numerical process that
@@ -24,3 +24,9 @@ class NonConvergenceError(EllintError, RuntimeError):
 
 class NonFiniteIntegrandError(NonConvergenceError):
     """An integrand returned NaN or infinity at a sample point."""
+
+
+def require_positive_tol(tol: float) -> None:
+    """The one check of a caller's relative tolerance: a NaN fails it too."""
+    if not (tol > 0.0):
+        raise DomainError("tol must be positive")

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import quadrature  # read at call time, so that the closed forms never load it
 from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import HALF_PI, _agm, _fed
-from .errors import DomainError
+from .errors import DomainError, require_positive_tol
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 _EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
@@ -582,7 +582,8 @@ def make_record(ident: str, params: dict, closed: float, oracle: float,
     """Compare a closed form with its oracle.  The one pass rule is rel_err
     <= tol, with rel_err = |closed - oracle|/|closed|: an exact zero passes
     only against an exact zero (rel_err 0.0, else inf), and a NaN on either
-    side fails."""
+    side fails.  A tol that is not positive (NaN included) raises DomainError."""
+    require_positive_tol(tol)
     abs_err = abs(closed - oracle)
     scale = abs(closed)
     rel_err = abs_err / scale if scale > 0.0 else (0.0 if abs_err == 0.0 else math.inf)

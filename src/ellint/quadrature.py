@@ -22,7 +22,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError
+from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError, require_positive_tol
 
 HALF_PI = math.pi / 2.0
 
@@ -118,8 +118,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+    require_positive_tol(tol)
     # floored at the smallest normal float, in case it underflows
     abs_target = max(_ABS_FLOOR * (hi - lo), 2.2250738585072014e-308)
 

@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from ._options import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, require_positive_tol
 
 _ABS_TAIL = 1e-18
 
@@ -138,8 +138,7 @@ def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> S
     successive terms approach a ratio of e1^2.
     """
     _check_pair(e1, e2)
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+    require_positive_tol(tol)
     if max_terms < 2:
         raise DomainError("max_terms must be at least 2")
     total = _FAMILIES[kind][2]

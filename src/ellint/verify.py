@@ -17,11 +17,11 @@ abs_err, rel_err, pass):
               modulus / argument reductions vs direct quadrature
 
 Every record passes iff rel_err <= its tolerance (make_record), with no
-absolute bound.  The identity sweep honours the caller's tolerance; the
-invariant suites carry intrinsic tolerances listed in the module constants
-below, and in _options for the two that the command line reads too
-(AREA_ORACLE_TOL, SERIES_SUM_TOL); the report's meta lists each one.  All
-sampling is seeded, so repeated runs produce identical reports.
+absolute bound.  The identity sweep honours the caller's tolerance; every
+other family's fixed pass tolerance is declared once, in _options.TOLERANCES
+under its meta key.  AREA_ORACLE_TOL and IMAG_ORACLE_TOL are handed to
+quadrature and judge no record.  All sampling is seeded, so repeated runs
+produce identical reports.
 """
 
 import csv
@@ -32,10 +32,10 @@ import random
 from itertools import permutations
 from typing import NamedTuple
 
-from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SERIES_SUM_TOL, SUITES
+from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SUITES, TOLERANCES
 from ._version import __version__
 from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_reduce
-from .errors import DomainError
+from .errors import DomainError, require_positive_tol
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
 from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
@@ -46,17 +46,6 @@ from .quadrature import integrate, surface_area_quadrature
 from .series import (_sigma_sums, f_maclaurin_derivative, omega_coefficients,
                      psi_terms, theta_terms)
 
-# intrinsic tolerances of the invariant suites
-AREA_QUAD_TOL = 1e-7        # closed area vs the area oracle
-PERMUTATION_TOL = 1e-12
-SCALING_TOL = 1e-12
-LIMIT_TOL = 1e-13           # triaxial form vs spheroid form at an exact spheroid
-ROUTE_TOL = 1e-10
-SERIES_COEFF_TOL = 1e-14
-SPLIT_TOL = 1e-15           # Omega = Theta + Psi, term by term
-MACLAURIN_TOL = 1e-13
-KERNEL_TOL = 1e-11
-IMAG_TOL = 1e-10
 IMAG_ORACLE_TOL = 1e-12     # relative tolerance handed to the 1D oracle
 
 _AXES_SEED = 1009
@@ -137,7 +126,7 @@ def area_quadrature_records(n: int) -> list:
         closed = surface_area(a, b, c)
         oracle = surface_area_quadrature(a, b, c, AREA_ORACLE_TOL)
         out.append(make_record("AREA_VS_QUADRATURE", {"a": a, "b": b, "c": c},
-                               closed, oracle.value, AREA_QUAD_TOL))
+                               closed, oracle.value, TOLERANCES["area_vs_quadrature_rel"]))
     return out
 
 
@@ -148,7 +137,7 @@ def permutation_records(n: int) -> list:
         for p in permutations(axes):
             out.append(make_record("AREA_PERMUTATION",
                                    {"a": p[0], "b": p[1], "c": p[2]},
-                                   surface_area(*p), ref, PERMUTATION_TOL))
+                                   surface_area(*p), ref, TOLERANCES["permutation_rel"]))
     return out
 
 
@@ -162,7 +151,7 @@ def scaling_records(n: int) -> list:
         scaled = surface_area(lam * a, lam * b, lam * c) / (lam * lam)
         out.append(make_record("AREA_SCALING",
                                {"a": a, "b": b, "c": c, "lam": lam},
-                               scaled, surface_area(a, b, c), SCALING_TOL))
+                               scaled, surface_area(a, b, c), TOLERANCES["scaling_rel"]))
     return out
 
 
@@ -172,11 +161,12 @@ _LIMIT_RATIOS = (0.3, 0.6, 0.9)
 def spheroid_limit_records() -> list:
     """The triaxial form at exact spheroids, (1, 1, t) and (1, t, t), vs the
     elementary oblate and prolate forms, which share no code with it."""
+    tol = TOLERANCES["spheroid_limit_rel"]
     return ([make_record("LIMIT_OBLATE", {"a": 1.0, "b": 1.0, "c": t},
-                         triaxial_area(1.0, 1.0, t), oblate_area(1.0, t), LIMIT_TOL)
+                         triaxial_area(1.0, 1.0, t), oblate_area(1.0, t), tol)
              for t in _LIMIT_RATIOS]
             + [make_record("LIMIT_PROLATE", {"a": 1.0, "b": t, "c": t},
-                           triaxial_area(1.0, t, t), prolate_area(1.0, t), LIMIT_TOL)
+                           triaxial_area(1.0, t, t), prolate_area(1.0, t), tol)
                for t in _LIMIT_RATIOS])
 
 
@@ -196,7 +186,7 @@ def route_records(n: int) -> list:
         for _ in range(n):
             a, b, c = _strict_sorted(rng, descending)
             out.append(make_record(ident, {"a": a, "b": b, "c": c},
-                                   fn(a, b, c), surface_area(a, b, c), ROUTE_TOL))
+                                   fn(a, b, c), surface_area(a, b, c), TOLERANCES["route_rel"]))
     return out
 
 
@@ -251,8 +241,8 @@ def sigma_records(grid: int) -> list:
     for e1, e2 in _sigma_grid(grid):
         closed = log_closed(EpsAB(1.0, e2, e1))
         for name, (series_sum, member) in _sigma_sums().items():
-            out.append(make_record(name + "_SUM", {"e1": e1, "e2": e2},
-                                   series_sum(e1, e2).value, closed[member], SERIES_SUM_TOL))
+            out.append(make_record(name + "_SUM", {"e1": e1, "e2": e2}, series_sum(e1, e2).value,
+                                   closed[member], TOLERANCES["series_sum_rel"]))
     return out
 
 
@@ -308,11 +298,11 @@ def coefficient_records(grid: int) -> list:
         ps = psi_terms(e1, e2, 5).terms
         terms = {"omega": om, "theta": th, "psi": ps}
         for ident, kind, m, closed_fn in _COEFF_CHECKS:
-            out.append(make_record(ident, {"e1": e1, "e2": e2},
-                                   terms[kind][m], closed_fn(e1, e2), SERIES_COEFF_TOL))
+            out.append(make_record(ident, {"e1": e1, "e2": e2}, terms[kind][m], closed_fn(e1, e2),
+                                   TOLERANCES["series_coeff_rel"]))
         for m in range(1, 6):
             out.append(make_record("OMEGA_SPLIT", {"e1": e1, "e2": e2, "m": m},
-                                   om[m], th[m] + ps[m], SPLIT_TOL))
+                                   om[m], th[m] + ps[m], TOLERANCES["series_split_rel"]))
     return out
 
 
@@ -336,7 +326,7 @@ def maclaurin_records() -> list:
             out.append(make_record("MACLAURIN_DERIVATIVE",
                                    {"m": m, "e1": e1, "e2": e2},
                                    f_maclaurin_derivative(m, e1, e2),
-                                   _maclaurin_reference(m, e2 / e1), MACLAURIN_TOL))
+                                   _maclaurin_reference(m, e2 / e1), TOLERANCES["maclaurin_rel"]))
     return out
 
 
@@ -352,6 +342,7 @@ def kernel_relation_records(n: int) -> list:
     """cos^2-kernel integrals vs their sin^2-kernel counterparts at the
     complementary angle, for both the E and F numerators."""
     rng = random.Random(_KERNEL_SEED)
+    tol = TOLERANCES["kernel_relation_rel"]
     out = []
     for _ in range(n):
         xi = rng.uniform(0.05, HALF_PI - 0.05)
@@ -359,8 +350,8 @@ def kernel_relation_records(n: int) -> list:
         psi_f, psi_e = psi_closed(PsiKBar(HALF_PI - xi, kbar))
         xi_f, xi_e = xi_closed(XiKBar(xi, kbar))
         pr = {"xi": xi, "kbar": kbar}
-        out.append(make_record("KERNEL_COS_TO_SIN_E", pr, psi_e, xi_e, KERNEL_TOL))
-        out.append(make_record("KERNEL_COS_TO_SIN_F", pr, psi_f, xi_f, KERNEL_TOL))
+        out.append(make_record("KERNEL_COS_TO_SIN_E", pr, psi_e, xi_e, tol))
+        out.append(make_record("KERNEL_COS_TO_SIN_F", pr, psi_f, xi_f, tol))
     return out
 
 
@@ -376,6 +367,7 @@ def _imag_reductions() -> tuple:
 def imaginary_reduction_records(grid: int) -> list:
     """The two imaginary-parameter reductions vs direct real quadrature, F
     and E at each point from one paired integral."""
+    tol = TOLERANCES["imag_reduction_rel"]
     out = []
     for ident, key, trig, reduce, phi_range, k_range in _imag_reductions():
         for phi in _lin(grid, *phi_range):
@@ -389,8 +381,8 @@ def imaginary_reduction_records(grid: int) -> list:
 
                 f_quad, e_quad = integrate(fe, 0.0, phi, IMAG_ORACLE_TOL).value
                 pr = {key: phi, "k": k}
-                out.append(make_record(ident + "_F", pr, f_red, f_quad, IMAG_TOL))
-                out.append(make_record(ident + "_E", pr, e_red, e_quad, IMAG_TOL))
+                out.append(make_record(ident + "_F", pr, f_red, f_quad, tol))
+                out.append(make_record(ident + "_E", pr, e_red, e_quad, tol))
     return out
 
 
@@ -416,23 +408,6 @@ class Report(NamedTuple):
         return [r for r in self.records if not r.passed]
 
 
-def _tolerance_meta(tol: float) -> dict:
-    return {
-        "identity_rel": tol,
-        "area_vs_quadrature_rel": AREA_QUAD_TOL,
-        "permutation_rel": PERMUTATION_TOL,
-        "scaling_rel": SCALING_TOL,
-        "spheroid_limit_rel": LIMIT_TOL,
-        "route_rel": ROUTE_TOL,
-        "series_sum_rel": SERIES_SUM_TOL,
-        "series_coeff_rel": SERIES_COEFF_TOL,
-        "series_split_rel": SPLIT_TOL,
-        "maclaurin_rel": MACLAURIN_TOL,
-        "kernel_relation_rel": KERNEL_TOL,
-        "imag_reduction_rel": IMAG_TOL,
-    }
-
-
 def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> Report:
     """Execute one named suite (or all of them) and collect a Report."""
     if suite != "all" and suite not in SUITES:
@@ -440,8 +415,7 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
                           f"{('all',) + SUITES}")
     if not isinstance(grid, int) or grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid!r}")
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+    require_positive_tol(tol)
     records = []
     if suite in ("all", "geometry"):
         records += geometry_records(grid)
@@ -451,7 +425,7 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
         records += series_records(grid)
     if suite in ("all", "extensions"):
         records += extension_records(grid)
-    return Report(__version__, _tolerance_meta(tol), grid, tuple(records))
+    return Report(__version__, {"identity_rel": tol, **TOLERANCES}, grid, tuple(records))
 
 
 # json.dumps(indent=2) runs the pure-Python encoder.  Records and their params

@@ -25,8 +25,8 @@ from ellint import (IdentityId, __version__, _options, closed_value, quadrature,
 from ellint.cli import main
 from ellint.identities import REGISTRY, EpsAB, MuK, NuK, check, make_record
 from ellint.series import sigma1_sum
-from ellint.verify import (AREA_QUAD_TOL, SERIES_SUM_TOL, Report, imaginary_reduction_records,
-                           report_json, run_suite)
+from ellint._options import TOLERANCES
+from ellint.verify import Report, imaginary_reduction_records, report_json, run_suite
 
 
 def run_cli(argv, capsys):
@@ -171,6 +171,22 @@ def test_integral_both_mode_tight_tolerance_fails(capsys):
     assert _lines_to_dict(out)["pass"] == "false"
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+@pytest.mark.parametrize("mode", ["both", "closed --json", "oracle --json", "both --json"])
+def test_integral_rejects_a_tol_that_is_not_positive(mode, tol, capsys):
+    # it was a failed comparison: pass false and exit 1
+    argv = ["integral", "--id", "I1", "--alpha", "0.5", "--k", "0.5", "--tol", tol]
+    rc, out, err = run_cli(argv + ["--mode"] + mode.split(), capsys)
+    assert (rc, out, err) == (2, "", "error: tol must be positive\n")
+
+
+@pytest.mark.parametrize("mode", ["closed", "oracle"])
+def test_integral_single_mode_ignores_tol_without_json(mode, capsys):
+    rc, out, _ = run_cli(["integral", "--id", "I1", "--alpha", "0.5", "--k", "0.5",
+                          "--mode", mode, "--tol", "nan"], capsys)
+    assert rc == 0 and float(out) > 0.0
+
+
 def test_integral_flag_set_must_match(capsys):
     rc, _, err = run_cli(["integral", "--id", "I3", "--nu", "0.3"], capsys)
     assert rc == 2
@@ -221,18 +237,20 @@ def _single_record_json(tolerances, record):
 
 def test_single_record_json_is_report_json(capsys):
     area = surface_area(2.0, 1.5, 1.0)
+    area_tol, sum_tol = TOLERANCES["area_vs_quadrature_rel"], TOLERANCES["series_sum_rel"]
+    assert (area_tol, sum_tol) == (1e-7, 1e-12)
     cases = [
         (["area", "--axes", "2,1.5,1", "--json"],
-         {"area_vs_quadrature_rel": AREA_QUAD_TOL},
+         {"area_vs_quadrature_rel": area_tol},
          make_record("AREA", {"a": 2.0, "b": 1.5, "c": 1.0, "method": "auto"},
-                     area, area, AREA_QUAD_TOL)),
+                     area, area, area_tol)),
         (["integral", "--id", "I3", "--nu", "0.3", "--k", "0.8", "--json"],
          {"identity_rel": 1e-8},
          check(IdentityId.I3, NuK(0.3, 0.8), 1e-8)),
         (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3", "--json"],
-         {"series_sum_rel": SERIES_SUM_TOL},
+         {"series_sum_rel": sum_tol},
          make_record("SIGMA1", {"e1": 0.6, "e2": 0.3}, sigma1_sum(0.6, 0.3).value,
-                     closed_value(IdentityId.LOG_F, EpsAB(1.0, 0.3, 0.6)), SERIES_SUM_TOL)),
+                     closed_value(IdentityId.LOG_F, EpsAB(1.0, 0.3, 0.6)), sum_tol)),
     ]
     for argv, tolerances, record in cases:
         rc, out, _ = run_cli(argv, capsys)
@@ -365,7 +383,49 @@ def test_verify_lists_every_pass_tolerance():
         "identity_rel", "area_vs_quadrature_rel", "permutation_rel", "scaling_rel",
         "spheroid_limit_rel", "route_rel", "series_sum_rel", "series_coeff_rel",
         "series_split_rel", "maclaurin_rel", "kernel_relation_rel", "imag_reduction_rel"}
-    assert tolerances["series_split_rel"] == verify.SPLIT_TOL == 1e-15
+    assert tolerances["series_split_rel"] == TOLERANCES["series_split_rel"] == 1e-15
+
+
+# the meta key of each record id's family; a registry id is judged by identity_rel
+_FAMILY_KEYS = {
+    "AREA_VS_QUADRATURE": "area_vs_quadrature_rel", "AREA_PERMUTATION": "permutation_rel",
+    "AREA_SCALING": "scaling_rel", "LIMIT_OBLATE": "spheroid_limit_rel",
+    "LIMIT_PROLATE": "spheroid_limit_rel", "SIGMA1_SUM": "series_sum_rel",
+    "SIGMA2_SUM": "series_sum_rel", "OMEGA_SPLIT": "series_split_rel",
+    "MACLAURIN_DERIVATIVE": "maclaurin_rel", "KERNEL_COS_TO_SIN_E": "kernel_relation_rel",
+    "KERNEL_COS_TO_SIN_F": "kernel_relation_rel",
+}
+_PREFIX_KEYS = {"ROUTE_": "route_rel", "COEFF_": "series_coeff_rel",
+                "IMAG_": "imag_reduction_rel"}
+
+
+def _family_key(ident):
+    if ident in _FAMILY_KEYS:
+        return _FAMILY_KEYS[ident]
+    for prefix, key in _PREFIX_KEYS.items():
+        if ident.startswith(prefix):
+            return key
+    assert IdentityId(ident) in REGISTRY
+    return "identity_rel"
+
+
+def test_each_record_uses_the_tolerance_the_meta_lists(monkeypatch):
+    plain = verify.make_record
+    used = []
+
+    def captured(ident, params, closed, oracle, tol):
+        used.append((ident, tol))
+        return plain(ident, params, closed, oracle, tol)
+
+    monkeypatch.setattr(verify, "make_record", captured)
+    report = run_suite("all", 2, 3e-8)
+    assert len(used) == len(report.records)
+    keys = set()
+    for ident, tol in used:
+        key = _family_key(ident)
+        assert tol == report.tolerances[key], ident
+        keys.add(key)
+    assert keys == set(report.tolerances)
 
 
 def test_imaginary_reduction_records_integrate_each_point_once(monkeypatch):
@@ -432,6 +492,15 @@ def test_verify_out_json(tmp_path, capsys):
     assert on_disk == out
     payload = json.loads(on_disk)
     assert len(payload["records"]) > 0
+
+
+def test_verify_out_unwritable_path(tmp_path, capsys):
+    # exit 1 is a failed comparison; a bare FileNotFoundError used to end here
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = run_cli(["verify", "--grid", "1", "--out", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
 
 
 def test_verify_out_csv(tmp_path, capsys):

@@ -518,6 +518,15 @@ def test_sinh_kernel_records_fail_for_small_mutants(ident, monkeypatch):
         assert [p for p, r in zip(points, records) if not r.passed] == failing
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_check_rejects_a_tol_that_is_not_positive(tol):
+    # it returned a failing record, as if the closed form were wrong
+    with pytest.raises(DomainError, match="tol must be positive"):
+        check(IdentityId.I1, AlphaK(0.5, 0.5), tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        make_record("I1", {}, 1.0, 1.0, tol)
+
+
 def test_check_record_fields():
     rec = check(IdentityId.I5, MuK(1.0, 0.3), 1e-8)
     assert rec.ident == "I5"
