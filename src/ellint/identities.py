@@ -11,7 +11,9 @@ GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body,
 named after the kernel (cosh_closed, sinh_closed, psi_closed, xi_closed,
 log_closed, atan_closed) that gives (F member, E member), and one oracle
 with a tuple integrand; both rows of a pair share the two, and each row
-reads its component of either.  Each closed body but PSEUDO's makes one pass
+reads its component of either.  The oracles with a peak of known width at an
+end of (0, pi/2) (I3 to I6, PSEUDO, I1 and I1_BARRED) take quadrature._graded's
+sinh map there.  Each closed body but PSEUDO's makes one pass
 of elliptic._fed, at a sine and cosine squared formed from its parameters,
 and a kernel pair one AGM.  The four kernel pairs and the four weighted-E
 rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped order: the
@@ -321,9 +323,15 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
     cancellation; the oracle divides J by J(0), so the integrand stays O(1).
     A homogeneous part (degree -1) is integrated at its parameters over 2^e.
-    Every row is integrated in tau, theta = (pi/2) sin tau, which grades the
-    nodes toward theta = pi/2: there J has a P log P term where s = alpha
-    (PR3_D, PR3_D_BARRED), and a kink from sqrt(P) as g -> 1 (I1, I1_BARRED)."""
+    Toward theta = pi/2, P = cos^2 theta + g'^2 sin^2 theta, g' = sqrt(1 - g^2).
+    A row with g < 1 (I1, I1_BARRED) has a kink of width g' there from sqrt(P),
+    and takes the sinh map of quadrature._graded toward pi/2 with width g'.  A
+    row with s = alpha (PR3_D, PR3_D_BARRED) has g = 1 and a P log P term
+    there instead, which the sinh map resolved only at twice the evaluations
+    or more at any width tried (grid 5: 2,325 or more against 1,125), so it is
+    integrated in tau, theta = (pi/2) sin tau.  For n = 1, once |R|/Q is below
+    2^-64, J is its R -> 0 limit (1 + P atanh(m)/m)/(2Q), m = sin theta: the
+    difference form divides a + m = 0 by R = 0 where alpha^2 underflows."""
 
     def oracle(p) -> "quadrature.QuadratureResult":
         e, *xs = _scaled(*p) if homogeneous else (0, *p)
@@ -333,8 +341,7 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
         c0_q = c * c / q
         log_c0_q = 2.0 * math.log(c) - math.log(q)  # no subnormal c0 = c^2 in it
 
-        def j(theta: float) -> float:
-            st, ct = math.sin(theta), math.cos(theta)
+        def j(st: float, ct: float) -> float:
             pp = ct * ct + gc * st * st  # P
             d = r * pp / q  # a^2 - M
             a2 = (g * st) ** 2 + d
@@ -348,6 +355,8 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
             if n == 2:
                 return pp * (ta / a if a else 1.0) / (2.0 * q * q) + 0.5 / (q * c) / c
             tm = math.atanh(st) if st < 0.5 else math.log1p(st) - math.log(ct)  # atanh sqrt M
+            if limit:  # J as R -> 0
+                return (1.0 + pp * (tm / st if st else 1.0)) / (2.0 * q)
             if a2 < 0.0:  # h(a^2) = -|a| atan|a|, of the sign opposite to h(M)
                 return -(a * ta + st * tm) / r
             # h(a^2) - h(M) = a (atanh a - atanh m) + (a - m) atanh m, m = sin theta: like
@@ -358,16 +367,30 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
             diff = math.atanh(delta) if abs(delta) <= 0.5 else ta - tm
             return a * diff / r + pp * tm / (q * apm)
 
-        j0 = j(0.0)
+        limit = n == 1 and abs(r) < 2.0 ** -64 * q
+        j0 = j(0.0, 1.0)
+        const = p.alpha * j0 / 2.0 ** e
+        if g < 1.0:
+            return _scaled_result(quadrature._graded(
+                lambda s, c, dt: j(s, c) * dt / j0, ORACLE_TOL, w1=math.sqrt(gc)), const)
 
         def fn(tau: float) -> float:
-            return j(HALF_PI * math.sin(tau)) * math.cos(tau) / j0
+            theta = HALF_PI * math.sin(tau)
+            return j(math.sin(theta), math.cos(theta)) * math.cos(tau) / j0
 
-        const = p.alpha * j0 * HALF_PI / 2.0 ** e
-        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL)
-        return quadrature.QuadratureResult(const * value, const * err, evals)
+        return _scaled_result(quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL), HALF_PI * const)
 
     return oracle
+
+
+def _scaled_result(res: "quadrature.QuadratureResult",
+                   const: float) -> "quadrature.QuadratureResult":
+    """res with its value and error estimate times const, each component of a tuple."""
+    value, err, evals = res
+    if isinstance(value, tuple):
+        return quadrature.QuadratureResult(tuple(const * v for v in value),
+                                           tuple(const * e for e in err), evals)
+    return quadrature.QuadratureResult(const * value, const * err, evals)
 
 
 def _pair_part(integrand: Callable) -> Callable:
@@ -391,12 +414,21 @@ def _atan_part(p: FBar) -> tuple:
     return (lambda q, below, above: (v := math.atan(q), q * q * v)), p.f2, p.f1
 
 
-@_pair_part
-def _pseudo_part(p: E1E2) -> tuple:
+def _pseudo_part(p: E1E2) -> "quadrature.QuadratureResult":
     # g times the kernel is the bounded sqrt((e1^2-q^2)(q^2-e2^2))/(q (1-q^2)), 1 - q^2 =
-    # (1 - e1^2) + (e1^2 - q^2); direct quadrature would bisect toward both square-root zeros
+    # (1 - e1^2) + (e1^2 - q^2); direct quadrature would bisect toward both square-root zeros.
+    # In t it rises over a width e2/e1 at t = 0 and falls over sqrt((1 - e1^2)/span) at
+    # t = pi/2, the sinh map's two widths.  q is over 2^e, so that no square underflows,
+    # and g over span, both scaled back after: the integrand stays O(1), and integrate's
+    # absolute floor never decides
     c = (1.0 - p.e1) * (1.0 + p.e1)
-    return (lambda q, below, above: below * above / (q * (c + above))), p.e2, p.e1
+    e, e1, e2 = _scaled(p.e1, p.e2)
+    span = (e1 - e2) * (e1 + e2)
+    scale2 = math.ldexp(1.0, 2 * e)
+    f = quadrature._pair_integrand(
+        lambda q, below, above: below / span * above / (q * (c + above * scale2)), e2, e1)
+    res = quadrature._graded(f, ORACLE_TOL, e2 / e1, math.sqrt(c / span) / math.ldexp(1.0, e))
+    return _scaled_result(res, math.ldexp(span, 2 * e))
 
 
 def _kernel_part(kernel: Callable) -> Callable:
@@ -405,26 +437,28 @@ def _kernel_part(kernel: Callable) -> Callable:
     D = sqrt(c^2 + m'^2 s^2), s, c = sin u, cos u.  In swapped order it is the
     part (W/D, W D) at t, W(t) the integral of w over (t, pi/2), elementary as
     y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  kernel(params) gives
-    (m', weight, const), m' exact, W = const weight(s, c, D); const scales the
-    integral after quadrature, so the integrand stays O(1).  As m' -> 0 the F leg's
-    1/D peak at t = pi/2, of width m', escapes the GK15 nodes and estimate: a kernel
-    with m' = k raises DomainError, unevaluated, below the least k seen within ORACLE_TOL."""
+    (m', weight, const, w0, w1), m' exact, W = const weight(s, c, D); const scales the
+    integral after quadrature, so the integrand stays O(1).  w0 and w1 are the widths of
+    quadrature._graded's sinh map at t = 0 and pi/2.  The F leg's 1/D peaks at pi/2 with
+    width m' = k in the cosh (I3/I6) and sinh (I4/I5) kernels, and the sinh weight at 0
+    with width 2e^-mu/k'.  The cos psi and sin xi kernels pass 1, unmapped: with w1 =
+    kbar' a grid-5 pair took 1,275 evaluations where t takes 1,095.  As m' -> 0 the 1/D
+    peak escapes the GK15 nodes and estimate, and the map alone does not mend it, as W
+    varies on the scale k there: a kernel with m' = k raises DomainError, unevaluated,
+    below the least k seen within ORACLE_TOL."""
 
     def oracle(p) -> "quadrature.QuadratureResult":
-        mc, weight, const = kernel(p)
+        mc, weight, const, w0, w1 = kernel(p)
         if const == 0.0:  # the sinh constant underflows above mu ~ 372
             return quadrature.QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
         mc2 = mc * mc
 
-        def fn(t: float) -> tuple:
-            s, c = math.sin(t), math.cos(t)
+        def fn(s: float, c: float, dt: float) -> tuple:
             d = math.sqrt(c * c + mc2 * s * s)
-            w = weight(s, c, d)
+            w = weight(s, c, d) * dt
             return w / d, w * d
 
-        value, err, evals = quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL)
-        return quadrature.QuadratureResult(tuple(const * v for v in value),
-                                           tuple(const * e for e in err), evals)
+        return _scaled_result(quadrature._graded(fn, ORACLE_TOL, w0, w1), const)
 
     return oracle
 
@@ -443,7 +477,7 @@ def _cosh_part(p: NuK) -> tuple:
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return k, weight, math.cosh(p.nu) ** -2
+    return k, weight, math.cosh(p.nu) ** -2, 1.0, k
 
 
 @_kernel_part
@@ -465,7 +499,7 @@ def _sinh_part(p: MuK) -> tuple:
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return k, weight, 4.0 * e2 / (1.0 + e2) ** 2
+    return k, weight, 4.0 * e2 / (1.0 + e2) ** 2, 2.0 * math.exp(-p.mu) / math.sqrt(kp2), k
 
 
 def _atan_kernel(kbar: float, sa: float, ca: float) -> tuple:
@@ -475,7 +509,7 @@ def _atan_kernel(kbar: float, sa: float, ca: float) -> tuple:
     scale = kbar * kbar * sa * ca
     sa2, ca2 = sa * sa, ca * ca
     return kbc, lambda s, c, d: math.atan2(
-        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale, 1.0
+        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale, 1.0, 1.0, 1.0
 
 
 # the cos psi kernel, and the sin xi kernel as the cos psi kernel at psi = pi/2 - xi

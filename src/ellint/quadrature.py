@@ -15,6 +15,16 @@ integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
 surface_area_quadrature does the polar integral in closed form first.
+
+_graded integrates a function of sin t and cos t over (0, pi/2), and for a
+peak of known width w at an end it applies the sinh transformation
+t = w sinh x or pi/2 - w sinh x (Johnston and Elliott 2005, IJNME
+62:564-578), so that GK15 does not bisect toward the peak.  The identity
+oracles opt in row by row, each with widths from its own parameters: the
+sinh kernel (I4/I5, both ends), the cosh kernel (I3/I6), PSEUDO (both ends)
+and the weighted-E rows I1 and I1_BARRED.  The rows measured to cost more
+under it (the psi and xi kernels, LOG, ATAN, PR3_D and PR3_D_BARRED)
+integrate in t or their own map, as before.
 """
 
 import heapq
@@ -29,6 +39,7 @@ HALF_PI = math.pi / 2.0
 MAX_EVALS = 1_000_000  # evaluations per integral, read when integrate runs
 _ABS_FLOOR = 1e-15  # absolute target is _ABS_FLOOR * (hi - lo)
 _EPS = 2.220446049250313e-16
+_MIN_WIDTH = 2.0 ** -500  # the least width _graded maps
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
 # Gauss rule lives on every second node.
@@ -157,6 +168,64 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     return QuadratureResult(value[0], err[0], evals)
 
 
+def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0) -> QuadratureResult:
+    """Integral over (0, pi/2) of the integrand that f(sin t, cos t, dt) gives
+    times dt, the derivative of t along the map; a float or a tuple of floats.
+
+    w0 and w1 are the widths of peaks at t = 0 and at t = pi/2.  A width w in
+    [2^-500, 1) maps its end through t = w sinh x, or t = pi/2 - w sinh x: the
+    sinh transformation of Johnston and Elliott (2005, IJNME 62:564-578).  A
+    peak like 1/sqrt(y^2 + w^2), y the distance from its end, is flat in x, so
+    GK15 does not bisect toward it.  f gets sin t and cos t from y, so the one
+    that vanishes at the end keeps its digits there.  With both ends mapped,
+    each half of (0, pi/2) is one integral toward its own end, and the two
+    results add.  Any other width leaves its end in t: at 1 or more there is
+    no peak to map, and below 2^-500 y^2 would underflow before the peak is
+    resolved.
+    """
+    ends = [(w, top) for w, top in ((w0, False), (w1, True)) if _MIN_WIDTH <= w < 1.0]
+    if not ends:
+        return integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol)
+    parts = [_sinh_mapped(f, tol, w, top, HALF_PI / len(ends)) for w, top in ends]
+    if len(parts) == 1:
+        return parts[0]
+    (v0, e0, n0), (v1, e1, n1) = parts
+    if isinstance(v0, tuple):
+        return QuadratureResult(tuple(map(operator.add, v0, v1)),
+                                tuple(map(operator.add, e0, e1)), n0 + n1)
+    return QuadratureResult(v0 + v1, e0 + e1, n0 + n1)
+
+
+def _sinh_mapped(f, tol: float, width: float, top: bool, reach: float) -> QuadratureResult:
+    """_graded's integral over the reach of (0, pi/2) next to t = 0, or to
+    t = pi/2 if top, through t = width sinh x."""
+    def mapped(x: float):
+        y = width * math.sinh(x)
+        if top:
+            return f(math.cos(y), math.sin(y), width * math.cosh(x))
+        return f(math.sin(y), math.cos(y), width * math.cosh(x))
+
+    return integrate(mapped, 0.0, math.asinh(reach / width), tol)
+
+
+def _pair_integrand(g, lo: float, hi: float):
+    """f(sin t, cos t, dt) of integrate_singular_pair's substitution, for _graded."""
+    if not (0.0 <= lo < hi) or not math.isfinite(hi):
+        raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
+    lo2 = lo * lo
+    span = (hi - lo) * (hi + lo)
+
+    def transformed(s: float, c: float, dt: float):
+        below = span * (s * s)
+        q = math.sqrt(lo2 + below)
+        y = g(q, below, span * (c * c))
+        if isinstance(y, tuple):
+            return tuple([v / q * dt for v in y])
+        return y / q * dt
+
+    return transformed
+
+
 def integrate_singular_pair(g, lo: float, hi: float,
                             tol: float = 1e-10) -> QuadratureResult:
     """Integral of g(q)/sqrt((hi^2 - q^2)(q^2 - lo^2)) over (lo, hi).
@@ -169,21 +238,7 @@ def integrate_singular_pair(g, lo: float, hi: float,
     them keeps its digits on a thin interval.  g may return a tuple of
     floats, integrated as integrate integrates a tuple integrand.
     """
-    if not (0.0 <= lo < hi) or not math.isfinite(hi):
-        raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
-    lo2 = lo * lo
-    span = (hi - lo) * (hi + lo)
-
-    def transformed(t: float) -> float:
-        s, c = math.sin(t), math.cos(t)
-        below = span * (s * s)
-        q = math.sqrt(lo2 + below)
-        y = g(q, below, span * (c * c))
-        if isinstance(y, tuple):
-            return tuple([v / q for v in y])
-        return y / q
-
-    return integrate(transformed, 0.0, HALF_PI, tol)
+    return _graded(_pair_integrand(g, lo, hi), tol)
 
 
 def surface_area_quadrature(a: float, b: float, c: float,

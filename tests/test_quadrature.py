@@ -162,6 +162,30 @@ def test_singular_pair_hands_g_the_exact_factors():
     assert abs(rebuilt.value - exact) > 1e-6 * exact
 
 
+@pytest.mark.parametrize("w", [1e-2, 1e-6, 1e-12])
+def test_sinh_map_flattens_a_lorentzian_of_known_width(w):
+    # 1/(sin^2 t + w^2) peaks at t = 0 with width w, and 1/(cos^2 t + w^2) at
+    # pi/2; each integrates to pi/(2 w sqrt(1 + w^2)) over (0, pi/2).  GK15 in t
+    # bisects toward the first for 255, 645 and 1,245 evaluations, and toward
+    # the second for 827,235 at w = 1e-12, where cos t of the rounded t is coarse
+    exact = math.pi / (2.0 * w * math.sqrt(1.0 + w * w))
+    for widths, f, n in (((w, 1.0), lambda s, c, dt: dt / (s * s + w * w), 1),
+                         ((1.0, w), lambda s, c, dt: dt / (c * c + w * w), 1),
+                         ((w, w), lambda s, c, dt: dt / (s * s + w * w) + dt / (c * c + w * w), 2)):
+        res = quadrature._graded(f, 1e-10, *widths)
+        assert abs(res.value - n * exact) <= 5e-16 * n * exact <= res.error_estimate
+        assert res.evaluations == n * (135 if w == 1e-2 else 195)
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0, 2.0 ** -501, 0.0])
+def test_sinh_map_outside_its_widths_integrates_in_t(w):
+    # a width of 1 or more gains nothing, and below 2^-500 squares of the
+    # distance from the end would underflow
+    f = lambda s, c, dt: (s * c * dt, (1.0 + s) * dt)  # noqa: E731
+    plain = integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, 1e-12)
+    assert quadrature._graded(f, 1e-12, w, w) == plain
+
+
 def test_singular_pair_domain():
     for lo, hi in [(-0.1, 1.0), (1.0, 1.0), (2.0, 1.0)]:
         with pytest.raises(DomainError):

@@ -15,8 +15,9 @@ z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I4 and I5 out to
 mu = 1e300 and down to mu = 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the
 oracle of the eight kernel identities, whose F and E legs share one
 quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
-the LOG oracle at u << eps, and the PSEUDO and LOG oracles on thin
-intervals and at beta -> eps.
+the LOG oracle at u << eps, the PSEUDO and LOG oracles on thin
+intervals and at beta -> eps, and the oracles that take quadrature's sinh
+map at the grid nodes and where GK15 in t failed.
 Skipped when mpmath is not installed.
 """
 
@@ -660,11 +661,70 @@ def test_singular_pair_oracles_on_thin_intervals(ident, params):
     (IdentityId.PR3_D, AlphaZ(1.0, 3e4), 1e-13),
     (IdentityId.PR3_D_BARRED, AlphaKBar(1e-4, 0.5), 1e-13),
     # sqrt(cos^2 theta + kbar'^2 sin^2 theta) kinks at theta = pi/2 as kbar -> 1, which
-    # one ungraded panel did not see: 2.2e-11 off with an estimate of 5.7e-14
-    (IdentityId.I1_BARRED, AlphaKBar(0.999999999998, 0.999999999999), 5e-12),
+    # one ungraded panel did not see: 2.2e-11 off with an estimate of 5.7e-14; then
+    # 1.7e-12 off with an estimate of 3.1e-13 under theta = (pi/2) sin tau
+    (IdentityId.I1_BARRED, AlphaKBar(0.999999999998, 0.999999999999), 1e-15),
 ], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
 def test_weighted_e_oracle_at_class_edges(ident, params, tol):
-    assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= tol
+    res = oracle_value(ident, params)
+    err = abs(res.value - _identity_ref(ident, params))
+    assert err <= tol * abs(res.value)
+    assert err <= res.error_estimate
+
+
+_GRADED = (IdentityId.I1, IdentityId.I1_BARRED, IdentityId.I3, IdentityId.I6,
+           IdentityId.I4, IdentityId.I5, IdentityId.PSEUDO)
+
+
+@pytest.mark.parametrize("grid", [5, 10])
+@pytest.mark.parametrize("ident", _GRADED, ids=lambda v: v.value)
+def test_sinh_mapped_oracles_at_the_grid_nodes(ident, grid):
+    # the rows that take quadrature._graded's sinh map; before it I4/I5 were up
+    # to 1.1e-13 off at grid 5
+    for params in grid_params(ident, grid):
+        assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 2e-15
+
+
+@pytest.mark.parametrize("ident,params,evals", [
+    # the sinh kernel's peak at t = 0, width 2e^-mu/k': GK15 in t took 705 and
+    # 1,065 evaluations, and was 1.1e-13 off
+    (IdentityId.I4, MuK(19.0, 0.5), 180), (IdentityId.I5, MuK(19.0, 0.5), 180),
+    (IdentityId.I4, MuK(40.0, 0.5), 240), (IdentityId.I5, MuK(40.0, 0.5), 240),
+    # PSEUDO's fall at t = pi/2, width sqrt((1 - e1^2)/span), escaped GK15: 5.8e-6 off
+    # in 15 evaluations
+    (IdentityId.PSEUDO, E1E2(0.9999999999993765, 0.9277479406643732), 180),
+    # PSEUDO's integrand was of the order of its value, about 4e-16 here, so it
+    # stopped on integrate's absolute floor after one panel: 6.7e-5 and 3.2e-6 off
+    (IdentityId.PSEUDO, E1E2(2.3121601631636408e-08, 1.5558801451695426e-09), 105),
+    (IdentityId.PSEUDO, E1E2(1e-8, 1e-9), 75),
+    # and returned 0.0 where the squares of q underflowed
+    (IdentityId.PSEUDO, E1E2(1e-150, 1e-151), 75),
+], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
+def test_sinh_mapped_oracles_where_gk15_in_t_failed(ident, params, evals):
+    res = oracle_value(ident, params)
+    ref = _identity_ref(ident, params)
+    assert _rel(res.value, ref) <= 1e-15
+    assert abs(res.value - ref) <= res.error_estimate
+    assert res.evaluations == evals
+
+
+@pytest.mark.parametrize("params,evals", [
+    # PSEUDO's rise at t = 0 and its fall at pi/2 are both narrow here, so each half
+    # of (0, pi/2) takes the map toward its own end; GK15 in t was 1.5e-7 off in 15
+    # evaluations and 1.0e-10 off in 585
+    (E1E2(0.99999999999999, 1e-08), 150), (E1E2(0.999999999999, 1e-10), 240),
+], ids=repr)
+def test_pseudo_oracle_with_both_ends_narrow(params, evals):
+    res = oracle_value(IdentityId.PSEUDO, params)
+    assert _rel(res.value, _identity_ref(IdentityId.PSEUDO, params)) <= 5e-15
+    assert res.evaluations == evals
+
+
+def test_pseudo_oracle_below_the_float_range():
+    # e1^2 - e2^2 underflowed to 0.0: a bare ZeroDivisionError.  The value is 6.4e-601
+    params = E1E2(1e-300, 1e-301)
+    oracle = oracle_value(IdentityId.PSEUDO, params).value
+    assert oracle == closed_value(IdentityId.PSEUDO, params) == 0.0
 
 
 @pytest.mark.parametrize("z", [1e-150, 1e-160, 1e-200])
@@ -734,6 +794,10 @@ def test_cosh_kernel_oracle_down_to_its_limit(ident, k, f):
     # (kbar - alpha)(kbar + alpha) in both sides: bare ZeroDivisionError
     (IdentityId.PR3_D, AlphaZ(1e-200, 1e-200)),
     (IdentityId.PR3_D_BARRED, AlphaKBar(5e-201, 1e-200)),
+    # R = alpha^2 underflowed alone, and J at theta = 0 divided a + m = 0 by it.
+    # The oracle is 3.6e-14 off here, as at any small |R|/Q: its P log P end
+    (IdentityId.PR3_D, AlphaZ(1e-200, 1.0)),
+    (IdentityId.PR3_D_BARRED, AlphaKBar(1e-200, 0.9)),
 ], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
 def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     ref = _identity_ref(ident, params)
