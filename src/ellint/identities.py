@@ -2,28 +2,29 @@
 
 Each registry row pairs a closed form with its oracle, oracle(params), which
 integrates the left-hand side by adaptive quadrature at ORACLE_TOL, and with
-a parameter class whose grid map covers its domain.  Integrands with the
-kernel 1/sqrt((hi^2-q^2)(q^2-lo^2)) are integrated through their smooth part
-g, handed q and the kernel's two factors by the exact trig substitution; the
-others are bounded on (0, pi/2) and integrated directly.  First/second-kind
+a parameter class whose grid map covers its domain.  First/second-kind
 pairs that share bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED,
 GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body,
 named after the kernel (cosh_closed, sinh_closed, psi_closed, xi_closed,
 log_closed, atan_closed) that gives (F member, E member), and one oracle
 with a tuple integrand; both rows of a pair share the two, and each row
-reads its component of either.  The oracles with a peak of known width at an
-end of (0, pi/2) (I3 to I6, PSEUDO, I1 and I1_BARRED) take quadrature._graded's
-sinh map there.  Each closed body but PSEUDO's makes one pass
+reads its component of either.  Each closed body but PSEUDO's makes one pass
 of elliptic._fed, at a sine and cosine squared formed from its parameters,
-and a kernel pair one AGM.  The four kernel pairs and the four weighted-E
-rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped order: the
-inner integral is elementary (the kernel weight's integral W, and the
-integral over phi of the E integrand against the weight), so no oracle node
-needs F or E, and no oracle calls anything of elliptic.  The cosh and sinh
-kernel oracles raise DomainError below k = 5e-8 and 1e-9 (see _kernel_part).
+and a kernel pair one AGM.  Every oracle keeps one contract (_oracle): its
+builder gives an integrand f(sin t, cos t, dt) of order 1 over (0, pi/2), a
+scale that carries the integral's size (ATAN's F member 1/max(f1, 1)), and
+the widths of quadrature._graded's sinh map at each end, and the oracle is the
+scale times one _graded call.  Integrands with the kernel
+1/sqrt((hi^2-q^2)(q^2-lo^2)) (LOG, ATAN, PSEUDO) come from their smooth part
+through quadrature._pair_integrand.  The four kernel pairs and the four
+weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
+order: the inner integral is elementary, so no oracle node needs F or E, and
+no oracle calls anything of elliptic.  The cosh and sinh kernel oracles raise
+DomainError below k = 5e-8 and 1e-9 (see _kernel_integrand).
 """
 
 import math
+import operator
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
@@ -310,6 +311,29 @@ def atan_closed(p: FBar) -> tuple:
 # integrand parts (oracle side)
 
 
+def _oracle(build: Callable) -> Callable:
+    """Decorator: the one oracle contract.  build(params) gives (f, scale, w0, w1),
+    and the oracle is scale times quadrature._graded(f, ORACLE_TOL, w0, w1): f(sin t,
+    cos t, dt) an integrand of order 1 over (0, pi/2), so that integrate's absolute
+    floor decides only for an integral of 0, and w0 and w1 the sinh map's widths at
+    t = 0 and pi/2 (1.0 leaves an end in t).  scale is a float for a float f and a
+    tuple, one entry per component, for a pair's; a zero scale is the integral, 0,
+    unevaluated."""
+
+    def oracle(p) -> "quadrature.QuadratureResult":
+        f, scale, w0, w1 = build(p)
+        pair = isinstance(scale, tuple)
+        if not (any(scale) if pair else scale):
+            return quadrature.QuadratureResult(scale, scale, 0)
+        value, err, evals = quadrature._graded(f, ORACLE_TOL, w0, w1)
+        if pair:
+            return quadrature.QuadratureResult(tuple(map(operator.mul, scale, value)),
+                                               tuple(map(operator.mul, scale, err)), evals)
+        return quadrature.QuadratureResult(scale * value, scale * err, evals)
+
+    return oracle
+
+
 def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), in
     swapped order.  At u = alpha sin phi, with E(k) the integral of
@@ -321,19 +345,20 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     J = P t(a^2)/(2 Q^2) + 1/(2 Q c0) for n = 2, t(x) = atanh(sqrt x)/sqrt x,
     or atan(sqrt -x)/sqrt -x below 0.  No node needs F, E or anything of
     elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
-    cancellation; the oracle divides J by J(0), so the integrand stays O(1).
+    cancellation; the integrand is J/J(0), of order 1, and the scale alpha J(0).
     A homogeneous part (degree -1) is integrated at its parameters over 2^e.
     Toward theta = pi/2, P = cos^2 theta + g'^2 sin^2 theta, g' = sqrt(1 - g^2).
     A row with g < 1 (I1, I1_BARRED) has a kink of width g' there from sqrt(P),
-    and takes the sinh map of quadrature._graded toward pi/2 with width g'.  A
-    row with s = alpha (PR3_D, PR3_D_BARRED) has g = 1 and a P log P term
-    there instead, which the sinh map resolved only at twice the evaluations
-    or more at any width tried (grid 5: 2,325 or more against 1,125), so it is
-    integrated in tau, theta = (pi/2) sin tau.  For n = 1, once |R|/Q is below
+    and takes the sinh map toward pi/2 with width g'.  A row with s = alpha
+    (PR3_D, PR3_D_BARRED) has g = 1 and a P log P term there instead, which the
+    sinh map resolved only at twice the evaluations or more at any width tried
+    (grid 5: 2,325 or more against 1,125), so its f maps t to theta = (pi/2)
+    sin t itself, with both ends left in t.  For n = 1, once |R|/Q is below
     2^-64, J is its R -> 0 limit (1 + P atanh(m)/m)/(2Q), m = sin theta: the
     difference form divides a + m = 0 by R = 0 where alpha^2 underflows."""
 
-    def oracle(p) -> "quadrature.QuadratureResult":
+    @_oracle
+    def build(p) -> tuple:
         e, *xs = _scaled(*p) if homogeneous else (0, *p)
         p = p._make(xs)
         g, c, r, q, n = shape(p)
@@ -371,150 +396,128 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
         j0 = j(0.0, 1.0)
         const = p.alpha * j0 / 2.0 ** e
         if g < 1.0:
-            return _scaled_result(quadrature._graded(
-                lambda s, c, dt: j(s, c) * dt / j0, ORACLE_TOL, w1=math.sqrt(gc)), const)
+            return (lambda s, c, dt: j(s, c) * dt / j0), const, 1.0, math.sqrt(gc)
+        # theta = (pi/2) sin t; dt is 1.0 with both ends in t
+        return (lambda s, c, dt: j(math.sin(HALF_PI * s), math.cos(HALF_PI * s)) * c / j0 * dt,
+                HALF_PI * const, 1.0, 1.0)
 
-        def fn(tau: float) -> float:
-            theta = HALF_PI * math.sin(tau)
-            return j(math.sin(theta), math.cos(theta)) * math.cos(tau) / j0
-
-        return _scaled_result(quadrature.integrate(fn, 0.0, HALF_PI, ORACLE_TOL), HALF_PI * const)
-
-    return oracle
+    return build
 
 
-def _scaled_result(res: "quadrature.QuadratureResult",
-                   const: float) -> "quadrature.QuadratureResult":
-    """res with its value and error estimate times const, each component of a tuple."""
-    value, err, evals = res
-    if isinstance(value, tuple):
-        return quadrature.QuadratureResult(tuple(const * v for v in value),
-                                           tuple(const * e for e in err), evals)
-    return quadrature.QuadratureResult(const * value, const * err, evals)
-
-
-def _pair_part(integrand: Callable) -> Callable:
-    """Decorator: the oracle of a part over (lo, hi) with the kernel 1/sqrt((hi^2-q^2)
-    (q^2-lo^2)), integrand(params) giving (g, lo, hi).  g(q, q^2 - lo^2, hi^2 - q^2) gets
-    the factors exact (see quadrature.integrate_singular_pair); a pair's g gives (v, q^2 v)."""
-    return lambda p: quadrature.integrate_singular_pair(*integrand(p), ORACLE_TOL)
-
-
-@_pair_part
+@_oracle
 def _log_part(p: EpsAB) -> tuple:
     # v = 2 atanh(q/eps) = log1p(2q/(eps - q)), exact at q << eps, with eps - q =
     # (eps - beta) + (beta^2 - q^2)/(beta + q), exact as q -> beta -> eps
     gap = p.eps - p.beta
-    return (lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (p.beta + q))),
-                                     q * q * v)), p.alpha, p.beta
+    return quadrature._pair_integrand(
+        lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (p.beta + q))),
+                                 q * q * v), p.alpha, p.beta), (1.0, 1.0), 1.0, 1.0
 
 
-@_pair_part
+@_oracle
 def _atan_part(p: FBar) -> tuple:
-    return (lambda q, below, above: (v := math.atan(q), q * q * v)), p.f2, p.f1
+    # atan(q)/q falls like 1/q above q = 1, so the F member is integrated times h = max(f1, 1);
+    # q^2 atan q keeps its size, which h would overflow from f1 ~ 1e102
+    h = max(p.f1, 1.0)
+    return quadrature._pair_integrand(lambda q, below, above: (h * (v := math.atan(q)), q * q * v),
+                                      p.f2, p.f1), (1.0 / h, 1.0), 1.0, 1.0
 
 
-def _pseudo_part(p: E1E2) -> "quadrature.QuadratureResult":
+@_oracle
+def _pseudo_part(p: E1E2) -> tuple:
     # g times the kernel is the bounded sqrt((e1^2-q^2)(q^2-e2^2))/(q (1-q^2)), 1 - q^2 =
     # (1 - e1^2) + (e1^2 - q^2); direct quadrature would bisect toward both square-root zeros.
     # In t it rises over a width e2/e1 at t = 0 and falls over sqrt((1 - e1^2)/span) at
     # t = pi/2, the sinh map's two widths.  q is over 2^e, so that no square underflows,
-    # and g over span, both scaled back after: the integrand stays O(1), and integrate's
-    # absolute floor never decides
+    # and g over span, both carried by the scale: the integrand is of order 1
     c = (1.0 - p.e1) * (1.0 + p.e1)
     e, e1, e2 = _scaled(p.e1, p.e2)
     span = (e1 - e2) * (e1 + e2)
     scale2 = math.ldexp(1.0, 2 * e)
     f = quadrature._pair_integrand(
         lambda q, below, above: below / span * above / (q * (c + above * scale2)), e2, e1)
-    res = quadrature._graded(f, ORACLE_TOL, e2 / e1, math.sqrt(c / span) / math.ldexp(1.0, e))
-    return _scaled_result(res, math.ldexp(span, 2 * e))
+    return f, math.ldexp(span, 2 * e), e2 / e1, math.sqrt(c / span) / math.ldexp(1.0, e)
 
 
-def _kernel_part(kernel: Callable) -> Callable:
-    """Decorator: the oracle of a first/second-kind pair, the part (F w, E w)
+def _kernel_integrand(mc: float, weight: Callable) -> Callable:
+    """The integrand of a first/second-kind pair's oracle, the part (F w, E w)
     over (0, pi/2), F and E at modulus m, w = d0 s c / ((d0 + d1 s^2) D) with
     D = sqrt(c^2 + m'^2 s^2), s, c = sin u, cos u.  In swapped order it is the
     part (W/D, W D) at t, W(t) the integral of w over (t, pi/2), elementary as
-    y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  kernel(params) gives
-    (m', weight, const, w0, w1), m' exact, W = const weight(s, c, D); const scales the
-    integral after quadrature, so the integrand stays O(1).  w0 and w1 are the widths of
-    quadrature._graded's sinh map at t = 0 and pi/2.  The F leg's 1/D peaks at pi/2 with
-    width m' = k in the cosh (I3/I6) and sinh (I4/I5) kernels, and the sinh weight at 0
-    with width 2e^-mu/k'.  The cos psi and sin xi kernels pass 1, unmapped: with w1 =
-    kbar' a grid-5 pair took 1,275 evaluations where t takes 1,095.  As m' -> 0 the 1/D
-    peak escapes the GK15 nodes and estimate, and the map alone does not mend it, as W
-    varies on the scale k there: a kernel with m' = k raises DomainError, unevaluated,
-    below the least k seen within ORACLE_TOL."""
+    y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  mc is m', exact, and
+    W = const weight(s, c, D), const both members' scale.  The F leg's 1/D peaks
+    at pi/2 with width m' = k in the cosh (I3/I6) and sinh (I4/I5) kernels, and
+    the sinh weight at 0 with width 2e^-mu/k', the sinh map's widths.  The cos psi
+    and sin xi kernels pass 1, unmapped: with w1 = kbar' a grid-5 pair took 1,275
+    evaluations where t takes 1,095.  As m' -> 0 the 1/D peak escapes the GK15
+    nodes and estimate, and the map alone does not mend it, as W varies on the
+    scale k there: a kernel with m' = k raises DomainError, unevaluated, below the
+    least k seen within ORACLE_TOL."""
+    mc2 = mc * mc
 
-    def oracle(p) -> "quadrature.QuadratureResult":
-        mc, weight, const, w0, w1 = kernel(p)
-        if const == 0.0:  # the sinh constant underflows above mu ~ 372
-            return quadrature.QuadratureResult((0.0, 0.0), (0.0, 0.0), 0)
-        mc2 = mc * mc
+    def fn(s: float, c: float, dt: float) -> tuple:
+        d = math.sqrt(c * c + mc2 * s * s)
+        w = weight(s, c, d) * dt
+        return w / d, w * d
 
-        def fn(s: float, c: float, dt: float) -> tuple:
-            d = math.sqrt(c * c + mc2 * s * s)
-            w = weight(s, c, d) * dt
-            return w / d, w * d
-
-        return _scaled_result(quadrature._graded(fn, ORACLE_TOL, w0, w1), const)
-
-    return oracle
+    return fn
 
 
-@_kernel_part
+@_oracle
 def _cosh_part(p: NuK) -> tuple:
     # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(k - th)(D + th)), th = tanh nu
     k, th = p.k, math.tanh(p.nu)
-    if k < 5e-8:  # see _kernel_part
+    if k < 5e-8:  # see _kernel_integrand
         raise DomainError(f"the I3/I6 oracle needs k >= 5e-8, got {p!r}")
     kp = math.sqrt(1.0 - k * k)
     zq = 2.0 * kp * kp * th
+    const = math.cosh(p.nu) ** -2
 
     def weight(s: float, c: float, d: float) -> float:
         q = c / (d + k) * (c / (d + th)) / (k - th)
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return k, weight, math.cosh(p.nu) ** -2, 1.0, k
+    return _kernel_integrand(k, weight), (const, const), 1.0, k
 
 
-@_kernel_part
+@_oracle
 def _sinh_part(p: MuK) -> tuple:
     # W = sech^2(mu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(1 + th k)(1 - th D)),
     # in e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
-    # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms
+    # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms.  sech^2(mu)
+    # underflows to 0 above mu ~ 372, and the oracle returns 0 unevaluated
     k = p.k
-    if k < 1e-9:  # see _kernel_part
+    if k < 1e-9:  # see _kernel_integrand
         raise DomainError(f"the I4/I5 oracle needs k >= 1e-9, got {p!r}")
     kp2 = (1.0 - k) * (1.0 + k)
     e2 = math.exp(-2.0 * p.mu)
     th = -math.expm1(-2.0 * p.mu) / (1.0 + e2)
     gap = 2.0 * e2 / (1.0 + e2)
     zq = 2.0 * kp2 * th
+    const = 4.0 * e2 / (1.0 + e2) ** 2
 
     def weight(s: float, c: float, d: float) -> float:
         q = c / (d + k) * c / ((1.0 + th * k) * (kp2 * s * s / (1.0 + d) + d * gap))
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return k, weight, 4.0 * e2 / (1.0 + e2) ** 2, 2.0 * math.exp(-p.mu) / math.sqrt(kp2), k
+    return _kernel_integrand(k, weight), (const, const), 2.0 * math.exp(-p.mu) / math.sqrt(kp2), k
 
 
 def _atan_kernel(kbar: float, sa: float, ca: float) -> tuple:
-    """(kbar', weight, 1) of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1:
+    """The build of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1, at scale 1:
     W = atan2(kbar^2 sa ca c^2/(D + kbar'), sa^2 + D kbar' ca^2)/(kbar^2 sa ca)."""
     kbc = math.sqrt((1.0 - kbar) * (1.0 + kbar))
     scale = kbar * kbar * sa * ca
     sa2, ca2 = sa * sa, ca * ca
-    return kbc, lambda s, c, d: math.atan2(
-        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale, 1.0, 1.0, 1.0
+    return _kernel_integrand(kbc, lambda s, c, d: math.atan2(
+        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale), (1.0, 1.0), 1.0, 1.0
 
 
 # the cos psi kernel, and the sin xi kernel as the cos psi kernel at psi = pi/2 - xi
-_psi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.cos(p.psi)))
-_xi_part = _kernel_part(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi)))
+_psi_part = _oracle(lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.cos(p.psi)))
+_xi_part = _oracle(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ surface_area_quadrature does the polar integral in closed form first.
 _graded integrates a function of sin t and cos t over (0, pi/2), and for a
 peak of known width w at an end it applies the sinh transformation
 t = w sinh x or pi/2 - w sinh x (Johnston and Elliott 2005, IJNME
-62:564-578), so that GK15 does not bisect toward the peak.  The identity
-oracles opt in row by row, each with widths from its own parameters: the
-sinh kernel (I4/I5, both ends), the cosh kernel (I3/I6), PSEUDO (both ends)
-and the weighted-E rows I1 and I1_BARRED.  The rows measured to cost more
-under it (the psi and xi kernels, LOG, ATAN, PR3_D and PR3_D_BARRED)
-integrate in t or their own map, as before.
+62:564-578), so that GK15 does not bisect toward the peak.  Every identity
+oracle is one _graded call, with widths from its own parameters, or 1.0 for
+an end that is cheaper in t; _pair_integrand gives it the singular-pair
+substitution.  The (value, error_estimate, evaluations) result follows the
+(result, abserr, neval) contract of QUADPACK (Piessens et al. 1983).
 """
 
 import heapq
@@ -186,7 +185,15 @@ def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0) -> QuadratureResult
     ends = [(w, top) for w, top in ((w0, False), (w1, True)) if _MIN_WIDTH <= w < 1.0]
     if not ends:
         return integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol)
-    parts = [_sinh_mapped(f, tol, w, top, HALF_PI / len(ends)) for w, top in ends]
+    parts = []
+    for w, top in ends:
+        def mapped(x: float, w: float = w, top: bool = top):
+            y = w * math.sinh(x)
+            if top:
+                return f(math.cos(y), math.sin(y), w * math.cosh(x))
+            return f(math.sin(y), math.cos(y), w * math.cosh(x))
+
+        parts.append(integrate(mapped, 0.0, math.asinh(HALF_PI / len(ends) / w), tol))
     if len(parts) == 1:
         return parts[0]
     (v0, e0, n0), (v1, e1, n1) = parts
@@ -194,18 +201,6 @@ def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0) -> QuadratureResult
         return QuadratureResult(tuple(map(operator.add, v0, v1)),
                                 tuple(map(operator.add, e0, e1)), n0 + n1)
     return QuadratureResult(v0 + v1, e0 + e1, n0 + n1)
-
-
-def _sinh_mapped(f, tol: float, width: float, top: bool, reach: float) -> QuadratureResult:
-    """_graded's integral over the reach of (0, pi/2) next to t = 0, or to
-    t = pi/2 if top, through t = width sinh x."""
-    def mapped(x: float):
-        y = width * math.sinh(x)
-        if top:
-            return f(math.cos(y), math.sin(y), width * math.cosh(x))
-        return f(math.sin(y), math.cos(y), width * math.cosh(x))
-
-    return integrate(mapped, 0.0, math.asinh(reach / width), tol)
 
 
 def _pair_integrand(g, lo: float, hi: float):

@@ -398,7 +398,7 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
             return closed(p)
         return body
 
-    # identities reads quadrature.integrate at call time
+    # quadrature._graded reads integrate from its module at call time
     monkeypatch.setattr(quadrature, "integrate", counted)
     for ident, entry in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(entry.closed)))
@@ -429,6 +429,36 @@ def test_oracles_share_no_code_with_elliptic(monkeypatch):
     for ident, res in expected.items():
         assert oracle_value(ident, grid_params(ident, 2)[1]) == res
     assert quadrature.surface_area_quadrature(2.0, 1.5, 1.0) == area
+
+
+def test_every_oracle_is_one_graded_call(monkeypatch):
+    # the one oracle contract: each registry oracle is its scale times one
+    # quadrature._graded call, and integrate runs only inside that call (the
+    # PR3_D rows called integrate directly, with their own tau map)
+    points = {ident: grid_params(ident, 3)[4] for ident in IdentityId}
+    expected = {ident: oracle_value(ident, p) for ident, p in points.items()}
+    graded, integrate = quadrature._graded, quadrature.integrate
+    calls = []
+    inside = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        inside.append(True)
+        try:
+            return graded(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def nested(*args, **kwargs):
+        assert inside, "integrate called outside _graded"
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_graded", counted)
+    monkeypatch.setattr(quadrature, "integrate", nested)
+    for ident, p in points.items():
+        calls.clear()
+        assert oracle_value(ident, p) == expected[ident]
+        assert len(calls) == 1, ident
 
 
 def test_each_closed_body_makes_one_pass(monkeypatch):

@@ -506,10 +506,12 @@ _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
 
 
 def _identity_ref(ident, params):
-    # two more digits for each decade of the smallest parameter: at a fixed
-    # precision 1 - k^2 rounds to 1 once k is small enough (from k = 1e-20 at
-    # 40 digits, where I6 read 3.5e-4 "off")
-    digits = 50 + 2 * round(abs(math.log10(min(params))))
+    # two more digits for each decade of the parameter farthest from 1: at a
+    # fixed precision 1 - k^2 rounds to 1 once k is small enough (from k = 1e-20
+    # at 40 digits, where I6 read 3.5e-4 "off"), and 1 - (f2/f1)^2 once f2/f1 is
+    # (at FBar(1e30, 1.0) and 50 digits, from the smallest parameter alone, the
+    # ATAN_F reference was 1.3% off)
+    digits = 50 + 2 * round(max(abs(math.log10(v)) for v in params))
     with mp.workdps(digits):
         return _IDENTITY_REFS[ident](*(mp.mpf(v) for v in params))
 
@@ -725,6 +727,21 @@ def test_pseudo_oracle_below_the_float_range():
     params = E1E2(1e-300, 1e-301)
     oracle = oracle_value(IdentityId.PSEUDO, params).value
     assert oracle == closed_value(IdentityId.PSEUDO, params) == 0.0
+
+
+@pytest.mark.parametrize("params", [
+    # the F member atan(q)/q integrates to about log(f1)/f1, so integrate's
+    # absolute floor stopped it: 6.9e-7 off with a relative estimate of 6.8e-4,
+    # then 7.9e-11 and 3.9e-9 off, and 90% off after one panel at f1 = 1e30
+    FBar(200159983438687.72, 1578401653.9949102), FBar(3e12, 1e3), FBar(1e14, 0.5),
+    FBar(1e30, 1.0),
+], ids=repr)
+def test_atan_oracle_at_large_f1(params):
+    for ident in (IdentityId.ATAN_F, IdentityId.ATAN_E):
+        res = oracle_value(ident, params)
+        ref = _identity_ref(ident, params)
+        assert _rel(res.value, ref) <= 1e-14
+        assert abs(res.value - ref) <= res.error_estimate
 
 
 @pytest.mark.parametrize("z", [1e-150, 1e-160, 1e-200])
@@ -945,13 +962,14 @@ def test_sinh_kernel_oracle_at_small_k(ident, k):
 @pytest.mark.parametrize("mu", [356.0, 400.0, 800.0])
 def test_sinh_kernel_oracle_at_large_mu(ident, mu):
     # k'^2 sinh(mu)^2 raised OverflowError from mu = 355.  At 356 the value is
-    # a subnormal, below the oracle's absolute floor, so one GK15 panel ends it
-    # (3.6e-12 off for I5, as at mu = 300 before); from 400 it lies below the
-    # subnormals and the oracle returns 0.0
+    # a subnormal, carried by the oracle's scale sech^2 mu, and the peak at t = 0
+    # is narrower than the sinh map's least width 2^-500, so that end stays in
+    # t: 1,065 evaluations, with I4 1.1e-13 and I5 9.8e-14 off.  From 400 the
+    # value lies below the subnormals and the oracle returns 0.0
     params = MuK(mu, 0.5)
     ref = _identity_ref(ident, params)
     got = oracle_value(ident, params).value
     if float(ref) == 0.0:
         assert got == 0.0
     else:
-        assert _rel(got, ref) <= 1e-11
+        assert _rel(got, ref) <= 1e-12
