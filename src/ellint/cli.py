@@ -58,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("area", help="surface area of an ellipsoid")
+    p.set_defaults(run=_run_area)
     p.add_argument("--axes", type=_axes, required=True, metavar="A,B,C",
                    help="semi-axes, comma separated")
     p.add_argument("--method", default="auto",
@@ -67,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("integral", help="evaluate a catalog identity by id")
+    p.set_defaults(run=_run_integral)
     p.add_argument("--id", required=True, dest="ident",
                    choices=[i.value for i in IdentityId])
     for flag in PARAM_FLAGS:
@@ -78,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("series", help="evaluate a sigma series sum")
+    p.set_defaults(run=_run_series)
     p.add_argument("--id", required=True, dest="ident",
                    choices=("SIGMA1", "SIGMA2"))
     p.add_argument("--e1", type=float, required=True)
@@ -90,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run verification suites")
+    p.set_defaults(run=_run_verify)
     p.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p.add_argument("--grid", type=int, default=5)
     p.add_argument("--tol", type=float, default=IDENTITY_TOL,
@@ -210,19 +214,10 @@ def _run_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "area":
-            return _run_area(args)
-        if args.command == "integral":
-            return _run_integral(args)
-        if args.command == "series":
-            return _run_series(args)
-        return _run_verify(args)
-    except DomainError as exc:
+        return args.run(args)
+    except (DomainError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NonConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -37,13 +37,6 @@ ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 _EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
 
 
-def arctanh_guarded(x: float) -> float:
-    """atanh(x), rejecting |x| >= 1 - 1e-15."""
-    if not abs(x) < 1.0 - 1e-15:
-        raise DomainError(f"arctanh argument {x!r} too close to +-1")
-    return math.atanh(x)
-
-
 # ---------------------------------------------------------------------------
 # parameter records, each with its grid map: a point (u, v) of the unit box,
 # sampled with an absolute margin of 0.05, maps onto the domain; half-lines
@@ -156,14 +149,18 @@ def i1_closed(p: AlphaK) -> float:
 
 
 def i1_barred_closed(p: AlphaKBar) -> float:
-    kb2 = p.kbar * p.kbar
-    diff = (p.kbar - p.alpha) * (p.kbar + p.alpha)
+    # the prefactors are homogeneous of degree -3, so formed at alpha, kbar over 2^e, where
+    # no square underflows; F, E and sqrt(1 - alpha^2) are not, and read alpha itself
+    e, alpha, kbar = _scaled(p.alpha, p.kbar)
+    kb2 = kbar * kbar
+    diff = (kbar - alpha) * (kbar + alpha)
     # amplitude arcsin(alpha/kbar), with cos^2 = (kbar^2 - alpha^2)/kbar^2
-    fe, ee, _ = _fed(p.alpha / p.kbar, diff / kb2, (1.0 - p.kbar) * (1.0 + p.kbar))
+    fe, ee, _ = _fed(alpha / kbar, diff / kb2, (1.0 - p.kbar) * (1.0 + p.kbar))
+    s = 1.0 / math.ldexp(1.0, e)  # 2^-e, and s^3 inf above the float range
     return (math.pi / 4.0) * (
-        p.alpha * math.sqrt(1.0 - p.alpha * p.alpha) / (kb2 * diff)
+        alpha * math.sqrt(1.0 - p.alpha * p.alpha) / (kb2 * diff)
         + fe / (kb2 * math.sqrt(diff))
-        + p.alpha * p.alpha * ee / (kb2 * diff ** 1.5))
+        + alpha * alpha * ee / (kb2 * diff ** 1.5)) * s * s * s
 
 
 def pr3_d_closed(p: AlphaZ) -> float:
@@ -224,12 +221,17 @@ def pseudo_closed(p: E1E2) -> float:
 def cosh_closed(p: NuK) -> tuple:
     """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude with
     sine tanh(nu)/k and cosine squared (k - tanh nu)(k + tanh nu)/k^2."""
-    kp = math.sqrt(1.0 - p.k * p.k)
+    # k'^2 = (1 - k)(1 + k) for _fed, the AGM's k' and den, and gap = k - tanh nu for
+    # the cos^2 and the guard, each formed once; within 1e-15 k, atanh(th/k) has no digits
     th = math.tanh(p.nu)
-    f, _, d = _fed(th / p.k, (p.k - th) / p.k * ((p.k + th) / p.k), (1.0 - p.k) * (1.0 + p.k))
-    kk, ee = _agm(kp, p.k)
-    at = arctanh_guarded(th / p.k)
-    den = kp * kp * math.sinh(p.nu) * math.cosh(p.nu)
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
+    gap = p.k - th
+    if gap <= 1e-15 * p.k:
+        raise DomainError(f"need k - tanh(nu) > 1e-15 k, got {p!r}")
+    f, _, d = _fed(th / p.k, gap / p.k * ((p.k + th) / p.k), kp2)
+    kk, ee = _agm(math.sqrt(kp2), p.k)
+    at = math.atanh(th / p.k)
+    den = kp2 * math.sinh(p.nu) * math.cosh(p.nu)
     # F - E = k^2 D
     return ((kk * at - HALF_PI * f) / den,
             (ee * at - HALF_PI * th - HALF_PI * (p.k * p.k * d)) / den)
@@ -275,10 +277,9 @@ def psi_closed(p: PsiKBar) -> tuple:
     beta = math.atan2(sp, kc)
     f, e, _ = _fed(sp / r, (kc / r) ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
-    # (sp/cp/root)(1 - root) written as sp cp kb2/(root (1 + root)), free of cancellation
-    root = math.sqrt(1.0 - kb2 * cp * cp)
+    # r = sqrt(1 - kb2 cp^2), formed once: (sp/cp/r)(1 - r) is sp cp kb2/(r (1 + r))
     return ((kk * beta - HALF_PI * f) / (kb2 * sp * cp),
-            (ee * beta - HALF_PI * e + HALF_PI * sp * cp * kb2 / (root * (1.0 + root)))
+            (ee * beta - HALF_PI * e + HALF_PI * sp * cp * kb2 / (r * (1.0 + r)))
             / (kb2 * sp * cp))
 
 
@@ -287,11 +288,12 @@ def xi_closed(p: XiKBar) -> tuple:
     kb2 = p.kbar * p.kbar
     kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
     sx, cx = math.sin(p.xi), math.cos(p.xi)
-    gamma = math.atan2(math.sqrt(kbp2) * sx, cx)
+    ks = math.sqrt(kbp2) * sx  # kbar' sin xi, formed once for gamma and root
+    gamma = math.atan2(ks, cx)
     f, e, _ = _fed(sx, cx ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (cx/sx)(1 - root) written as cx kb2 sx/(1 + root), free of cancellation
-    root = math.sqrt(1.0 - kb2 * sx * sx)
+    root = math.hypot(cx, ks)
     return (-(kk * gamma - HALF_PI * f) / (kb2 * sx * cx),
             -(ee * gamma - HALF_PI * e + HALF_PI * cx * kb2 * sx / (1.0 + root)) / (kb2 * sx * cx))
 
@@ -334,7 +336,7 @@ def _oracle(build: Callable) -> Callable:
     return oracle
 
 
-def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
+def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
     """Oracle of the part u^2 E(u/s) / (c0 + c1 u^2)^n over (0, alpha), in
     swapped order.  At u = alpha sin phi, with E(k) the integral of
     sqrt(1 - k^2 sin^2 theta), the part is alpha times the integral over
@@ -344,9 +346,10 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
     1 - a^2 = P c0/Q), J = (h(a^2) - h(M))/R for n = 1, h(x) = x t(x), and
     J = P t(a^2)/(2 Q^2) + 1/(2 Q c0) for n = 2, t(x) = atanh(sqrt x)/sqrt x,
     or atan(sqrt -x)/sqrt -x below 0.  No node needs F, E or anything of
-    elliptic.  shape(params) gives (g, sqrt c0, R, Q, n), Q free of
+    elliptic.  shape(params, e) gives (g, sqrt c0, R, Q, n), Q free of
     cancellation; the integrand is J/J(0), of order 1, and the scale alpha J(0).
-    A homogeneous part (degree -1) is integrated at its parameters over 2^e.
+    A scaled row hands shape its parameters over 2^e: c0, R and Q scale as 2^-2e
+    and J as 2^2ne, while g (alpha itself for I1_BARRED, else 1) does not scale.
     Toward theta = pi/2, P = cos^2 theta + g'^2 sin^2 theta, g' = sqrt(1 - g^2).
     A row with g < 1 (I1, I1_BARRED) has a kink of width g' there from sqrt(P),
     and takes the sinh map toward pi/2 with width g'.  A row with s = alpha
@@ -359,9 +362,9 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
 
     @_oracle
     def build(p) -> tuple:
-        e, *xs = _scaled(*p) if homogeneous else (0, *p)
+        e, *xs = _scaled(*p) if scaled else (0, *p)
         p = p._make(xs)
-        g, c, r, q, n = shape(p)
+        g, c, r, q, n = shape(p, e)
         gc = (1.0 - g) * (1.0 + g)
         c0_q = c * c / q
         log_c0_q = 2.0 * math.log(c) - math.log(q)  # no subnormal c0 = c^2 in it
@@ -394,7 +397,8 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
 
         limit = n == 1 and abs(r) < 2.0 ** -64 * q
         j0 = j(0.0, 1.0)
-        const = p.alpha * j0 / 2.0 ** e
+        # alpha J(0) 2^-(2n-1)e, inf above the float range
+        const = p.alpha * j0 * math.prod([1.0 / math.ldexp(1.0, e)] * (2 * n - 1))
         if g < 1.0:
             return (lambda s, c, dt: j(s, c) * dt / j0), const, 1.0, math.sqrt(gc)
         # theta = (pi/2) sin t; dt is 1.0 with both ends in t
@@ -406,21 +410,25 @@ def _weighted_e_part(shape: Callable, homogeneous: bool = False) -> Callable:
 
 @_oracle
 def _log_part(p: EpsAB) -> tuple:
-    # v = 2 atanh(q/eps) = log1p(2q/(eps - q)), exact at q << eps, with eps - q =
-    # (eps - beta) + (beta^2 - q^2)/(beta + q), exact as q -> beta -> eps
-    gap = p.eps - p.beta
+    # at eps, alpha, beta over 2^e: LOG_F has degree -1 and LOG_Q2 degree 1.  v = 2 atanh(q/eps) =
+    # log1p(2q/(eps - q)), exact at q << eps, eps - q = (eps - beta) + (beta^2 - q^2)/(beta + q)
+    e, eps, alpha, beta = _scaled(*p)
+    gap, s = eps - beta, math.ldexp(1.0, e)
     return quadrature._pair_integrand(
-        lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (p.beta + q))),
-                                 q * q * v), p.alpha, p.beta), (1.0, 1.0), 1.0, 1.0
+        lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (beta + q))),
+                                 q * q * v), alpha, beta), (1.0 / s, s), 1.0, 1.0
 
 
 @_oracle
 def _atan_part(p: FBar) -> tuple:
-    # atan(q)/q falls like 1/q above q = 1, so the F member is integrated times h = max(f1, 1);
-    # q^2 atan q keeps its size, which h would overflow from f1 ~ 1e102
-    h = max(p.f1, 1.0)
-    return quadrature._pair_integrand(lambda q, below, above: (h * (v := math.atan(q)), q * q * v),
-                                      p.f2, p.f1), (1.0 / h, 1.0), 1.0, 1.0
+    # at q = u 2^e, u over (f2, f1)/2^e, each member times its own order-1 factor.  atan(q)/q falls
+    # like 1/q above q = 1, so the F member is times h = max(f1, 1), in u; below 2^-128 (e < 0) atan
+    # q is q, so it is lifted to u by 2^-e there, and the E member, u^2 atan q, is times 1/f1^2 more
+    e, f1, f2 = _scaled(p.f1, p.f2)
+    h, lift, ce = max(f1, 1.0), max(-e, 0), 1.0 if e >= 0 else 1.0 / (f1 * f1)
+    return quadrature._pair_integrand(lambda u, below, above: (
+        h * (v := math.ldexp(math.atan(math.ldexp(u, e)), lift)), u * u * v * ce), f2, f1), (
+        math.ldexp(1.0 / h, -e - lift), math.ldexp(1.0 / ce, e - lift)), 1.0, 1.0
 
 
 @_oracle
@@ -465,16 +473,17 @@ def _kernel_integrand(mc: float, weight: Callable) -> Callable:
 
 @_oracle
 def _cosh_part(p: NuK) -> tuple:
-    # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(k - th)(D + th)), th = tanh nu
+    # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k) gap (D + th)), th = tanh nu,
+    # k'^2 = (1 - k)(1 + k) and gap = k - th, each formed once
     k, th = p.k, math.tanh(p.nu)
     if k < 5e-8:  # see _kernel_integrand
         raise DomainError(f"the I3/I6 oracle needs k >= 5e-8, got {p!r}")
-    kp = math.sqrt(1.0 - k * k)
-    zq = 2.0 * kp * kp * th
+    gap = k - th
+    zq = 2.0 * ((1.0 - k) * (1.0 + k)) * th
     const = math.cosh(p.nu) ** -2
 
     def weight(s: float, c: float, d: float) -> float:
-        q = c / (d + k) * (c / (d + th)) / (k - th)
+        q = c / (d + k) * (c / (d + th)) / gap
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
@@ -537,14 +546,15 @@ class _Entry(NamedTuple):
 
 
 REGISTRY = {
-    IdentityId.I1: _Entry(AlphaK, i1_closed, _weighted_e_part(lambda p: (
+    IdentityId.I1: _Entry(AlphaK, i1_closed, _weighted_e_part(lambda p, e: (
         p.alpha, math.sqrt((1.0 - p.k) * (1.0 + p.k)), (p.k * p.alpha) ** 2,
         (1.0 - p.k) * (1.0 + p.k) + (p.k * p.alpha) ** 2, 2))),
-    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p: (
-        p.alpha, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 2))),
-    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, _weighted_e_part(lambda p: (
+    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, _weighted_e_part(lambda p, e: (
+        math.ldexp(p.alpha, e), p.kbar, -p.alpha * p.alpha,
+        (p.kbar - p.alpha) * (p.kbar + p.alpha), 2), True)),
+    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, _weighted_e_part(lambda p, e: (
         1.0, p.z, p.alpha * p.alpha, p.z * p.z + p.alpha * p.alpha, 1), True)),
-    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, _weighted_e_part(lambda p: (
+    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, _weighted_e_part(lambda p, e: (
         1.0, p.kbar, -p.alpha * p.alpha, (p.kbar - p.alpha) * (p.kbar + p.alpha), 1), True)),
     IdentityId.LOG_F: _Entry(EpsAB, log_closed, _log_part, _F),
     IdentityId.LOG_Q2: _Entry(EpsAB, log_closed, _log_part, _E),

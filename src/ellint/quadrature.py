@@ -212,7 +212,7 @@ def _pair_integrand(g, lo: float, hi: float):
 
     def transformed(s: float, c: float, dt: float):
         below = span * (s * s)
-        q = math.sqrt(lo2 + below)
+        q = math.sqrt(lo2 + below) or math.nan  # 0 once both squares underflow: no point
         y = g(q, below, span * (c * c))
         if isinstance(y, tuple):
             return tuple([v / q * dt for v in y])

@@ -416,15 +416,10 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
     if not isinstance(grid, int) or grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid!r}")
     require_positive_tol(tol)
-    records = []
-    if suite in ("all", "geometry"):
-        records += geometry_records(grid)
-    if suite in ("all", "integrals"):
-        records += identity_records(grid, tol)
-    if suite in ("all", "series"):
-        records += series_records(grid)
-    if suite in ("all", "extensions"):
-        records += extension_records(grid)
+    runs = {"geometry": lambda: geometry_records(grid),
+            "integrals": lambda: identity_records(grid, tol),
+            "series": lambda: series_records(grid), "extensions": lambda: extension_records(grid)}
+    records = [r for name in SUITES if suite in ("all", name) for r in runs[name]()]
     return Report(__version__, {"identity_rel": tol, **TOLERANCES}, grid, tuple(records))
 
 

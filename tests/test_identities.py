@@ -41,7 +41,7 @@ from ellint.identities import (
     XiKBar,
     alpha_k_from_eccentricities,
     alpha_kbar_from_barred,
-    arctanh_guarded,
+    cosh_closed,
     i1_barred_closed,
     i1_closed,
     make_record,
@@ -185,20 +185,34 @@ def test_parameter_records_are_validated_named_tuples():
     *(NuK(math.atanh(k * (1.0 - 4e-16)), k) for k in (1e-9, 1e-5, 0.5)),
 ], ids=repr)
 def test_cosh_kernel_closed_forms_at_the_edge(params):
-    # NuK admits 0 < tanh(nu) < k < 1 and is the one gate of I3 and I6; within
-    # about 1e-15 of tanh(nu) = k the arctanh guard raises, at every k
+    # NuK admits 0 < tanh(nu) < k < 1 and is the one gate of I3 and I6; once
+    # k - tanh(nu) <= 1e-15 k the gap guard raises, at every k
     for ident in (IdentityId.I3, IdentityId.I6):
         with pytest.raises(DomainError):
             closed_value(ident, params)
 
 
-def test_arctanh_guarded():
-    for x in (-0.99, -0.3, 0.0, 0.5, 0.999999):
-        assert arctanh_guarded(x) == pytest.approx(
-            0.5 * math.log((1.0 + x) / (1.0 - x)), rel=1e-14, abs=1e-300)
-    for x in (1.0, -1.0, 1.5):
-        with pytest.raises(DomainError):
-            arctanh_guarded(x)
+@pytest.mark.parametrize("k", [1e-9, 1e-5, 0.5, 0.9])
+def test_cosh_closed_gap_guard(k):
+    # cosh_closed raises DomainError once k - tanh(nu) <= 1e-15 k, the old guard
+    # |tanh(nu)/k| >= 1 - 1e-15 without rounding tanh(nu)/k first.  The nu one
+    # ulp apart around atanh(k (1 - 1e-15)) give float gaps on both sides of it
+    nu = math.atanh(k * (1.0 - 1e-15))
+    for _ in range(20):
+        nu = math.nextafter(nu, 0.0)
+    sides = set()
+    for _ in range(40):
+        gap = k - math.tanh(nu)
+        if gap <= 0.0:  # outside NuK's class
+            break
+        sides.add(gap <= 1e-15 * k)
+        if gap <= 1e-15 * k:
+            with pytest.raises(DomainError, match="1e-15"):
+                cosh_closed(NuK(nu, k))
+        else:
+            assert all(math.isfinite(v) and v > 0.0 for v in cosh_closed(NuK(nu, k)))
+        nu = math.nextafter(nu, math.inf)
+    assert sides == {True, False}
 
 
 def _i1_d_form(p: AlphaK) -> float:

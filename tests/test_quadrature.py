@@ -25,13 +25,14 @@ from ellint import (
     grid_params,
     integrate,
     integrate_singular_pair,
+    oracle_value,
     quadrature,
     run_suite,
     surface_area_quadrature,
     triaxial_area,
     write_report,
 )
-from ellint.identities import AlphaZ, EpsAB
+from ellint.identities import AlphaZ, EpsAB, FBar
 from ellint.quadrature import HALF_PI
 
 
@@ -190,6 +191,16 @@ def test_singular_pair_domain():
     for lo, hi in [(-0.1, 1.0), (1.0, 1.0), (2.0, 1.0)]:
         with pytest.raises(DomainError):
             integrate_singular_pair(lambda q, below, above: q, lo, hi)
+
+
+def test_singular_pair_where_both_squares_underflow():
+    # lo^2 and span sin^2 t both underflow near t = 0, so q = 0: a bare
+    # ZeroDivisionError from g/q, here and in the ATAN oracle at q over 2^e,
+    # where (f2/f1)^2 underflows too; now the panel raises a typed error
+    with pytest.raises(NonFiniteIntegrandError):
+        integrate_singular_pair(lambda q, below, above: 1.0, 1e-200, 1.0)
+    with pytest.raises(NonFiniteIntegrandError):
+        oracle_value(IdentityId.ATAN_F, FBar(1e200, 1.0))
 
 
 def test_determinism_bitwise():

@@ -16,8 +16,9 @@ mu = 1e300 and down to mu = 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the
 oracle of the eight kernel identities, whose F and E legs share one
 quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
 the LOG oracle at u << eps, the PSEUDO and LOG oracles on thin
-intervals and at beta -> eps, and the oracles that take quadrature's sinh
-map at the grid nodes and where GK15 in t failed.
+intervals and at beta -> eps, the oracles that take quadrature's sinh
+map at the grid nodes and where GK15 in t failed, and both sides of LOG,
+ATAN and I1_BARRED where their parameters are tiny.
 Skipped when mpmath is not installed.
 """
 
@@ -905,9 +906,44 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     (IdentityId.LOG_Q2, EpsAB(3.7, 3.6999999999630777, 3.6999999999633792), 1e-15),
     # 1 - e1 e2 and 1 - e^2 of the rounded products: 2.2e-9 off
     (IdentityId.PSEUDO, E1E2(0.9999999915304821, 0.9999999912800239), 1e-15),
+    # the E term's root formed again as sqrt(1 - kbar^2 cos^2 psi), not read from
+    # the hypot r: 3.5e-7, 3.1e-11 and 1.8e-11 off
+    (IdentityId.I2_BARRED, PsiKBar(1e-6, 1.0 - 1e-10), 1e-14),
+    (IdentityId.I2_BARRED, PsiKBar(1e-8, 0.999999), 1e-14),
+    (IdentityId.I2_BARRED, PsiKBar(1e-3, 1.0 - 1e-12), 1e-14),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
+
+
+@pytest.mark.parametrize("ident,params", [
+    # lo^2 and hi^2 - lo^2 of the singular pair underflowed, q = 0: ZeroDivisionError
+    (IdentityId.LOG_F, EpsAB(1e-200, 3e-201, 6e-201)),
+    (IdentityId.LOG_Q2, EpsAB(1e-200, 3e-201, 6e-201)),
+    (IdentityId.LOG_F, EpsAB(1e-300, 3e-301, 6e-301)),
+    (IdentityId.LOG_Q2, EpsAB(1e-300, 3e-301, 6e-301)),
+    (IdentityId.ATAN_F, FBar(1e-200, 1e-201)),
+    (IdentityId.ATAN_E, FBar(1e-200, 1e-201)),
+    (IdentityId.ATAN_F, FBar(1e-300, 1e-301)),
+    (IdentityId.ATAN_E, FBar(1e-300, 1e-301)),
+    # q^2 atan q underflowed: the oracle returned 0.0 for 8.56e-301
+    (IdentityId.ATAN_E, FBar(1e-150, 3e-151)),
+    # kbar^2 (kbar^2 - alpha^2) underflowed: ZeroDivisionError from the closed
+    # form, then from the oracle too, or NonFiniteIntegrandError at 2^-256
+    (IdentityId.I1_BARRED, AlphaKBar(5e-78, 1e-77)),
+    (IdentityId.I1_BARRED, AlphaKBar(5e-101, 1e-100)),
+    (IdentityId.I1_BARRED, AlphaKBar(0.375 * 2.0 ** -256, 0.75 * 2.0 ** -256)),
+    # above the float range: inf, not OverflowError
+    (IdentityId.I1_BARRED, AlphaKBar(3e-301, 6e-301)),
+], ids=repr)
+def test_identity_at_tiny_scale(ident, params):
+    # each side is within 1e-14 of the reference, or equals its float (0.0 or inf)
+    ref = _identity_ref(ident, params)
+    for value in (closed_value(ident, params), oracle_value(ident, params).value):
+        if float(ref) in (0.0, math.inf):
+            assert value == float(ref)
+        else:
+            assert _rel(value, ref) <= 1e-14
 
 
 @pytest.mark.parametrize("mu", [710.5, 800.0, 1e300])
