@@ -10,11 +10,10 @@ log_closed, atan_closed) that gives (F member, E member), and one oracle
 with a tuple integrand; both rows of a pair share the two, and each row
 reads its component of either.  Each closed body but PSEUDO's makes one pass
 of elliptic._fed, at a sine and cosine squared formed from its parameters,
-and a kernel pair one AGM.  Every oracle keeps one contract (_oracle): its
-builder gives an integrand f(sin t, cos t, dt) of order 1 over (0, pi/2), a
-scale that carries the integral's size (ATAN's F member 1/max(f1, 1)), and
-the widths of quadrature._graded's sinh map at each end, and the oracle is the
-scale times one _graded call.  Integrands with the kernel
+and a kernel pair one AGM.  Every oracle is one quadrature._graded call of an
+integrand f(sin t, cos t, dt) of order 1 over (0, pi/2), a scale that carries
+the integral's size (ATAN's F member 1/max(f1, 1)) and the widths of the sinh
+map at each end.  Integrands with the kernel
 1/sqrt((hi^2-q^2)(q^2-lo^2)) (LOG, ATAN, PSEUDO) come from their smooth part
 through quadrature._pair_integrand.  The four kernel pairs and the four
 weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
@@ -24,7 +23,6 @@ DomainError below k = 5e-8 and 1e-9 (see _kernel_integrand).
 """
 
 import math
-import operator
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
@@ -34,7 +32,8 @@ from .elliptic import HALF_PI, _agm, _fed
 from .errors import DomainError, require_positive_tol
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
-_EVEN_MU = 2.0 ** -27       # below it I4 and I5 are their mu -> 0 limits
+_EVEN_MU = 2.0 ** -27       # below it (in mu, or tanh(nu)/k) I4/I5 and I3/I6 are their limits at 0
+_TINY = 2.2250738585072014e-308  # the least normal float
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,10 @@ def pseudo_closed(p: E1E2) -> float:
 
 def cosh_closed(p: NuK) -> tuple:
     """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude with
-    sine tanh(nu)/k and cosine squared (k - tanh nu)(k + tanh nu)/k^2."""
+    sine tanh(nu)/k and cosine squared (k - tanh nu)(k + tanh nu)/k^2.  Below
+    tanh(nu)/k = _EVEN_MU both are their nu -> 0 limits, within a relative
+    (tanh(nu)/k)^2, from the AGM alone: the general forms divide by a subnormal
+    once nu is one.  Toward k = 1, I6's K(k') - pi/2 cancels in both."""
     # k'^2 = (1 - k)(1 + k) for _fed, the AGM's k' and den, and gap = k - tanh nu for
     # the cos^2 and the guard, each formed once; within 1e-15 k, atanh(th/k) has no digits
     th = math.tanh(p.nu)
@@ -228,8 +230,10 @@ def cosh_closed(p: NuK) -> tuple:
     gap = p.k - th
     if gap <= 1e-15 * p.k:
         raise DomainError(f"need k - tanh(nu) > 1e-15 k, got {p!r}")
-    f, _, d = _fed(th / p.k, gap / p.k * ((p.k + th) / p.k), kp2)
     kk, ee = _agm(math.sqrt(kp2), p.k)
+    if th < _EVEN_MU * p.k:
+        return (kk - HALF_PI) / (p.k * kp2), (ee - HALF_PI * p.k) / (p.k * kp2)
+    f, _, d = _fed(th / p.k, gap / p.k * ((p.k + th) / p.k), kp2)
     at = math.atanh(th / p.k)
     den = kp2 * math.sinh(p.nu) * math.cosh(p.nu)
     # F - E = k^2 D
@@ -266,36 +270,41 @@ def sinh_closed(p: MuK) -> tuple:
 
 
 def psi_closed(p: PsiKBar) -> tuple:
-    """(I3_BARRED, I2_BARRED) at p, from one AGM and one Carlson pass."""
+    """(I3_BARRED, I2_BARRED) at p, from one AGM and one Carlson pass.  Both
+    members divide by kbar^2 sin psi cos psi: DomainError below its normal range."""
     # beta = arctan(tan(psi)/kbar') without overflow, and F and E at beta from its
     # own sine and cosine, with kbar'^2 not rounded through kbar^2
     kb2 = p.kbar * p.kbar
     kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
     sp, cp = math.sin(p.psi), math.cos(p.psi)
+    if (den := kb2 * sp * cp) < _TINY:
+        raise DomainError(f"need kbar^2 sin(psi) cos(psi) >= {_TINY!r}, got {p!r}")
     kc = math.sqrt(kbp2) * cp
     r = math.hypot(sp, kc)
     beta = math.atan2(sp, kc)
     f, e, _ = _fed(sp / r, (kc / r) ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # r = sqrt(1 - kb2 cp^2), formed once: (sp/cp/r)(1 - r) is sp cp kb2/(r (1 + r))
-    return ((kk * beta - HALF_PI * f) / (kb2 * sp * cp),
-            (ee * beta - HALF_PI * e + HALF_PI * sp * cp * kb2 / (r * (1.0 + r)))
-            / (kb2 * sp * cp))
+    return ((kk * beta - HALF_PI * f) / den,
+            (ee * beta - HALF_PI * e + HALF_PI * sp * cp * kb2 / (r * (1.0 + r))) / den)
 
 
 def xi_closed(p: XiKBar) -> tuple:
-    """(GR_F_SIN, GR_E_SIN) at p, from one AGM and one Carlson pass."""
+    """(GR_F_SIN, GR_E_SIN) at p, from one AGM and one Carlson pass.  Both
+    members divide by kbar^2 sin xi cos xi: DomainError below its normal range."""
     kb2 = p.kbar * p.kbar
     kbp2 = (1.0 - p.kbar) * (1.0 + p.kbar)
     sx, cx = math.sin(p.xi), math.cos(p.xi)
+    if (den := kb2 * sx * cx) < _TINY:
+        raise DomainError(f"need kbar^2 sin(xi) cos(xi) >= {_TINY!r}, got {p!r}")
     ks = math.sqrt(kbp2) * sx  # kbar' sin xi, formed once for gamma and root
     gamma = math.atan2(ks, cx)
     f, e, _ = _fed(sx, cx ** 2, kbp2)
     kk, ee = _agm(p.kbar, math.sqrt(kbp2))
     # (cx/sx)(1 - root) written as cx kb2 sx/(1 + root), free of cancellation
     root = math.hypot(cx, ks)
-    return (-(kk * gamma - HALF_PI * f) / (kb2 * sx * cx),
-            -(ee * gamma - HALF_PI * e + HALF_PI * cx * kb2 * sx / (1.0 + root)) / (kb2 * sx * cx))
+    return (-(kk * gamma - HALF_PI * f) / den,
+            -(ee * gamma - HALF_PI * e + HALF_PI * cx * kb2 * sx / (1.0 + root)) / den)
 
 
 def atan_closed(p: FBar) -> tuple:
@@ -311,29 +320,6 @@ def atan_closed(p: FBar) -> tuple:
 
 # ---------------------------------------------------------------------------
 # integrand parts (oracle side)
-
-
-def _oracle(build: Callable) -> Callable:
-    """Decorator: the one oracle contract.  build(params) gives (f, scale, w0, w1),
-    and the oracle is scale times quadrature._graded(f, ORACLE_TOL, w0, w1): f(sin t,
-    cos t, dt) an integrand of order 1 over (0, pi/2), so that integrate's absolute
-    floor decides only for an integral of 0, and w0 and w1 the sinh map's widths at
-    t = 0 and pi/2 (1.0 leaves an end in t).  scale is a float for a float f and a
-    tuple, one entry per component, for a pair's; a zero scale is the integral, 0,
-    unevaluated."""
-
-    def oracle(p) -> "quadrature.QuadratureResult":
-        f, scale, w0, w1 = build(p)
-        pair = isinstance(scale, tuple)
-        if not (any(scale) if pair else scale):
-            return quadrature.QuadratureResult(scale, scale, 0)
-        value, err, evals = quadrature._graded(f, ORACLE_TOL, w0, w1)
-        if pair:
-            return quadrature.QuadratureResult(tuple(map(operator.mul, scale, value)),
-                                               tuple(map(operator.mul, scale, err)), evals)
-        return quadrature.QuadratureResult(scale * value, scale * err, evals)
-
-    return oracle
 
 
 def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
@@ -360,8 +346,7 @@ def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
     2^-64, J is its R -> 0 limit (1 + P atanh(m)/m)/(2Q), m = sin theta: the
     difference form divides a + m = 0 by R = 0 where alpha^2 underflows."""
 
-    @_oracle
-    def build(p) -> tuple:
+    def oracle(p) -> "quadrature.QuadratureResult":
         e, *xs = _scaled(*p) if scaled else (0, *p)
         p = p._make(xs)
         g, c, r, q, n = shape(p, e)
@@ -400,39 +385,38 @@ def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
         # alpha J(0) 2^-(2n-1)e, inf above the float range
         const = p.alpha * j0 * math.prod([1.0 / math.ldexp(1.0, e)] * (2 * n - 1))
         if g < 1.0:
-            return (lambda s, c, dt: j(s, c) * dt / j0), const, 1.0, math.sqrt(gc)
+            return quadrature._graded(lambda s, c, dt: j(s, c) * dt / j0, ORACLE_TOL,
+                                      1.0, math.sqrt(gc), const)
         # theta = (pi/2) sin t; dt is 1.0 with both ends in t
-        return (lambda s, c, dt: j(math.sin(HALF_PI * s), math.cos(HALF_PI * s)) * c / j0 * dt,
-                HALF_PI * const, 1.0, 1.0)
+        return quadrature._graded(
+            lambda s, c, dt: j(math.sin(HALF_PI * s), math.cos(HALF_PI * s)) * c / j0 * dt,
+            ORACLE_TOL, scale=HALF_PI * const)
 
-    return build
+    return oracle
 
 
-@_oracle
-def _log_part(p: EpsAB) -> tuple:
+def _log_part(p: EpsAB) -> "quadrature.QuadratureResult":
     # at eps, alpha, beta over 2^e: LOG_F has degree -1 and LOG_Q2 degree 1.  v = 2 atanh(q/eps) =
     # log1p(2q/(eps - q)), exact at q << eps, eps - q = (eps - beta) + (beta^2 - q^2)/(beta + q)
     e, eps, alpha, beta = _scaled(*p)
     gap, s = eps - beta, math.ldexp(1.0, e)
-    return quadrature._pair_integrand(
+    return quadrature._graded(quadrature._pair_integrand(
         lambda q, below, above: (v := math.log1p(2.0 * q / (gap + above / (beta + q))),
-                                 q * q * v), alpha, beta), (1.0 / s, s), 1.0, 1.0
+                                 q * q * v), alpha, beta), ORACLE_TOL, scale=(1.0 / s, s))
 
 
-@_oracle
-def _atan_part(p: FBar) -> tuple:
+def _atan_part(p: FBar) -> "quadrature.QuadratureResult":
     # at q = u 2^e, u over (f2, f1)/2^e, each member times its own order-1 factor.  atan(q)/q falls
     # like 1/q above q = 1, so the F member is times h = max(f1, 1), in u; below 2^-128 (e < 0) atan
     # q is q, so it is lifted to u by 2^-e there, and the E member, u^2 atan q, is times 1/f1^2 more
     e, f1, f2 = _scaled(p.f1, p.f2)
     h, lift, ce = max(f1, 1.0), max(-e, 0), 1.0 if e >= 0 else 1.0 / (f1 * f1)
-    return quadrature._pair_integrand(lambda u, below, above: (
-        h * (v := math.ldexp(math.atan(math.ldexp(u, e)), lift)), u * u * v * ce), f2, f1), (
-        math.ldexp(1.0 / h, -e - lift), math.ldexp(1.0 / ce, e - lift)), 1.0, 1.0
+    return quadrature._graded(quadrature._pair_integrand(lambda u, below, above: (
+        h * (v := math.ldexp(math.atan(math.ldexp(u, e)), lift)), u * u * v * ce), f2, f1),
+        ORACLE_TOL, scale=(math.ldexp(1.0 / h, -e - lift), math.ldexp(1.0 / ce, e - lift)))
 
 
-@_oracle
-def _pseudo_part(p: E1E2) -> tuple:
+def _pseudo_part(p: E1E2) -> "quadrature.QuadratureResult":
     # g times the kernel is the bounded sqrt((e1^2-q^2)(q^2-e2^2))/(q (1-q^2)), 1 - q^2 =
     # (1 - e1^2) + (e1^2 - q^2); direct quadrature would bisect toward both square-root zeros.
     # In t it rises over a width e2/e1 at t = 0 and falls over sqrt((1 - e1^2)/span) at
@@ -444,7 +428,8 @@ def _pseudo_part(p: E1E2) -> tuple:
     scale2 = math.ldexp(1.0, 2 * e)
     f = quadrature._pair_integrand(
         lambda q, below, above: below / span * above / (q * (c + above * scale2)), e2, e1)
-    return f, math.ldexp(span, 2 * e), e2 / e1, math.sqrt(c / span) / math.ldexp(1.0, e)
+    return quadrature._graded(f, ORACLE_TOL, e2 / e1, math.sqrt(c / span) / math.ldexp(1.0, e),
+                              math.ldexp(span, 2 * e))
 
 
 def _kernel_integrand(mc: float, weight: Callable) -> Callable:
@@ -471,8 +456,7 @@ def _kernel_integrand(mc: float, weight: Callable) -> Callable:
     return fn
 
 
-@_oracle
-def _cosh_part(p: NuK) -> tuple:
+def _cosh_part(p: NuK) -> "quadrature.QuadratureResult":
     # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k) gap (D + th)), th = tanh nu,
     # k'^2 = (1 - k)(1 + k) and gap = k - th, each formed once
     k, th = p.k, math.tanh(p.nu)
@@ -487,11 +471,10 @@ def _cosh_part(p: NuK) -> tuple:
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return _kernel_integrand(k, weight), (const, const), 1.0, k
+    return quadrature._graded(_kernel_integrand(k, weight), ORACLE_TOL, 1.0, k, (const, const))
 
 
-@_oracle
-def _sinh_part(p: MuK) -> tuple:
+def _sinh_part(p: MuK) -> "quadrature.QuadratureResult":
     # W = sech^2(mu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(1 + th k)(1 - th D)),
     # in e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
     # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms.  sech^2(mu)
@@ -511,22 +494,27 @@ def _sinh_part(p: MuK) -> tuple:
         z = zq * q
         return q * (math.log1p(z) / z) if z else q
 
-    return _kernel_integrand(k, weight), (const, const), 2.0 * math.exp(-p.mu) / math.sqrt(kp2), k
+    return quadrature._graded(_kernel_integrand(k, weight), ORACLE_TOL,
+                              2.0 * math.exp(-p.mu) / math.sqrt(kp2), k, (const, const))
 
 
-def _atan_kernel(kbar: float, sa: float, ca: float) -> tuple:
-    """The build of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1, at scale 1:
-    W = atan2(kbar^2 sa ca c^2/(D + kbar'), sa^2 + D kbar' ca^2)/(kbar^2 sa ca)."""
+def _atan_kernel(kbar: float, sa: float, ca: float) -> "quadrature.QuadratureResult":
+    """The oracle of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1, at scale 1:
+    W = atan2(m c^2/(D + kbar'), sa^2 + D kbar' ca^2)/m, m = kbar^2 sa ca, or below
+    the normal range of m its m -> 0 limit c^2/((D + kbar')(sa^2 + D kbar' ca^2))."""
     kbc = math.sqrt((1.0 - kbar) * (1.0 + kbar))
-    scale = kbar * kbar * sa * ca
+    m = kbar * kbar * sa * ca
     sa2, ca2 = sa * sa, ca * ca
-    return _kernel_integrand(kbc, lambda s, c, d: math.atan2(
-        scale * c * c / (d + kbc), sa2 + d * kbc * ca2) / scale), (1.0, 1.0), 1.0, 1.0
+    if m < _TINY:
+        weight = lambda s, c, d: c * c / ((d + kbc) * (sa2 + d * kbc * ca2))
+    else:
+        weight = lambda s, c, d: math.atan2(m * c * c / (d + kbc), sa2 + d * kbc * ca2) / m
+    return quadrature._graded(_kernel_integrand(kbc, weight), ORACLE_TOL)
 
 
 # the cos psi kernel, and the sin xi kernel as the cos psi kernel at psi = pi/2 - xi
-_psi_part = _oracle(lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.cos(p.psi)))
-_xi_part = _oracle(lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi)))
+_psi_part = lambda p: _atan_kernel(p.kbar, math.sin(p.psi), math.cos(p.psi))  # noqa: E731
+_xi_part = lambda p: _atan_kernel(p.kbar, math.cos(p.xi), math.sin(p.xi))  # noqa: E731
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
 integral of g(q)/sqrt(...) over (lo, hi) to the bounded integral of g(q)/q
 over (0, pi/2).  lo = 0 is allowed: the substitution degenerates to
 q = hi * sin t and removes a plain 1/sqrt(hi^2-q^2) endpoint singularity.
-surface_area_quadrature does the polar integral in closed form first.
 
-_graded integrates a function of sin t and cos t over (0, pi/2), and for a
-peak of known width w at an end it applies the sinh transformation
-t = w sinh x or pi/2 - w sinh x (Johnston and Elliott 2005, IJNME
-62:564-578), so that GK15 does not bisect toward the peak.  Every identity
-oracle is one _graded call, with widths from its own parameters, or 1.0 for
-an end that is cheaper in t; _pair_integrand gives it the singular-pair
-substitution.  The (value, error_estimate, evaluations) result follows the
-(result, abserr, neval) contract of QUADPACK (Piessens et al. 1983).
+_graded is the one scaled integral: scale times the integral over (0, pi/2)
+of an order-1 f(sin t, cos t, dt), a zero scale being 0 unevaluated, with the
+sinh transformation t = w sinh x or pi/2 - w sinh x (Johnston and Elliott
+2005, IJNME 62:564-578) toward an end with a peak of known width w, so that
+GK15 does not bisect toward it.  Every identity oracle is one _graded call,
+with widths from its own parameters, or 1.0 for an end that is cheaper in t;
+_pair_integrand gives it the singular-pair substitution.  So is the area
+oracle, whose polar integral is done in closed form first.  The (value,
+error_estimate, evaluations) result follows the (result, abserr, neval)
+contract of QUADPACK (Piessens et al. 1983).
 """
 
 import heapq
@@ -39,6 +40,7 @@ MAX_EVALS = 1_000_000  # evaluations per integral, read when integrate runs
 _ABS_FLOOR = 1e-15  # absolute target is _ABS_FLOOR * (hi - lo)
 _EPS = 2.220446049250313e-16
 _MIN_WIDTH = 2.0 ** -500  # the least width _graded maps
+_TINY = 2.2250738585072014e-308  # the least normal float
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
 # Gauss rule lives on every second node.
@@ -129,8 +131,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     require_positive_tol(tol)
-    # floored at the smallest normal float, in case it underflows
-    abs_target = max(_ABS_FLOOR * (hi - lo), 2.2250738585072014e-308)
+    abs_target = max(_ABS_FLOOR * (hi - lo), _TINY)  # in case it underflows
 
     values, errs = _panel(f, lo, hi)
     evals = 15
@@ -167,24 +168,28 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     return QuadratureResult(value[0], err[0], evals)
 
 
-def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0) -> QuadratureResult:
-    """Integral over (0, pi/2) of the integrand that f(sin t, cos t, dt) gives
-    times dt, the derivative of t along the map; a float or a tuple of floats.
+def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0, scale=1.0) -> QuadratureResult:
+    """scale times the integral over (0, pi/2) of the integrand that f(sin t,
+    cos t, dt) gives times dt, the derivative of t along the map.
 
-    w0 and w1 are the widths of peaks at t = 0 and at t = pi/2.  A width w in
-    [2^-500, 1) maps its end through t = w sinh x, or t = pi/2 - w sinh x: the
-    sinh transformation of Johnston and Elliott (2005, IJNME 62:564-578).  A
-    peak like 1/sqrt(y^2 + w^2), y the distance from its end, is flat in x, so
-    GK15 does not bisect toward it.  f gets sin t and cos t from y, so the one
-    that vanishes at the end keeps its digits there.  With both ends mapped,
-    each half of (0, pi/2) is one integral toward its own end, and the two
-    results add.  Any other width leaves its end in t: at 1 or more there is
-    no peak to map, and below 2^-500 y^2 would underflow before the peak is
-    resolved.
+    The one oracle contract: f is of order 1, so that integrate's absolute
+    floor decides only for an integral of 0, scale carries the integral's size,
+    and a zero scale (every entry 0) is the integral, 0, with no evaluation.
+    f gives a float or a tuple of floats; scale is a float, or one entry per
+    component of a tuple.  w0 and w1 are the widths of peaks at t = 0 and at
+    t = pi/2.  A width w in [2^-500, 1) maps its end through t = w sinh x, or
+    t = pi/2 - w sinh x: the sinh transformation of Johnston and Elliott (2005,
+    IJNME 62:564-578).  A peak like 1/sqrt(y^2 + w^2), y the distance from its
+    end, is flat in x, so GK15 does not bisect toward it.  f gets sin t and
+    cos t from y, so the one that vanishes at the end keeps its digits there.
+    With both ends mapped, each half of (0, pi/2) is one integral toward its
+    own end, and the two results add.  Any other width leaves its end in t: at
+    1 or more there is no peak to map, and below 2^-500 y^2 would underflow
+    before the peak is resolved.
     """
+    if not any(scale if isinstance(scale, tuple) else (scale,)):
+        return QuadratureResult(scale, scale, 0)
     ends = [(w, top) for w, top in ((w0, False), (w1, True)) if _MIN_WIDTH <= w < 1.0]
-    if not ends:
-        return integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol)
     parts = []
     for w, top in ends:
         def mapped(x: float, w: float = w, top: bool = top):
@@ -194,13 +199,15 @@ def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0) -> QuadratureResult
             return f(math.sin(y), math.cos(y), w * math.cosh(x))
 
         parts.append(integrate(mapped, 0.0, math.asinh(HALF_PI / len(ends) / w), tol))
-    if len(parts) == 1:
-        return parts[0]
-    (v0, e0, n0), (v1, e1, n1) = parts
-    if isinstance(v0, tuple):
-        return QuadratureResult(tuple(map(operator.add, v0, v1)),
-                                tuple(map(operator.add, e0, e1)), n0 + n1)
-    return QuadratureResult(v0 + v1, e0 + e1, n0 + n1)
+    if not ends:
+        parts.append(integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol))
+    # the sum of the halves times the scale, per component of a tuple f
+    values, errs, evals = zip(*parts)
+    if not isinstance(values[0], tuple):
+        return QuadratureResult(scale * math.fsum(values), scale * math.fsum(errs), sum(evals))
+    scales = scale if isinstance(scale, tuple) else (scale,) * len(values[0])
+    return QuadratureResult(*[tuple(map(operator.mul, scales, map(math.fsum, zip(*halves))))
+                              for halves in (values, errs)], sum(evals))
 
 
 def _pair_integrand(g, lo: float, hi: float):
@@ -209,10 +216,13 @@ def _pair_integrand(g, lo: float, hi: float):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
     lo2 = lo * lo
     span = (hi - lo) * (hi + lo)
+    root = math.sqrt(span)
+    radius = (lambda s, below: math.hypot(lo, root * s)) if 0.0 < lo and lo2 < _TINY else (
+        lambda s, below: math.sqrt(lo2 + below))
 
     def transformed(s: float, c: float, dt: float):
         below = span * (s * s)
-        q = math.sqrt(lo2 + below) or math.nan  # 0 once both squares underflow: no point
+        q = radius(s, below) or math.nan  # 0 once both squares underflow: no point
         y = g(q, below, span * (c * c))
         if isinstance(y, tuple):
             return tuple([v / q * dt for v in y])
@@ -227,7 +237,10 @@ def integrate_singular_pair(g, lo: float, hi: float,
 
     Requires 0 <= lo < hi.  The substitution q^2 = lo^2 + span sin^2 t,
     span = hi^2 - lo^2, turns this into the bounded integral of g/q over
-    (0, pi/2); the endpoints are never evaluated.  g is called as
+    (0, pi/2); the endpoints are never evaluated.  Where lo^2 is below the
+    normal range, q is hypot(lo, sqrt(span) sin t), so lo keeps its digits
+    down to the least normal lo; below it an order-1 g/q overflows near t = 0,
+    and the panel raises NonFiniteIntegrandError.  g is called as
     g(q, q^2 - lo^2, hi^2 - q^2), the kernel's factors formed exactly as
     span sin^2 t and span cos^2 t, not from the rounded q, so a g built on
     them keeps its digits on a thin interval.  g may return a tuple of
@@ -256,16 +269,14 @@ def surface_area_quadrature(a: float, b: float, c: float,
     u, w = s2 / s0, s2 / s1
     e12, e22 = (s0 - s2) / s0 * (1.0 + u), (s1 - s2) / s1 * (1.0 + w)
 
-    def f(phi: float) -> float:
-        cp2, sp2 = math.cos(phi) ** 2, math.sin(phi) ** 2
+    def f(sp: float, cp: float, dt: float) -> float:
+        cp2, sp2 = cp ** 2, sp ** 2
         r = u * u * cp2 + w * w * sp2
         q2 = e12 * cp2 + e22 * sp2
         if r == 0.0 or q2 == 0.0:  # the limits q -> 1 and q -> 0
-            return 2.0 if r else 1.0
+            return (2.0 if r else 1.0) * dt
         q = math.sqrt(q2)
         log_r = math.log1p(-q2) if q2 < 0.5 else math.log(r)
-        return 1.0 + r * (math.log1p(q) - 0.5 * log_r) / q
+        return (1.0 + r * (math.log1p(q) - 0.5 * log_r) / q) * dt
 
-    value, err, evals = integrate(f, 0.0, HALF_PI, tol)
-    scale = 4.0 * (s0 * s1)
-    return QuadratureResult(scale * value, scale * err, evals)
+    return _graded(f, tol, scale=4.0 * (s0 * s1))

@@ -446,11 +446,13 @@ def test_oracles_share_no_code_with_elliptic(monkeypatch):
 
 
 def test_every_oracle_is_one_graded_call(monkeypatch):
-    # the one oracle contract: each registry oracle is its scale times one
-    # quadrature._graded call, and integrate runs only inside that call (the
-    # PR3_D rows called integrate directly, with their own tau map)
+    # the one oracle contract: each registry oracle and the area oracle is one
+    # quadrature._graded call, which carries its scale, and integrate runs only
+    # inside that call (the PR3_D rows called integrate directly, with their own
+    # tau map, and the area oracle scaled its own integrate call)
     points = {ident: grid_params(ident, 3)[4] for ident in IdentityId}
     expected = {ident: oracle_value(ident, p) for ident, p in points.items()}
+    area = quadrature.surface_area_quadrature(2.0, 1.5, 1.0)
     graded, integrate = quadrature._graded, quadrature.integrate
     calls = []
     inside = []
@@ -473,6 +475,9 @@ def test_every_oracle_is_one_graded_call(monkeypatch):
         calls.clear()
         assert oracle_value(ident, p) == expected[ident]
         assert len(calls) == 1, ident
+    calls.clear()
+    assert quadrature.surface_area_quadrature(2.0, 1.5, 1.0) == area
+    assert len(calls) == 1
 
 
 def test_each_closed_body_makes_one_pass(monkeypatch):

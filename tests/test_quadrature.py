@@ -25,14 +25,13 @@ from ellint import (
     grid_params,
     integrate,
     integrate_singular_pair,
-    oracle_value,
     quadrature,
     run_suite,
     surface_area_quadrature,
     triaxial_area,
     write_report,
 )
-from ellint.identities import AlphaZ, EpsAB, FBar
+from ellint.identities import AlphaZ, EpsAB
 from ellint.quadrature import HALF_PI
 
 
@@ -194,13 +193,17 @@ def test_singular_pair_domain():
 
 
 def test_singular_pair_where_both_squares_underflow():
-    # lo^2 and span sin^2 t both underflow near t = 0, so q = 0: a bare
-    # ZeroDivisionError from g/q, here and in the ATAN oracle at q over 2^e,
-    # where (f2/f1)^2 underflows too; now the panel raises a typed error
+    # lo^2 and span sin^2 t both underflow near t = 0, so q = sqrt(lo^2 + span
+    # sin^2 t) was 0 there: a bare ZeroDivisionError from g/q, then a typed
+    # NonFiniteIntegrandError for an integral that is finite, K(sqrt(1 - lo^2)) =
+    # ln(4/lo) + O(lo^2 ln lo); with a subnormal lo^2 (lo = 1e-160) the budget
+    # ran out.  Below the normal range of lo^2, q is hypot(lo, sqrt(span) sin t)
+    for lo in (1e-150, 1e-200, 1e-300):
+        res = integrate_singular_pair(lambda q, below, above: 1.0, lo, 1.0)
+        assert abs(res.value - (math.log(4.0) - math.log(lo))) <= 1e-12 * res.value
+    # at lo = 5e-324 g/q itself overflows near t = 0: the panel's typed error
     with pytest.raises(NonFiniteIntegrandError):
-        integrate_singular_pair(lambda q, below, above: 1.0, 1e-200, 1.0)
-    with pytest.raises(NonFiniteIntegrandError):
-        oracle_value(IdentityId.ATAN_F, FBar(1e200, 1.0))
+        integrate_singular_pair(lambda q, below, above: 1.0, 5e-324, 1.0)
 
 
 def test_determinism_bitwise():

@@ -54,8 +54,8 @@ from ellint import (
 )
 from ellint import quadrature
 from ellint.elliptic import HALF_PI, _rf_rd
-from ellint.identities import (ORACLE_TOL, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB, FBar,
-                               MuK, NuK, PsiKBar, XiKBar)
+from ellint.identities import (ORACLE_TOL, REGISTRY, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB,
+                               FBar, MuK, NuK, PsiKBar, XiKBar)
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -736,6 +736,10 @@ def test_pseudo_oracle_below_the_float_range():
     # then 7.9e-11 and 3.9e-9 off, and 90% off after one panel at f1 = 1e30
     FBar(200159983438687.72, 1578401653.9949102), FBar(3e12, 1e3), FBar(1e14, 0.5),
     FBar(1e30, 1.0),
+    # q over 2^e has (f2/f1)^2 below the normal range in the singular pair: a
+    # bare ZeroDivisionError, then NonFiniteIntegrandError at the first two and
+    # the budget spent at the third, where (f2/f1)^2 is a subnormal
+    FBar(1e200, 1.0), FBar(1e300, 1e100), FBar(1e160, 1.0), FBar(1e155, 1e-10),
 ], ids=repr)
 def test_atan_oracle_at_large_f1(params):
     for ident in (IdentityId.ATAN_F, IdentityId.ATAN_E):
@@ -772,6 +776,42 @@ def test_cosh_kernel_closed_forms_at_small_k(ident, k, f):
     # rounding and raised for every one of these from k = 5e-9 down
     params = NuK(math.atanh(f * k), k)
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= 1e-13
+
+
+@pytest.mark.parametrize("params", [
+    NuK(nu, k) for k in (0.05, 0.5, 0.9) for nu in (1e-320, 7e-9, math.atanh(0.99 * 2.0 ** -27 * k))
+] + [NuK(7e-9, 1e-4)], ids=repr)
+def test_cosh_kernel_closed_forms_at_small_nu(params):
+    # sinh(nu) cosh(nu) is a subnormal at nu = 1e-320, and the general forms were
+    # 3.7e-5 (I3) and 3.5e-6 (I6) off at k = 0.5, 8.7e-4 and 3.8e-3 at 0.9.  Below
+    # tanh(nu)/k = 2^-27 (the third nu, just below) both are their nu -> 0
+    # limits, within a relative (tanh(nu)/k)^2/3: at nu = 7e-9 the limit would be
+    # 8e-15 off at k = 0.05 and 1.8e-9 at k = 1e-4, so there the general form stays
+    for ident in (IdentityId.I3, IdentityId.I6):
+        assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= 5e-15
+
+
+def test_cosh_kernel_closed_forms_at_the_least_nu():
+    # 1/(k'^2 sinh(nu) cosh(nu)) divided by 0.0: a bare ZeroDivisionError.  The
+    # limit holds no more digits than K(k') - pi/2 keeps as k -> 1: 3.0e-7 off here
+    params = NuK(1e-323, 0.9999999997882961)
+    for ident in (IdentityId.I3, IdentityId.I6):
+        assert math.isfinite(closed_value(ident, params))
+
+
+@pytest.mark.parametrize("params", [PsiKBar(0.6799, 3.3e-253), XiKBar(1.45e-292, 5.76e-132)],
+                         ids=repr)
+def test_atan_kernel_pairs_below_the_normal_range(params):
+    # kbar^2 sin cos underflowed to 0: a bare ZeroDivisionError from both sides
+    # of all four rows.  The closed forms divide by it and raise DomainError
+    # below its normal range; the oracle's weight is its limit there.  As
+    # kbar -> 0, F and E at amplitude u are u, and every row is the integral of
+    # u sin u cos u over (0, pi/2), pi/8, whatever psi or xi
+    for ident in IdentityId:
+        if REGISTRY[ident].params_cls is type(params):
+            with pytest.raises(DomainError):
+                closed_value(ident, params)
+            assert abs(oracle_value(ident, params).value - math.pi / 8.0) <= 1e-15
 
 
 def _no_quadrature(*args):
