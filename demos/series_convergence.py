@@ -1,7 +1,8 @@
 """Show the eccentricity-series machinery: coefficients, sums, tails.
 
-Prints the first few odd-order coefficients from each recurrence family
-(including the exact split of one family into the other two), then sums
+Prints the first few odd-order coefficients of A and Omega, which come from
+recurrences, and of Theta and Psi, which come from binomial products, with
+the residual of Omega = Theta + Psi, then sums
 both series at a moderately eccentric shape and watches the truncation
 bound track the true tail. Finishes with the Maclaurin derivative values
 that the leading coefficients encode.

@@ -47,7 +47,6 @@ TOLERANCES = {
     "route_rel": 1e-10,
     "series_sum_rel": 1e-12,          # sigma sum vs its closed reference
     "series_coeff_rel": 1e-14,
-    "series_split_rel": 1e-15,        # Omega = Theta + Psi, term by term
     "maclaurin_rel": 1e-13,
     "kernel_relation_rel": 1e-11,
     "imag_reduction_rel": 1e-10,

@@ -6,10 +6,11 @@ recurrences in (e1, e2) with 0 < e2 < e1 < 1:
   A:     sigma1 = pi * sum A_{2m+1}        (the plain log-kernel integral)
   Omega: sigma2 = pi * (sum Omega_{2m+1} - 1)   (the q^2-weighted one)
 
-Omega additionally splits termwise into Theta + Psi, where Theta collects
-the Cauchy product of the two binomial square-root series and Psi is the
-remainder; Psi_1 = Psi_3 = 0.  Sums use compensated (Kahan) accumulation
-and a two-sided termination test on the next term.
+Omega splits termwise into Theta + Psi, the terms of 1 - sqrt((1-e1^2)(1-e2^2))
+and of e1 (F - E)(arcsin e1, e2/e1); each is read from one Cauchy product of
+two binomial series (_binomial_product), and Psi_1 = Psi_3 = 0.  Sums use
+compensated (Kahan) accumulation and a two-sided termination test on the
+next term.
 
 The terms shrink like e1^(2m), so a sum takes about 25/(1 - e1^2) terms: at
 the default max_terms of 100,000 the sums converge up to e1 of about 0.9998
@@ -47,9 +48,9 @@ def _check_pair(e1: float, e2: float) -> None:
         raise DomainError(f"need 0 < e2 < e1 < 1, got e1={e1!r}, e2={e2!r}")
 
 
-def _check_m_max(m_max: int) -> None:
-    if not isinstance(m_max, int) or m_max < 0:
-        raise DomainError(f"m_max must be a nonnegative integer, got {m_max!r}")
+def _check_count(name: str, n: int, least: int = 0) -> None:
+    if not isinstance(n, int) or n < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {n!r}")
 
 
 def _a_next(s: float, p: float, n: int, a3: float, a1: float) -> float:
@@ -85,7 +86,7 @@ def _family(kind: str, e1: float, e2: float):
 
 def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     _check_pair(e1, e2)
-    _check_m_max(m_max)
+    _check_count("m_max", m_max)
     terms = itertools.islice(_family(kind, e1, e2), m_max + 1)
     return SeriesCoefficients(kind, e1, e2, tuple(terms))
 
@@ -100,32 +101,33 @@ def omega_coefficients(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     return _recurrence_terms("OMEGA", e1, e2, m_max)
 
 
+def _binomial_product(p: float, x: float, y: float, m: int) -> float:
+    """The t^m coefficient of (1 - x t)^p (1 - y t)^p: the Cauchy product of two
+    binomial series with c_0 = 1 and c_i = c_(i-1) (i - 1 - p)/i."""
+    c = [1.0]
+    for i in range(1, m + 1):
+        c.append(c[i - 1] * (i - 1 - p) / i)
+    return math.fsum(c[i] * c[m - i] * x ** i * y ** (m - i) for i in range(m + 1))
+
+
 def theta_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     """Cauchy-product terms of 1 - sqrt(1-e1^2) sqrt(1-e2^2); Theta_1 = 0."""
     _check_pair(e1, e2)
-    _check_m_max(m_max)
-    # binomial coefficients of sqrt(1-x): b_0 = 1, b_i = b_{i-1} (i - 3/2)/i
-    b = [1.0]
-    for i in range(1, m_max + 1):
-        b.append(b[i - 1] * (i - 1.5) / i)
-    e1sq = e1 * e1
-    e2sq = e2 * e2
-    terms = [0.0]
-    for m in range(1, m_max + 1):
-        acc = 0.0
-        for i in range(m + 1):
-            acc += b[i] * b[m - i] * e1sq ** i * e2sq ** (m - i)
-        terms.append(-acc)
-    return SeriesCoefficients("THETA", e1, e2, tuple(terms))
+    _check_count("m_max", m_max)
+    terms = [-_binomial_product(0.5, e1 * e1, e2 * e2, m) for m in range(1, m_max + 1)]
+    return SeriesCoefficients("THETA", e1, e2, (0.0, *terms))
 
 
 def psi_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
-    """Psi = Omega - Theta termwise; Psi_1 = Psi_3 = 0, first nonzero at m = 2."""
-    om = omega_coefficients(e1, e2, m_max)
-    th = theta_terms(e1, e2, m_max)
-    terms = [0.0]
-    terms.extend(om.terms[m] - th.terms[m] for m in range(1, m_max + 1))
-    return SeriesCoefficients("PSI", e1, e2, tuple(terms))
+    """Terms of e1 (F - E)(arcsin e1, k) = e2^2 int_0^e1 t^2 / sqrt((1-t^2)(1-k^2 t^2)) dt
+    with k = e2/e1: Psi_(2m+1) = e1^2 e2^2 P(e2^2, e1^2, m-2)/(2m-1), P the
+    p = -1/2 binomial product.  Psi_1 = Psi_3 = 0; Omega = Theta + Psi termwise."""
+    _check_pair(e1, e2)
+    _check_count("m_max", m_max)
+    e1sq, e2sq = e1 * e1, e2 * e2
+    terms = [e1sq * e2sq * _binomial_product(-0.5, e2sq, e1sq, m - 2) / (2 * m - 1)
+             for m in range(2, m_max + 1)]
+    return SeriesCoefficients("PSI", e1, e2, (0.0, 0.0, *terms)[:m_max + 1])
 
 
 def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> SeriesSum:
@@ -139,8 +141,7 @@ def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> S
     """
     _check_pair(e1, e2)
     require_positive_tol(tol)
-    if max_terms < 2:
-        raise DomainError("max_terms must be at least 2")
+    _check_count("max_terms", max_terms, 2)
     total = _FAMILIES[kind][2]
     comp = 0.0
     used = 1
@@ -196,7 +197,7 @@ def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:
     for every e2 > 0.  The value is below (2m)!, which overflows from m = 86
     on; those orders raise DomainError.
     """
-    _check_m_max(m)
+    _check_count("m", m)
     _check_pair(e1, e2)
     if m > 85:
         raise DomainError(f"derivative order {2 * m + 1} overflows; m can be at most 85")

@@ -10,9 +10,10 @@ abs_err, rel_err, pass):
   integrals   the full identity registry, closed form vs adaptive
               quadrature of the defining integrand on parameter grids
   series      sigma sums vs their elliptic-integral references, the
-              low-order coefficient closed forms, the termwise split
-              Omega = Theta + Psi, and the Maclaurin derivatives vs
-              the Cauchy product of two binomial series
+              A and Omega recurrences vs the Cauchy products of two
+              binomial series (A vs the series of F, Omega vs
+              Theta + Psi), and the Maclaurin derivatives vs the same
+              product
   extensions  cos^2 <-> sin^2 kernel conversions and the imaginary
               modulus / argument reductions vs direct quadrature
 
@@ -43,8 +44,8 @@ from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
                          atan_closed, grid_params, i1_barred_closed, i1_closed,
                          log_closed, make_record, psi_closed, xi_closed)
 from .quadrature import integrate, surface_area_quadrature
-from .series import (_sigma_sums, f_maclaurin_derivative, omega_coefficients,
-                     psi_terms, theta_terms)
+from .series import (_binomial_product, _sigma_sums, a_coefficients,
+                     f_maclaurin_derivative, omega_coefficients, psi_terms, theta_terms)
 
 IMAG_ORACLE_TOL = 1e-12     # relative tolerance handed to the 1D oracle
 
@@ -246,75 +247,30 @@ def sigma_records(grid: int) -> list:
     return out
 
 
-def _omega5(e1, e2):
-    return (3 * e1 ** 4 + 2 * e1 ** 2 * e2 ** 2 + 3 * e2 ** 4) / 24.0
-
-
-def _omega7(e1, e2):
-    return (5 * e1 ** 6 + 3 * e1 ** 4 * e2 ** 2
-            + 3 * e1 ** 2 * e2 ** 4 + 5 * e2 ** 6) / 80.0
-
-
-def _theta3(e1, e2):
-    return (e1 * e1 + e2 * e2) / 2.0
-
-
-def _theta5(e1, e2):
-    return (e1 ** 4 - 2 * e1 ** 2 * e2 ** 2 + e2 ** 4) / 8.0
-
-
-def _theta7(e1, e2):
-    return (e1 ** 6 - e1 ** 4 * e2 ** 2 - e1 ** 2 * e2 ** 4 + e2 ** 6) / 16.0
-
-
-def _psi5(e1, e2):
-    return e1 * e1 * e2 * e2 / 3.0
-
-
-def _psi7(e1, e2):
-    return (e1 ** 4 * e2 ** 2 + e1 ** 2 * e2 ** 4) / 10.0
-
-
-_COEFF_CHECKS = (
-    ("COEFF_OMEGA_5", "omega", 2, _omega5),
-    ("COEFF_OMEGA_7", "omega", 3, _omega7),
-    ("COEFF_THETA_3", "theta", 1, _theta3),
-    ("COEFF_THETA_5", "theta", 2, _theta5),
-    ("COEFF_THETA_7", "theta", 3, _theta7),
-    ("COEFF_PSI_5", "psi", 2, _psi5),
-    ("COEFF_PSI_7", "psi", 3, _psi7),
-)
-
-
 def coefficient_records(grid: int) -> list:
-    """Recurrence / Cauchy-product coefficients vs their closed forms, plus
-    the termwise identity Omega = Theta + Psi through m = 5."""
+    """The A and Omega recurrences vs binomial products, m = 1 to 6: A against
+    the series of F(arcsin e1, e2/e1)/e1, Omega against Theta + Psi."""
     pairs = _sigma_grid(max(2, min(grid, 4)))  # a handful of pairs suffices
+    tol = TOLERANCES["series_coeff_rel"]
     out = []
     for e1, e2 in pairs:
         # terms[m] does not depend on m_max, so one call per family serves all m
-        om = omega_coefficients(e1, e2, 5).terms
-        th = theta_terms(e1, e2, 5).terms
-        ps = psi_terms(e1, e2, 5).terms
-        terms = {"omega": om, "theta": th, "psi": ps}
-        for ident, kind, m, closed_fn in _COEFF_CHECKS:
-            out.append(make_record(ident, {"e1": e1, "e2": e2}, terms[kind][m], closed_fn(e1, e2),
-                                   TOLERANCES["series_coeff_rel"]))
-        for m in range(1, 6):
-            out.append(make_record("OMEGA_SPLIT", {"e1": e1, "e2": e2, "m": m},
-                                   om[m], th[m] + ps[m], TOLERANCES["series_split_rel"]))
+        a = a_coefficients(e1, e2, 6).terms
+        om = omega_coefficients(e1, e2, 6).terms
+        th = theta_terms(e1, e2, 6).terms
+        ps = psi_terms(e1, e2, 6).terms
+        for m in range(1, 7):
+            pr = {"e1": e1, "e2": e2, "m": m}
+            f_series = _binomial_product(-0.5, e2 * e2, e1 * e1, m) / (2 * m + 1)
+            out.append(make_record("COEFF_A", pr, a[m], f_series, tol))
+            out.append(make_record("COEFF_OMEGA", pr, om[m], th[m] + ps[m], tol))
     return out
 
 
 def _maclaurin_reference(m: int, k: float) -> float:
     """(2m)! times the x^(2m) coefficient of 1/sqrt((1 - x^2)(1 - k^2 x^2)), the
-    derivative of F(arcsin x, k): a Cauchy product of two binomial series
-    with c_0 = 1 and c_i = c_(i-1) (i - 1/2)/i."""
-    c = [1.0]
-    for i in range(1, m + 1):
-        c.append(c[i - 1] * (i - 0.5) / i)
-    return math.factorial(2 * m) * math.fsum(c[i] * c[m - i] * k ** (2 * i)
-                                             for i in range(m + 1))
+    derivative of F(arcsin x, k): the p = -1/2 binomial product at (k^2, 1)."""
+    return math.factorial(2 * m) * _binomial_product(-0.5, k * k, 1.0, m)
 
 
 def maclaurin_records() -> list:

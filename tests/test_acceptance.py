@@ -144,8 +144,8 @@ def test_criterion_08_series(capsys):
     counts = (len(sums), len(coeffs))
     ok = not bad and len(sums) == 200 and len(coeffs) >= 10
     _emit(capsys, 8, ok,
-          f"sigma sums to 1e-12 on a 10x10 grid and coefficient closed "
-          f"forms to 1e-14 incl. the omega split ({counts[0]} sum records, "
+          f"sigma sums to 1e-12 on a 10x10 grid and the A and Omega "
+          f"recurrences vs binomial products to 1e-14 ({counts[0]} sum records, "
           f"{counts[1]} coefficient records, {len(bad)} failures)")
     assert ok, bad[:3]
 

@@ -7,6 +7,7 @@ series of the derivative of the underlying first-kind integral.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,13 @@ from ellint import (
     f_maclaurin_derivative,
     omega_coefficients,
     psi_terms,
+    series,
     sigma1_sum,
     sigma2_sum,
     theta_terms,
 )
 from ellint.identities import EpsAB, IdentityId, closed_value
-from ellint.verify import _maclaurin_reference, maclaurin_records
+from ellint.verify import _maclaurin_reference, coefficient_records, maclaurin_records
 
 PAIRS = [(0.6, 0.3), (0.8, 0.5), (0.45, 0.4), (0.9, 0.2), (0.3, 0.1),
          (0.7, 0.65), (0.85, 0.1), (0.2, 0.15), (0.5, 0.25), (0.95, 0.6)]
@@ -104,6 +106,48 @@ def test_omega_splits_into_theta_plus_psi(e1, e2):
     p = psi_terms(e1, e2, 5).terms
     for m in range(1, 6):
         assert w[m] == pytest.approx(t[m] + p[m], rel=5e-16, abs=1e-18)
+
+
+def _exact_psi(e1, e2, m_max):
+    """Psi_(2m+1) for 1 <= m <= m_max in exact arithmetic at the binary e1, e2:
+    the Omega recurrence minus the Cauchy product of two sqrt(1 - x) series."""
+    x, y = Fraction(e1) ** 2, Fraction(e2) ** 2
+    s, p = x + y, x * y
+    w = [Fraction(1), s / 2]
+    for n in range(m_max - 1):
+        w.append((s * (2 * n + 1) * (2 * n + 3) * w[-1] - 2 * p * (n + 1) * abs(2 * n - 1) * w[-2])
+                 / (2 * (n + 2) * (2 * n + 3)))
+    b = [Fraction(1)]
+    for i in range(1, m_max + 1):
+        b.append(b[-1] * (i - Fraction(3, 2)) / i)
+    return [None] + [w[m] + sum(b[i] * b[m - i] * x ** i * y ** (m - i) for i in range(m + 1))
+                     for m in range(1, m_max + 1)]
+
+
+@pytest.mark.parametrize("e1,e2", [(0.3, 0.05), (0.6, 0.3), (0.85, 0.7)])
+def test_psi_terms_match_exact_arithmetic(e1, e2):
+    # Psi read as Omega - Theta in floats cancels: 1.4e-14 off at (0.3, 0.05), m = 4
+    got = psi_terms(e1, e2, 5).terms
+    exact = _exact_psi(e1, e2, 5)
+    assert exact[1] == 0 and got[:2] == (0.0, 0.0)
+    for m in range(2, 6):
+        assert abs(Fraction(got[m]) - exact[m]) <= Fraction(5e-16) * exact[m]
+
+
+@pytest.mark.parametrize("kind,ident,m", [("OMEGA", "COEFF_OMEGA", 4), ("A", "COEFF_A", 5)])
+def test_coefficient_records_kill_a_recurrence_mutant(monkeypatch, kind, ident, m):
+    # one step of the recurrence, the one giving X_(2m+1), scaled by 1 + 1e-8
+    divisor, next_fn, start = series._FAMILIES[kind]
+
+    def mutant(s, p, n, x3, x1):
+        return next_fn(s, p, n, x3, x1) * (1.0 + 1e-8 if n + 2 == m else 1.0)
+
+    monkeypatch.setitem(series._FAMILIES, kind, (divisor, mutant, start))
+    records = coefficient_records(4)
+    failed = [r for r in records if not r.passed]
+    # every one of the 16 pairs fails at the mutated m and each m above it, up to 6
+    assert len(records) == 192 and len(failed) == 16 * (7 - m)
+    assert all(r.ident == ident and r.params["m"] >= m for r in failed)
 
 
 @pytest.mark.parametrize("e1,e2", [(0.8, 0.45), (0.5, 0.2), (0.95, 0.9)])
@@ -198,6 +242,10 @@ def test_sum_domain_rejection():
         sigma1_sum(0.6, 0.3, tol=0.0)
     with pytest.raises(DomainError):
         sigma2_sum(0.6, 0.3, max_terms=1)
+    # the budget must be an int: a NaN or infinite one never stopped a slow sum
+    for bad in (float("nan"), float("inf"), None, 1e5):
+        with pytest.raises(DomainError):
+            sigma1_sum(0.99999, 0.5, max_terms=bad)
 
 
 def test_maclaurin_low_orders_closed():
