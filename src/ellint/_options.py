@@ -41,8 +41,6 @@ MAX_TERMS_DEFAULT = 100_000
 # each verify family's fixed relative pass tolerance, in report order after identity_rel
 TOLERANCES = {
     "area_vs_quadrature_rel": 1e-7,   # closed area vs the area oracle
-    "permutation_rel": 1e-12,
-    "scaling_rel": 1e-12,
     "spheroid_limit_rel": 1e-13,      # triaxial form vs spheroid form at an exact spheroid
     "route_rel": 1e-10,
     "series_sum_rel": 1e-12,          # sigma sum vs its closed reference

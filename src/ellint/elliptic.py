@@ -115,17 +115,27 @@ def _agm(k: float, kc: float) -> tuple:
     a_0 = 1, b_0 = kc, c_0 = k; K = pi/(2 a_N) and
     E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6).  c_(n+1) is
     formed as c_n^2/(4 a_(n+1)), free of the cancellation in (a_n - b_n)/2.
+    Above k = 0.9, where 1 - sum cancels as k -> 1, the mean is run again at
+    the complementary modulus (b_0 = k, c_0 = kc), and E comes from
+    Legendre's relation (DLMF 19.7.1) as E = pi/(2 K') + K sum', a sum of
+    positive terms.
     """
     a, b, c = 1.0, kc, k
-    weight = 0.5
-    csum = weight * c * c
-    while c > _AGM_TOL * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c = 0.25 * c * c / a
-        weight *= 2.0
-        csum += weight * c * c
-    kk = HALF_PI / a
-    return (kk, kk * (1.0 - csum))
+    kk = None
+    while True:
+        weight = 0.5
+        csum = weight * c * c
+        while c > _AGM_TOL * a:
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            c = 0.25 * c * c / a
+            weight *= 2.0
+            csum += weight * c * c
+        if kk is not None:
+            return (kk, a + kk * csum)  # a = pi/(2 K')
+        kk = HALF_PI / a
+        if k <= 0.9:
+            return (kk, kk * (1.0 - csum))
+        a, b, c = 1.0, k, kc
 
 
 def _fed(s: float, c2: float, kc2: float) -> tuple:

@@ -24,6 +24,7 @@ from ellint import (
     surface_area,
     surface_area_quadrature,
     triaxial_area,
+    verify,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -172,6 +173,34 @@ def test_against_two_dimensional_quadrature():
     for axes, expected in FROZEN_AREAS[:3]:
         oracle = surface_area_quadrature(*axes, 1e-9)
         assert oracle.value == pytest.approx(expected, rel=1e-8)
+
+
+# every name from another module that verify's geometry suite reads
+_GEOMETRY_READS = ("surface_area", "surface_area_quadrature", "triaxial_area", "oblate_area",
+                   "prolate_area", "i1_closed", "log_closed", "i1_barred_closed", "atan_closed")
+
+
+def _scaled(fn, factor):
+    def mutant(*args):
+        out = fn(*args)
+        if hasattr(out, "_replace"):  # a QuadratureResult
+            return out._replace(value=out.value * factor)
+        if isinstance(out, tuple):
+            return tuple(v * factor for v in out)
+        return out * factor
+    return mutant
+
+
+def test_every_geometry_family_fails_under_a_mutant(monkeypatch):
+    # each name scaled by 1 + 1e-6 in turn; a family that no mutant fails can
+    # only be comparing a value with itself
+    families = {r.ident for r in verify.geometry_records(5)}
+    killed = set()
+    for name in _GEOMETRY_READS:
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, _scaled(getattr(verify, name), 1.0 + 1e-6))
+            killed |= {r.ident for r in verify.geometry_records(5) if not r.passed}
+    assert killed == families
 
 
 _AXIS = st.floats(5e-324, sys.float_info.max)

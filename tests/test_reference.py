@@ -53,7 +53,7 @@ from ellint import (
     triaxial_area,
 )
 from ellint import quadrature
-from ellint.elliptic import HALF_PI, _rf_rd
+from ellint.elliptic import HALF_PI, _agm, _rf_rd
 from ellint.identities import (ORACLE_TOL, REGISTRY, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB,
                                FBar, MuK, NuK, PsiKBar, XiKBar)
 
@@ -95,6 +95,20 @@ def test_complete_against_mpmath(k):
     m = mp.mpf(k) ** 2
     assert _rel(complete_k(k), mp.ellipk(m)) <= 5e-15
     assert _rel(complete_e(k), mp.ellipe(m)) <= 5e-15
+
+
+def test_agm_e_as_the_modulus_tends_to_one():
+    # E = K (1 - sum) cancels as k -> 1, and was 9.3e-14 off at k' = 1e-240;
+    # above k = 0.9 it comes from Legendre's relation.  The reference needs
+    # about 2 log10(1/k') + 40 digits, or 1 - k'^2 rounds to 1 below k' ~ 1e-20
+    for x in range(1, 1200, 7):
+        kc = 10.0 ** (-x / 4)
+        with mp.workdps(int(2 * math.log10(1.0 / kc)) + 40):
+            ref = mp.ellipe(1 - mp.mpf(kc) ** 2)
+        assert _rel(_agm(math.sqrt((1.0 - kc) * (1.0 + kc)), kc)[1], ref) <= 1e-15, kc
+    for j in range(400):
+        k = 1.0 - j / 400
+        assert _rel(complete_e(k), mp.ellipe(mp.mpf(k) ** 2)) <= 1e-15, k
 
 
 def test_near_corner_first_and_third_kind():
@@ -760,10 +774,10 @@ def test_pr3_d_oracle_at_small_z(z):
     assert res.evaluations <= 45
 
 
-@pytest.mark.parametrize("k", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("k", [1e-4, 1e-6, 1e-8, 1e-50, 1e-292])
 def test_i3_at_small_k(k):
-    # unlike K(k') in I6, E(k') is insensitive to k here, so I3 stays within
-    # about 5e-15 whichever of k and k' the AGM is started from
+    # E(k') as k' -> 1 was K(k') (1 - sum), which cancels: 7.0e-15 off at
+    # k = 1e-50 and 6.6e-14 at 1e-292, where I3 is now within 2e-16
     params = NuK(math.atanh(0.5 * k), k)
     assert _rel(closed_value(IdentityId.I3, params), _identity_ref(IdentityId.I3, params)) <= 1e-14
 
