@@ -33,6 +33,7 @@ from .errors import DomainError, require_positive_tol
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 _EVEN_MU = 2.0 ** -27       # below it (in mu, or tanh(nu)/k) I4/I5 and I3/I6 are their limits at 0
+_GAP_EXACT = 1e-3           # below it (in (k - tanh nu)/k) _tanh_gap forms the gap in decimal
 _TINY = 2.2250738585072014e-308  # the least normal float
 
 
@@ -217,24 +218,48 @@ def pseudo_closed(p: E1E2) -> float:
     return (math.pi / 2.0) * (p.e1 - p.e2) ** 2 / ((1.0 - p.e1) + p.e1 * (1.0 - p.e2) + root)
 
 
+def _tanh_gap(nu: float, k: float) -> float:
+    """k - tanh(nu), the margin of NuK's class, rounded once.  The rounded
+    tanh(nu) carries an absolute error of about 1e-16, all of the gap near the
+    class's edge, so below _GAP_EXACT * k the gap is formed again from
+    e = exp(2 nu) as k - (e - 1)/(e + 1) in stdlib decimal, at 60 digits more
+    than nu's own decade; decimal is imported only there.  Raises DomainError
+    where the exact gap is not positive: the rounded tanh(nu) put nu inside
+    the class, the exact one does not."""
+    gap = k - math.tanh(nu)
+    if gap >= _GAP_EXACT * k:
+        return gap
+    import decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + max(0, -decimal.Decimal(nu).adjusted())
+        e = (2 * decimal.Decimal(nu)).exp()
+        gap = float(decimal.Decimal(k) - (e - 1) / (e + 1))
+    if not gap > 0.0:
+        raise DomainError(f"need tanh(nu) < k exactly, got nu={nu!r}, k={k!r}")
+    return gap
+
+
 def cosh_closed(p: NuK) -> tuple:
     """(I6, I3) at p, from one AGM and one Carlson pass at the amplitude with
     sine tanh(nu)/k and cosine squared (k - tanh nu)(k + tanh nu)/k^2.  Below
     tanh(nu)/k = _EVEN_MU both are their nu -> 0 limits, within a relative
     (tanh(nu)/k)^2, from the AGM alone: the general forms divide by a subnormal
-    once nu is one.  Toward k = 1, I6's K(k') - pi/2 cancels in both."""
+    once nu is one.  Toward k = 1, I6's K(k') - pi/2 cancels in both.  Toward
+    the class's edge tanh(nu) = k, the gap comes from _tanh_gap, and atanh(th/k)
+    is (log1p(th/k) - log(gap/k))/2 once the gap is below _GAP_EXACT * k."""
     # k'^2 = (1 - k)(1 + k) for _fed, the AGM's k' and den, and gap = k - tanh nu for
-    # the cos^2 and the guard, each formed once; within 1e-15 k, atanh(th/k) has no digits
+    # the cos^2 and atanh(th/k), each formed once
     th = math.tanh(p.nu)
     kp2 = (1.0 - p.k) * (1.0 + p.k)
-    gap = p.k - th
-    if gap <= 1e-15 * p.k:
-        raise DomainError(f"need k - tanh(nu) > 1e-15 k, got {p!r}")
+    gap = _tanh_gap(p.nu, p.k)
     kk, ee = _agm(math.sqrt(kp2), p.k)
     if th < _EVEN_MU * p.k:
         return (kk - HALF_PI) / (p.k * kp2), (ee - HALF_PI * p.k) / (p.k * kp2)
     f, _, d = _fed(th / p.k, gap / p.k * ((p.k + th) / p.k), kp2)
-    at = math.atanh(th / p.k)
+    if gap >= _GAP_EXACT * p.k:
+        at = math.atanh(th / p.k)
+    else:
+        at = 0.5 * (math.log1p(th / p.k) - math.log(gap / p.k))
     den = kp2 * math.sinh(p.nu) * math.cosh(p.nu)
     # F - E = k^2 D
     return ((kk * at - HALF_PI * f) / den,
@@ -441,11 +466,11 @@ def _kernel_integrand(mc: float, weight: Callable) -> Callable:
     W = const weight(s, c, D), const both members' scale.  The F leg's 1/D peaks
     at pi/2 with width m' = k in the cosh (I3/I6) and sinh (I4/I5) kernels, and
     the sinh weight at 0 with width 2e^-mu/k', the sinh map's widths.  The cos psi
-    and sin xi kernels pass 1, unmapped: with w1 = kbar' a grid-5 pair took 1,275
-    evaluations where t takes 1,095.  As m' -> 0 the 1/D peak escapes the GK15
-    nodes and estimate, and the map alone does not mend it, as W varies on the
-    scale k there: a kernel with m' = k raises DomainError, unevaluated, below the
-    least k seen within ORACLE_TOL."""
+    and sin xi kernels pass 1, unmapped: with GK15 first panels, w1 = kbar' took
+    1,275 evaluations per grid-5 pair where t took 1,095.  As m' -> 0 the 1/D
+    peak escapes the quadrature nodes and estimate, and the map alone does not
+    mend it, as W varies on the scale k there: a kernel with m' = k raises
+    DomainError, unevaluated, below the least k seen within ORACLE_TOL."""
     mc2 = mc * mc
 
     def fn(s: float, c: float, dt: float) -> tuple:
@@ -458,11 +483,11 @@ def _kernel_integrand(mc: float, weight: Callable) -> Callable:
 
 def _cosh_part(p: NuK) -> "quadrature.QuadratureResult":
     # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k) gap (D + th)), th = tanh nu,
-    # k'^2 = (1 - k)(1 + k) and gap = k - th, each formed once
+    # k'^2 = (1 - k)(1 + k) and gap = k - th from _tanh_gap, each formed once
     k, th = p.k, math.tanh(p.nu)
     if k < 5e-8:  # see _kernel_integrand
         raise DomainError(f"the I3/I6 oracle needs k >= 5e-8, got {p!r}")
-    gap = k - th
+    gap = _tanh_gap(p.nu, k)
     zq = 2.0 * ((1.0 - k) * (1.0 + k)) * th
     const = math.cosh(p.nu) ** -2
 

@@ -2,12 +2,15 @@
 
 An integrand returns a float or a tuple of floats, and a float is the
 one-component case, as in the vector form of adaptive quadrature (Genz and
-Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).  A 7-point Gauss /
-15-point Kronrod pair is applied per panel to every component; the panel
-whose largest component error is the largest multiple of that component's
-target is bisected until every component meets its tolerance or the
-evaluation budget MAX_EVALS runs out.  The estimator is the classic scaled
-(200|K15-G7|)^{3/2} rule, floored at 50 ulp of the absolute integral.
+Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).  The first panel of
+every integral takes the 10-point Gauss / 21-point Kronrod pair (QUADPACK's
+qk21, the rule of QAGS), and every panel a bisection makes the 7-point Gauss
+/ 15-point Kronrod pair, each applied to every component; the panel whose
+largest component error is the largest multiple of that component's target
+is bisected until every component meets its tolerance or the evaluation
+budget MAX_EVALS runs out, so an integral takes 21 + 30 n evaluations for n
+bisections.  The estimator is the classic scaled (200|K-G|)^{3/2} rule,
+floored at 50 ulp of the absolute integral (Piessens et al. 1983).
 
 integrate_singular_pair handles kernels 1/sqrt((hi^2-q^2)(q^2-lo^2)) through
 the exact substitution q^2 = lo^2 + (hi^2-lo^2) sin^2 t, which maps the
@@ -19,10 +22,10 @@ _graded is the one scaled integral: scale times the integral over (0, pi/2)
 of an order-1 f(sin t, cos t, dt), a zero scale being 0 unevaluated, with the
 sinh transformation t = w sinh x or pi/2 - w sinh x (Johnston and Elliott
 2005, IJNME 62:564-578) toward an end with a peak of known width w, so that
-GK15 does not bisect toward it.  Every identity oracle is one _graded call,
-with widths from its own parameters, or 1.0 for an end that is cheaper in t;
-_pair_integrand gives it the singular-pair substitution.  So is the area
-oracle, whose polar integral is done in closed form first.  The (value,
+integrate does not bisect toward it.  Every identity oracle is one _graded
+call, with widths from its own parameters, or 1.0 for an end that is cheaper
+in t; _pair_integrand gives it the singular-pair substitution.  So is the
+area oracle, whose polar integral is done in closed form first.  The (value,
 error_estimate, evaluations) result follows the (result, abserr, neval)
 contract of QUADPACK (Piessens et al. 1983).
 """
@@ -42,8 +45,8 @@ _EPS = 2.220446049250313e-16
 _MIN_WIDTH = 2.0 ** -500  # the least width _graded maps
 _TINY = 2.2250738585072014e-308  # the least normal float
 
-# 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
-# Gauss rule lives on every second node.
+# 15-point Kronrod abscissae on [-1, 1] and weights, then the weights of the
+# 7-point Gauss rule on every second node: the rule of every bisected panel
 _XK = (
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
     -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
@@ -63,7 +66,36 @@ _WG = (
     0.41795918367346935, 0.3818300505051189, 0.2797053914892767,
     0.12948496616886969,
 )
-_GAUSS_IDX = (1, 3, 5, 7, 9, 11, 13)
+_GK15 = (_XK, _WK, _WG)
+_ODD = range(1, 21, 2)  # the Gauss nodes' indices in either rule
+# the same for 21 Kronrod and 10 Gauss points, QUADPACK's qk21, rounded from
+# 60-digit values: the rule of every first panel
+_GK21 = (
+    (
+        -0.9956571630258081, -0.9739065285171717, -0.9301574913557082,
+        -0.8650633666889845, -0.7808177265864169, -0.6794095682990244,
+        -0.5627571346686047, -0.4333953941292472, -0.2943928627014602,
+        -0.14887433898163122, 0.0, 0.14887433898163122, 0.2943928627014602,
+        0.4333953941292472, 0.5627571346686047, 0.6794095682990244,
+        0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
+        0.9739065285171717, 0.9956571630258081,
+    ),
+    (
+        0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
+        0.14277593857706009, 0.13470921731147334, 0.12349197626206584,
+        0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+        0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
+    ),
+    (
+        0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+        0.26926671930999635, 0.29552422471475287, 0.29552422471475287,
+        0.26926671930999635, 0.21908636251598204, 0.1494513491505806,
+        0.06667134430868814,
+    ),
+)
 
 
 class QuadratureResult(NamedTuple):
@@ -72,20 +104,21 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
-def _rule(fv, h: float, a: float, b: float) -> tuple:
-    """GK15 over [a, b], with h = (b - a)/2, from the 15 node samples fv of
-    one component: (kronrod value, error estimate)."""
+def _rule(fv, h: float, a: float, b: float, rule: tuple = _GK15) -> tuple:
+    """A Kronrod rule and its Gauss rule over [a, b], with h = (b - a)/2, from
+    the node samples fv of one component: (kronrod value, error estimate)."""
+    _, wk, wg = rule
     resk = 0.0
     resabs = 0.0
-    for w, v in zip(_WK, fv):
+    for w, v in zip(wk, fv):
         resk += w * v
         resabs += w * abs(v)
     resg = 0.0
-    for w, i in zip(_WG, _GAUSS_IDX):
+    for w, i in zip(wg, _ODD):
         resg += w * fv[i]
     reskh = 0.5 * resk
     resasc = 0.0
-    for w, v in zip(_WK, fv):
+    for w, v in zip(wk, fv):
         resasc += w * abs(v - reskh)
     value = resk * h
     resabs *= abs(h)
@@ -101,16 +134,16 @@ def _rule(fv, h: float, a: float, b: float) -> tuple:
     return value, err
 
 
-def _panel(f, a: float, b: float) -> tuple:
-    """One GK15 pass over [a, b]: (values, error estimates), one entry per
+def _panel(f, a: float, b: float, rule: tuple = _GK15) -> tuple:
+    """One pass of a rule over [a, b]: (values, error estimates), one entry per
     component; tuples for a tuple integrand, one-element lists for a float
     one."""
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = [f(center + h * x) for x in _XK]
+    fv = [f(center + h * x) for x in rule[0]]
     if isinstance(fv[0], tuple):
-        return tuple(zip(*[_rule(col, h, a, b) for col in zip(*fv)]))
-    value, err = _rule(fv, h, a, b)
+        return tuple(zip(*[_rule(col, h, a, b, rule) for col in zip(*fv)]))
+    value, err = _rule(fv, h, a, b, rule)
     return [value], [err]
 
 
@@ -122,19 +155,22 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     runs until its error estimate drops below max(tol * |value|,
     1e-15 * (hi - lo)).  A panel is keyed on its largest component error as
     a multiple of that component's target, so a component 1e12 times
-    smaller than another is refined as far as it needs.  value and
-    error_estimate are floats for a float integrand and tuples for a tuple
-    one; evaluations counts each call of f once.  Deterministic: identical
-    inputs always produce bit-identical results.  Raises NonConvergenceError
-    once the next bisection would exceed MAX_EVALS evaluations.
+    smaller than another is refined as far as it needs.  The first panel is
+    the 21-point Kronrod rule; a panel that misses is bisected into GK15
+    panels, so evaluations, which counts each call of f once, is 21 + 30 n
+    after n bisections, and a result that bisects is the sum of GK15 panels
+    alone.  value and error_estimate are floats for a float integrand and
+    tuples for a tuple one.  Deterministic: identical inputs always produce
+    bit-identical results.  Raises NonConvergenceError once the next
+    bisection would exceed MAX_EVALS evaluations.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     require_positive_tol(tol)
     abs_target = max(_ABS_FLOOR * (hi - lo), _TINY)  # in case it underflows
 
-    values, errs = _panel(f, lo, hi)
-    evals = 15
+    values, errs = _panel(f, lo, hi, _GK21)
+    evals = len(_GK21[0])
     total_val = values
     total_err = errs
     heap = [(0.0, 0, lo, hi, values, errs)]
@@ -180,7 +216,7 @@ def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0, scale=1.0) -> Quadr
     t = pi/2.  A width w in [2^-500, 1) maps its end through t = w sinh x, or
     t = pi/2 - w sinh x: the sinh transformation of Johnston and Elliott (2005,
     IJNME 62:564-578).  A peak like 1/sqrt(y^2 + w^2), y the distance from its
-    end, is flat in x, so GK15 does not bisect toward it.  f gets sin t and
+    end, is flat in x, so integrate does not bisect toward it.  f gets sin t and
     cos t from y, so the one that vanishes at the end keeps its digits there.
     With both ends mapped, each half of (0, pi/2) is one integral toward its
     own end, and the two results add.  Any other width leaves its end in t: at

@@ -1,0 +1,49 @@
+"""Tests for bench/layers.py, the layer table of the quadrature and verify
+layers: a quick run has its schema, and its counts repeat exactly."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("layers", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_layer_table_has_its_schema_and_repeats_its_counts(tmp_path, monkeypatch):
+    layers = _layers()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src first
+    out = tmp_path / "bench.json"
+    for label in ("a", "b", "a"):  # a second run of a label replaces the first
+        assert layers.main(["--quick", "--label", label, "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["label"] for run in runs] == ["b", "a"]
+    run = runs[1]
+    assert set(run) == {"label", "python", "grid", "repeats", "timings", "counts"}
+    assert (run["grid"], run["repeats"]) == (5, 3)
+
+    timings = run["timings"]
+    assert list(timings)[:3] == ["quadrature.panel_gk15", "quadrature.panel_k21",
+                                 "quadrature.integrate_sin50"]
+    assert list(timings)[-2:] == ["verify.run_suite_all_5", "verify.report_json"]
+    oracles = [name for name in timings if name.startswith("oracle.")]
+    assert len(oracles) == 11 and len(timings) == 16
+    for t in timings.values():
+        assert set(t) == {"median_ms", "iqr_ms", "n"} and t["n"] == 3
+        assert t["median_ms"] > 0.0 and t["iqr_ms"] >= 0.0
+
+    counts = run["counts"]
+    assert counts == runs[0]["counts"] == json.loads(json.dumps(layers.counts()))
+    assert ["oracle." + name for name in counts["oracle_evals"]] == oracles
+    assert counts["oracle_evals_total"] == sum(counts["oracle_evals"].values())
+    sweep = counts["run_suite"]
+    hist = {int(n): calls for n, calls in sweep["evals_per_integral"].items()}
+    assert sweep["records"] == 892
+    assert sum(hist.values()) == sweep["integrals"]
+    assert sum(n * calls for n, calls in hist.items()) == sweep["evaluations"]

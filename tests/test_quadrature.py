@@ -31,7 +31,7 @@ from ellint import (
     triaxial_area,
     write_report,
 )
-from ellint.identities import AlphaZ, EpsAB
+from ellint.identities import EpsAB
 from ellint.quadrature import HALF_PI
 
 
@@ -57,7 +57,22 @@ def test_error_estimate_within_requested_tolerance():
     res = integrate(lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2),
                     0.0, HALF_PI, tol)
     assert res.error_estimate <= max(tol * abs(res.value), 1e-15 * HALF_PI)
-    assert res.evaluations % 15 == 0
+    # a 21-point first panel, then two 15-point panels per bisection
+    assert (res.evaluations - 21) % 30 == 0
+
+
+def test_first_panel_rule_table():
+    # the 21-point Kronrod rule is exact to degree 31 and its 10-point Gauss
+    # rule, on the odd-indexed nodes, to degree 19: 2/(k + 1) for even k
+    xk, wk, wg = quadrature._GK21
+    assert (len(xk), len(wk), len(wg)) == (21, 21, 10)
+    assert xk == tuple(-x for x in reversed(xk)) and all(a < b for a, b in zip(xk, xk[1:]))
+    assert wk == wk[::-1] and wg == wg[::-1]
+    for k in range(32):
+        moment = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x ** k for w, x in zip(wk, xk)) - moment) <= 4e-16
+        if k <= 19:
+            assert abs(math.fsum(w * x ** k for w, x in zip(wg, xk[1::2])) - moment) <= 4e-16
 
 
 # thirty integrands with elementary antiderivatives on [0, 1]
@@ -156,7 +171,7 @@ def test_singular_pair_hands_g_the_exact_factors():
     exact = math.pi / 16.0 * span * span
     res = integrate_singular_pair(lambda q, below, above: q * below * above, lo, hi, 1e-12)
     assert abs(res.value - exact) <= 1e-14 * exact
-    assert res.evaluations == 15
+    assert res.evaluations == 21
     rebuilt = integrate_singular_pair(
         lambda q, below, above: q * (q * q - lo * lo) * (hi * hi - q * q), lo, hi, 1e-12)
     assert abs(rebuilt.value - exact) > 1e-6 * exact
@@ -166,15 +181,15 @@ def test_singular_pair_hands_g_the_exact_factors():
 def test_sinh_map_flattens_a_lorentzian_of_known_width(w):
     # 1/(sin^2 t + w^2) peaks at t = 0 with width w, and 1/(cos^2 t + w^2) at
     # pi/2; each integrates to pi/(2 w sqrt(1 + w^2)) over (0, pi/2).  GK15 in t
-    # bisects toward the first for 255, 645 and 1,245 evaluations, and toward
-    # the second for 827,235 at w = 1e-12, where cos t of the rounded t is coarse
+    # bisects toward the first for 261, 651 and 1,251 evaluations, and toward
+    # the second for 827,211 at w = 1e-12, where cos t of the rounded t is coarse
     exact = math.pi / (2.0 * w * math.sqrt(1.0 + w * w))
     for widths, f, n in (((w, 1.0), lambda s, c, dt: dt / (s * s + w * w), 1),
                          ((1.0, w), lambda s, c, dt: dt / (c * c + w * w), 1),
                          ((w, w), lambda s, c, dt: dt / (s * s + w * w) + dt / (c * c + w * w), 2)):
         res = quadrature._graded(f, 1e-10, *widths)
         assert abs(res.value - n * exact) <= 5e-16 * n * exact <= res.error_estimate
-        assert res.evaluations == n * (135 if w == 1e-2 else 195)
+        assert res.evaluations == n * (141 if w == 1e-2 else 201)
 
 
 @pytest.mark.parametrize("w", [1.0, 2.0, 2.0 ** -501, 0.0])
@@ -234,13 +249,14 @@ def test_budget_exhaustion_raises(kind, monkeypatch):
 
 
 def test_budget_bounds_every_oracle_caller(monkeypatch):
-    # MAX_EVALS is the only budget control; 30 admits only the first GK15
+    # MAX_EVALS is the only budget control; 30 admits only the 21-point first
     # panel, so each caller raises unless one panel meets its tolerance,
-    # whatever endpoint map its oracle uses; the area oracle needs 105
-    # evaluations at (10, 0.1, 0.1), against one panel at (2, 1.5, 1)
+    # whatever endpoint map its oracle uses; LOG_F needs 51 evaluations at
+    # (1, 0.5, 0.9), and the area oracle 111 at (10, 0.1, 0.1), against one
+    # panel at (2, 1.5, 1)
     monkeypatch.setattr(quadrature, "MAX_EVALS", 30)
     with pytest.raises(NonConvergenceError):
-        check(IdentityId.PR3_D, AlphaZ(0.5, 0.7))
+        check(IdentityId.LOG_F, EpsAB(1.0, 0.5, 0.9))
     with pytest.raises(NonConvergenceError):
         run_suite("integrals", grid=2)
     with pytest.raises(NonConvergenceError):
@@ -287,12 +303,13 @@ def test_non_finite_integrand():
 
 def test_float_integrand_results_are_unchanged():
     # pinned bit for bit; the same integrand as a 1-tuple gives the same bits
-    # in 1-tuples
+    # in 1-tuples.  Both miss in their 21-point first panel, so their values
+    # and estimates are those of the GK15 panels that bisection leaves
     for f, lo, hi, tol, pinned in [
             (lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2), 0.0, HALF_PI, 1e-11,
-             (1.171697052781614, 1.3008450458835852e-14, 75)),
+             (1.171697052781614, 1.3008450458835852e-14, 81)),
             (lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-10,
-             (0.037676985468630166, 9.512457278050712e-13, 3825))]:
+             (0.037676985468630166, 9.512457278050712e-13, 3831))]:
         value, err, evals = pinned
         assert integrate(f, lo, hi, tol) == pinned
         assert integrate(lambda x: (f(x),), lo, hi, tol) == ((value,), (err,), evals)

@@ -17,8 +17,9 @@ oracle of the eight kernel identities, whose F and E legs share one
 quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
 the LOG oracle at u << eps, the PSEUDO and LOG oracles on thin
 intervals and at beta -> eps, the oracles that take quadrature's sinh
-map at the grid nodes and where GK15 in t failed, and both sides of LOG,
-ATAN and I1_BARRED where their parameters are tiny.
+map at the grid nodes and where GK15 in t failed, every identity oracle at
+every grid-5 node, both sides of I3 and I6 at the tanh(nu) = k edge, and
+both sides of LOG, ATAN and I1_BARRED where their parameters are tiny.
 Skipped when mpmath is not installed.
 """
 
@@ -52,7 +53,7 @@ from ellint import (
     surface_area_quadrature,
     triaxial_area,
 )
-from ellint import quadrature
+from ellint import identities, quadrature
 from ellint.elliptic import HALF_PI, _agm, _rf_rd
 from ellint.identities import (ORACLE_TOL, REGISTRY, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB,
                                FBar, MuK, NuK, PsiKBar, XiKBar)
@@ -510,6 +511,12 @@ def _gr_e_sin_ref(xi, kbar):
              + mp.pi / 2 * (cx / sx) * (1 - root)) / (m * sx * cx)
 
 
+def _gr_f_sin_ref(xi, kbar):
+    m = kbar * kbar
+    return -(mp.ellipk(m) * mp.atan(mp.sqrt(1 - m) * mp.tan(xi)) - mp.pi / 2 * mp.ellipf(xi, m)
+             ) / (m * mp.sin(xi) * mp.cos(xi))
+
+
 _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
                   IdentityId.PR3_D_BARRED: _pr3_d_barred_ref,
                   IdentityId.PR3_D: _pr3_d_ref, IdentityId.LOG_F: _log_f_ref,
@@ -517,7 +524,8 @@ _IDENTITY_REFS = {IdentityId.I1: _i1_ref, IdentityId.I1_BARRED: _i1_barred_ref,
                   IdentityId.I3: _i3_ref, IdentityId.I4: _i4_ref, IdentityId.I5: _i5_ref,
                   IdentityId.I6: _i6_ref, IdentityId.ATAN_F: _atan_f_ref,
                   IdentityId.ATAN_E: _atan_e_ref, IdentityId.I3_BARRED: _i3_barred_ref,
-                  IdentityId.I2_BARRED: _i2_barred_ref, IdentityId.GR_E_SIN: _gr_e_sin_ref}
+                  IdentityId.I2_BARRED: _i2_barred_ref, IdentityId.GR_E_SIN: _gr_e_sin_ref,
+                  IdentityId.GR_F_SIN: _gr_f_sin_ref}
 
 
 def _identity_ref(ident, params):
@@ -589,6 +597,7 @@ def test_identity_references_are_the_integrals():
         (IdentityId.I3_BARRED, (psi, kn), _kernel_integral(mp.ellipf, psi_coef, psi_m)),
         (IdentityId.I2_BARRED, (psi, kn), _kernel_integral(mp.ellipe, psi_coef, psi_m)),
         (IdentityId.GR_E_SIN, (psi, kn), _kernel_integral(mp.ellipe, xi_coef, xi_m)),
+        (IdentityId.GR_F_SIN, (psi, kn), _kernel_integral(mp.ellipf, xi_coef, xi_m)),
         (IdentityId.PSEUDO, (f2, z), _pair_integral(
             lambda q: (f2 * f2 - q * q) * (q * q - z * z) / (q * (1 - q * q)), z, f2)),
         (IdentityId.ATAN_F, (f1, f2), _pair_integral(mp.atan, f2, f1)),
@@ -642,6 +651,9 @@ def test_log_oracle_at_small_u_over_eps(params):
         assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 1e-15
 
 
+_THIN_BISECTED = EpsAB(1.0, 0.9999999739198002, 0.9999999999999989)
+
+
 @pytest.mark.parametrize("ident,params", [
     # e1^2 - q^2 and q^2 - e2^2 rebuilt from the rounded q: 14.8%, 4.6e-8 and 4.8% off
     (IdentityId.PSEUDO, E1E2(1.3044041976686021e-12, 1.3044041976686003e-12)),
@@ -653,13 +665,15 @@ def test_log_oracle_at_small_u_over_eps(params):
     EpsAB(3.7, 3.6999999999630777, 3.6999999999633792),
     EpsAB(0.7, 0.6999999999999585, 0.6999999999999643),
     EpsAB(1.0, 0.9999999991809817, 0.99999999953183),
-    EpsAB(1.0, 0.9999999739198002, 0.9999999999999989),
+    _THIN_BISECTED,
 ) for ident in (IdentityId.LOG_F, IdentityId.LOG_Q2)],
     ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
 def test_singular_pair_oracles_on_thin_intervals(ident, params):
+    # each meets in its 21-point first panel but the LOG rows at eps = 1.0,
+    # alpha = 0.9999999739198002, which bisect into GK15's 375 and the root's 6
     res = oracle_value(ident, params)
     assert _rel(res.value, _identity_ref(ident, params)) <= 1e-13
-    assert res.evaluations <= 375
+    assert res.evaluations == (381 if params == _THIN_BISECTED else 21)
 
 
 @pytest.mark.parametrize("ident,params,tol", [
@@ -702,39 +716,56 @@ def test_sinh_mapped_oracles_at_the_grid_nodes(ident, grid):
         assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= 2e-15
 
 
-@pytest.mark.parametrize("ident,params,evals", [
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda v: v.value)
+def test_every_oracle_at_the_grid_5_nodes(ident):
+    # the oracle's error_estimate bounds its true error at every node the
+    # benchmark's verify sweep integrates, and the value is within 1e-12
+    for params in grid_params(ident, 5):
+        res = oracle_value(ident, params)
+        err = abs(res.value - _identity_ref(ident, params))
+        assert err <= res.error_estimate
+        assert err <= 1e-12 * abs(res.value)
+
+
+# each with the evaluations it takes, kept out of the test ids
+_SINH_MAP_EVALS = {
     # the sinh kernel's peak at t = 0, width 2e^-mu/k': GK15 in t took 705 and
     # 1,065 evaluations, and was 1.1e-13 off
-    (IdentityId.I4, MuK(19.0, 0.5), 180), (IdentityId.I5, MuK(19.0, 0.5), 180),
-    (IdentityId.I4, MuK(40.0, 0.5), 240), (IdentityId.I5, MuK(40.0, 0.5), 240),
+    (IdentityId.I4, MuK(19.0, 0.5)): 162, (IdentityId.I5, MuK(19.0, 0.5)): 162,
+    (IdentityId.I4, MuK(40.0, 0.5)): 222, (IdentityId.I5, MuK(40.0, 0.5)): 222,
     # PSEUDO's fall at t = pi/2, width sqrt((1 - e1^2)/span), escaped GK15: 5.8e-6 off
     # in 15 evaluations
-    (IdentityId.PSEUDO, E1E2(0.9999999999993765, 0.9277479406643732), 180),
+    (IdentityId.PSEUDO, E1E2(0.9999999999993765, 0.9277479406643732)): 192,
     # PSEUDO's integrand was of the order of its value, about 4e-16 here, so it
     # stopped on integrate's absolute floor after one panel: 6.7e-5 and 3.2e-6 off
-    (IdentityId.PSEUDO, E1E2(2.3121601631636408e-08, 1.5558801451695426e-09), 105),
-    (IdentityId.PSEUDO, E1E2(1e-8, 1e-9), 75),
+    (IdentityId.PSEUDO, E1E2(2.3121601631636408e-08, 1.5558801451695426e-09)): 111,
+    (IdentityId.PSEUDO, E1E2(1e-8, 1e-9)): 81,
     # and returned 0.0 where the squares of q underflowed
-    (IdentityId.PSEUDO, E1E2(1e-150, 1e-151), 75),
-], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
-def test_sinh_mapped_oracles_where_gk15_in_t_failed(ident, params, evals):
+    (IdentityId.PSEUDO, E1E2(1e-150, 1e-151)): 81,
+}
+
+
+@pytest.mark.parametrize("ident,params", list(_SINH_MAP_EVALS),
+                         ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
+def test_sinh_mapped_oracles_where_gk15_in_t_failed(ident, params):
     res = oracle_value(ident, params)
     ref = _identity_ref(ident, params)
     assert _rel(res.value, ref) <= 1e-15
     assert abs(res.value - ref) <= res.error_estimate
-    assert res.evaluations == evals
+    assert res.evaluations == _SINH_MAP_EVALS[ident, params]
 
 
-@pytest.mark.parametrize("params,evals", [
-    # PSEUDO's rise at t = 0 and its fall at pi/2 are both narrow here, so each half
-    # of (0, pi/2) takes the map toward its own end; GK15 in t was 1.5e-7 off in 15
-    # evaluations and 1.0e-10 off in 585
-    (E1E2(0.99999999999999, 1e-08), 150), (E1E2(0.999999999999, 1e-10), 240),
-], ids=repr)
-def test_pseudo_oracle_with_both_ends_narrow(params, evals):
+# PSEUDO's rise at t = 0 and its fall at pi/2 are both narrow here, so each half
+# of (0, pi/2) takes the map toward its own end; GK15 in t was 1.5e-7 off in 15
+# evaluations and 1.0e-10 off in 585
+_BOTH_ENDS_EVALS = {E1E2(0.99999999999999, 1e-08): 162, E1E2(0.999999999999, 1e-10): 252}
+
+
+@pytest.mark.parametrize("params", list(_BOTH_ENDS_EVALS), ids=repr)
+def test_pseudo_oracle_with_both_ends_narrow(params):
     res = oracle_value(IdentityId.PSEUDO, params)
     assert _rel(res.value, _identity_ref(IdentityId.PSEUDO, params)) <= 5e-15
-    assert res.evaluations == evals
+    assert res.evaluations == _BOTH_ENDS_EVALS[params]
 
 
 def test_pseudo_oracle_below_the_float_range():
@@ -780,6 +811,35 @@ def test_i3_at_small_k(k):
     # k = 1e-50 and 6.6e-14 at 1e-292, where I3 is now within 2e-16
     params = NuK(math.atanh(0.5 * k), k)
     assert _rel(closed_value(IdentityId.I3, params), _identity_ref(IdentityId.I3, params)) <= 1e-14
+
+
+# NuK's edge tanh(nu) = k: the two rows where the rounded gap k - tanh(nu) made
+# I6's closed form 3.0e-6 off and raised DomainError (and its oracle 3.9e-6 and
+# 3.9e-3 off), a gap of one ulp, and relative gaps 1e-4 to 1e-14 at four k
+_TANH_EDGE = [NuK(0.5264602842017002, 0.482670667967035), NuK(1.4722194895832188, 0.9),
+              NuK(0.5493061443340548, 0.5)] + [
+    NuK(math.atanh(k * (1.0 - gap)), k) for k in (0.1, 0.5, 0.9, 0.99)
+    for gap in (1e-4, 1e-6, 1e-9, 1e-12, 1e-14)]
+
+
+@pytest.mark.parametrize("params", _TANH_EDGE, ids=repr)
+def test_tanh_gap_against_mpmath(params):
+    # below 1e-3 k the gap is formed in decimal, and rounded once
+    nu, k = params
+    gap = identities._tanh_gap(nu, k)
+    assert gap < 1e-3 * k
+    with mp.workdps(60):
+        assert _rel(gap, mp.mpf(k) - mp.tanh(mp.mpf(nu))) <= 2.0 ** -53
+
+
+@pytest.mark.parametrize("params", _TANH_EDGE, ids=repr)
+def test_cosh_kernel_at_the_tanh_edge(params):
+    for ident in (IdentityId.I3, IdentityId.I6):
+        ref = _identity_ref(ident, params)
+        res = oracle_value(ident, params)
+        assert _rel(closed_value(ident, params), ref) <= 1e-14
+        assert _rel(res.value, ref) <= 1e-14
+        assert abs(res.value - ref) <= res.error_estimate
 
 
 @pytest.mark.parametrize("ident", [IdentityId.I3, IdentityId.I6])
