@@ -19,7 +19,7 @@ through quadrature._pair_integrand.  The four kernel pairs and the four
 weighted-E rows (I1, I1_BARRED, PR3_D, PR3_D_BARRED) integrate in swapped
 order: the inner integral is elementary, so no oracle node needs F or E, and
 no oracle calls anything of elliptic.  The cosh and sinh kernel oracles raise
-DomainError below k = 5e-8 and 1e-9 (see _kernel_integrand).
+DomainError below k = 5e-8 and 1e-9 (see _kernel_oracle).
 """
 
 import math
@@ -361,6 +361,9 @@ def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
     cancellation; the integrand is J/J(0), of order 1, and the scale alpha J(0).
     A scaled row hands shape its parameters over 2^e: c0, R and Q scale as 2^-2e
     and J as 2^2ne, while g (alpha itself for I1_BARRED, else 1) does not scale.
+    Where e > 0 puts a parameter over 2^e below the normal range (PR3_D with
+    its smaller parameter below 2^(e-1022), its larger 2^e or more) the oracle
+    raises DomainError, unevaluated.
     Toward theta = pi/2, P = cos^2 theta + g'^2 sin^2 theta, g' = sqrt(1 - g^2).
     A row with g < 1 (I1, I1_BARRED) has a kink of width g' there from sqrt(P),
     and takes the sinh map toward pi/2 with width g'.  A row with s = alpha
@@ -373,6 +376,8 @@ def _weighted_e_part(shape: Callable, scaled: bool = False) -> Callable:
 
     def oracle(p) -> "quadrature.QuadratureResult":
         e, *xs = _scaled(*p) if scaled else (0, *p)
+        if e > 0 and min(xs) < _TINY:
+            raise DomainError(f"the oracle needs each parameter over 2^{e} normal, got {p!r}")
         p = p._make(xs)
         g, c, r, q, n = shape(p, e)
         gc = (1.0 - g) * (1.0 + g)
@@ -457,84 +462,72 @@ def _pseudo_part(p: E1E2) -> "quadrature.QuadratureResult":
                               math.ldexp(span, 2 * e))
 
 
-def _kernel_integrand(mc: float, weight: Callable) -> Callable:
-    """The integrand of a first/second-kind pair's oracle, the part (F w, E w)
-    over (0, pi/2), F and E at modulus m, w = d0 s c / ((d0 + d1 s^2) D) with
+def _kernel_oracle(mc: float, q: Callable, zq: float, h: Callable, w0: float = 1.0,
+                   const: float = 1.0) -> "quadrature.QuadratureResult":
+    """The oracle of a first/second-kind pair, the part (F w, E w) over
+    (0, pi/2), F and E at modulus m, w = d0 s c / ((d0 + d1 s^2) D) with
     D = sqrt(c^2 + m'^2 s^2), s, c = sin u, cos u.  In swapped order it is the
     part (W/D, W D) at t, W(t) the integral of w over (t, pi/2), elementary as
     y = D(u) makes w du = -d0 dy/(m^2 d0 + d1 - d1 y^2).  mc is m', exact, and
-    W = const weight(s, c, D), const both members' scale.  The F leg's 1/D peaks
-    at pi/2 with width m' = k in the cosh (I3/I6) and sinh (I4/I5) kernels, and
-    the sinh weight at 0 with width 2e^-mu/k', the sinh map's widths.  The cos psi
-    and sin xi kernels pass 1, unmapped: with GK15 first panels, w1 = kbar' took
-    1,275 evaluations per grid-5 pair where t took 1,095.  As m' -> 0 the 1/D
-    peak escapes the quadrature nodes and estimate, and the map alone does not
-    mend it, as W varies on the scale k there: a kernel with m' = k raises
+    W = const q h(z)/z, z = zq q with q = q(s, c, D), or const q where z is 0:
+    h is log1p for the cosh and sinh kernels and atan for the cos psi and sin xi
+    kernels, and const is both members' scale.  The F leg's 1/D peaks at pi/2
+    with width m', which the sinh map takes there for every kernel (the cos psi
+    and sin xi kernels: 585 evaluations per grid-5 pair, against 915 in t), and
+    the sinh weight at 0 with width w0 = 2e^-mu/k'.  As m' -> 0 the 1/D peak
+    escapes the quadrature nodes and estimate, and the map alone does not mend
+    it, as W varies on the scale k there: a kernel with m' = k raises
     DomainError, unevaluated, below the least k seen within ORACLE_TOL."""
     mc2 = mc * mc
 
     def fn(s: float, c: float, dt: float) -> tuple:
         d = math.sqrt(c * c + mc2 * s * s)
-        w = weight(s, c, d) * dt
+        qv = q(s, c, d)
+        z = zq * qv
+        w = (qv * (h(z) / z) if z else qv) * dt
         return w / d, w * d
 
-    return fn
+    return quadrature._graded(fn, ORACLE_TOL, w0, mc, (const, const))
 
 
 def _cosh_part(p: NuK) -> "quadrature.QuadratureResult":
-    # W = sech^2(nu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k) gap (D + th)), th = tanh nu,
+    # z = 2 k'^2 th q, q = c^2/((D + k) gap (D + th)), const = sech^2(nu), th = tanh nu,
     # k'^2 = (1 - k)(1 + k) and gap = k - th from _tanh_gap, each formed once
     k, th = p.k, math.tanh(p.nu)
-    if k < 5e-8:  # see _kernel_integrand
+    if k < 5e-8:  # see _kernel_oracle
         raise DomainError(f"the I3/I6 oracle needs k >= 5e-8, got {p!r}")
     gap = _tanh_gap(p.nu, k)
-    zq = 2.0 * ((1.0 - k) * (1.0 + k)) * th
-    const = math.cosh(p.nu) ** -2
-
-    def weight(s: float, c: float, d: float) -> float:
-        q = c / (d + k) * (c / (d + th)) / gap
-        z = zq * q
-        return q * (math.log1p(z) / z) if z else q
-
-    return quadrature._graded(_kernel_integrand(k, weight), ORACLE_TOL, 1.0, k, (const, const))
+    return _kernel_oracle(k, lambda s, c, d: c / (d + k) * (c / (d + th)) / gap,
+                          2.0 * ((1.0 - k) * (1.0 + k)) * th, math.log1p,
+                          const=math.cosh(p.nu) ** -2)
 
 
 def _sinh_part(p: MuK) -> "quadrature.QuadratureResult":
-    # W = sech^2(mu) q log1p(z)/z, z = 2 k'^2 th q, q = c^2/((D + k)(1 + th k)(1 - th D)),
-    # in e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
+    # z = 2 k'^2 th q, q = c^2/((D + k)(1 + th k)(1 - th D)), const = sech^2(mu), in
+    # e2 = exp(-2 mu) so nothing overflows: th = tanh mu = -expm1(-2 mu)/(1 + e2), and
     # 1 - th D = k'^2 s^2/(1 + D) + D (1 - th) is a sum of positive terms.  sech^2(mu)
     # underflows to 0 above mu ~ 372, and the oracle returns 0 unevaluated
     k = p.k
-    if k < 1e-9:  # see _kernel_integrand
+    if k < 1e-9:  # see _kernel_oracle
         raise DomainError(f"the I4/I5 oracle needs k >= 1e-9, got {p!r}")
     kp2 = (1.0 - k) * (1.0 + k)
     e2 = math.exp(-2.0 * p.mu)
     th = -math.expm1(-2.0 * p.mu) / (1.0 + e2)
     gap = 2.0 * e2 / (1.0 + e2)
-    zq = 2.0 * kp2 * th
-    const = 4.0 * e2 / (1.0 + e2) ** 2
-
-    def weight(s: float, c: float, d: float) -> float:
-        q = c / (d + k) * c / ((1.0 + th * k) * (kp2 * s * s / (1.0 + d) + d * gap))
-        z = zq * q
-        return q * (math.log1p(z) / z) if z else q
-
-    return quadrature._graded(_kernel_integrand(k, weight), ORACLE_TOL,
-                              2.0 * math.exp(-p.mu) / math.sqrt(kp2), k, (const, const))
+    return _kernel_oracle(
+        k, lambda s, c, d: c / (d + k) * c / ((1.0 + th * k) * (kp2 * s * s / (1.0 + d) + d * gap)),
+        2.0 * kp2 * th, math.log1p, 2.0 * math.exp(-p.mu) / math.sqrt(kp2),
+        4.0 * e2 / (1.0 + e2) ** 2)
 
 
 def _atan_kernel(kbar: float, sa: float, ca: float) -> "quadrature.QuadratureResult":
     """The oracle of the kernel 1 - kbar^2 ca^2 sin^2 u, sa^2 + ca^2 = 1, at scale 1:
-    W = atan2(m c^2/(D + kbar'), sa^2 + D kbar' ca^2)/m, m = kbar^2 sa ca, or below
-    the normal range of m its m -> 0 limit c^2/((D + kbar')(sa^2 + D kbar' ca^2))."""
+    W = atan(m q)/m, m = kbar^2 sa ca and q = c^2/((D + kbar')(sa^2 + D kbar' ca^2)),
+    which is q where m q is 0."""
     kbc = math.sqrt((1.0 - kbar) * (1.0 + kbar))
-    m = kbar * kbar * sa * ca
     sa2, ca2 = sa * sa, ca * ca
-    if m < _TINY:
-        weight = lambda s, c, d: c * c / ((d + kbc) * (sa2 + d * kbc * ca2))
-    else:
-        weight = lambda s, c, d: math.atan2(m * c * c / (d + kbc), sa2 + d * kbc * ca2) / m
-    return quadrature._graded(_kernel_integrand(kbc, weight), ORACLE_TOL)
+    return _kernel_oracle(kbc, lambda s, c, d: c * c / ((d + kbc) * (sa2 + d * kbc * ca2)),
+                          kbar * kbar * sa * ca, math.atan)
 
 
 # the cos psi kernel, and the sin xi kernel as the cos psi kernel at psi = pi/2 - xi

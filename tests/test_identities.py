@@ -380,8 +380,8 @@ def test_pseudo_oracle_cost():
 GRID5_ORACLE_EVALS = {
     "I1": 525, "I1_BARRED": 525, "PR3_D": 525, "PR3_D_BARRED": 525,
     "LOG_F": 765, "LOG_Q2": 765, "PSEUDO": 1431, "I3": 1365, "I4": 1908,
-    "I5": 1908, "I6": 1365, "I2_BARRED": 915, "I3_BARRED": 915,
-    "GR_E_SIN": 915, "GR_F_SIN": 915, "ATAN_F": 855, "ATAN_E": 855,
+    "I5": 1908, "I6": 1365, "I2_BARRED": 585, "I3_BARRED": 585,
+    "GR_E_SIN": 585, "GR_F_SIN": 585, "ATAN_F": 855, "ATAN_E": 855,
 }
 _PAIRS = (("I3", "I6"), ("I4", "I5"), ("I2_BARRED", "I3_BARRED"),
           ("GR_E_SIN", "GR_F_SIN"), ("LOG_F", "LOG_Q2"), ("ATAN_F", "ATAN_E"))
@@ -392,7 +392,7 @@ def test_oracle_evaluation_counts_at_grid_5():
                                for p in grid_params(ident, 5))
               for ident in IdentityId}
     assert counts == GRID5_ORACLE_EVALS
-    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 10_254
+    assert sum(counts.values()) - sum(counts[b] for _, b in _PAIRS) == 9_594
 
 
 def test_paired_rows_share_their_part():
@@ -408,7 +408,7 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
     # one oracle and one closed-body call per unpaired row and per pair at each
     # grid point: 275 of each, against 425 with every row evaluated on its own.
     # 19 of the oracles (PSEUDO and I4/I5 nodes) map both ends of (0, pi/2) and
-    # integrate each half on its own, so 294 integrate calls, 10,254 evaluations
+    # integrate each half on its own, so 294 integrate calls, 9,594 evaluations
     plain = quadrature.integrate
     calls = []
     bodies = []
@@ -430,7 +430,7 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
         monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(entry.closed)))
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
-    assert (len(calls), sum(calls)) == (294, 10_254)
+    assert (len(calls), sum(calls)) == (294, 9_594)
     assert len(bodies) == 275 and len(set(bodies)) == 11
 
 

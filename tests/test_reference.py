@@ -15,8 +15,9 @@ z/alpha from 1e-200 to 3e4, PR3_D out to alpha/z = inf, I4 and I5 out to
 mu = 1e300 and down to mu = 5e-324, I3_BARRED at kbar = 1 - 1e-15, and the
 oracle of the eight kernel identities, whose F and E legs share one
 quadrature, against their defining integrals out to mu = 19 and k = 1e-6,
-the LOG oracle at u << eps, the PSEUDO and LOG oracles on thin
-intervals and at beta -> eps, the oracles that take quadrature's sinh
+the psi and xi oracles as kbar -> 1, the PR3_D oracle where its scaling
+leaves the normal range, the LOG oracle at u << eps, the PSEUDO and LOG
+oracles on thin intervals and at beta -> eps, the oracles that take quadrature's sinh
 map at the grid nodes and where GK15 in t failed, every identity oracle at
 every grid-5 node, both sides of I3 and I6 at the tanh(nu) = k edge, and
 both sides of LOG, ATAN and I1_BARRED where their parameters are tiny.
@@ -26,6 +27,7 @@ Skipped when mpmath is not installed.
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -505,10 +507,14 @@ def _i2_barred_ref(psi, kbar):
 
 
 def _gr_e_sin_ref(xi, kbar):
+    # 1 - root cancels the decades of m sin^2 xi, of kbar and xi together, so it
+    # takes them as digits more: from the one farthest from 1 alone this was
+    # 3 pi/8 at XiKBar(1e-100, 1e-100) and XiKBar(1e-300, 1e-200), not pi/8
     m, sx, cx = kbar * kbar, mp.sin(xi), mp.cos(xi)
-    root = mp.sqrt(1 - m * sx * sx)
-    return -(mp.ellipe(m) * mp.atan(mp.sqrt(1 - m) * mp.tan(xi)) - mp.pi / 2 * mp.ellipe(xi, m)
-             + mp.pi / 2 * (cx / sx) * (1 - root)) / (m * sx * cx)
+    with mp.workdps(mp.mp.dps + max(0, int(-mp.log10(m * sx * sx)))):
+        root = mp.sqrt(1 - m * sx * sx)
+        return -(mp.ellipe(m) * mp.atan(mp.sqrt(1 - m) * mp.tan(xi)) - mp.pi / 2 * mp.ellipe(xi, m)
+                 + mp.pi / 2 * (cx / sx) * (1 - root)) / (m * sx * cx)
 
 
 def _gr_f_sin_ref(xi, kbar):
@@ -888,6 +894,37 @@ def test_atan_kernel_pairs_below_the_normal_range(params):
             assert abs(oracle_value(ident, params).value - math.pi / 8.0) <= 1e-15
 
 
+@pytest.mark.parametrize("params", [XiKBar(1e-100, 1e-100), XiKBar(1e-300, 1e-200)], ids=repr)
+def test_gr_e_sin_reference_where_kbar_and_xi_are_both_tiny(params):
+    # as kbar -> 0 every psi/xi row is pi/8; GR_E_SIN's reference read 3 pi/8 here
+    assert abs(_identity_ref(IdentityId.GR_E_SIN, params) - math.pi / 8.0) <= 1e-16
+
+
+# kbar -> 1 at angles from 1e-8 to the last float below pi/2, where the F leg's
+# 1/D peak at u = pi/2 narrows to kbar' = 1.5e-8: with that end left in t the
+# estimate did not bound the error (I3_BARRED at PsiKBar(1e-08, 1 - 2^-53) was
+# 3.1e-11 off with an estimate of 1.5e-12, GR_F_SIN at XiKBar(1.5707963267948963,
+# 1 - 2^-53) 2.6e-11 off with 1.6e-12), in 25,080 evaluations over these 80 rows
+_ATAN_KERNEL_ROWS = [
+    (ident, cls(angle, kbar))
+    for cls, idents in ((PsiKBar, (IdentityId.I2_BARRED, IdentityId.I3_BARRED)),
+                        (XiKBar, (IdentityId.GR_E_SIN, IdentityId.GR_F_SIN)))
+    for kbar in (1.0 - 2.0 ** -53, 1.0 - 1e-12, 0.999, 0.5, 1e-4)
+    for angle in (1e-8, 0.3, 1.2, 1.5707963267948963) for ident in idents]
+
+
+def test_atan_kernel_oracles_as_kbar_tends_to_one():
+    evals = 0
+    for ident, params in _ATAN_KERNEL_ROWS:
+        res = oracle_value(ident, params)
+        ref = _identity_ref(ident, params)
+        err = abs(res.value - ref)
+        assert err <= res.error_estimate, (ident, params)
+        assert err <= 1e-12 * abs(ref), (ident, params)
+        evals += res.evaluations
+    assert evals == 8_520
+
+
 def _no_quadrature(*args):
     raise AssertionError("the oracle integrated past its stated limit")
 
@@ -921,6 +958,20 @@ def test_cosh_kernel_oracle_down_to_its_limit(ident, k, f):
     assert _rel(oracle_value(ident, params).value, _identity_ref(ident, params)) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("params", [
+    # z over 2^e, e from alpha, went subnormal or 0: 7.7e-8, 7.1e-13 and 2.1e-14 off
+    # with estimates of 1.1e-14, and a DomainError quoting an AlphaZ with z = 0.0
+    AlphaZ(1e300, 1e-50), AlphaZ(1e300, 1e-45), AlphaZ(1e40, 1e-275),
+    AlphaZ(1e300, 1e-60), AlphaZ(1e39, 1e-290),
+], ids=repr)
+def test_pr3_d_oracle_raises_where_its_scaling_leaves_the_normal_range(params, monkeypatch):
+    assert _rel(closed_value(IdentityId.PR3_D, params),
+                _identity_ref(IdentityId.PR3_D, params)) <= 1e-15
+    monkeypatch.setattr(quadrature, "integrate", _no_quadrature)
+    with pytest.raises(DomainError, match=re.escape(repr(params))):
+        oracle_value(IdentityId.PR3_D, params)
+
+
 @pytest.mark.parametrize("ident,params", [
     # alpha^2 underflowed to 0.0 in the oracle's shape, and the gap
     # (kbar - alpha)(kbar + alpha) in both sides: bare ZeroDivisionError
@@ -930,6 +981,9 @@ def test_cosh_kernel_oracle_down_to_its_limit(ident, k, f):
     # The oracle is 3.6e-14 off here, as at any small |R|/Q: its P log P end
     (IdentityId.PR3_D, AlphaZ(1e-200, 1.0)),
     (IdentityId.PR3_D_BARRED, AlphaKBar(1e-200, 0.9)),
+    # z over 2^e, e from alpha, stays just inside the normal range
+    (IdentityId.PR3_D, AlphaZ(1e300, 1e-37)),
+    (IdentityId.PR3_D, AlphaZ(1e40, 1e-268)),
 ], ids=lambda v: v.value if isinstance(v, IdentityId) else repr(v))
 def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     ref = _identity_ref(ident, params)
