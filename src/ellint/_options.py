@@ -46,6 +46,5 @@ TOLERANCES = {
     "series_sum_rel": 1e-12,          # sigma sum vs its closed reference
     "series_coeff_rel": 1e-14,
     "maclaurin_rel": 1e-13,
-    "kernel_relation_rel": 1e-11,
     "imag_reduction_rel": 1e-10,
 }

@@ -15,15 +15,16 @@ abs_err, rel_err, pass):
               binomial series (A vs the series of F, Omega vs
               Theta + Psi), and the Maclaurin derivatives vs the same
               product
-  extensions  cos^2 <-> sin^2 kernel conversions and the imaginary
-              modulus / argument reductions vs direct quadrature
+  extensions  the psi and xi pairs near both faces of their angle vs
+              their oracle, and the imaginary modulus / argument
+              reductions vs direct quadrature
 
 Every record passes iff rel_err <= its tolerance (make_record), with no
-absolute bound.  The identity sweep honours the caller's tolerance; every
-other family's fixed pass tolerance is declared once, in _options.TOLERANCES
-under its meta key.  AREA_ORACLE_TOL and IMAG_ORACLE_TOL are handed to
-quadrature and judge no record.  All sampling is seeded, so repeated runs
-produce identical reports.
+absolute bound.  The registry rows (the identity sweep and the angle faces)
+are judged by the caller's tolerance; every other family's fixed pass
+tolerance is declared once, in _options.TOLERANCES under its meta key.
+AREA_ORACLE_TOL and IMAG_ORACLE_TOL are handed to quadrature and judge no
+record.  All sampling is seeded, so repeated runs produce identical reports.
 """
 
 import csv
@@ -35,14 +36,14 @@ from typing import NamedTuple
 
 from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SUITES, TOLERANCES
 from ._version import __version__
-from .elliptic import HALF_PI, imaginary_argument_reduce, imaginary_modulus_reduce
+from .elliptic import imaginary_argument_reduce, imaginary_modulus_reduce
 from .errors import DomainError, require_positive_tol
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
 from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
                          _member, alpha_k_from_eccentricities, alpha_kbar_from_barred,
                          atan_closed, grid_params, i1_barred_closed, i1_closed,
-                         log_closed, make_record, psi_closed, xi_closed)
+                         log_closed, make_record)
 from .quadrature import integrate, surface_area_quadrature
 from .series import (_binomial_product, _sigma_sums, a_coefficients,
                      f_maclaurin_derivative, omega_coefficients, psi_terms, theta_terms)
@@ -51,7 +52,6 @@ IMAG_ORACLE_TOL = 1e-12     # relative tolerance handed to the 1D oracle
 
 _AXES_SEED = 1009
 _ROUTE_SEED = 2003
-_KERNEL_SEED = 97
 _AXIS_LO, _AXIS_HI = 0.1, 10.0
 _MIN_GAP = 1e-2             # relative gap enforced for strict orderings
 
@@ -267,20 +267,22 @@ def series_records(grid: int) -> list:
 # extensions suite
 
 
-def kernel_relation_records(n: int) -> list:
-    """cos^2-kernel integrals vs their sin^2-kernel counterparts at the
-    complementary angle, for both the E and F numerators."""
-    rng = random.Random(_KERNEL_SEED)
-    tol = TOLERANCES["kernel_relation_rel"]
+def angle_face_records(grid: int, tol: float = IDENTITY_TOL) -> list:
+    """The psi and xi pairs near the faces of their angle, which the identity
+    grid does not reach: grid^2 points, alternately psi and xi, at u = d or
+    1 - d (every other two points), d = 1e-3 to 1e-12 log-spaced, times kbar
+    on _lin(grid).  A point gives both rows of its pair from one closed body
+    call and one integral."""
+    pairs = [[(ident, e) for ident, e in REGISTRY.items() if e.params_cls is cls]
+             for cls in (PsiKBar, XiKBar)]
     out = []
-    for _ in range(n):
-        xi = rng.uniform(0.05, HALF_PI - 0.05)
-        kbar = rng.uniform(0.05, 0.95)
-        psi_f, psi_e = psi_closed(PsiKBar(HALF_PI - xi, kbar))
-        xi_f, xi_e = xi_closed(XiKBar(xi, kbar))
-        pr = {"xi": xi, "kbar": kbar}
-        out.append(make_record("KERNEL_COS_TO_SIN_E", pr, psi_e, xi_e, tol))
-        out.append(make_record("KERNEL_COS_TO_SIN_F", pr, psi_f, xi_f, tol))
+    for i, (x, kbar) in enumerate((x, kbar) for x in _lin(grid, 3.0, 12.0) for kbar in _lin(grid)):
+        rows = pairs[i % 2]
+        cls, closed, oracle, _ = rows[0][1]
+        params = cls(*cls._point(10.0 ** -x if i // 2 % 2 == 0 else 1.0 - 10.0 ** -x, kbar, i))
+        value, res = closed(params), oracle(params)
+        out += [make_record(ident.value, params._asdict(), _member(e, value), _member(e, res.value),
+                            tol) for ident, e in rows]
     return out
 
 
@@ -315,8 +317,8 @@ def imaginary_reduction_records(grid: int) -> list:
     return out
 
 
-def extension_records(grid: int) -> list:
-    return kernel_relation_records(grid * grid) + imaginary_reduction_records(grid)
+def extension_records(grid: int, tol: float = IDENTITY_TOL) -> list:
+    return angle_face_records(grid, tol) + imaginary_reduction_records(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +349,8 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
     require_positive_tol(tol)
     runs = {"geometry": lambda: geometry_records(grid),
             "integrals": lambda: identity_records(grid, tol),
-            "series": lambda: series_records(grid), "extensions": lambda: extension_records(grid)}
+            "series": lambda: series_records(grid),
+            "extensions": lambda: extension_records(grid, tol)}
     records = [r for name in SUITES if suite in ("all", name) for r in runs[name]()]
     return Report(__version__, {"identity_rel": tol, **TOLERANCES}, grid, tuple(records))
 

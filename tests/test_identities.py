@@ -52,7 +52,6 @@ from ellint.verify import (
     area_via_log_kernel,
     area_via_weighted_e_integral,
     identity_records,
-    kernel_relation_records,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -330,19 +329,17 @@ def test_endpoint_bracket_is_exact():
 
 
 def test_kernel_swap_relations():
-    records = kernel_relation_records(50)
-    assert len(records) == 100
-    assert all(r.passed for r in records)
-    # direct spot checks of the cos^2 <-> sin^2 swap
-    for xi, kbar in [(0.4, 0.3), (1.1, 0.8)]:
-        swap = PsiKBar(math.pi / 2.0 - xi, kbar)
-        assert closed_value(IdentityId.I2_BARRED, swap) == pytest.approx(
-            closed_value(IdentityId.GR_E_SIN, XiKBar(xi, kbar)), rel=1e-11)
-        assert closed_value(IdentityId.I3_BARRED, swap) == pytest.approx(
-            closed_value(IdentityId.GR_F_SIN, XiKBar(xi, kbar)), rel=1e-11)
-        # and the swap is an involution: going back recovers the originals
-        assert closed_value(IdentityId.GR_E_SIN, XiKBar(math.pi / 2.0 - swap.psi, kbar)) == \
-            pytest.approx(closed_value(IdentityId.I2_BARRED, swap), rel=1e-11)
+    # each closed row against the other kernel's oracle at the complementary
+    # angle: closed body and oracle share no code, so this checks the
+    # cos^2 <-> sin^2 swap itself, both ways
+    rows = [(IdentityId.GR_E_SIN, IdentityId.I2_BARRED), (IdentityId.GR_F_SIN, IdentityId.I3_BARRED)]
+    for xi, kbar in [(0.05, 0.05), (0.4, 0.3), (0.8, 0.6), (1.1, 0.8), (1.5, 0.95)]:
+        sin_p, cos_p = XiKBar(xi, kbar), PsiKBar(math.pi / 2.0 - xi, kbar)
+        for sin_row, cos_row in rows:
+            assert closed_value(sin_row, sin_p) == pytest.approx(
+                oracle_value(cos_row, cos_p).value, rel=1e-11)
+            assert closed_value(cos_row, cos_p) == pytest.approx(
+                oracle_value(sin_row, sin_p).value, rel=1e-11)
 
 
 @pytest.mark.parametrize("ident,params", [
@@ -508,12 +505,12 @@ def test_each_closed_body_makes_one_pass(monkeypatch):
         for name in ("_rf_rd", "_agm"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    kernel_pairs = {identities.cosh_closed, identities.sinh_closed,
-                    identities.psi_closed, identities.xi_closed}
+    kernel_pairs = {NuK, MuK, PsiKBar, XiKBar}
     for ident, entry in REGISTRY.items():
         calls.clear()
         entry.closed(grid_params(ident, 3)[4])
-        expected = (0 if ident is IdentityId.PSEUDO else 1, 1 if entry.closed in kernel_pairs else 0)
+        expected = (0 if ident is IdentityId.PSEUDO else 1,
+                    1 if entry.params_cls in kernel_pairs else 0)
         assert (calls.count("_rf_rd"), calls.count("_agm")) == expected, ident
 
 

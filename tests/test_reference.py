@@ -1042,9 +1042,10 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     (IdentityId.GR_E_SIN, XiKBar(1e-6, 0.5), 1e-14),
     (IdentityId.GR_E_SIN, XiKBar(1e-4, 0.5), 1e-14),
     (IdentityId.GR_E_SIN, XiKBar(1e-3, 0.5), 1e-14),
-    # (sp/cp/root)(1 - root) cancelled: 1.5e-8 off; the rest is E beta -
-    # (pi/2) E(beta), which cancels toward psi = pi/2
-    (IdentityId.I2_BARRED, PsiKBar(1.5707, 0.5), 1e-10),
+    # (sp/cp/root)(1 - root) cancelled: 1.5e-8 off; then 6.0e-11 from E beta -
+    # (pi/2) E(beta), which cancels toward psi = pi/2, where the body now takes
+    # the conjugate amplitude instead
+    (IdentityId.I2_BARRED, PsiKBar(1.5707, 0.5), 1e-14),
     # the same e^mu-sized terms of I4: 6.8e-8, 1.3e-5 and 1.2e-3 off, and -0.0
     (IdentityId.I4, MuK(20.0, 0.5), 1e-15),
     (IdentityId.I4, MuK(25.0, 0.5), 1e-15),
@@ -1079,9 +1080,32 @@ def test_homogeneous_weighted_e_rows_at_tiny_scale(ident, params):
     (IdentityId.I2_BARRED, PsiKBar(1e-6, 1.0 - 1e-10), 1e-14),
     (IdentityId.I2_BARRED, PsiKBar(1e-8, 0.999999), 1e-14),
     (IdentityId.I2_BARRED, PsiKBar(1e-3, 1.0 - 1e-12), 1e-14),
+    # at the far face of the angle, K beta - (pi/2) F(beta) and its E form cancelled
+    # all their digits: 0.0 against 0.44357, -7.11 against 0.49473, -0.0 against
+    # 2.0102, and 1.9e-7 off at kbar = 1 - 2^-53
+    (IdentityId.I3_BARRED, PsiKBar(1.5707963267948963, 0.5), 1e-14),
+    (IdentityId.GR_E_SIN, XiKBar(1.5707963267948963, 0.5), 1e-14),
+    (IdentityId.GR_F_SIN, XiKBar(1.5707963267948963, 0.9), 1e-14),
+    (IdentityId.GR_E_SIN, XiKBar(1.5707963267948963, 0.9999999999999999), 1e-14),
+    (IdentityId.GR_F_SIN, XiKBar(1.5707963267948963, 0.9999999999999999), 1e-14),
+    # -312.75 against 0.39344; what is left is the numerator's own cancellation of
+    # about kbar^2/4 of its size, some kbar^-2 ulps, so 1e-12 at kbar = 0.1
+    (IdentityId.I2_BARRED, PsiKBar(1.5707963267948963, 0.1), 1e-12),
 ])
 def test_identity_closed_form_at_class_edges(ident, params, tol):
     assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= tol
+
+
+def test_psi_xi_closed_values_are_positive_at_the_angle_faces():
+    # the integrands are positive; at the far face the two bodies returned 0.0,
+    # -0.0, -7.11 and -312.75.  The nodes of the verify suite's angle-face
+    # records, one ulp below pi/2 too, at kbar down to 1e-4
+    us = [u for x in identities._lin(10, 3.0, 12.0) for u in (10.0 ** -x, 1.0 - 10.0 ** -x)]
+    angles = [HALF_PI * u for u in us] + [1.5707963267948963]
+    for kbar, angle, ident in itertools.product((1e-4, 0.05, 0.5, 1.0 - 2.0 ** -53), angles, [
+            IdentityId.I2_BARRED, IdentityId.I3_BARRED, IdentityId.GR_E_SIN, IdentityId.GR_F_SIN]):
+        params = REGISTRY[ident].params_cls(angle, kbar)
+        assert closed_value(ident, params) > 0.0, (ident, params)
 
 
 @pytest.mark.parametrize("ident,params", [
