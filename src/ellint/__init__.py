@@ -6,8 +6,8 @@ oracle one call away; see the verify module for the sweep that checks the
 whole library against it.
 
 Each submodule below is in sys.modules and an attribute of the package from
-the start, but its body runs on the first attribute read, so that a command
-that needs the areas alone never compiles the oracle or the verify sweep.
+the start, but its body runs on the first attribute read, so that a caller of
+the closed forms never compiles the oracles, the quadrature or the verify sweep.
 Each public name is read from its submodule on first use and then kept here.
 """
 
@@ -50,8 +50,8 @@ def _lazy(module: str):
     return lazy
 
 
-elliptic, geometry, quadrature, identities, series, verify = (
-    _lazy(m) for m in ("elliptic", "geometry", "quadrature", "identities", "series", "verify"))
+elliptic, geometry, quadrature, identities, _oracles, series, verify = (_lazy(m) for m in (
+    "elliptic", "geometry", "quadrature", "identities", "_oracles", "series", "verify"))
 
 
 def __getattr__(name: str):

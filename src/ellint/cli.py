@@ -9,13 +9,13 @@ Exit codes: 0 success / comparison passed, 1 a verification comparison
 failed, 2 usage or domain error, 3 quadrature or series non-convergence.
 """
 
-import argparse
 import sys
 
 # geometry, identities, quadrature, series and verify are the package's lazy
 # modules: each body runs on its first attribute read, so a command compiles
 # only what it uses.  Calls read each function from its module when they run,
 # which also honours a rebinding there (as the perfbench layer trace does).
+# argparse, which loads gettext, is imported only where the parser is built.
 from . import geometry, identities, quadrature, series, verify
 from ._options import (AREA_ORACLE_TOL, IDENTITY_TOL, MAX_TERMS_DEFAULT, PARAM_FLAGS,
                        SERIES_TERM_TOL, SUITES, TOLERANCES, IdentityId)
@@ -28,6 +28,7 @@ def _fmt(x: float) -> str:
 
 
 def _axes(text: str) -> tuple:
+    import argparse
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -50,7 +51,8 @@ def _print_comparison(record, rows: list) -> None:
         print("%-11s %s" % (key, value))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ellint",
         description="ellipsoid surface areas and verified elliptic-integral "

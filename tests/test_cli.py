@@ -553,18 +553,32 @@ def test_cli_import_skips_dataclasses():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_skips_argparse():
+    # argparse, and the gettext it imports, load only when a command builds
+    # the parser: a library caller that imports the CLI module pays for neither
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ellint.cli\n"
+         "print('argparse' in sys.modules, 'gettext' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 # the package's lazy modules, and for each command those whose bodies run
-_LAZY = ("elliptic", "geometry", "quadrature", "identities", "series", "verify")
+_LAZY = ("elliptic", "geometry", "quadrature", "identities", "_oracles", "series", "verify")
 _COMMAND_RUNS = [
     (["area", "--axes", "3,2,1"], {"elliptic", "geometry"}),
     (["integral", "--id", "I1", "--mode", "closed", "--alpha", "0.5", "--k", "0.5"],
      {"elliptic", "identities"}),
+    (["integral", "--id", "I1", "--mode", "oracle", "--alpha", "0.5", "--k", "0.5"],
+     {"elliptic", "identities", "quadrature", "_oracles"}),
     (["series", "--id", "SIGMA1", "--e1", "0.6", "--e2", "0.3"],
      {"elliptic", "identities", "series"}),
 ]
 
 
-@pytest.mark.parametrize("argv,ran", _COMMAND_RUNS, ids=[a[0] for a, _ in _COMMAND_RUNS])
+@pytest.mark.parametrize("argv,ran", _COMMAND_RUNS,
+                         ids=[a[0] + "-oracle" * ("oracle" in a) for a, _ in _COMMAND_RUNS])
 def test_command_runs_only_the_modules_it_uses(argv, ran):
     # a lazy module becomes a plain module once its body has run; reading an
     # attribute of one would run it, so only its type is looked at
@@ -576,6 +590,20 @@ def test_command_runs_only_the_modules_it_uses(argv, ran):
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.splitlines()[-1].split()) == ran
+
+
+def test_closed_forms_run_no_oracle_module():
+    # every closed form, at one grid point of each id, leaves the oracle module
+    # and the quadrature unrun
+    code = ("import sys, types, ellint\n"
+            "for ident in ellint.IdentityId:\n"
+            "    ellint.closed_value(ident, ellint.grid_params(ident, 3)[4])\n"
+            f"print(*(n for n in {_LAZY!r} "
+            "if type(sys.modules['ellint.' + n]) is types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {"elliptic", "identities"}
 
 
 def test_parser_options_are_the_registry_s():

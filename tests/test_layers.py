@@ -1,5 +1,6 @@
 """Tests for bench/layers.py, the layer table of the quadrature and verify
-layers: a quick run has its schema, and its counts repeat exactly."""
+layers and of the cold start: a quick run has its schema, and its counts
+repeat exactly."""
 
 import importlib.util
 import json
@@ -31,9 +32,10 @@ def test_quick_layer_table_has_its_schema_and_repeats_its_counts(tmp_path, monke
     timings = run["timings"]
     assert list(timings)[:3] == ["quadrature.panel_gk15", "quadrature.panel_k21",
                                  "quadrature.integrate_sin50"]
-    assert list(timings)[-2:] == ["verify.run_suite_all_5", "verify.report_json"]
+    assert list(timings)[-4:] == ["verify.run_suite_all_5", "verify.report_json",
+                                  "cold.setup_source", "cold.setup_bytecode"]
     oracles = [name for name in timings if name.startswith("oracle.")]
-    assert len(oracles) == 11 and len(timings) == 16
+    assert len(oracles) == 11 and len(timings) == 18
     for t in timings.values():
         assert set(t) == {"median_ms", "iqr_ms", "n"} and t["n"] == 3
         assert t["median_ms"] > 0.0 and t["iqr_ms"] >= 0.0
@@ -47,3 +49,9 @@ def test_quick_layer_table_has_its_schema_and_repeats_its_counts(tmp_path, monke
     assert sweep["records"] == 892
     assert sum(hist.values()) == sweep["integrals"]
     assert sum(n * calls for n, calls in hist.items()) == sweep["evaluations"]
+    # the setup path runs no oracle, quadrature or verify sweep
+    setup = counts["setup_path"]
+    assert set(setup["modules"]) == {
+        "ellint", "ellint._options", "ellint._version", "ellint.cli", "ellint.elliptic",
+        "ellint.errors", "ellint.geometry", "ellint.identities", "ellint.series"}
+    assert setup["lines"] == sum(setup["modules"].values())

@@ -735,8 +735,8 @@ def test_every_oracle_at_the_grid_5_nodes(ident):
 
 # each with the evaluations it takes, kept out of the test ids
 _SINH_MAP_EVALS = {
-    # the sinh kernel's peak at t = 0, width 2e^-mu/k': GK15 in t took 705 and
-    # 1,065 evaluations, and was 1.1e-13 off
+    # the sinh kernel's peak at t = 0, width 2e^-mu/k': left in t it takes 741 and
+    # 1,071 evaluations, and is 1.2e-13 off
     (IdentityId.I4, MuK(19.0, 0.5)): 162, (IdentityId.I5, MuK(19.0, 0.5)): 162,
     (IdentityId.I4, MuK(40.0, 0.5)): 222, (IdentityId.I5, MuK(40.0, 0.5)): 222,
     # PSEUDO's fall at t = pi/2, width sqrt((1 - e1^2)/span), escaped GK15: 5.8e-6 off
@@ -1192,7 +1192,7 @@ def test_sinh_kernel_oracle_at_large_mu(ident, mu):
     # k'^2 sinh(mu)^2 raised OverflowError from mu = 355.  At 356 the value is
     # a subnormal, carried by the oracle's scale sech^2 mu, and the peak at t = 0
     # is narrower than the sinh map's least width 2^-500, so that end stays in
-    # t: 1,065 evaluations, with I4 1.1e-13 and I5 9.8e-14 off.  From 400 the
+    # t: 1,071 evaluations, with I4 1.1e-13 and I5 9.8e-14 off.  From 400 the
     # value lies below the subnormals and the oracle returns 0.0
     params = MuK(mu, 0.5)
     ref = _identity_ref(ident, params)
