@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the library, and its one tol check.
+"""Exception hierarchy shared across the library, and its tol and grid checks.
 
 DomainError and its subclasses signal bad inputs (CLI exit code 2);
 NonConvergenceError and its subclasses signal a numerical process that
@@ -30,3 +30,10 @@ def require_positive_tol(tol: float) -> None:
     """The one check of a caller's relative tolerance: a NaN fails it too."""
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
+
+
+def require_grid_size(n: int) -> int:
+    """The one check of a grid size, n itself: a bool or a float fails it too."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"grid must be a positive integer, got {n!r}")
+    return n

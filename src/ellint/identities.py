@@ -1,18 +1,20 @@
 """Catalog of definite integrals with elliptic closed forms.
 
-Each registry row pairs a closed form with its oracle, oracle(params), which
-integrates the left-hand side by adaptive quadrature at ORACLE_TOL, and with
-a parameter class whose grid map covers its domain.  First/second-kind
-pairs that share bounds and kernel (I5/I4, I6/I3, I3_BARRED/I2_BARRED,
-GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and ATAN_F/ATAN_E) are one closed body
-that gives (F member, E member), named after the kernel (cosh_closed,
-sinh_closed, log_closed, atan_closed, and _atan_kernel_closed for both the
-psi and xi pairs, with sine and cosine swapped), and one oracle with a tuple
-integrand; both rows of a pair share the two, and each row reads its
-component of either.  Each closed body but PSEUDO's makes one pass
-of elliptic._fed, at a sine and cosine squared formed from its parameters,
-and a kernel pair one AGM.  The oracles are in the _oracles module, which a
-row reads only when its oracle is called.
+Each registry row pairs a closed form with the name of its oracle in the
+_oracles module, oracle(params), which integrates the left-hand side by
+adaptive quadrature at ORACLE_TOL, and with a parameter class whose grid map
+covers its domain.  First/second-kind pairs that share bounds and kernel
+(I5/I4, I6/I3, I3_BARRED/I2_BARRED, GR_F_SIN/GR_E_SIN, LOG_F/LOG_Q2 and
+ATAN_F/ATAN_E) are one closed body that gives (F member, E member), named
+after the kernel (cosh_closed, sinh_closed, log_closed, atan_closed, and
+_atan_kernel_closed for both the psi and xi pairs, with sine and cosine
+swapped), and one oracle with a tuple integrand; both rows of a pair name
+the two, and each row reads its component of either.  Each closed body but
+PSEUDO's makes one pass of elliptic._fed, at a sine and cosine squared
+formed from its parameters, and a kernel pair one AGM.  registry_records
+makes every registry record, check's and verify's: a pair's two rows at one
+point share one closed body call and one integral.  Only oracle_value and
+registry_records read _oracles, so the closed forms alone never run it.
 """
 
 import math
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import _oracles  # read at call time, so that the closed forms never run it
 from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import HALF_PI, _agm, _fed
-from .errors import DomainError, require_positive_tol
+from .errors import DomainError, require_grid_size, require_positive_tol
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 _EVEN_MU = 2.0 ** -27       # below it (in mu, or tanh(nu)/k) I4/I5 and I3/I6 are their limits at 0
@@ -39,9 +41,7 @@ _TINY = 2.2250738585072014e-308  # the least normal float
 def _lin(n: int, lo: float = 0.05, hi: float = 0.05 + 0.9) -> list:
     """n evenly spaced points on [lo, hi], or its midpoint when n == 1.  The
     default hi makes hi - lo exactly 0.9 in binary, which 0.95 - 0.05 is not."""
-    if n < 1:
-        raise DomainError("grid size must be >= 1")
-    if n == 1:
+    if require_grid_size(n) == 1:
         return [0.5 * (lo + hi)]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
@@ -343,35 +343,28 @@ _F, _E = 0, 1
 class _Entry(NamedTuple):
     params_cls: type
     closed: Callable  # closed(params) -> float, or the pair's (F, E) tuple
-    oracle: Callable  # oracle(params) -> QuadratureResult, integrated at ORACLE_TOL
+    oracle: str  # name of its oracle in _oracles: (params) -> QuadratureResult at ORACLE_TOL
     component: int | None = None  # _F or _E for a row of a pair
 
 
-# each oracle, read from _oracles when called; the two rows of a pair share one
-_log_part, _cosh_part, _sinh_part, _psi_part, _xi_part, _atan_part = (
-    lambda p: _oracles.log_part(p), lambda p: _oracles.cosh_part(p),
-    lambda p: _oracles.sinh_part(p), lambda p: _oracles.psi_part(p),
-    lambda p: _oracles.xi_part(p), lambda p: _oracles.atan_part(p))
-
 REGISTRY = {
-    IdentityId.I1: _Entry(AlphaK, i1_closed, lambda p: _oracles.i1_part(p)),
-    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, lambda p: _oracles.i1_barred_part(p)),
-    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, lambda p: _oracles.pr3_d_part(p)),
-    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed,
-                                    lambda p: _oracles.pr3_d_barred_part(p)),
-    IdentityId.LOG_F: _Entry(EpsAB, log_closed, _log_part, _F),
-    IdentityId.LOG_Q2: _Entry(EpsAB, log_closed, _log_part, _E),
-    IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, lambda p: _oracles.pseudo_part(p)),
-    IdentityId.I3: _Entry(NuK, cosh_closed, _cosh_part, _E),
-    IdentityId.I4: _Entry(MuK, sinh_closed, _sinh_part, _E),
-    IdentityId.I5: _Entry(MuK, sinh_closed, _sinh_part, _F),
-    IdentityId.I6: _Entry(NuK, cosh_closed, _cosh_part, _F),
-    IdentityId.I2_BARRED: _Entry(PsiKBar, _psi_closed, _psi_part, _E),
-    IdentityId.I3_BARRED: _Entry(PsiKBar, _psi_closed, _psi_part, _F),
-    IdentityId.GR_E_SIN: _Entry(XiKBar, _xi_closed, _xi_part, _E),
-    IdentityId.GR_F_SIN: _Entry(XiKBar, _xi_closed, _xi_part, _F),
-    IdentityId.ATAN_F: _Entry(FBar, atan_closed, _atan_part, _F),
-    IdentityId.ATAN_E: _Entry(FBar, atan_closed, _atan_part, _E),
+    IdentityId.I1: _Entry(AlphaK, i1_closed, "i1_part"),
+    IdentityId.I1_BARRED: _Entry(AlphaKBar, i1_barred_closed, "i1_barred_part"),
+    IdentityId.PR3_D: _Entry(AlphaZ, pr3_d_closed, "pr3_d_part"),
+    IdentityId.PR3_D_BARRED: _Entry(AlphaKBar, pr3_d_barred_closed, "pr3_d_barred_part"),
+    IdentityId.LOG_F: _Entry(EpsAB, log_closed, "log_part", _F),
+    IdentityId.LOG_Q2: _Entry(EpsAB, log_closed, "log_part", _E),
+    IdentityId.PSEUDO: _Entry(E1E2, pseudo_closed, "pseudo_part"),
+    IdentityId.I3: _Entry(NuK, cosh_closed, "cosh_part", _E),
+    IdentityId.I4: _Entry(MuK, sinh_closed, "sinh_part", _E),
+    IdentityId.I5: _Entry(MuK, sinh_closed, "sinh_part", _F),
+    IdentityId.I6: _Entry(NuK, cosh_closed, "cosh_part", _F),
+    IdentityId.I2_BARRED: _Entry(PsiKBar, _psi_closed, "psi_part", _E),
+    IdentityId.I3_BARRED: _Entry(PsiKBar, _psi_closed, "psi_part", _F),
+    IdentityId.GR_E_SIN: _Entry(XiKBar, _xi_closed, "xi_part", _E),
+    IdentityId.GR_F_SIN: _Entry(XiKBar, _xi_closed, "xi_part", _F),
+    IdentityId.ATAN_F: _Entry(FBar, atan_closed, "atan_part", _F),
+    IdentityId.ATAN_E: _Entry(FBar, atan_closed, "atan_part", _E),
 }
 
 
@@ -399,7 +392,7 @@ def oracle_value(ident: IdentityId, params) -> "quadrature.QuadratureResult":
     a row of a pair, both members are integrated and this row's is returned,
     with the evaluations the pair shared."""
     entry = _entry(ident, params)
-    res = entry.oracle(params)
+    res = getattr(_oracles, entry.oracle)(params)
     return res._replace(value=_member(entry, res.value),
                         error_estimate=_member(entry, res.error_estimate))
 
@@ -440,7 +433,20 @@ def make_record(ident: str, params: dict, closed: float, oracle: float,
     return VerificationRecord(ident, params, closed, oracle, abs_err, rel_err, rel_err <= tol)
 
 
+def registry_records(rows: list, tol: float) -> list:
+    """The record of each registry row (ident, params) in rows, in order.  Each
+    closed body and oracle runs once per point: a pair's two rows share both."""
+    out, shared = [], {}  # (oracle, params) -> (closed body, integral)
+    for ident, params in rows:
+        entry = _entry(ident, params)
+        key = entry.oracle, params
+        if key not in shared:
+            shared[key] = entry.closed(params), getattr(_oracles, entry.oracle)(params)
+        closed, res = shared[key]
+        out.append(make_record(ident.value, params._asdict(), _member(entry, closed),
+                               _member(entry, res.value), tol))
+    return out
+
+
 def check(ident: IdentityId, params, tol: float = IDENTITY_TOL) -> VerificationRecord:
-    closed = closed_value(ident, params)
-    oracle = oracle_value(ident, params)
-    return make_record(ident.value, params._asdict(), closed, oracle.value, tol)
+    return registry_records([(ident, params)], tol)[0]

@@ -21,7 +21,9 @@ abs_err, rel_err, pass):
 
 Every record passes iff rel_err <= its tolerance (make_record), with no
 absolute bound.  The registry rows (the identity sweep and the angle faces)
-are judged by the caller's tolerance; every other family's fixed pass
+are lists of (ident, params) that identities.registry_records turns into
+records, a pair's two rows at one point from one closed body call and one
+integral, judged by the caller's tolerance; every other family's fixed pass
 tolerance is declared once, in _options.TOLERANCES under its meta key.
 AREA_ORACLE_TOL and IMAG_ORACLE_TOL are handed to quadrature and judge no
 record.  All sampling is seeded, so repeated runs produce identical reports.
@@ -37,13 +39,13 @@ from typing import NamedTuple
 from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SUITES, TOLERANCES
 from ._version import __version__
 from .elliptic import imaginary_argument_reduce, imaginary_modulus_reduce
-from .errors import DomainError, require_positive_tol
+from .errors import DomainError, require_grid_size, require_positive_tol
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
 from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
-                         _member, alpha_k_from_eccentricities, alpha_kbar_from_barred,
+                         alpha_k_from_eccentricities, alpha_kbar_from_barred,
                          atan_closed, grid_params, i1_barred_closed, i1_closed,
-                         log_closed, make_record)
+                         log_closed, make_record, registry_records)
 from .quadrature import integrate, surface_area_quadrature
 from .series import (_binomial_product, _sigma_sums, a_coefficients,
                      f_maclaurin_derivative, omega_coefficients, psi_terms, theta_terms)
@@ -178,23 +180,9 @@ def geometry_records(grid: int) -> list:
 
 
 def identity_records(grid: int, tol: float = IDENTITY_TOL) -> list:
-    """Closed form vs quadrature for every registry identity.  The two rows
-    of a pair read one closed body call and one integral per grid point,
-    kept only for the length of this call."""
-    out = []
-    pending = {}  # (oracle, params) -> (closed, integral) awaiting the pair's other row
-    for ident, entry in REGISTRY.items():
-        for params in grid_params(ident, grid):
-            key = (entry.oracle, params)
-            if key in pending:
-                closed, res = pending.pop(key)
-            else:
-                closed, res = entry.closed(params), entry.oracle(params)
-                if entry.component is not None:
-                    pending[key] = closed, res
-            out.append(make_record(ident.value, params._asdict(), _member(entry, closed),
-                                   _member(entry, res.value), tol))
-    return out
+    """Closed form vs quadrature for every registry identity on its grid."""
+    return registry_records([(ident, p) for ident in REGISTRY for p in grid_params(ident, grid)],
+                            tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +259,13 @@ def angle_face_records(grid: int, tol: float = IDENTITY_TOL) -> list:
     """The psi and xi pairs near the faces of their angle, which the identity
     grid does not reach: grid^2 points, alternately psi and xi, at u = d or
     1 - d (every other two points), d = 1e-3 to 1e-12 log-spaced, times kbar
-    on _lin(grid).  A point gives both rows of its pair from one closed body
-    call and one integral."""
-    pairs = [[(ident, e) for ident, e in REGISTRY.items() if e.params_cls is cls]
-             for cls in (PsiKBar, XiKBar)]
-    out = []
+    on _lin(grid).  A point gives both rows of its pair."""
+    rows = []
     for i, (x, kbar) in enumerate((x, kbar) for x in _lin(grid, 3.0, 12.0) for kbar in _lin(grid)):
-        rows = pairs[i % 2]
-        cls, closed, oracle, _ = rows[0][1]
+        cls = (PsiKBar, XiKBar)[i % 2]
         params = cls(*cls._point(10.0 ** -x if i // 2 % 2 == 0 else 1.0 - 10.0 ** -x, kbar, i))
-        value, res = closed(params), oracle(params)
-        out += [make_record(ident.value, params._asdict(), _member(e, value), _member(e, res.value),
-                            tol) for ident, e in rows]
-    return out
+        rows += [(ident, params) for ident, e in REGISTRY.items() if e.params_cls is cls]
+    return registry_records(rows, tol)
 
 
 def _imag_reductions() -> tuple:
@@ -344,8 +326,7 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from "
                           f"{('all',) + SUITES}")
-    if not isinstance(grid, int) or grid < 1:
-        raise DomainError(f"grid must be a positive integer, got {grid!r}")
+    require_grid_size(grid)
     require_positive_tol(tol)
     runs = {"geometry": lambda: geometry_records(grid),
             "integrals": lambda: identity_records(grid, tol),

@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 import ellint
-from ellint import (IdentityId, __version__, _options, closed_value, quadrature, surface_area,
-                    verify)
+from ellint import (IdentityId, __version__, _options, closed_value, identities, quadrature,
+                    surface_area, verify)
 from ellint.cli import main
 from ellint.identities import REGISTRY, EpsAB, MuK, NuK, check, make_record
 from ellint.series import sigma1_sum
@@ -413,7 +413,9 @@ def test_each_record_uses_the_tolerance_the_meta_lists(monkeypatch):
         used.append((ident, tol))
         return plain(ident, params, closed, oracle, tol)
 
+    # the registry rows' records are made in identities.registry_records
     monkeypatch.setattr(verify, "make_record", captured)
+    monkeypatch.setattr(identities, "make_record", captured)
     report = run_suite("all", 2, 3e-8)
     assert len(used) == len(report.records)
     keys = set()

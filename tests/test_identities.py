@@ -47,6 +47,7 @@ from ellint.identities import (
     make_record,
 )
 from ellint.verify import (
+    angle_face_records,
     area_via_arctan_kernel,
     area_via_barred_weighted_e,
     area_via_log_kernel,
@@ -95,7 +96,7 @@ def test_registry_covers_every_identity():
     assert set(REGISTRY) == set(IdentityId)
     for ident, entry in REGISTRY.items():
         assert callable(entry.closed)
-        assert callable(entry.oracle)
+        assert callable(getattr(identities._oracles, entry.oracle))
         assert IdentityId(ident.value) is ident
 
 
@@ -395,7 +396,7 @@ def test_oracle_evaluation_counts_at_grid_5():
 def test_paired_rows_share_their_part():
     for a, b in _PAIRS:
         ea, eb = REGISTRY[IdentityId(a)], REGISTRY[IdentityId(b)]
-        assert ea.oracle is eb.oracle and {ea.component, eb.component} == {0, 1}
+        assert ea.oracle == eb.oracle and {ea.component, eb.component} == {0, 1}
     paired = {i for pair in _PAIRS for i in pair}
     assert all(entry.component is None
                for ident, entry in REGISTRY.items() if ident.value not in paired)
@@ -405,30 +406,46 @@ def test_identity_records_integrate_each_pair_once(monkeypatch):
     # one oracle and one closed-body call per unpaired row and per pair at each
     # grid point: 275 of each, against 425 with every row evaluated on its own.
     # 19 of the oracles (PSEUDO and I4/I5 nodes) map both ends of (0, pi/2) and
-    # integrate each half on its own, so 294 integrate calls, 9,594 evaluations
+    # integrate each half on its own, so 294 integrate calls, 9,594 evaluations.
+    # The angle faces are 25 points of a pair each, one body call and one
+    # integral apiece, and check on a paired row makes one of each
     plain = quadrature.integrate
     calls = []
     bodies = []
+    oracles = []
 
     def counted(*args, **kwargs):
         res = plain(*args, **kwargs)
         calls.append(res.evaluations)
         return res
 
-    def counting(closed):
+    def counting(log, fn):
         def body(p):
-            bodies.append(closed)
-            return closed(p)
+            log.append(fn)
+            return fn(p)
         return body
 
     # quadrature._graded reads integrate from its module at call time
     monkeypatch.setattr(quadrature, "integrate", counted)
     for ident, entry in REGISTRY.items():
-        monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(entry.closed)))
+        monkeypatch.setitem(REGISTRY, ident, entry._replace(closed=counting(bodies, entry.closed)))
     records = identity_records(5)
     assert len(records) == 425 and all(r.passed for r in records)
     assert (len(calls), sum(calls)) == (294, 9_594)
     assert len(bodies) == 275 and len(set(bodies)) == 11
+
+    calls.clear()
+    bodies.clear()
+    records = angle_face_records(5)
+    assert len(records) == 50 and all(r.passed for r in records)
+    assert (len(bodies), len(calls), sum(calls)) == (25, 25, 525)
+
+    bodies.clear()
+    name = REGISTRY[IdentityId.LOG_F].oracle
+    monkeypatch.setattr(identities._oracles, name,
+                        counting(oracles, getattr(identities._oracles, name)))
+    assert check(IdentityId.LOG_F, EpsAB(1.0, 0.3, 0.9)).passed
+    assert (len(bodies), len(oracles)) == (1, 1)
 
 
 def test_oracles_share_no_code_with_elliptic(monkeypatch):

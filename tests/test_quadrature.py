@@ -266,6 +266,9 @@ def test_budget_bounds_every_oracle_caller(monkeypatch):
 _GUARDS = {
     "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
     "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
+    "grid_size_fraction": lambda path: grid_params(IdentityId.I1, 2.5),
+    "grid_size_float": lambda path: grid_params(IdentityId.I1, 2.0),
+    "grid_size_bool": lambda path: grid_params(IdentityId.I1, True),
     "integrate_reversed": lambda path: integrate(math.sin, 1.0, 0.0),
     "integrate_empty": lambda path: integrate(math.sin, 1.0, 1.0),
     "integrate_infinite": lambda path: integrate(math.sin, 0.0, math.inf),
@@ -273,6 +276,7 @@ _GUARDS = {
     "quadrature_negative_axis": lambda path: surface_area_quadrature(1.0, -1.0, 1.0),
     "suite_unknown": lambda path: run_suite("nonsense", 2),
     "suite_grid_zero": lambda path: run_suite("series", 0),
+    "suite_grid_bool": lambda path: run_suite("series", True),
     "suite_tol_zero": lambda path: run_suite("series", 2, 0.0),
     "report_format_xml": lambda path: write_report(Report("0", {}, None, ()), path, "xml"),
 }
