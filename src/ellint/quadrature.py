@@ -4,8 +4,9 @@ An integrand returns a float or a tuple of floats, and a float is the
 one-component case, as in the vector form of adaptive quadrature (Genz and
 Malik 1980; DCUHRE, Berntsen, Espelid and Genz 1991).  The first panel of
 every integral takes the 10-point Gauss / 21-point Kronrod pair (QUADPACK's
-qk21, the rule of QAGS), and every panel a bisection makes the 7-point Gauss
-/ 15-point Kronrod pair, each applied to every component; the panel whose
+qk21, the rule of QAGS), and is the result if it meets every target; every
+panel a bisection makes takes the 7-point Gauss / 15-point Kronrod pair.  One
+pass of a rule covers every member of a float or pair panel.  The panel whose
 largest component error is the largest multiple of that component's target
 is bisected until every component meets its tolerance or the evaluation
 budget MAX_EVALS runs out, so an integral takes 21 + 30 n evaluations for n
@@ -67,7 +68,6 @@ _WG = (
     0.12948496616886969,
 )
 _GK15 = (_XK, _WK, _WG)
-_ODD = range(1, 21, 2)  # the Gauss nodes' indices in either rule
 # the same for 21 Kronrod and 10 Gauss points, QUADPACK's qk21, rounded from
 # 60-digit values: the rule of every first panel
 _GK21 = (
@@ -104,25 +104,12 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
-def _rule(fv, h: float, a: float, b: float, rule: tuple = _GK15) -> tuple:
-    """A Kronrod rule and its Gauss rule over [a, b], with h = (b - a)/2, from
-    the node samples fv of one component: (kronrod value, error estimate)."""
-    _, wk, wg = rule
-    resk = 0.0
-    resabs = 0.0
-    for w, v in zip(wk, fv):
-        resk += w * v
-        resabs += w * abs(v)
-    resg = 0.0
-    for w, i in zip(wg, _ODD):
-        resg += w * fv[i]
-    reskh = 0.5 * resk
-    resasc = 0.0
-    for w, v in zip(wk, fv):
-        resasc += w * abs(v - reskh)
+def _finish(resk, resg, resabs, resasc, h: float, a: float, b: float) -> tuple:
+    """The estimator: (value, error estimate) of one component over [a, b], h =
+    (b - a)/2, from its Kronrod and Gauss sums and Kronrod sums of |f| and |f - K/2|."""
     value = resk * h
-    resabs *= abs(h)
-    resasc *= abs(h)
+    resabs *= h
+    resasc *= h
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -134,17 +121,46 @@ def _rule(fv, h: float, a: float, b: float, rule: tuple = _GK15) -> tuple:
     return value, err
 
 
+def _rule(fv, h: float, a: float, b: float, rule: tuple = _GK15) -> tuple:
+    """A Kronrod rule and its Gauss rule over [a, b], with h = (b - a)/2, from
+    the node samples fv: (values, error estimates), one-element lists for a
+    float integrand, tuples for a tuple one.  A pair takes one pass over the
+    nodes, another tuple one pass per member; each member sums as a float."""
+    _, wk, wg = rule
+    if isinstance(fv[0], tuple):
+        if len(fv[0]) != 2:
+            parts = [_rule(col, h, a, b, rule) for col in zip(*fv)]
+            return tuple(v for (v,), _ in parts), tuple(e for _, (e,) in parts)
+        k0 = k1 = abs0 = abs1 = g0 = g1 = asc0 = asc1 = 0.0
+        for w, (u, v) in zip(wk, fv):
+            u, v = w * u, w * v
+            k0, k1 = k0 + u, k1 + v
+            abs0, abs1 = abs0 + abs(u), abs1 + abs(v)  # w > 0: |w u| is w |u| to the bit
+        for w, (u, v) in zip(wg, fv[1::2]):  # the Gauss nodes are the odd ones
+            g0, g1 = g0 + w * u, g1 + w * v
+        h0, h1 = 0.5 * k0, 0.5 * k1
+        for w, (u, v) in zip(wk, fv):
+            asc0, asc1 = asc0 + w * abs(u - h0), asc1 + w * abs(v - h1)
+        return tuple(zip(_finish(k0, g0, abs0, asc0, h, a, b),
+                         _finish(k1, g1, abs1, asc1, h, a, b)))
+    resk = resabs = resg = resasc = 0.0
+    for w, v in zip(wk, fv):
+        v *= w
+        resk, resabs = resk + v, resabs + abs(v)
+    for w, v in zip(wg, fv[1::2]):
+        resg += w * v
+    reskh = 0.5 * resk
+    for w, v in zip(wk, fv):
+        resasc += w * abs(v - reskh)
+    value, err = _finish(resk, resg, resabs, resasc, h, a, b)
+    return [value], [err]
+
+
 def _panel(f, a: float, b: float, rule: tuple = _GK15) -> tuple:
-    """One pass of a rule over [a, b]: (values, error estimates), one entry per
-    component; tuples for a tuple integrand, one-element lists for a float
-    one."""
+    """One pass of a rule over [a, b]: _rule of f's samples at its nodes."""
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = [f(center + h * x) for x in rule[0]]
-    if isinstance(fv[0], tuple):
-        return tuple(zip(*[_rule(col, h, a, b, rule) for col in zip(*fv)]))
-    value, err = _rule(fv, h, a, b, rule)
-    return [value], [err]
+    return _rule([f(center + h * x) for x in rule[0]], h, a, b, rule)
 
 
 def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
@@ -156,34 +172,35 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     1e-15 * (hi - lo)).  A panel is keyed on its largest component error as
     a multiple of that component's target, so a component 1e12 times
     smaller than another is refined as far as it needs.  The first panel is
-    the 21-point Kronrod rule; a panel that misses is bisected into GK15
-    panels, so evaluations, which counts each call of f once, is 21 + 30 n
-    after n bisections, and a result that bisects is the sum of GK15 panels
-    alone.  value and error_estimate are floats for a float integrand and
-    tuples for a tuple one.  Deterministic: identical inputs always produce
-    bit-identical results.  Raises NonConvergenceError once the next
-    bisection would exceed MAX_EVALS evaluations.
+    the 21-point Kronrod rule, and the result if it meets every target; a
+    panel that misses is bisected into GK15 panels, so evaluations, which
+    counts each call of f once, is 21 + 30 n after n bisections, and a result
+    that bisects is the sum of GK15 panels alone.  value and error_estimate
+    are floats for a float integrand and tuples for a tuple one.
+    Deterministic: identical inputs always produce bit-identical results.
+    Raises NonConvergenceError, unevaluated if MAX_EVALS is below 21, once
+    the next panel or bisection would exceed MAX_EVALS evaluations.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     require_positive_tol(tol)
+    evals = len(_GK21[0])
+    if evals > MAX_EVALS:
+        raise NonConvergenceError(
+            f"quadrature budget MAX_EVALS = {MAX_EVALS} evaluations exhausted on "
+            f"[{lo!r}, {hi!r}] before the first {evals}-point panel")
     abs_target = max(_ABS_FLOOR * (hi - lo), _TINY)  # in case it underflows
 
-    values, errs = _panel(f, lo, hi, _GK21)
-    evals = len(_GK21[0])
-    total_val = values
-    total_err = errs
-    heap = [(0.0, 0, lo, hi, values, errs)]
-    seq = 1
-    while True:
-        targets = [max(tol * abs(v), abs_target) for v in total_val]
-        if all(map(operator.le, total_err, targets)):
-            break
+    values, errs = total_val, total_err = _panel(f, lo, hi, _GK21)
+    targets = [max(tol * abs(v), abs_target) for v in values]
+    # GK15 panels by largest error over target, ties by evals; the first panel is never in it
+    heap = []
+    while not all(map(operator.le, total_err, targets)):
         if evals + 30 > MAX_EVALS:
             raise NonConvergenceError(
                 f"quadrature budget MAX_EVALS = {MAX_EVALS} evaluations exhausted on "
                 f"[{lo!r}, {hi!r}] with error estimate {max(total_err):.3e}")
-        _, _, a, b, v, e = heapq.heappop(heap)
+        _, _, a, b, v, e = heapq.heappop(heap) if heap else (0.0, 0, lo, hi, values, errs)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             raise NonConvergenceError(
@@ -191,17 +208,18 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
                 f"tolerance unmet (error estimate {max(total_err):.3e})")
         v1, e1 = _panel(f, a, mid)
         v2, e2 = _panel(f, mid, b)
-        evals += 30
         total_val = [t + ((x + y) - z) for t, x, y, z in zip(total_val, v1, v2, v)]
         total_err = [t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e)]
-        heapq.heappush(heap, (-max(map(operator.truediv, e1, targets)), seq, a, mid, v1, e1))
-        heapq.heappush(heap, (-max(map(operator.truediv, e2, targets)), seq + 1, mid, b, v2, e2))
-        seq += 2
-    value = tuple(map(math.fsum, zip(*[entry[4] for entry in heap])))
-    err = tuple(map(math.fsum, zip(*[entry[5] for entry in heap])))
-    if isinstance(values, tuple):
-        return QuadratureResult(value, err, evals)
-    return QuadratureResult(value[0], err[0], evals)
+        heapq.heappush(heap, (-max(map(operator.truediv, e1, targets)), evals, a, mid, v1, e1))
+        heapq.heappush(heap, (-max(map(operator.truediv, e2, targets)), evals + 1, mid, b, v2, e2))
+        evals += 30
+        targets = [max(tol * abs(v), abs_target) for v in total_val]
+    if heap:  # the sum of the GK15 panels, in the first panel's type
+        values = type(values)(map(math.fsum, zip(*[entry[4] for entry in heap])))
+        errs = type(errs)(map(math.fsum, zip(*[entry[5] for entry in heap])))
+    if isinstance(values, tuple):  # + 0.0: a panel's underflowed -0.0 is fsum's 0.0
+        return QuadratureResult(tuple([v + 0.0 for v in values]), errs, evals)
+    return QuadratureResult(values[0] + 0.0, errs[0], evals)
 
 
 def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0, scale=1.0) -> QuadratureResult:
@@ -225,25 +243,28 @@ def _graded(f, tol: float, w0: float = 1.0, w1: float = 1.0, scale=1.0) -> Quadr
     """
     if not any(scale if isinstance(scale, tuple) else (scale,)):
         return QuadratureResult(scale, scale, 0)
-    ends = [(w, top) for w, top in ((w0, False), (w1, True)) if _MIN_WIDTH <= w < 1.0]
-    parts = []
-    for w, top in ends:
-        def mapped(x: float, w: float = w, top: bool = top):
-            y = w * math.sinh(x)
-            if top:
-                return f(math.cos(y), math.sin(y), w * math.cosh(x))
-            return f(math.sin(y), math.cos(y), w * math.cosh(x))
 
-        parts.append(integrate(mapped, 0.0, math.asinh(HALF_PI / len(ends) / w), tol))
-    if not ends:
-        parts.append(integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol))
-    # the sum of the halves times the scale, per component of a tuple f
-    values, errs, evals = zip(*parts)
-    if not isinstance(values[0], tuple):
-        return QuadratureResult(scale * math.fsum(values), scale * math.fsum(errs), sum(evals))
-    scales = scale if isinstance(scale, tuple) else (scale,) * len(values[0])
-    return QuadratureResult(*[tuple(map(operator.mul, scales, map(math.fsum, zip(*halves))))
-                              for halves in (values, errs)], sum(evals))
+    def toward(w: float, sin, cos):  # t = w sinh x; with sin and cos swapped, pi/2 - t
+        def mapped(x: float):
+            y = w * math.sinh(x)
+            return f(sin(y), cos(y), w * math.cosh(x))
+        return mapped
+
+    ends = [(w, toward(w, *sc)) for w, sc in ((w0, (math.sin, math.cos)),
+                                              (w1, (math.cos, math.sin))) if _MIN_WIDTH <= w < 1.0]
+    parts = [integrate(g, 0.0, math.asinh(HALF_PI / len(ends) / w), tol) for w, g in ends] or [
+        integrate(lambda t: f(math.sin(t), math.cos(t), 1.0), 0.0, HALF_PI, tol)]
+    value, err, evals = parts[0]
+    if len(parts) == 2:  # both ends mapped: the halves add, per component of a tuple f
+        values, errs, counts = zip(*parts)
+        add = math.fsum if not isinstance(value, tuple) else (
+            lambda halves: tuple(map(math.fsum, zip(*halves))))
+        value, err, evals = add(values), add(errs), sum(counts)
+    if not isinstance(value, tuple):
+        return QuadratureResult(scale * value, scale * err, evals)
+    scales = scale if isinstance(scale, tuple) else (scale,) * len(value)
+    return QuadratureResult(tuple(map(operator.mul, scales, value)),
+                            tuple(map(operator.mul, scales, err)), evals)
 
 
 def _pair_integrand(g, lo: float, hi: float):
@@ -253,15 +274,14 @@ def _pair_integrand(g, lo: float, hi: float):
     lo2 = lo * lo
     span = (hi - lo) * (hi + lo)
     root = math.sqrt(span)
-    radius = (lambda s, below: math.hypot(lo, root * s)) if 0.0 < lo and lo2 < _TINY else (
-        lambda s, below: math.sqrt(lo2 + below))
+    tiny = 0.0 < lo and lo2 < _TINY  # lo^2 below the normal range: q from hypot
 
     def transformed(s: float, c: float, dt: float):
-        below = span * (s * s)
-        q = radius(s, below) or math.nan  # 0 once both squares underflow: no point
+        below = span * (s * s)  # q is 0 once both squares underflow: no point
+        q = (math.hypot(lo, root * s) if tiny else math.sqrt(lo2 + below)) or math.nan
         y = g(q, below, span * (c * c))
         if isinstance(y, tuple):
-            return tuple([v / q * dt for v in y])
+            return (y[0] / q * dt, y[1] / q * dt) if len(y) == 2 else tuple([v / q * dt for v in y])
         return y / q * dt
 
     return transformed

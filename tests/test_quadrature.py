@@ -10,6 +10,7 @@ triggers.
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -263,6 +264,30 @@ def test_budget_bounds_every_oracle_caller(monkeypatch):
         surface_area_quadrature(10.0, 0.1, 0.1)
 
 
+
+def test_budget_below_the_first_panel_raises_unevaluated(monkeypatch):
+    # the 21-point first panel is the least an integral costs: a smaller
+    # budget raises before any evaluation, and 21 admits that panel alone
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return x * x
+
+    for budget in (0, 10, 20):
+        monkeypatch.setattr(quadrature, "MAX_EVALS", budget)
+        with pytest.raises(NonConvergenceError,
+                           match=f"MAX_EVALS = {budget} evaluations exhausted"):
+            integrate(f, 0.0, 1.0)
+    assert nodes == []
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 21)
+    res = integrate(f, 0.0, 1.0)
+    assert res.evaluations == len(nodes) == 21
+    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-15)
+    with pytest.raises(NonConvergenceError, match="MAX_EVALS = 21 evaluations exhausted"):
+        integrate(math.sin, 0.0, 10.0 * math.pi)
+    assert len(nodes) == 21
+
 _GUARDS = {
     "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
     "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
@@ -319,6 +344,78 @@ def test_float_integrand_results_are_unchanged():
         assert integrate(lambda x: (f(x),), lo, hi, tol) == ((value,), (err,), evals)
 
 
+
+def _bits(x):
+    """x, or each entry of a tuple x, as (value, sign): -0.0 differs from 0.0."""
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x, math.copysign(1.0, x)
+
+
+def _samples(rng, n):
+    """n seeded panel samples, among them +-0.0, subnormals and 1e+-300."""
+    pool = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+    return [rng.choice(pool) if rng.random() < 0.3 else
+            rng.uniform(-1.0, 1.0) * 10.0 ** rng.choice((0, 0, -300, 300, -160))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("rule", ["_GK15", "_GK21"])
+def test_pair_panel_equals_each_members_float_panel(rule):
+    # both members of a pair share one rule pass, and each gets the bits of
+    # its own float panel: values, error estimates and the sign of a zero
+    rule = getattr(quadrature, rule)
+    rng = random.Random(45)
+    for _ in range(500):
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.choice((rng.uniform(1e-6, 4.0), 1e-300))
+        us, vs = _samples(rng, len(rule[0])), _samples(rng, len(rule[0]))
+        pair = quadrature._panel(lambda x, it=iter(zip(us, vs)): next(it), a, b, rule)
+        alone = [quadrature._panel(lambda x, it=iter(col): next(it), a, b, rule)
+                 for col in (us, vs)]
+        assert isinstance(pair[0], tuple) and isinstance(pair[1], tuple)
+        assert _bits(pair) == _bits(tuple(tuple(m[k][0] for m in alone) for k in (0, 1)))
+
+
+def test_first_panel_results_are_unchanged():
+    # pinned bit for bit: a float and a pair integral that stop at their
+    # 21-point first panel, then the same through _graded with both ends
+    # mapped, one first panel per half; a first panel whose value underflows
+    # to -0.0 reads 0.0, as the sum of panels always has
+    f = lambda t: math.sqrt(1.0 - 0.25 * math.sin(t) ** 2)  # noqa: E731
+    assert integrate(f, 0.0, HALF_PI) == (1.4674622093394272, 1.6292103325759334e-14, 21)
+    assert integrate(lambda t: (f(t), 1.0 / (1.0 + t * t)), 0.0, HALF_PI) == (
+        (1.4674622093394272, 1.0038848218538872),
+        (1.6292103325759334e-14, 2.056377441691278e-12), 21)
+    peak = lambda s, c, dt: dt / math.sqrt(s * s + 0.25 * c * c)  # noqa: E731
+    assert quadrature._graded(peak, 1e-10, 0.5, 0.5) == (
+        2.156515647499643, 2.3942133248185316e-14, 42)
+    assert quadrature._graded(lambda s, c, dt: (peak(s, c, dt), c * dt), 1e-10, 0.5, 0.5,
+                              (2.0, 3.0)) == (
+        (4.313031294999286, 3.0), (4.788426649637063e-14, 3.3306690738754696e-14), 42)
+    res = integrate(lambda x: -1e-300, 0.0, 1e-30)
+    assert _bits(res.value) == (0.0, 1.0) and res.evaluations == 21
+    res = integrate(lambda x: (-1e-300, 1.0), 0.0, 1e-30)
+    assert _bits(res.value) == ((0.0, 1.0), (1.0000000000000003e-30, 1.0))
+    assert res.evaluations == 21
+
+
+@pytest.mark.parametrize("f, hi, evals", [
+    (lambda t: math.sqrt(1.0 - 0.25 * math.sin(t) ** 2), HALF_PI, 21),
+    (lambda t: math.sin(50.0 * t), 10.0, 3831)])
+def test_one_and_three_component_tuples_match_their_floats(f, hi, evals):
+    # a 1-tuple and a 3-tuple take one rule pass per member; with components
+    # that differ by powers of 2 the subdivision is shared, so each component
+    # is its float integral bit for bit
+    lo = 0.0
+    scales = (1.0, 4.0, -0.125)
+    alone = [integrate(lambda t, k=k: k * f(t), lo, hi) for k in scales]
+    assert [r.evaluations for r in alone] == [evals] * 3
+    one = integrate(lambda t: (f(t),), lo, hi)
+    assert one == ((alone[0].value,), (alone[0].error_estimate,), evals)
+    three = integrate(lambda t: tuple(k * f(t) for k in scales), lo, hi)
+    assert three == (tuple(r.value for r in alone), tuple(r.error_estimate for r in alone), evals)
+
 def test_tuple_components_meet_their_own_tolerance():
     # components 1e12 apart in magnitude, the oscillating one the small or
     # the large one: each meets tol relative to its own value, at the cost of
@@ -368,10 +465,14 @@ def test_tuple_budget_counts_shared_evaluations_once(monkeypatch):
 
 
 def test_tuple_singular_pair():
-    # g(q) = (q, q^3): pi/2 and pi/4 (lo^2 + hi^2)
+    # g(q) = (q, q^3): pi/2 and pi/4 (lo^2 + hi^2); a third component equal to
+    # the first shares the subdivision, so the pair's bits repeat in the triple
     res = integrate_singular_pair(lambda q, below, above: (q, q ** 3), 0.3, 0.9, 1e-12)
     assert res.value[0] == pytest.approx(HALF_PI, rel=1e-12)
     assert res.value[1] == pytest.approx(math.pi / 4.0 * (0.09 + 0.81), rel=1e-12)
+    triple = integrate_singular_pair(lambda q, below, above: (q, q ** 3, q), 0.3, 0.9, 1e-12)
+    assert triple == (res.value + res.value[:1], res.error_estimate + res.error_estimate[:1],
+                      res.evaluations)
 
 
 def test_surface_area_sphere():
