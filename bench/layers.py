@@ -16,17 +16,17 @@ every repeat runs each case, in a fixed order.  Each sample is multiplied by
 perfbench/calibrate.py's speed factor, taken just before it, so that the
 times are reference-speed ms, as perfbench's are, and two runs made minutes
 apart compare.  The cases are one GK15 panel, one 21-point Kronrod panel of
-a float and of a pair integrand (null where the checkout has no such rule),
-one integrate call of a float and of a pair integrand whose first panel
-meets its target, one _graded call of a pair with both ends mapped,
-integrate(sin(50x), 0, 10, 1e-10), each registry oracle's sweep over its
-grid-5 points, run_suite("all", 5) and report_json of its report.  Last come
-the two cold-start cases, each over REPEATS fresh interpreters, interleaved:
-the setup path that perfbench's setup_s times (import ellint and ellint.cli,
-then one surface_area, incomplete_e, closed_value and sigma1_sum call), run
-from a copy of DIR without __pycache__, once under -B, where every ellint
-module compiles from source, and once with bytecode in a private
-PYTHONPYCACHEPREFIX that one child warmed first.
+a float and of a pair integrand, one integrate call of a float and of a
+pair integrand whose first panel meets its target, one _graded call of a
+pair with both ends mapped, integrate(sin(50x), 0, 10, 1e-10), each registry
+oracle's sweep over its grid-5 points, run_suite("all", 5) and report_json
+of its report.  Last come the two cold-start cases, each over REPEATS fresh
+interpreters, interleaved: the setup path that perfbench's setup_s times
+(import ellint and ellint.cli, then one surface_area, incomplete_e,
+closed_value and sigma1_sum call), run from a copy of DIR without
+__pycache__, once under -B, where every ellint module compiles from source,
+and once with bytecode in a private PYTHONPYCACHEPREFIX that one child
+warmed first.
 
 The deterministic part repeats bit for bit: each registry oracle's
 evaluations over its grid-5 points, and for run_suite("all", 5) its
@@ -101,25 +101,21 @@ def _families(pkg) -> dict:
 
 
 def _cases(pkg) -> dict:
-    """{name: callable or None}, each a fixed input of one layer of pkg."""
+    """{name: callable}, each a fixed input of one layer of pkg."""
     quadrature, verify, oracle_value = pkg.quadrature, pkg.verify, pkg.oracle_value
     smooth = lambda t: math.sqrt(1.0 - 0.81 * math.sin(t) ** 2)  # noqa: E731
     pair = lambda t: (smooth(t), 1.0 / (1.0 + t * t))  # noqa: E731
     peak = lambda s, c, dt: (dt / math.sqrt(s * s + 0.25 * c * c), c * dt)  # noqa: E731
     wave = lambda x: math.sin(50.0 * x)  # noqa: E731
-    k21 = getattr(quadrature, "_GK21", None)
-    graded = getattr(quadrature, "_graded", None)
+    k21, graded = quadrature._GK21, quadrature._graded
     report = verify.run_suite("all", GRID)
     cases = {
         "quadrature.panel_gk15": lambda: quadrature._panel(smooth, 0.0, 1.0),
-        "quadrature.panel_k21": None if k21 is None else (
-            lambda: quadrature._panel(smooth, 0.0, 1.0, k21)),
-        "quadrature.panel_k21_pair": None if k21 is None else (
-            lambda: quadrature._panel(pair, 0.0, 1.0, k21)),
+        "quadrature.panel_k21": lambda: quadrature._panel(smooth, 0.0, 1.0, k21),
+        "quadrature.panel_k21_pair": lambda: quadrature._panel(pair, 0.0, 1.0, k21),
         "quadrature.first_panel_float": lambda: quadrature.integrate(smooth, 0.0, 1.0, 1e-10),
         "quadrature.first_panel_pair": lambda: quadrature.integrate(pair, 0.0, 1.0, 1e-10),
-        "quadrature.graded_both_pair": None if graded is None else (
-            lambda: graded(peak, 1e-10, 0.5, 0.5)),
+        "quadrature.graded_both_pair": lambda: graded(peak, 1e-10, 0.5, 0.5),
         "quadrature.integrate_sin50": lambda: quadrature.integrate(wave, 0.0, 10.0, 1e-10),
     }
     for name, (ident, params) in _families(pkg).items():
@@ -131,9 +127,9 @@ def _cases(pkg) -> dict:
 
 
 def _interleaved(cases: dict, repeats: int, sample) -> dict:
-    """{(side, name): [samples]} for cases {side: {name: case or None}}: each
-    repeat takes one sample(case) of each name on each side in turn, the side
-    that goes first alternating from repeat to repeat."""
+    """{(side, name): [samples]} for cases {side: {name: case}}: each repeat
+    takes one sample(case) of each name on each side that has it, in turn, the
+    side that goes first alternating from repeat to repeat."""
     sides = list(cases)
     names = list(dict.fromkeys(name for side_cases in cases.values() for name in side_cases))
     samples = collections.defaultdict(list)
@@ -146,8 +142,7 @@ def _interleaved(cases: dict, repeats: int, sample) -> dict:
 
 
 def timings(sides: dict, repeats: int, quick: bool) -> dict:
-    """{side: {case: {"median_ms", "iqr_ms", "n"}, or None for a case the
-    checkout lacks}} for sides {side: package}."""
+    """{side: {case: {"median_ms", "iqr_ms", "n"}}} for sides {side: package}."""
     cases = {side: _cases(pkg) for side, pkg in sides.items()}
     speed_factor = _speed_factor()
 
@@ -164,10 +159,10 @@ def timings(sides: dict, repeats: int, quick: bool) -> dict:
         fn()
         return 1 if quick else max(1, round(2e7 / max(time.perf_counter_ns() - start, 1)))
 
-    timed = {side: {name: fn and (fn, calls(fn)) for name, fn in side_cases.items()}
+    timed = {side: {name: (fn, calls(fn)) for name, fn in side_cases.items()}
              for side, side_cases in cases.items()}
     samples = _interleaved(timed, repeats, sample)
-    return {side: {name: fn and _summary(samples[side, name]) for name, fn in side_cases.items()}
+    return {side: {name: _summary(samples[side, name]) for name in side_cases}
             for side, side_cases in cases.items()}
 
 

@@ -20,7 +20,7 @@ from . import geometry, identities, quadrature, series, verify
 from ._options import (AREA_ORACLE_TOL, IDENTITY_TOL, MAX_TERMS_DEFAULT, PARAM_FLAGS,
                        SERIES_TERM_TOL, SUITES, TOLERANCES, IdentityId)
 from ._version import __version__
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, require_axes
 
 
 def _fmt(x: float) -> str:
@@ -118,7 +118,7 @@ def _run_area(args) -> int:
     else:
         # Legendre's form is triaxial_area on strictly descending axes, and
         # the paper's ascending form is it with a and c interchanged
-        geometry._check_axes(a, b, c)
+        require_axes(a, b, c)
         axes = (a, b, c) if args.method == "legendre" else (c, b, a)
         if not axes[0] > axes[1] > axes[2]:
             order = "descending a > b > c" if args.method == "legendre" else "ascending a < b < c"

@@ -37,11 +37,9 @@ _ASINH_MAX = 710.4758600739439
 
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z); finite, nonnegative, at most one argument zero."""
-    # R_F is symmetric: sorted, a zero lands in x, and z > 0 is the largest, so
-    # that _rf_rd's terms in z^1.5 only underflow where its _TINY rescale acts
+    # R_F is symmetric: sorted, a zero lands in x and z > 0 is the largest, so _rf_rd's
+    # domain check is R_F's, and its z^1.5 terms only underflow where its _TINY rescale acts
     x, y, z = sorted((x, y, z))
-    if x < 0.0 or y == 0.0:
-        raise DomainError("carlson_rf needs nonnegative args, at most one zero")
     return _rf_rd(x, y, z)[0]
 
 
@@ -53,7 +51,7 @@ def _rf_rd(x: float, y: float, z: float) -> tuple:
     rules hold.  Domain as carlson_rd: finite x, y >= 0 (not both zero), z > 0.
     """
     if min(x, y) < 0.0 or z <= 0.0 or (x + y) == 0.0:
-        raise DomainError("carlson_rd needs x, y >= 0 (not both zero) and z > 0")
+        raise DomainError("Carlson arguments must be >= 0, with at most one zero and the last > 0")
     s = x + y + z
     if not _TINY <= s < _HUGE:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):

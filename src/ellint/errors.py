@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the library, and its tol and grid checks.
+"""Exception hierarchy shared across the library, and its tol, count and axis gates.
 
 DomainError and its subclasses signal bad inputs (CLI exit code 2);
 NonConvergenceError and its subclasses signal a numerical process that
 failed to reach its target (CLI exit code 3).
 """
+
+import math
 
 
 class EllintError(Exception):
@@ -32,8 +34,15 @@ def require_positive_tol(tol: float) -> None:
         raise DomainError("tol must be positive")
 
 
-def require_grid_size(n: int) -> int:
-    """The one check of a grid size, n itself: a bool or a float fails it too."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"grid must be a positive integer, got {n!r}")
+def require_count(name: str, n: int, least: int) -> int:
+    """The one check of a count, n itself: a bool or a float fails it too."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {n!r}")
     return n
+
+
+def require_axes(*axes: float) -> None:
+    """The one check of semi-axes: each positive and finite, so a NaN fails it."""
+    for v in axes:
+        if not (v > 0.0) or not math.isfinite(v):
+            raise DomainError(f"semi-axis {v!r} must be positive and finite")

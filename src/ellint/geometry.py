@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import _fed, _rf_rd
-from .errors import DomainError
+from .errors import DomainError, require_axes
 
 TWO_PI = 2.0 * math.pi
 _NEEDLE_YZ = 2.0 ** -500
@@ -29,18 +29,12 @@ class BarredPair(NamedTuple):
     f2: float
 
 
-def _check_axes(*axes: float) -> None:
-    for v in axes:
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"semi-axis {v!r} must be positive and finite")
-
-
 def eccentricities(a: float, b: float, c: float) -> EccentricityPair:
     """(e1, e2) for descending axes: e_i^2 = 1 - c^2/axis_i^2.
 
     Requires a >= b >= c with a > c; then 1 > e1 >= e2 >= 0.
     """
-    _check_axes(a, b, c)
+    require_axes(a, b, c)
     if not (a >= b >= c) or not a > c:
         raise DomainError("eccentricities needs a >= b >= c with a > c")
     e1 = math.sqrt((a - c) * (a + c)) / a
@@ -53,7 +47,7 @@ def barred_params(a: float, b: float, c: float) -> BarredPair:
 
     Requires a <= b <= c with a < c; then inf > f1 >= f2 >= 0.
     """
-    _check_axes(a, b, c)
+    require_axes(a, b, c)
     if not (a <= b <= c) or not a < c:
         raise DomainError("barred_params needs a <= b <= c with a < c")
     f1 = math.sqrt((c - a) * (c + a)) / a
@@ -67,7 +61,7 @@ def oblate_area(r: float, c: float) -> float:
     The log is taken as log1p(root) - log(t), two terms that add, so a tiny t
     neither divides by zero nor overflows the quotient; log t is
     log c - log r where c/r underflows to 0.0."""
-    _check_axes(r, c)
+    require_axes(r, c)
     if not r > c:
         raise DomainError("oblate_area needs r > c")
     t = c / r
@@ -82,7 +76,7 @@ def prolate_area(c: float, r: float) -> float:
     arcsin(root) is evaluated as atan2(root, t), because arcsin is
     ill-conditioned as root -> 1.  The arcsin term is formed as c r, not as
     c^2 t, so a ratio t below the float range loses nothing."""
-    _check_axes(c, r)
+    require_axes(c, r)
     if not c > r:
         raise DomainError("prolate_area needs c > r")
     t = r / c
@@ -112,7 +106,7 @@ def triaxial_area(a: float, b: float, c: float) -> float:
     7.4e-15 from mpmath's 4 pi abc R_G, where surface_area, the accurate
     path with no such limit, is 2.2e-16 from it.
     """
-    _check_axes(a, b, c)
+    require_axes(a, b, c)
     if not (a >= b >= c) or not a > c:
         raise DomainError("triaxial_area needs a >= b >= c with a > c")
     y, z = b / a, c / a
@@ -148,7 +142,7 @@ def surface_area(a: float, b: float, c: float) -> float:
     S = 4 pi s0 s1 R_G(0, (s2/s1)^2, 1), off by a relative O(y z).  Sorting
     first makes the result exactly permutation invariant.
     """
-    _check_axes(a, b, c)
+    require_axes(a, b, c)
     s0, s1, s2 = sorted((a, b, c), reverse=True)
     y, z = s1 / s0, s2 / s0
     if y * z < _NEEDLE_YZ:

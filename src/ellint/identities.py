@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import _oracles  # read at call time, so that the closed forms never run it
 from ._options import IDENTITY_TOL, IdentityId
 from .elliptic import HALF_PI, _agm, _fed
-from .errors import DomainError, require_grid_size, require_positive_tol
+from .errors import DomainError, require_count, require_positive_tol
 
 ORACLE_TOL = 1e-10          # relative tolerance handed to the oracle
 _EVEN_MU = 2.0 ** -27       # below it (in mu, or tanh(nu)/k) I4/I5 and I3/I6 are their limits at 0
@@ -41,7 +41,7 @@ _TINY = 2.2250738585072014e-308  # the least normal float
 def _lin(n: int, lo: float = 0.05, hi: float = 0.05 + 0.9) -> list:
     """n evenly spaced points on [lo, hi], or its midpoint when n == 1.  The
     default hi makes hi - lo exactly 0.9 in binary, which 0.95 - 0.05 is not."""
-    if require_grid_size(n) == 1:
+    if require_count("grid", n, 1) == 1:
         return [0.5 * (lo + hi)]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 

@@ -36,7 +36,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergenceError, NonFiniteIntegrandError, require_positive_tol
+from .errors import (DomainError, NonConvergenceError, NonFiniteIntegrandError, require_axes,
+                     require_positive_tol)
 
 HALF_PI = math.pi / 2.0
 
@@ -318,9 +319,7 @@ def surface_area_quadrature(a: float, b: float, c: float,
     cancels.  Sorting makes the result bit-identical under any permutation
     of (a, b, c).  tol is relative; the budget is that of integrate.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"semi-axis {name}={v!r} must be positive and finite")
+    require_axes(a, b, c)
     s0, s1, s2 = sorted((a, b, c), reverse=True)
     u, w = s2 / s0, s2 / s1
     e12, e22 = (s0 - s2) / s0 * (1.0 + u), (s1 - s2) / s1 * (1.0 + w)

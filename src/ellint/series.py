@@ -1,7 +1,8 @@
 """Series representations of the paired-kernel log integrals.
 
-Two families of odd-index coefficients are generated by three-term
-recurrences in (e1, e2) with 0 < e2 < e1 < 1:
+Two families of odd-index coefficients are generated by three-term recurrences
+in (e1, e2) with 0 < e2 < e1 < 1, checked by building identities.E1E2; the counts
+m_max, max_terms and m are checked by errors.require_count:
 
   A:     sigma1 = pi * sum A_{2m+1}        (the plain log-kernel integral)
   Omega: sigma2 = pi * (sum Omega_{2m+1} - 1)   (the q^2-weighted one)
@@ -16,8 +17,7 @@ The terms shrink like e1^(2m), so a sum takes about 25/(1 - e1^2) terms: at
 the default max_terms of 100,000 the sums converge up to e1 of about 0.9998
 (59,576 terms at e2 = 0.5) and raise NonConvergenceError above it.
 
-Each sum's closed reference is an identity (LOG_F, LOG_Q2): the member of
-identities.log_closed that _sigma_sums names, evaluated by its callers.
+_sigma_sums names each sum's closed reference, LOG_F or LOG_Q2 of identities.log_closed.
 """
 
 import itertools
@@ -25,7 +25,8 @@ import math
 from typing import NamedTuple
 
 from ._options import MAX_TERMS_DEFAULT, SERIES_TERM_TOL
-from .errors import DomainError, NonConvergenceError, require_positive_tol
+from .errors import DomainError, NonConvergenceError, require_count, require_positive_tol
+from .identities import E1E2
 
 _ABS_TAIL = 1e-18
 
@@ -41,16 +42,6 @@ class SeriesSum(NamedTuple):
     value: float
     terms_used: int
     truncation_estimate: float
-
-
-def _check_pair(e1: float, e2: float) -> None:
-    if not (0.0 < e2 < e1 < 1.0):
-        raise DomainError(f"need 0 < e2 < e1 < 1, got e1={e1!r}, e2={e2!r}")
-
-
-def _check_count(name: str, n: int, least: int = 0) -> None:
-    if not isinstance(n, int) or n < least:
-        raise DomainError(f"{name} must be an integer of at least {least}, got {n!r}")
 
 
 def _a_next(s: float, p: float, n: int, a3: float, a1: float) -> float:
@@ -85,8 +76,8 @@ def _family(kind: str, e1: float, e2: float):
 
 
 def _recurrence_terms(kind: str, e1: float, e2: float, m_max: int) -> SeriesCoefficients:
-    _check_pair(e1, e2)
-    _check_count("m_max", m_max)
+    E1E2(e1, e2)
+    require_count("m_max", m_max, 0)
     terms = itertools.islice(_family(kind, e1, e2), m_max + 1)
     return SeriesCoefficients(kind, e1, e2, tuple(terms))
 
@@ -112,8 +103,8 @@ def _binomial_product(p: float, x: float, y: float, m: int) -> float:
 
 def theta_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     """Cauchy-product terms of 1 - sqrt(1-e1^2) sqrt(1-e2^2); Theta_1 = 0."""
-    _check_pair(e1, e2)
-    _check_count("m_max", m_max)
+    E1E2(e1, e2)
+    require_count("m_max", m_max, 0)
     terms = [-_binomial_product(0.5, e1 * e1, e2 * e2, m) for m in range(1, m_max + 1)]
     return SeriesCoefficients("THETA", e1, e2, (0.0, *terms))
 
@@ -122,8 +113,8 @@ def psi_terms(e1: float, e2: float, m_max: int) -> SeriesCoefficients:
     """Terms of e1 (F - E)(arcsin e1, k) = e2^2 int_0^e1 t^2 / sqrt((1-t^2)(1-k^2 t^2)) dt
     with k = e2/e1: Psi_(2m+1) = e1^2 e2^2 P(e2^2, e1^2, m-2)/(2m-1), P the
     p = -1/2 binomial product.  Psi_1 = Psi_3 = 0; Omega = Theta + Psi termwise."""
-    _check_pair(e1, e2)
-    _check_count("m_max", m_max)
+    E1E2(e1, e2)
+    require_count("m_max", m_max, 0)
     e1sq, e2sq = e1 * e1, e2 * e2
     terms = [e1sq * e2sq * _binomial_product(-0.5, e2sq, e1sq, m - 2) / (2 * m - 1)
              for m in range(2, m_max + 1)]
@@ -139,9 +130,9 @@ def _sigma_sum(kind: str, e1: float, e2: float, tol: float, max_terms: int) -> S
     max_terms.  The truncation estimate is a geometric tail bound, since
     successive terms approach a ratio of e1^2.
     """
-    _check_pair(e1, e2)
+    E1E2(e1, e2)
     require_positive_tol(tol)
-    _check_count("max_terms", max_terms, 2)
+    require_count("max_terms", max_terms, 2)
     total = _FAMILIES[kind][2]
     comp = 0.0
     used = 1
@@ -197,8 +188,8 @@ def f_maclaurin_derivative(m: int, e1: float, e2: float) -> float:
     for every e2 > 0.  The value is below (2m)!, which overflows from m = 86
     on; those orders raise DomainError.
     """
-    _check_count("m", m)
-    _check_pair(e1, e2)
+    require_count("m", m, 0)
+    E1E2(e1, e2)
     if m > 85:
         raise DomainError(f"derivative order {2 * m + 1} overflows; m can be at most 85")
     a = a_coefficients(0.5, e2 / (2.0 * e1), m).terms[m]

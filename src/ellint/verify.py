@@ -39,7 +39,7 @@ from typing import NamedTuple
 from ._options import AREA_ORACLE_TOL, IDENTITY_TOL, SUITES, TOLERANCES
 from ._version import __version__
 from .elliptic import imaginary_argument_reduce, imaginary_modulus_reduce
-from .errors import DomainError, require_grid_size, require_positive_tol
+from .errors import DomainError, require_count, require_positive_tol
 from .geometry import (barred_params, eccentricities, oblate_area,
                        prolate_area, surface_area, triaxial_area)
 from .identities import (REGISTRY, EpsAB, FBar, PsiKBar, XiKBar, _lin,
@@ -326,7 +326,7 @@ def run_suite(suite: str = "all", grid: int = 5, tol: float = IDENTITY_TOL) -> R
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from "
                           f"{('all',) + SUITES}")
-    require_grid_size(grid)
+    require_count("grid", grid, 1)
     require_positive_tol(tol)
     runs = {"geometry": lambda: geometry_records(grid),
             "integrals": lambda: identity_records(grid, tol),

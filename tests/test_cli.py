@@ -96,9 +96,11 @@ def test_area_usage_errors_exit_two():
 
 
 def test_area_domain_error(capsys):
-    rc, out, err = run_cli(["area", "--axes", "0,1,1"], capsys)
-    assert rc == 2
-    assert err.startswith("error:")
+    # every method refuses a bad axis at the one axis gate, with its one message
+    for method in ("auto", "legendre", "ascending", "quadrature"):
+        rc, out, err = run_cli(["area", "--axes", "0,1,1", "--method", method], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: semi-axis 0.0 must be positive and finite\n"
 
 
 def test_area_paper_methods_need_strict_order(capsys):
@@ -277,10 +279,11 @@ def test_series_sigma2_near_zero(capsys):
 
 
 def test_series_domain_error(capsys):
+    # the series gate is the E1E2 class's own check
     rc, _, err = run_cli(["series", "--id", "SIGMA1",
                           "--e1", "0.3", "--e2", "0.6"], capsys)
     assert rc == 2
-    assert err.startswith("error:")
+    assert err == "error: need 0 < e2 < e1 < 1, got E1E2(e1=0.3, e2=0.6)\n"
 
 
 def test_series_non_convergence(capsys):
@@ -314,7 +317,7 @@ def test_verify_grid_validation(capsys):
     # run_suite's grid check is the only one: any positive grid runs
     rc, _, err = run_cli(["verify", "--grid", "0"], capsys)
     assert rc == 2
-    assert "grid" in err
+    assert err == "error: grid must be an integer of at least 1, got 0\n"
     rc, out, _ = run_cli(["verify", "--grid", "1"], capsys)
     assert rc == 0
     assert out.startswith("suite all: 100 records, 100 passed, 0 failed")

@@ -2,15 +2,18 @@
 
 Every module of the package (its __init__ aside) and every test module uses
 each name it imports, the package's __init__ reads exactly the names it
-exports in __all__ from their submodules, each of which resolves and is
-named in README.md,
+exports in __all__ from their submodules, each of which resolves, is listed
+by dir() before it is first read and is named in README.md,
 every private top-level name of the package is used somewhere in it besides
 its definition, every raise in the package raises an ellint.errors class,
 and no module of the package reads the environment.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,17 @@ def test_init_imports_exactly_all():
 def test_all_names_resolve():
     for name in ellint.__all__:
         assert hasattr(ellint, name), name
+
+
+def test_dir_lists_every_public_name_before_any_is_read():
+    # in a fresh interpreter no public name is bound yet, and dir() lists each
+    code = ("import ellint\n"
+            "names = set(ellint.__all__)\n"
+            "print(len(names & set(vars(ellint))), sorted(names - set(dir(ellint))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ellint.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 def test_readme_names_every_public_name():

@@ -4,8 +4,8 @@ Covers plain integration, the inverse-square-root substitution helper,
 the surface-area oracle over the azimuth, error-estimate honesty,
 determinism, and the evaluation budget quadrature.MAX_EVALS, which a test
 swaps with monkeypatch.  One table also pins the input guards
-of the public entry points, quadrature and others, that no other test
-triggers.
+of the public entry points, quadrature and others, each with the message
+of the one gate that refuses it.
 """
 
 import itertools
@@ -20,15 +20,20 @@ from ellint import (
     NonConvergenceError,
     NonFiniteIntegrandError,
     Report,
+    a_coefficients,
     check,
     closed_value,
     complete_e,
+    f_maclaurin_derivative,
     grid_params,
     integrate,
     integrate_singular_pair,
+    omega_coefficients,
+    psi_terms,
     quadrature,
     run_suite,
     surface_area_quadrature,
+    theta_terms,
     triaxial_area,
     write_report,
 )
@@ -288,30 +293,57 @@ def test_budget_below_the_first_panel_raises_unevaluated(monkeypatch):
         integrate(math.sin, 0.0, 10.0 * math.pi)
     assert len(nodes) == 21
 
+# case -> (call, the message of the one gate that refuses it)
 _GUARDS = {
-    "triaxial_not_descending": lambda path: triaxial_area(1.0, 2.0, 3.0),
-    "grid_size_zero": lambda path: grid_params(IdentityId.I1, 0),
-    "grid_size_fraction": lambda path: grid_params(IdentityId.I1, 2.5),
-    "grid_size_float": lambda path: grid_params(IdentityId.I1, 2.0),
-    "grid_size_bool": lambda path: grid_params(IdentityId.I1, True),
-    "integrate_reversed": lambda path: integrate(math.sin, 1.0, 0.0),
-    "integrate_empty": lambda path: integrate(math.sin, 1.0, 1.0),
-    "integrate_infinite": lambda path: integrate(math.sin, 0.0, math.inf),
-    "integrate_tol_zero": lambda path: integrate(math.sin, 0.0, 1.0, 0.0),
-    "quadrature_negative_axis": lambda path: surface_area_quadrature(1.0, -1.0, 1.0),
-    "suite_unknown": lambda path: run_suite("nonsense", 2),
-    "suite_grid_zero": lambda path: run_suite("series", 0),
-    "suite_grid_bool": lambda path: run_suite("series", True),
-    "suite_tol_zero": lambda path: run_suite("series", 2, 0.0),
-    "report_format_xml": lambda path: write_report(Report("0", {}, None, ()), path, "xml"),
+    "triaxial_not_descending": (lambda path: triaxial_area(1.0, 2.0, 3.0),
+                                "triaxial_area needs a >= b >= c with a > c"),
+    "grid_size_zero": (lambda path: grid_params(IdentityId.I1, 0),
+                       "grid must be an integer of at least 1, got 0"),
+    "grid_size_fraction": (lambda path: grid_params(IdentityId.I1, 2.5),
+                           "grid must be an integer of at least 1, got 2.5"),
+    "grid_size_float": (lambda path: grid_params(IdentityId.I1, 2.0),
+                        "grid must be an integer of at least 1, got 2.0"),
+    "grid_size_bool": (lambda path: grid_params(IdentityId.I1, True),
+                       "grid must be an integer of at least 1, got True"),
+    "integrate_reversed": (lambda path: integrate(math.sin, 1.0, 0.0),
+                           "need finite lo < hi, got [1.0, 0.0]"),
+    "integrate_empty": (lambda path: integrate(math.sin, 1.0, 1.0),
+                        "need finite lo < hi, got [1.0, 1.0]"),
+    "integrate_infinite": (lambda path: integrate(math.sin, 0.0, math.inf),
+                           "need finite lo < hi, got [0.0, inf]"),
+    "integrate_tol_zero": (lambda path: integrate(math.sin, 0.0, 1.0, 0.0),
+                           "tol must be positive"),
+    "quadrature_negative_axis": (lambda path: surface_area_quadrature(1.0, -1.0, 1.0),
+                                 "semi-axis -1.0 must be positive and finite"),
+    "suite_unknown": (lambda path: run_suite("nonsense", 2),
+                      "unknown suite 'nonsense'; choose from "
+                      "('all', 'geometry', 'integrals', 'series', 'extensions')"),
+    "suite_grid_zero": (lambda path: run_suite("series", 0),
+                        "grid must be an integer of at least 1, got 0"),
+    "suite_grid_bool": (lambda path: run_suite("series", True),
+                        "grid must be an integer of at least 1, got True"),
+    "suite_tol_zero": (lambda path: run_suite("series", 2, 0.0), "tol must be positive"),
+    "report_format_xml": (lambda path: write_report(Report("0", {}, None, ()), path, "xml"),
+                          "unknown report format 'xml'"),
+    "series_derivative_order_bool": (lambda path: f_maclaurin_derivative(True, 0.6, 0.3),
+                                     "m must be an integer of at least 0, got True"),
 }
+# a bool or a float m_max, which each series entry once took for an int
+_GUARDS.update({
+    f"series_{fn.__name__}_m_max_{m_max!r}": (
+        lambda path, fn=fn, m_max=m_max: fn(0.6, 0.3, m_max),
+        f"m_max must be an integer of at least 0, got {m_max!r}")
+    for fn in (a_coefficients, omega_coefficients, theta_terms, psi_terms)
+    for m_max in (True, False, 2.0)})
 
 
 @pytest.mark.parametrize("case", sorted(_GUARDS))
 def test_input_guards_raise_domain_error(case, tmp_path):
     path = tmp_path / "report"
-    with pytest.raises(DomainError):
-        _GUARDS[case](str(path))
+    call, message = _GUARDS[case]
+    with pytest.raises(DomainError) as exc:
+        call(str(path))
+    assert str(exc.value) == message
     assert not path.exists()
 
 
