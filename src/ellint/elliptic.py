@@ -152,12 +152,12 @@ def _fed(s: float, c2: float, kc2: float) -> tuple:
 
 
 def _check_amplitude(phi: float) -> None:
-    if not (0.0 <= phi <= HALF_PI) or math.isnan(phi):
+    if not 0.0 <= phi <= HALF_PI:
         raise DomainError(f"amplitude {phi!r} outside [0, pi/2]")
 
 
 def _check_modulus(k: float) -> None:
-    if not (0.0 <= k <= 1.0) or math.isnan(k):
+    if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus {k!r} outside [0, 1]")
 
 

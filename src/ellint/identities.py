@@ -54,10 +54,10 @@ _EPS_CYCLE = (0.7, 1.0, 1.9, 3.7)
 
 
 def _params(name: str, fields: str, domain: str, holds: Callable, point: Callable) -> type:
-    """Named tuple class name(fields) that checks its domain: building one,
+    """Named tuple class name(fields), its rows' one domain gate: building one,
     by position, keyword, _make or _replace, raises DomainError unless
-    holds(*values); domain is the same condition in words.  point(u, v, i)
-    gives the field values at the grid node (u, v) with flat index i."""
+    holds(*values), domain in words.  point(u, v, i) gives the field values at
+    the grid node (u, v) with flat index i."""
     base = namedtuple(name, fields)
 
     def __new__(cls, *args, **kwargs):
@@ -89,17 +89,19 @@ AlphaKBar = _params("AlphaKBar", "alpha kbar", "0 < alpha < kbar < 1",
                     lambda u, v, i: (u * v, u))
 EpsAB = _params("EpsAB", "eps alpha beta", "0 < alpha < beta < eps < inf",
                 lambda eps, alpha, beta: 0.0 < alpha < beta < eps < math.inf, _eps_ab_point)
+# a float k < 1 admits no nu whose tanh rounds to 1; nu < k is inside, as tanh(nu) < nu;
+# else the gap decides, if normal (closed forms need its digits): nu = k < 4.06e-103 is out
 NuK = _params("NuK", "nu k", "0 < tanh(nu) < k < 1",
-              lambda nu, k: 0.0 < math.tanh(nu) < k < 1.0,
-              lambda u, v, i: (math.atanh(u * v), u))
+              lambda nu, k: 0.0 < k < 1.0 and 0.0 < math.tanh(nu) < 1.0
+              and (nu < k or _tanh_gap(nu, k) >= _TINY), lambda u, v, i: (math.atanh(u * v), u))
 MuK = _params("MuK", "mu k", "0 < mu < inf and 0 < k < 1",
               lambda mu, k: 0.0 < mu < math.inf and 0.0 < k < 1.0,
               lambda u, v, i: (_half_line(u), v))
 PsiKBar = _params("PsiKBar", "psi kbar", "0 < psi < pi/2 and 0 < kbar < 1",
-                  lambda psi, kbar: 0.0 < psi < HALF_PI and 0.0 < kbar < 1.0,
+                  lambda psi, kbar: 0.0 < psi <= HALF_PI and 0.0 < kbar < 1.0,  # HALF_PI < pi/2
                   lambda u, v, i: (HALF_PI * u, v))
 XiKBar = _params("XiKBar", "xi kbar", "0 < xi < pi/2 and 0 < kbar < 1",
-                 lambda xi, kbar: 0.0 < xi < HALF_PI and 0.0 < kbar < 1.0,
+                 lambda xi, kbar: 0.0 < xi <= HALF_PI and 0.0 < kbar < 1.0,
                  lambda u, v, i: (HALF_PI * u, v))
 E1E2 = _params("E1E2", "e1 e2", "0 < e2 < e1 < 1", lambda e1, e2: 0.0 < e2 < e1 < 1.0,
                lambda u, v, i: (u, u * v))
@@ -212,24 +214,19 @@ def pseudo_closed(p: E1E2) -> float:
 
 
 def _tanh_gap(nu: float, k: float) -> float:
-    """k - tanh(nu), the margin of NuK's class, rounded once.  The rounded
-    tanh(nu) carries an absolute error of about 1e-16, all of the gap near the
-    class's edge, so below _GAP_EXACT * k the gap is formed again from
-    e = exp(2 nu) as k - (e - 1)/(e + 1) in stdlib decimal, at 60 digits more
-    than nu's own decade; decimal is imported only there.  Raises DomainError
-    where the exact gap is not positive: the rounded tanh(nu) put nu inside
-    the class, the exact one does not."""
+    """k - tanh(nu) rounded once, for 0 < tanh(nu) < 1: below _GAP_EXACT * k,
+    where the rounded tanh(nu)'s error of about 1e-16 is all of the gap, from
+    e = exp(2 nu) as k - (e - 1)/(e + 1) in stdlib decimal (imported only
+    there), at 60 digits more than three times nu's decade: e - 1 cancels one,
+    and the gap nu^3/3 at k = nu two more."""
     gap = k - math.tanh(nu)
     if gap >= _GAP_EXACT * k:
         return gap
     import decimal
     with decimal.localcontext() as ctx:
-        ctx.prec = 60 + max(0, -decimal.Decimal(nu).adjusted())
+        ctx.prec = 60 + 3 * max(0, -decimal.Decimal(nu).adjusted())
         e = (2 * decimal.Decimal(nu)).exp()
-        gap = float(decimal.Decimal(k) - (e - 1) / (e + 1))
-    if not gap > 0.0:
-        raise DomainError(f"need tanh(nu) < k exactly, got nu={nu!r}, k={k!r}")
-    return gap
+        return float(decimal.Decimal(k) - (e - 1) / (e + 1))
 
 
 def cosh_closed(p: NuK) -> tuple:
@@ -238,8 +235,8 @@ def cosh_closed(p: NuK) -> tuple:
     tanh(nu)/k = _EVEN_MU both are their nu -> 0 limits, within a relative
     (tanh(nu)/k)^2, from the AGM alone: the general forms divide by a subnormal
     once nu is one.  Toward k = 1, I6's K(k') - pi/2 cancels in both.  Toward
-    the class's edge tanh(nu) = k, the gap comes from _tanh_gap, and atanh(th/k)
-    is (log1p(th/k) - log(gap/k))/2 once the gap is below _GAP_EXACT * k."""
+    the edge tanh(nu) = k, the gap of _tanh_gap is positive, as NuK admits p,
+    and atanh(th/k) is (log1p(th/k) - log(gap/k))/2 below _GAP_EXACT * k."""
     # k'^2 = (1 - k)(1 + k) for _fed, the AGM's k' and den, and gap = k - tanh nu for
     # the cos^2 and atanh(th/k), each formed once
     th = math.tanh(p.nu)

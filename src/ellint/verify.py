@@ -90,7 +90,7 @@ def area_via_weighted_e_integral(a: float, b: float, c: float) -> float:
     """Descending axes: prefactor times the weighted-E(u) kernel integral."""
     e = eccentricities(a, b, c)
     p = alpha_k_from_eccentricities(e.e1, e.e2)
-    kp2 = 1.0 - p.k * p.k
+    kp2 = (1.0 - p.k) * (1.0 + p.k)
     pref = 8.0 * a * b * kp2 * (kp2 + (p.k * p.alpha) ** 2) / p.alpha
     return pref * i1_closed(p)
 

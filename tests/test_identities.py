@@ -9,6 +9,7 @@ and the four single-integral routes to the ellipsoid area.
 """
 
 import hashlib
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -218,13 +219,68 @@ def test_cosh_closed_gap_guard(k):
 
 
 def test_tanh_gap_where_only_the_rounded_tanh_is_inside_the_class():
-    # math.tanh(nu) < k admits this point to NuK, but the exact tanh(nu) is
-    # above k: no gap, so both sides raise DomainError, not a bare ValueError
-    params = NuK(0.49041614975903763, 0.454546663076062)
-    for ident in (IdentityId.I3, IdentityId.I6):
-        for side in (closed_value, oracle_value):
-            with pytest.raises(DomainError, match="exactly"):
-                side(ident, params)
+    # math.tanh(nu) < k here, but the exact tanh(nu) is above k: NuK refuses the
+    # point when it is built, so no closed form or oracle meets it
+    with pytest.raises(DomainError) as exc:
+        NuK(0.49041614975903763, 0.454546663076062)
+    assert str(exc.value) == (
+        "need 0 < tanh(nu) < k < 1, got NuK(nu=0.49041614975903763, k=0.454546663076062)")
+
+
+def _ulps(x: float, n: int) -> list:
+    # x and its n float neighbours on each side
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# each class's documented condition on mpmath numbers, the module mp passed first: a
+# float converts and compares exactly, and tanh(nu) and pi/2 are taken at 800 digits,
+# enough for tanh(nu) < k at nu = k = 5e-324.  NuK's one stated limit: it refuses nu = k
+# below 4.06e-103, where the gap k - tanh(nu) = nu^3/3 is below the normal range
+_CONDITIONS = {
+    AlphaK: lambda mp, alpha, k: 0 < alpha < 1 and 0 < k < 1,
+    AlphaZ: lambda mp, alpha, z: 0 < alpha < math.inf and 0 < z < math.inf,
+    AlphaKBar: lambda mp, alpha, kbar: 0 < alpha < kbar < 1,
+    EpsAB: lambda mp, eps, alpha, beta: 0 < alpha < beta < eps < math.inf,
+    NuK: lambda mp, nu, k: 0 < mp.tanh(nu) < k < 1 and not nu == k < 4.06e-103,
+    MuK: lambda mp, mu, k: 0 < mu < math.inf and 0 < k < 1,
+    PsiKBar: lambda mp, psi, kbar: 0 < psi < mp.pi / 2 and 0 < kbar < 1,
+    XiKBar: lambda mp, xi, kbar: 0 < xi < mp.pi / 2 and 0 < kbar < 1,
+    E1E2: lambda mp, e1, e2: 0 < e2 < e1 < 1,
+    FBar: lambda mp, f1, f2: 0 < f2 < f1 < math.inf,
+}
+_EDGES = [-math.inf, -1.0, -0.0, 0.0, 5e-324, *_ulps(0.5, 1), *_ulps(1.0, 1),
+          *_ulps(elliptic.HALF_PI, 2), 1e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("cls", sorted({entry.params_cls for entry in REGISTRY.values()},
+                                       key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_each_class_admits_exactly_its_documented_condition(cls):
+    # every tuple of edge values, and for NuK the 6 ulps on each side of atanh k,
+    # where the rounded tanh(nu) < k refused 12 points inside and admitted one
+    # outside, and nu = k and its neighbours about the stated limit and the
+    # nu < k shortcut; psi and xi meet HALF_PI, the float below pi/2, in _EDGES
+    points = list(itertools.product(_EDGES, repeat=len(cls._fields)))
+    if cls is NuK:
+        points += [(nu, k) for k in (0.1, 0.3, 0.454546663076062, 0.7, 0.9, 0.99)
+                   for nu in _ulps(math.atanh(k), 6)]
+        points += [(nu, k) for k in (1e-200, 4.05e-103, 4.07e-103, 1e-50, 1e-9, 2e-8, 5e-8)
+                   for nu in _ulps(k, 1)]
+    mp = pytest.importorskip("mpmath")
+
+    def admits(values) -> bool:
+        try:
+            cls(*values)
+        except DomainError:
+            return False
+        return True
+
+    with mp.workdps(800):
+        wrong = [p for p in points if admits(p) != _CONDITIONS[cls](mp, *map(mp.mpf, p))]
+    assert wrong == []
 
 
 def _i1_d_form(p: AlphaK) -> float:

@@ -55,7 +55,7 @@ from ellint import (
     surface_area_quadrature,
     triaxial_area,
 )
-from ellint import identities, quadrature
+from ellint import identities, quadrature, verify
 from ellint.elliptic import HALF_PI, _agm, _rf_rd
 from ellint.identities import (ORACLE_TOL, REGISTRY, AlphaK, AlphaKBar, AlphaZ, E1E2, EpsAB,
                                FBar, MuK, NuK, PsiKBar, XiKBar)
@@ -128,6 +128,13 @@ def test_near_corner_first_and_third_kind():
 def test_thin_disc_area():
     # asin(e1) rounded to pi/2 with k = 1 and raised DivergenceError
     assert _rel(surface_area(5.0, 4.0, 1e-9), _area_ref(5.0, 4.0, 1e-9)) <= 1e-13
+
+
+def test_weighted_e_route_at_close_major_axes():
+    # the route's prefactor formed k'^2 as 1 - k^2, which i1_closed forms as
+    # (1 - k)(1 + k): the two roundings differ, and the route was 2.8e-12 off here
+    axes = (7.413549389773041, 7.286121250249952, 0.12243267460121497)
+    assert _rel(verify.area_via_weighted_e_integral(*axes), _area_ref(*axes)) <= 1e-14
 
 
 def test_triaxial_form_accuracy_on_a_thin_disc():
@@ -836,6 +843,53 @@ def test_tanh_gap_against_mpmath(params):
     assert gap < 1e-3 * k
     with mp.workdps(60):
         assert _rel(gap, mp.mpf(k) - mp.tanh(mp.mpf(nu))) <= 2.0 ** -53
+
+
+def _newly_admitted() -> list:
+    # the points within 6 ulps of atanh k that NuK admits and the rounded
+    # tanh(nu) < k refused
+    out = []
+    for k in (0.1, 0.3, 0.454546663076062, 0.7, 0.9, 0.99):
+        nu = math.atanh(k)
+        for _ in range(6):
+            nu = math.nextafter(nu, 0.0)
+        for _ in range(13):
+            try:
+                out += [NuK(nu, k)] if math.tanh(nu) >= k else []
+            except DomainError:
+                pass
+            nu = math.nextafter(nu, math.inf)
+    return out
+
+
+def test_cosh_kernel_where_only_the_rounded_tanh_was_outside_the_class():
+    points = _newly_admitted()
+    assert len(points) == 12
+    for params in points:
+        for ident in (IdentityId.I3, IdentityId.I6):
+            ref = _identity_ref(ident, params)
+            assert _rel(closed_value(ident, params), ref) <= 1e-15, (ident, params)
+            assert _rel(oracle_value(ident, params).value, ref) <= 2e-14, (ident, params)
+
+
+@pytest.mark.parametrize("x", [4.07e-103, 1e-50, 1e-20, 1e-9])
+def test_cosh_closed_forms_at_nu_equal_to_k(x):
+    # tanh(nu) rounds to nu = k, but the exact gap nu^3/3 is positive and normal:
+    # inside NuK, and both closed forms read it from _tanh_gap
+    params = NuK(x, x)
+    for ident in (IdentityId.I3, IdentityId.I6):
+        assert _rel(closed_value(ident, params), _identity_ref(ident, params)) <= 1e-15
+
+
+@pytest.mark.parametrize("kbar", [0.5, 0.9, 1.0 - 2.0 ** -53])
+def test_psi_xi_rows_at_half_pi(kbar):
+    # HALF_PI, the float nearest pi/2, lies below it and is inside both classes
+    for cls in (PsiKBar, XiKBar):
+        params = cls(HALF_PI, kbar)
+        for ident in (i for i, e in REGISTRY.items() if e.params_cls is cls):
+            ref = _identity_ref(ident, params)
+            assert _rel(closed_value(ident, params), ref) <= 2e-15, ident
+            assert _rel(oracle_value(ident, params).value, ref) <= 1e-15, ident
 
 
 @pytest.mark.parametrize("params", _TANH_EDGE, ids=repr)
